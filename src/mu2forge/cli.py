@@ -309,7 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the acceptance corpus")
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--generated", type=int, default=1000)
+    p.add_argument(
+        "--generated",
+        type=int,
+        default=1000,
+        help="criterion 1 judgements; criterion 4 runs a fifth as many per lemma",
+    )
     p.add_argument("--golden-dir", default=None)
     p.set_defaults(fn=cmd_suite)
 

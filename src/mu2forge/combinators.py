@@ -346,11 +346,6 @@ def fold_numeral(g: tm.MuTerm, sigma: MuType) -> tm.MuTerm:
     )
 
 
-def in_numeral() -> tm.MuTerm:
-    """in = phi_{O,S} : (bot -> (N -> bot) -> bot) -> N."""
-    return phi(church_zero(), church_succ(), N_TYPE)
-
-
 # ---------------------------------------------------------------------------
 # Catalog
 

@@ -44,10 +44,6 @@ class TypeMismatch(MuTypeError):
     pass
 
 
-class EscapingTypeVariable(MuTypeError):
-    pass
-
-
 class IllFormedContext(MuTypeError):
     pass
 

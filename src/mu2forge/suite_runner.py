@@ -60,12 +60,14 @@ from .target_typing import PLAIN
 from .theory import (
     BETA_ETA,
     LAMBDA_MU_2P,
+    GaveUp,
     additional_axiom_instances,
     check_schema,
     core_axiom_instances,
     eq_mu,
     gen_judgement,
     gen_type,
+    gen_typed_term,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parents[2] / "tests" / "golden"
@@ -106,7 +108,7 @@ def criterion_1_type_soundness(seed: int = 20240, generated: int = 1000) -> Crit
     while count < generated:
         try:
             gamma, delta, term, _ = gen_judgement(s, budget=6)
-        except Exception:
+        except GaveUp:
             s += 1
             continue
         try:
@@ -175,8 +177,6 @@ def criterion_3_fullness() -> CriterionResult:
 
 def criterion_4_subst_lemmas(seed: int = 77, per_lemma: int = 200) -> CriterionResult:
     import random
-
-    from .theory import GaveUp, gen_typed_term
 
     bad = []
     rng = random.Random(seed)
@@ -625,11 +625,13 @@ def criterion_13_disclosure() -> CriterionResult:
 def run_acceptance(
     seed: int = 20240, generated: int = 1000, golden: Path | None = None
 ) -> list[CriterionResult]:
+    """The 13 criteria; `generated` sizes criterion 1 and, at a fifth of
+    it, each of criterion 4's substitution lemmas."""
     return [
         criterion_1_type_soundness(seed, generated),
         criterion_2_equational_soundness(),
         criterion_3_fullness(),
-        criterion_4_subst_lemmas(),
+        criterion_4_subst_lemmas(per_lemma=max(1, generated // 5)),
         criterion_5_named_term_equations(),
         criterion_6_dne(),
         criterion_7_focal_decomposition(),

@@ -173,27 +173,6 @@ def iter_subterms(t: TargetTerm, path: tuple[int, ...] = ()):
 # Open/close/instantiate per namespace
 
 
-def _var_binders(t: TargetTerm) -> tuple[int, ...]:
-    """How many term variables each child slot is under."""
-    match t:
-        case TgLam(_, _, _):
-            return (1,)
-        case LetPair(_, _, _, _):
-            return (0, 2)
-        case LetPack(_, _, _, _):
-            return (0, 1)
-        case _:
-            return tuple(0 for _ in children(t))
-
-
-def _tvar_binders(t: TargetTerm) -> tuple[int, ...]:
-    match t:
-        case LetPack(_, _, _, _):
-            return (0, 1)
-        case _:
-            return tuple(0 for _ in children(t))
-
-
 def _map_term(t: TargetTerm, on_var, on_type, vd: int, td: int) -> TargetTerm:
     """Rebuild t applying on_var(node, vd) at variables and
     on_type(ty, td) at every type."""

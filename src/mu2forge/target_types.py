@@ -54,10 +54,6 @@ R = RType()
 TOP: TargetType = Exists("X", TgBoundT(0))
 
 
-def is_top(ty: TargetType) -> bool:
-    return isinstance(ty, Exists) and ty.body == TgBoundT(0)
-
-
 def exists(name: str, body: TargetType) -> TargetType:
     return Exists(name, close_tvar(body, name))
 

@@ -338,15 +338,85 @@ def gen_typed_term(
     delta: Context = (),
     goal: mt.MuType | None = None,
 ) -> tm.MuTerm:
-    """Deterministic well-typed term generation; raises GaveUp on failure."""
+    """Deterministic well-typed term generation; raises GaveUp on failure.
+
+    A goal with no inhabitant within the budget is decided at once by
+    `_inhabited`.  A goal that has one is searched for by 64 seeded
+    restarts of `_gen`, which can still miss it and give up.
+    """
     rng = random.Random(seed)
     if goal is None:
         goal = gen_type(rng, 2)
+    if not _inhabited(budget, [ty for _, ty in gamma], [ty for _, ty in delta], goal):
+        raise GaveUp(f"no inhabitant of {goal} within budget {budget}")
+    # The pre-filter draws nothing from rng, so a goal that passes it runs
+    # the same restarts as before and yields the same term.  The restarts
+    # stay because dropping or reordering them would change the term some
+    # seeds yield, and with it the corpus the acceptance gate tests.
     for _ in range(64):
         term = _gen(rng, budget, gamma, delta, goal, 0)
         if term is not None:
             return term
-    raise GaveUp(f"no inhabitant of {goal} within budget {budget}")
+    raise GaveUp(f"64 restarts found no inhabitant of {goal} within budget {budget}")
+
+
+def _inhabited(budget, gamma_types, delta_types, goal) -> bool:
+    """Whether any run of `_gen` could build a term of `goal`.
+
+    The check over-approximates `_gen`: it tries every candidate rather
+    than four after the shuffle, every mu target in delta rather than a
+    random one, and every app domain in `_ATOM_POOL`; it ignores the depth
+    cap; and it keeps each budget threshold (var at any budget, lam,
+    tylam, mu, app-var and tyapp-var at 2 or more, app at 3 or more with
+    half the budget on both sides).  Whether a candidate exists depends on
+    the types in gamma and delta only, never on names or multiplicity, so
+    both are sets of types here.  A tylam body is opened with the name
+    `#X<budget>`, which no user name (the lexer rejects `#`) and no
+    `tm.fresh` atom can take, and which is distinct along every path
+    because budgets strictly fall; renaming a type variable injectively
+    changes no type comparison `_gen` makes.
+
+    Soundness: if this returns False, no choice of candidates, mu targets
+    or app domains builds a term, so every restart of `_gen` returns None
+    and `gen_typed_term` would raise GaveUp anyway.  Termination: every
+    recursive call strictly lowers the budget (budget - 1, or budget // 2
+    at budget >= 3).  The memo lives for this call only.
+    """
+    memo: dict = {}
+
+    def inh(budget, gam, dlt, goal) -> bool:
+        key = (budget, gam, dlt, goal)
+        if key not in memo:
+            memo[key] = step(budget, gam, dlt, goal)
+        return memo[key]
+
+    def step(budget, gam, dlt, goal) -> bool:
+        if goal in gam:
+            return True  # var
+        if budget < 2:
+            return False
+        for ty in gam:
+            if isinstance(ty, mt.Forall) and any(
+                mt.inst_tvar(ty.body, a) == goal for a in _ATOM_POOL
+            ):
+                return True  # tyapp-var
+            if isinstance(ty, mt.Arrow) and ty.cod == goal and inh(budget - 1, gam, dlt, ty.dom):
+                return True  # app-var
+        if isinstance(goal, mt.Arrow) and inh(budget - 1, gam | {goal.dom}, dlt, goal.cod):
+            return True  # lam
+        if isinstance(goal, mt.Forall):
+            opened = mt.open_tvar(goal.body, f"#X{budget}")
+            if inh(budget - 1, gam, dlt, opened):
+                return True  # tylam
+        dlt2 = dlt | {goal}
+        if any(inh(budget - 1, gam, dlt2, tgt) for tgt in dlt2):
+            return True  # mu
+        return budget >= 3 and any(
+            inh(budget // 2, gam, dlt, mt.Arrow(a, goal)) and inh(budget // 2, gam, dlt, a)
+            for a in _ATOM_POOL
+        )
+
+    return inh(budget, frozenset(gamma_types), frozenset(delta_types), goal)
 
 
 def gen_type(rng: random.Random, depth: int) -> mt.MuType:

@@ -1,8 +1,12 @@
+import hashlib
+import random
+
 import pytest
 
 from mu2forge import mu_terms as tm
 from mu2forge import mu_types as mt
 from mu2forge.mu_typing import TypeMismatch, ctx, typecheck_mu
+from mu2forge.printer import print_mu_term, print_mu_type
 from mu2forge.theory import (
     BETA_ETA,
     LAMBDA_MU_2P,
@@ -13,6 +17,7 @@ from mu2forge.theory import (
     core_axiom_instances,
     eq_mu,
     gen_judgement,
+    gen_type,
     gen_typed_term,
 )
 
@@ -104,8 +109,58 @@ def test_generator_covers_all_formers():
 
 
 def test_gave_up():
+    from mu2forge.theory import _inhabited
+
     with pytest.raises(GaveUp):
         gen_typed_term(0, 1, ctx(), ctx(), mt.TVar("zq"))
+    # Nothing has type zq, and a mu only re-asks for zq or for a lam body
+    # of type zq, so no budget helps.
+    zq = mt.TVar("zq")
+    assert not _inhabited(6, (), (), zq)
+    with pytest.raises(GaveUp):
+        gen_typed_term(0, 6, ctx(), ctx(), zq)
+    # c is reachable only as h x y, built by app at domain b: the function
+    # h x : b -> c needs app-var, so budget 2 on each side, so budget 4.
+    c = mt.TVar("c")
+    gamma = ctx(("h", mt.Arrow(A, mt.Arrow(B, c))), ("x", A), ("y", B))
+    types = [ty for _, ty in gamma]
+    assert not _inhabited(3, types, (), c)
+    assert _inhabited(4, types, (), c)
+    with pytest.raises(GaveUp):
+        gen_typed_term(0, 3, gamma, ctx(), c)
+    term = gen_typed_term(0, 4, gamma, ctx(), c)
+    assert typecheck_mu(gamma, ctx(), term) == c
+
+
+def test_inhabitation_filter_matches_unfiltered_search():
+    """Over criterion 1's first seeds, the pre-filter rejects exactly the
+    goals on which all 64 restarts of the raw search fail, and a goal it
+    passes yields the raw search's term."""
+    from mu2forge.theory import _gen, _inhabited
+
+    rejected = 0
+    for seed in range(20240, 20350):
+        rng = random.Random(seed)  # the draws gen_judgement makes
+        gamma = ctx(("v1", gen_type(rng, 2)), ("v2", gen_type(rng, 2)))
+        delta = ctx(("k1", gen_type(rng, 2)),)
+        goal = gen_type(rng, 2)
+        term_seed = rng.randrange(1 << 30)
+        search = random.Random(term_seed)
+        found = None
+        for _ in range(64):
+            found = _gen(search, 6, gamma, delta, goal, 0)
+            if found is not None:
+                break
+        inhabited = _inhabited(6, [ty for _, ty in gamma], [ty for _, ty in delta], goal)
+        # a rejected goal fails every restart; a found term is never rejected
+        assert inhabited or found is None, seed
+        # and on this range every give-up is decided by the filter
+        assert found is not None or not inhabited, seed
+        if inhabited:
+            assert gen_typed_term(term_seed, 6, gamma, delta, goal) == found, seed
+        else:
+            rejected += 1
+    assert rejected == 39
 
 
 def test_beta_substitution_coherence_on_generated_terms():
@@ -192,3 +247,67 @@ def test_eta_wrappers_equal_on_generated_terms():
             assert eq_mu(term, expanded, BETA_ETA, gamma, delta).equal, seed
         checked += 1
         seed += 1
+
+
+# ---------------------------------------------------------------------------
+# The seeded corpus the acceptance gate tests, pinned by printed form.  The
+# loops mirror suite_runner's criteria 1 and 4; a generator change that
+# alters which seeds give up or which term a seed yields changes a digest.
+# The digests were taken from the generator before give-ups were decided
+# by the inhabitation pre-filter.
+
+CRITERION_1_SHA256 = "fcca7769c32ef5d80c411f54125b2c62e1edfb2a77ace0a09d3bbf743e115942"
+TERM_IN_TERM_SHA256 = "7331990ba9bf14b222859c3ddebadc40d6c550e618c0935e6f903b02175d7e00"
+TYPE_IN_TERM_SHA256 = "9b568e4535b579caf11e8352bb82828dfcf03c1874d12ef62a554178a50a61c0"
+
+
+def _zone(z):
+    return ", ".join(f"{x}:{print_mu_type(s)}" for x, s in z)
+
+
+def _judgement_corpus(seed, count, budget):
+    lines = []
+    s = seed
+    while len(lines) < count:
+        try:
+            gamma, delta, term, ty = gen_judgement(s, budget=budget)
+        except GaveUp:
+            s += 1
+            continue
+        lines.append(
+            f"{s}\t{_zone(gamma)}\t{_zone(delta)}\t{print_mu_term(term)}\t{print_mu_type(ty)}"
+        )
+        s += 1
+    return lines
+
+
+def _term_in_term_corpus(seed, count):
+    lines = []
+    s = seed
+    while len(lines) < count:
+        rng = random.Random(s)
+        sigma_x = gen_type(rng, 2)
+        gamma = ctx(("v1", gen_type(rng, 2)), ("v2", mt.Arrow(sigma_x, sigma_x)))
+        delta = ctx(("k1", gen_type(rng, 2)))
+        try:
+            m = gen_typed_term(s, 5, gamma + (("xsubst", sigma_x),), delta, gen_type(rng, 2))
+            n = gen_typed_term(s + 1, 4, gamma, delta, sigma_x)
+        except GaveUp:
+            s += 1
+            continue
+        lines.append(
+            f"{s}\t{_zone(gamma)}\t{_zone(delta)}\t{print_mu_type(sigma_x)}"
+            f"\t{print_mu_term(m)}\t{print_mu_term(n)}"
+        )
+        s += 1
+    return lines
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_generator_corpus_pinned():
+    assert _digest(_judgement_corpus(20240, 1000, 6)) == CRITERION_1_SHA256
+    assert _digest(_term_in_term_corpus(77, 200)) == TERM_IN_TERM_SHA256
+    assert _digest(_judgement_corpus(77 + 10_000, 200, 5)) == TYPE_IN_TERM_SHA256
