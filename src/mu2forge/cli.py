@@ -329,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except (MuParseError, MuTypeError, TargetTypeError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # Exit 1 means Distinct or NoCertificate; too deep an input is an input error.
+        print("error: input nested too deeply for the kernel", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,17 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
-from .mu_types import (
-    BOT,
-    MuType,
-    close_tvar,
-    ftv,
-    inst_tvar,
-    is_bot,
-    open_tvar,
-    subst_tvar,
-)
+from . import mu_types
+from .mu_types import BOT, MuType, is_bot
+from .syntax import NAME, NAME_REF, PASS, TERM, TVAR, TYPE, VAR, Child, Leaf, Syntax
 
 _fresh_counter = itertools.count(1)
 
@@ -158,246 +152,57 @@ def match_bold_mu(t: MuTerm) -> tuple[MuType, MuTerm] | None:
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers.  Depth counters are per-namespace; only the binder of
-# the matching namespace increments the counter.
+# Traversals, all derived from the binder table.  A Mu node's target sits
+# under its own name binder.
+
+TABLE = {
+    **mu_types.TABLE,
+    Var: (Leaf(VAR, False),),
+    BVar: (Leaf(VAR, True),),
+    Lam: (PASS, Child(TYPE), Child(TERM, var=1)),
+    App: (Child(TERM), Child(TERM)),
+    TyLam: (PASS, Child(TERM, tvar=1)),
+    TyApp: (Child(TERM), Child(TYPE)),
+    FName: (Leaf(NAME, False),),
+    BName: (Leaf(NAME, True),),
+    Mu: (PASS, Child(TYPE), Child(NAME_REF, name=1), Child(TERM, name=1)),
+}
+SYNTAX = Syntax(TABLE)
+
+# open_* / close_*(t, atom, depth=0) and inst_*(t, rep, depth=0), rep locally
+# closed, per namespace; the free-atom sets fv (variables), fn (names) and
+# ftv_term (type variables); uses_bound_name(t, depth).
+close_var = partial(SYNTAX.close, VAR)
+open_var = partial(SYNTAX.open, VAR)
+inst_var = partial(SYNTAX.inst, VAR)
+close_name = partial(SYNTAX.close, NAME)
+open_name = partial(SYNTAX.open, NAME)
+close_tvar_term = partial(SYNTAX.close, TVAR)
+open_tvar_term = partial(SYNTAX.open, TVAR)
+inst_tvar_term = partial(SYNTAX.inst, TVAR)
+fv = partial(SYNTAX.free, VAR)
+fn = partial(SYNTAX.free, NAME)
+ftv_term = partial(SYNTAX.free, TVAR)
+uses_bound_name = partial(SYNTAX.uses_bound, NAME)
 
 
-def _map_types(t: MuTerm, f, depth: int) -> MuTerm:
-    """Apply f(type, type_depth) to every type inside t."""
-    match t:
-        case Var(_) | BVar(_):
-            return t
-        case Lam(hint, ann, body):
-            return Lam(hint, f(ann, depth), _map_types(body, f, depth))
-        case App(fn, arg):
-            return App(_map_types(fn, f, depth), _map_types(arg, f, depth))
-        case TyLam(hint, body):
-            return TyLam(hint, _map_types(body, f, depth + 1))
-        case TyApp(fn, ty):
-            return TyApp(_map_types(fn, f, depth), f(ty, depth))
-        case Mu(hint, ann, target, body):
-            return Mu(hint, f(ann, depth), target, _map_types(body, f, depth))
-    raise TypeError(t)
-
-
-def close_var(t: MuTerm, x: str, depth: int = 0) -> MuTerm:
-    match t:
-        case Var(n):
-            return BVar(depth) if n == x else t
-        case BVar(_):
-            return t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, close_var(body, x, depth + 1))
-        case App(fn, arg):
-            return App(close_var(fn, x, depth), close_var(arg, x, depth))
-        case TyLam(hint, body):
-            return TyLam(hint, close_var(body, x, depth))
-        case TyApp(fn, ty):
-            return TyApp(close_var(fn, x, depth), ty)
-        case Mu(hint, ann, target, body):
-            return Mu(hint, ann, target, close_var(body, x, depth))
-    raise TypeError(t)
-
-
-def open_var(t: MuTerm, x: str, depth: int = 0) -> MuTerm:
-    match t:
-        case Var(_):
-            return t
-        case BVar(k):
-            return Var(x) if k == depth else t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, open_var(body, x, depth + 1))
-        case App(fn, arg):
-            return App(open_var(fn, x, depth), open_var(arg, x, depth))
-        case TyLam(hint, body):
-            return TyLam(hint, open_var(body, x, depth))
-        case TyApp(fn, ty):
-            return TyApp(open_var(fn, x, depth), ty)
-        case Mu(hint, ann, target, body):
-            return Mu(hint, ann, target, open_var(body, x, depth))
-    raise TypeError(t)
-
-
-def inst_var(t: MuTerm, rep: MuTerm, depth: int = 0) -> MuTerm:
-    """Replace the bound term variable at `depth` by the locally closed rep."""
-    match t:
-        case Var(_):
-            return t
-        case BVar(k):
-            return rep if k == depth else t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, inst_var(body, rep, depth + 1))
-        case App(fn, arg):
-            return App(inst_var(fn, rep, depth), inst_var(arg, rep, depth))
-        case TyLam(hint, body):
-            return TyLam(hint, inst_var(body, rep, depth))
-        case TyApp(fn, ty):
-            return TyApp(inst_var(fn, rep, depth), ty)
-        case Mu(hint, ann, target, body):
-            return Mu(hint, ann, target, inst_var(body, rep, depth))
-    raise TypeError(t)
-
-
-def close_name(t: MuTerm, a: str, depth: int = 0) -> MuTerm:
-    """Abstract free name a; a Mu node's target sits inside its own binder."""
-    match t:
-        case Var(_) | BVar(_):
-            return t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, close_name(body, a, depth))
-        case App(fn, arg):
-            return App(close_name(fn, a, depth), close_name(arg, a, depth))
-        case TyLam(hint, body):
-            return TyLam(hint, close_name(body, a, depth))
-        case TyApp(fn, ty):
-            return TyApp(close_name(fn, a, depth), ty)
-        case Mu(hint, ann, target, body):
-            tgt = BName(depth + 1) if target == FName(a) else target
-            return Mu(hint, ann, tgt, close_name(body, a, depth + 1))
-    raise TypeError(t)
-
-
-def open_name(t: MuTerm, a: str, depth: int = 0) -> MuTerm:
-    match t:
-        case Var(_) | BVar(_):
-            return t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, open_name(body, a, depth))
-        case App(fn, arg):
-            return App(open_name(fn, a, depth), open_name(arg, a, depth))
-        case TyLam(hint, body):
-            return TyLam(hint, open_name(body, a, depth))
-        case TyApp(fn, ty):
-            return TyApp(open_name(fn, a, depth), ty)
-        case Mu(hint, ann, target, body):
-            tgt = FName(a) if target == BName(depth + 1) else target
-            return Mu(hint, ann, tgt, open_name(body, a, depth + 1))
-    raise TypeError(t)
-
-
-def uses_bound_name(t: MuTerm, depth: int) -> bool:
-    match t:
-        case Var(_) | BVar(_):
-            return False
-        case Lam(_, _, body):
-            return uses_bound_name(body, depth)
-        case App(fn, arg):
-            return uses_bound_name(fn, depth) or uses_bound_name(arg, depth)
-        case TyLam(_, body):
-            return uses_bound_name(body, depth)
-        case TyApp(fn, _):
-            return uses_bound_name(fn, depth)
-        case Mu(_, _, target, body):
-            return target == BName(depth + 1) or uses_bound_name(body, depth + 1)
-    raise TypeError(t)
-
-
-def close_tvar_term(t: MuTerm, x: str) -> MuTerm:
-    return _map_types(t, lambda ty, d: close_tvar(ty, x, d), 0)
-
-
-def open_tvar_term(t: MuTerm, x: str) -> MuTerm:
-    return _map_types(t, lambda ty, d: open_tvar(ty, x, d), 0)
-
-
-def inst_tvar_term(t: MuTerm, rep: MuType) -> MuTerm:
-    return _map_types(t, lambda ty, d: inst_tvar(ty, rep, d), 0)
-
-
-# ---------------------------------------------------------------------------
-# Free-atom sets
-
-
-def fv(t: MuTerm) -> frozenset[str]:
-    match t:
-        case Var(n):
-            return frozenset((n,))
-        case BVar(_):
-            return frozenset()
-        case Lam(_, _, body):
-            return fv(body)
-        case App(fn, arg):
-            return fv(fn) | fv(arg)
-        case TyLam(_, body):
-            return fv(body)
-        case TyApp(fn, _):
-            return fv(fn)
-        case Mu(_, _, _, body):
-            return fv(body)
-    raise TypeError(t)
-
-
-def fn(t: MuTerm) -> frozenset[str]:
-    match t:
-        case Var(_) | BVar(_):
-            return frozenset()
-        case Lam(_, _, body):
-            return fn(body)
-        case App(fun, arg):
-            return fn(fun) | fn(arg)
-        case TyLam(_, body):
-            return fn(body)
-        case TyApp(fun, _):
-            return fn(fun)
-        case Mu(_, _, target, body):
-            here = frozenset((target.name,)) if isinstance(target, FName) else frozenset()
-            return here | fn(body)
-    raise TypeError(t)
-
-
-def ftv_term(t: MuTerm) -> frozenset[str]:
-    acc: set[str] = set()
-    _map_types(t, lambda ty, d: (acc.update(ftv(ty)), ty)[1], 0)
-    return frozenset(acc)
-
-
-# ---------------------------------------------------------------------------
-# Substitutions.  All are capture-avoiding for free: bound occurrences are
+# Substitutions are capture-avoiding for free: bound occurrences are
 # indices, and replacement terms are locally closed.
 
 
 def subst_term(t: MuTerm, x: str, rep: MuTerm) -> MuTerm:
     """M[rep/x] for a free term variable x."""
-    match t:
-        case Var(n):
-            return rep if n == x else t
-        case BVar(_):
-            return t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, subst_term(body, x, rep))
-        case App(fun, arg):
-            return App(subst_term(fun, x, rep), subst_term(arg, x, rep))
-        case TyLam(hint, body):
-            return TyLam(hint, subst_term(body, x, rep))
-        case TyApp(fun, ty):
-            return TyApp(subst_term(fun, x, rep), ty)
-        case Mu(hint, ann, target, body):
-            return Mu(hint, ann, target, subst_term(body, x, rep))
-    raise TypeError(t)
+    return SYNTAX.subst(VAR, t, {x: rep})
 
 
 def subst_type(t: MuTerm, x: str, rep: MuType) -> MuTerm:
     """M[rep/X] for a free type variable X (annotations and type arguments)."""
-    return _map_types(t, lambda ty, d: subst_tvar(ty, x, rep), 0)
+    return SYNTAX.subst(TVAR, t, {x: rep})
 
 
 def rename_name(t: MuTerm, a: str, b: str) -> MuTerm:
     """M[b/a] for free names: every naming target a becomes b."""
-    match t:
-        case Var(_) | BVar(_):
-            return t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, rename_name(body, a, b))
-        case App(fun, arg):
-            return App(rename_name(fun, a, b), rename_name(arg, a, b))
-        case TyLam(hint, body):
-            return TyLam(hint, rename_name(body, a, b))
-        case TyApp(fun, ty):
-            return TyApp(rename_name(fun, a, b), ty)
-        case Mu(hint, ann, target, body):
-            tgt = FName(b) if target == FName(a) else target
-            return Mu(hint, ann, tgt, rename_name(body, a, b))
-    raise TypeError(t)
+    return SYNTAX.subst(NAME, t, {a: FName(b)})
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +286,4 @@ def mixed_subst_naming(
 
 
 def locally_closed_term(t: MuTerm, vd: int = 0, td: int = 0, nd: int = 0) -> bool:
-    from .mu_types import locally_closed as tlc
-
-    match t:
-        case Var(_):
-            return True
-        case BVar(k):
-            return k < vd
-        case Lam(_, ann, body):
-            return tlc(ann, td) and locally_closed_term(body, vd + 1, td, nd)
-        case App(fun, arg):
-            return locally_closed_term(fun, vd, td, nd) and locally_closed_term(arg, vd, td, nd)
-        case TyLam(_, body):
-            return locally_closed_term(body, vd, td + 1, nd)
-        case TyApp(fun, ty):
-            return tlc(ty, td) and locally_closed_term(fun, vd, td, nd)
-        case Mu(_, ann, target, body):
-            tgt_ok = not isinstance(target, BName) or target.index < nd + 1
-            return tlc(ann, td) and tgt_ok and locally_closed_term(body, vd, td, nd + 1)
-    raise TypeError(t)
+    return all(SYNTAX.locally_closed(ns, t, d) for ns, d in ((VAR, vd), (TVAR, td), (NAME, nd)))

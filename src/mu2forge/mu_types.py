@@ -9,6 +9,9 @@ never participate in comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+
+from .syntax import PASS, TVAR, TYPE, Child, Leaf, Syntax
 
 
 class MuType:
@@ -41,6 +44,15 @@ class Forall(MuType):
     body: MuType
 
 
+#: Binder table (see :mod:`.syntax`); mu_terms extends it.
+TABLE = {
+    TVar: (Leaf(TVAR, False),),
+    TBound: (Leaf(TVAR, True),),
+    Arrow: (Child(TYPE), Child(TYPE)),
+    Forall: (PASS, Child(TYPE, tvar=1)),
+}
+SYNTAX = Syntax(TABLE)
+
 #: The falsity type, forall X. X.
 BOT: MuType = Forall("X", TBound(0))
 
@@ -63,81 +75,15 @@ def forall(name: str, body: MuType) -> MuType:
     return Forall(name, close_tvar(body, name))
 
 
-def ftv(ty: MuType) -> frozenset[str]:
-    match ty:
-        case TVar(name):
-            return frozenset((name,))
-        case TBound(_):
-            return frozenset()
-        case Arrow(dom, cod):
-            return ftv(dom) | ftv(cod)
-        case Forall(_, body):
-            return ftv(body)
-    raise TypeError(ty)
-
-
-def close_tvar(ty: MuType, name: str, depth: int = 0) -> MuType:
-    match ty:
-        case TVar(n):
-            return TBound(depth) if n == name else ty
-        case TBound(_):
-            return ty
-        case Arrow(dom, cod):
-            return Arrow(close_tvar(dom, name, depth), close_tvar(cod, name, depth))
-        case Forall(hint, body):
-            return Forall(hint, close_tvar(body, name, depth + 1))
-    raise TypeError(ty)
-
-
-def open_tvar(ty: MuType, name: str, depth: int = 0) -> MuType:
-    match ty:
-        case TVar(_):
-            return ty
-        case TBound(k):
-            return TVar(name) if k == depth else ty
-        case Arrow(dom, cod):
-            return Arrow(open_tvar(dom, name, depth), open_tvar(cod, name, depth))
-        case Forall(hint, body):
-            return Forall(hint, open_tvar(body, name, depth + 1))
-    raise TypeError(ty)
-
-
-def inst_tvar(ty: MuType, rep: MuType, depth: int = 0) -> MuType:
-    """Replace the bound variable at `depth` by the locally closed `rep`."""
-    match ty:
-        case TVar(_):
-            return ty
-        case TBound(k):
-            return rep if k == depth else ty
-        case Arrow(dom, cod):
-            return Arrow(inst_tvar(dom, rep, depth), inst_tvar(cod, rep, depth))
-        case Forall(hint, body):
-            return Forall(hint, inst_tvar(body, rep, depth + 1))
-    raise TypeError(ty)
+# ftv(ty); close_tvar / open_tvar(ty, atom, depth=0); inst_tvar(ty, rep,
+# depth=0) with a locally closed rep; locally_closed(ty, depth=0).
+ftv = partial(SYNTAX.free, TVAR)
+close_tvar = partial(SYNTAX.close, TVAR)
+open_tvar = partial(SYNTAX.open, TVAR)
+inst_tvar = partial(SYNTAX.inst, TVAR)
+locally_closed = partial(SYNTAX.locally_closed, TVAR)
 
 
 def subst_tvar(ty: MuType, name: str, rep: MuType) -> MuType:
     """Capture-avoiding substitution of a free type variable."""
-    match ty:
-        case TVar(n):
-            return rep if n == name else ty
-        case TBound(_):
-            return ty
-        case Arrow(dom, cod):
-            return Arrow(subst_tvar(dom, name, rep), subst_tvar(cod, name, rep))
-        case Forall(hint, body):
-            return Forall(hint, subst_tvar(body, name, rep))
-    raise TypeError(ty)
-
-
-def locally_closed(ty: MuType, depth: int = 0) -> bool:
-    match ty:
-        case TVar(_):
-            return True
-        case TBound(k):
-            return k < depth
-        case Arrow(dom, cod):
-            return locally_closed(dom, depth) and locally_closed(cod, depth)
-        case Forall(_, body):
-            return locally_closed(body, depth + 1)
-    raise TypeError(ty)
+    return SYNTAX.subst(TVAR, ty, {name: rep})

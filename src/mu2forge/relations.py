@@ -10,12 +10,14 @@ equality oracle suffices, and everything else stays an open obligation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
 from .mu_typing import Context
+from .syntax import TVAR, VAR
 
 
 class UnboundRelVar(Exception):
@@ -169,11 +171,7 @@ def target_relation(
     """The five admissible-relation clauses over the target types."""
     left_inst = left_inst or {}
     right_inst = right_inst or {}
-
-    def subst_all(t: tt.TargetType, inst: dict[str, tt.TargetType]) -> tt.TargetType:
-        for n, rep in inst.items():
-            t = tt.subst_tvar(t, n, rep)
-        return t
+    subst_all = partial(tt.SYNTAX.subst, TVAR)
 
     match ty:
         case tt.TgVarT(n):
@@ -257,11 +255,7 @@ def mu_relation(
     """The three focal-relation clauses over the source types."""
     left_inst = left_inst or {}
     right_inst = right_inst or {}
-
-    def subst_all(ty: mt.MuType, inst: dict[str, mt.MuType]) -> mt.MuType:
-        for n, rep in inst.items():
-            ty = mt.subst_tvar(ty, n, rep)
-        return ty
+    subst_all = partial(mt.SYNTAX.subst, TVAR)
 
     match sigma:
         case mt.TVar(n):
@@ -349,12 +343,15 @@ def instantiate_graph(formula: RelFormula, cert) -> list[DischargeEquation]:
     binders: list[tuple[str, mt.MuType]] = []
     node = formula
     tysub: dict[str, mt.MuType] = {}
+
+    def sub(x):
+        if isinstance(x, (tm.MuTerm, mt.MuType)):
+            return tm.SYNTAX.subst(TVAR, x, tysub)
+        return x
+
     while True:
         if isinstance(node, ForallTerm):
-            ty = node.type
-            for n, rep in tysub.items():
-                ty = mt.subst_tvar(ty, n, rep)
-            binders.append((node.var, ty))
+            binders.append((node.var, sub(node.type)))
             node = node.body
             continue
         if isinstance(node, ForallType):
@@ -370,54 +367,58 @@ def instantiate_graph(formula: RelFormula, cert) -> list[DischargeEquation]:
     if not isinstance(node, ForallRel):
         raise NotFocal("formula has no relation quantifier at its head")
     graph = GraphRef(cert.subject, True, cert.source, cert.target)
-    body = _subst_rel(node.body, node.var, graph, tysub)
+    body = _map_formula(node.body, {}, sub, {node.var: graph})
     out: list[DischargeEquation] = []
     _collect_equations(body, tuple(binders), False, out)
     return out
 
 
-def _subst_rel(formula: RelFormula, var: str, rel: Relation, tysub: dict) -> RelFormula:
-    def on_type(ty):
-        for n, rep in tysub.items():
-            ty = mt.subst_tvar(ty, n, rep)
-        return ty
+def _map_formula(f: RelFormula, names: dict[str, str], sub, rels: dict[str, Relation]) -> RelFormula:
+    """Rebuild f in one pass: every binder and relation atom renamed by
+    names, every type and term through sub(), and each relation variable
+    that rels names by its relation.  NegRel and ConjRel keep their
+    endpoint types, which no printer or export reads."""
 
-    def on_term(t):
-        for n, rep in tysub.items():
-            t = tm.subst_type(t, n, rep)
-        return t
+    def atom(a: str) -> str:
+        return names.get(a, a)
 
-    def on_rel(r: Relation) -> Relation:
+    def rel(r: Relation) -> Relation:
         match r:
-            case RelVar(n, _, _) if n == var:
-                return rel
-            case ArrowRel(dom, cod, dl, dr):
-                return ArrowRel(on_rel(dom), on_rel(cod), on_type(dl), on_type(dr))
-            case AllRel(xl, xr, rv, body):
-                return AllRel(xl, xr, rv, on_rel(body))
+            case RelVar(n, left, right):
+                return rels[n] if n in rels else RelVar(atom(n), sub(left), sub(right))
+            case IdentityRef(ty):
+                return IdentityRef(sub(ty))
+            case GraphRef(map=m, focality_required=req, source=src, target=tgt, label=lab):
+                return GraphRef(sub(m), req, src, tgt, lab)
             case NegRel(body, dl, dr):
-                return NegRel(on_rel(body), dl, dr)
+                return NegRel(rel(body), dl, dr)
             case ConjRel(left, right, tl, tr):
-                return ConjRel(on_rel(left), on_rel(right), tl, tr)
+                return ConjRel(rel(left), rel(right), tl, tr)
             case ExistsRel(x, body):
-                return ExistsRel(x, on_rel(body))
-            case _:
-                return r
+                return ExistsRel(atom(x), rel(body))
+            case ArrowRel(dom, cod, dl, dr):
+                return ArrowRel(rel(dom), rel(cod), sub(dl), sub(dr))
+            case AllRel(xl, xr, rv, body):
+                return AllRel(atom(xl), atom(xr), atom(rv), rel(body))
+        raise TypeError(r)
 
-    match formula:
-        case RelAtom(r, left, right):
-            return RelAtom(on_rel(r), on_term(left), on_term(right))
-        case Implies(p, c):
-            return Implies(_subst_rel(p, var, rel, tysub), _subst_rel(c, var, rel, tysub))
-        case And(left, right):
-            return And(_subst_rel(left, var, rel, tysub), _subst_rel(right, var, rel, tysub))
-        case ForallTerm(v, ty, body):
-            return ForallTerm(v, on_type(ty), _subst_rel(body, var, rel, tysub))
-        case ForallType(v, body):
-            return ForallType(v, _subst_rel(body, var, rel, tysub))
-        case ForallRel(v, kind, left, right, body):
-            return ForallRel(v, kind, left, right, _subst_rel(body, var, rel, tysub))
-    raise TypeError(formula)
+    def go(f: RelFormula) -> RelFormula:
+        match f:
+            case ForallTerm(v, ty, body):
+                return ForallTerm(atom(v), sub(ty), go(body))
+            case ForallType(v, body):
+                return ForallType(atom(v), go(body))
+            case ForallRel(v, kind, left, right, body):
+                return ForallRel(atom(v), kind, atom(left), atom(right), go(body))
+            case Implies(p, c):
+                return Implies(go(p), go(c))
+            case And(left, right):
+                return And(go(left), go(right))
+            case RelAtom(r, left, right):
+                return RelAtom(rel(r), sub(left), sub(right))
+        raise TypeError(f)
+
+    return go(f)
 
 
 def _collect_equations(formula, binders, conditional, out) -> None:
@@ -495,78 +496,19 @@ def rename_for_display(formula: RelFormula) -> RelFormula:
             i += 1
         names[atom] = name
         used.add(name)
-    return _apply_renames(formula, names)
+    mu_reps = ({a: tm.Var(n) for a, n in names.items()}, {a: mt.TVar(n) for a, n in names.items()})
+    tg_reps = ({a: tg.TgVar(n) for a, n in names.items()}, {a: tt.TgVarT(n) for a, n in names.items()})
 
+    def rename(x):
+        if isinstance(x, (tm.MuTerm, mt.MuType)):
+            syntax, (vars_, tvars) = tm.SYNTAX, mu_reps
+        elif isinstance(x, (tg.TargetTerm, tt.TargetType)):
+            syntax, (vars_, tvars) = tg.SYNTAX, tg_reps
+        else:
+            return x
+        return syntax.subst(TVAR, syntax.subst(VAR, x, vars_), tvars)
 
-def _apply_renames(f: RelFormula, names: dict[str, str]) -> RelFormula:
-    def on_type(ty):
-        if isinstance(ty, tt.TargetType):
-            for old, new in names.items():
-                ty = tt.subst_tvar(ty, old, tt.TgVarT(new))
-            return ty
-        for old, new in names.items():
-            ty = mt.subst_tvar(ty, old, mt.TVar(new))
-        return ty
-
-    def on_term(t):
-        if isinstance(t, tg.TargetTerm):
-            for old, new in names.items():
-                t = tg.subst_var(t, old, tg.TgVar(new))
-                t = tg.subst_tvar_term(t, old, tt.TgVarT(new))
-            return t
-        if not isinstance(t, tm.MuTerm):
-            return t
-        for old, new in names.items():
-            t = tm.subst_term(t, old, tm.Var(new))
-            t = tm.subst_type(t, old, mt.TVar(new))
-        return t
-
-    def on_rel(r: Relation) -> Relation:
-        match r:
-            case RelVar(n, left, right):
-                return RelVar(
-                    names.get(n, n),
-                    on_type(left) if isinstance(left, mt.MuType) else left,
-                    on_type(right) if isinstance(right, mt.MuType) else right,
-                )
-            case IdentityRef(ty):
-                return IdentityRef(on_type(ty) if isinstance(ty, mt.MuType) else ty)
-            case GraphRef(map=m, focality_required=req, source=s, target=t, label=lab):
-                return GraphRef(on_term(m), req, s, t, lab)
-            case NegRel(body, dl, dr):
-                return NegRel(on_rel(body), dl, dr)
-            case ConjRel(left, right, tl, tr):
-                return ConjRel(on_rel(left), on_rel(right), tl, tr)
-            case ExistsRel(x, body):
-                return ExistsRel(names.get(x, x), on_rel(body))
-            case ArrowRel(dom, cod, dl, dr):
-                return ArrowRel(on_rel(dom), on_rel(cod), on_type(dl), on_type(dr))
-            case AllRel(xl, xr, rv, body):
-                return AllRel(
-                    names.get(xl, xl), names.get(xr, xr), names.get(rv, rv), on_rel(body)
-                )
-        raise TypeError(r)
-
-    match f:
-        case ForallTerm(v, ty, body):
-            return ForallTerm(names.get(v, v), on_type(ty), _apply_renames(body, names))
-        case ForallType(v, body):
-            return ForallType(names.get(v, v), _apply_renames(body, names))
-        case ForallRel(v, kind, left, right, body):
-            return ForallRel(
-                names.get(v, v),
-                kind,
-                names.get(left, left),
-                names.get(right, right),
-                _apply_renames(body, names),
-            )
-        case Implies(p, c):
-            return Implies(_apply_renames(p, names), _apply_renames(c, names))
-        case And(left, right):
-            return And(_apply_renames(left, names), _apply_renames(right, names))
-        case RelAtom(rel, left, right):
-            return RelAtom(on_rel(rel), on_term(left), on_term(right))
-    raise TypeError(f)
+    return _map_formula(formula, names, rename, {})
 
 
 def _pf(f: RelFormula, names: dict[str, str]) -> str:

@@ -190,20 +190,24 @@ def nameful_occurs(t: TargetTerm, x: str) -> bool:
             return n == x
         case Star():
             return False
-        case _:
-            return any(nameful_occurs(c, x) for c in children(t))
+    for c in children(t):
+        if nameful_occurs(c, x):
+            return True
+    return False
 
 
 def nameful_tvar_occurs(t: TargetTerm, tv: str) -> bool:
     match t:
         case TgVar(_) | Star():
             return False
-        case TgLam(_, ann, body):
-            return tv in tt.ftv(ann) or nameful_tvar_occurs(body, tv)
-        case Pack(w, payload, ex):
-            return tv in tt.ftv(w) or tv in tt.ftv(ex) or nameful_tvar_occurs(payload, tv)
-        case _:
-            return any(nameful_tvar_occurs(c, tv) for c in children(t))
+        case TgLam(_, ann, _) if tv in tt.ftv(ann):
+            return True
+        case Pack(w, _, ex) if tv in tt.ftv(w) or tv in tt.ftv(ex):
+            return True
+    for c in children(t):
+        if nameful_tvar_occurs(c, tv):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

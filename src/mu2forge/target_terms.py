@@ -10,9 +10,12 @@ cannot synthesise it from the payload alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
+from . import target_types
 from .mu_terms import fresh  # noqa: F401 - shared fresh-atom supply, re-exported
-from .target_types import TargetType, close_tvar, inst_tvar, open_tvar, subst_tvar
+from .syntax import PASS, TERM, TVAR, TYPE, VAR, Child, Leaf, Syntax
+from .target_types import TargetType
 
 __all__ = [
     "TargetTerm", "TgVar", "TgBVar", "TgLam", "TgApp", "Pair", "LetPair",
@@ -105,47 +108,32 @@ def tg_let_pack(tv: str, x: str, scrut: TargetTerm, body: TargetTerm) -> TargetT
 
 
 # ---------------------------------------------------------------------------
-# Generic structural machinery: children indexed for path addressing.
-# Child slots: TgLam.body=0; TgApp.fn=0,.arg=1; Pair.left=0,.right=1;
-# LetPair.scrut=0,.body=1; Pack.payload=0; LetPack.scrut=0,.body=1.
+# Traversals, all derived from the binder table.  The term children of a
+# node, in table order, are its path slots: TgLam.body=0; TgApp.fn=0,
+# .arg=1; Pair.left=0,.right=1; LetPair.scrut=0,.body=1; Pack.payload=0;
+# LetPack.scrut=0,.body=1.  Traces record paths, so the order is fixed.
+
+TABLE = {
+    **target_types.TABLE,
+    TgVar: (Leaf(VAR, False),),
+    TgBVar: (Leaf(VAR, True),),
+    TgLam: (PASS, Child(TYPE), Child(TERM, var=1)),
+    TgApp: (Child(TERM), Child(TERM)),
+    Pair: (Child(TERM), Child(TERM)),
+    LetPair: (PASS, PASS, Child(TERM), Child(TERM, var=2)),
+    Pack: (Child(TYPE), Child(TERM), Child(TYPE)),
+    LetPack: (PASS, PASS, Child(TERM), Child(TERM, var=1, tvar=1)),
+    Star: (),
+}
+SYNTAX = Syntax(TABLE)
+_CHILDREN = SYNTAX.children
 
 
 def children(t: TargetTerm) -> tuple[TargetTerm, ...]:
-    match t:
-        case TgVar(_) | TgBVar(_) | Star():
-            return ()
-        case TgLam(_, _, body):
-            return (body,)
-        case TgApp(fn, arg):
-            return (fn, arg)
-        case Pair(left, right):
-            return (left, right)
-        case LetPair(_, _, scrut, body):
-            return (scrut, body)
-        case Pack(_, payload, _):
-            return (payload,)
-        case LetPack(_, _, scrut, body):
-            return (scrut, body)
-    raise TypeError(t)
+    return _CHILDREN[t.__class__](t)
 
 
-def with_children(t: TargetTerm, kids: tuple[TargetTerm, ...]) -> TargetTerm:
-    match t:
-        case TgVar(_) | TgBVar(_) | Star():
-            return t
-        case TgLam(hint, ann, _):
-            return TgLam(hint, ann, kids[0])
-        case TgApp(_, _):
-            return TgApp(kids[0], kids[1])
-        case Pair(_, _):
-            return Pair(kids[0], kids[1])
-        case LetPair(hx, hy, _, _):
-            return LetPair(hx, hy, kids[0], kids[1])
-        case Pack(w, _, ex):
-            return Pack(w, kids[0], ex)
-        case LetPack(ht, hx, _, _):
-            return LetPack(ht, hx, kids[0], kids[1])
-    raise TypeError(t)
+with_children = SYNTAX.with_children
 
 
 def subterm_at(t: TargetTerm, path: tuple[int, ...]) -> TargetTerm:
@@ -169,118 +157,21 @@ def iter_subterms(t: TargetTerm, path: tuple[int, ...] = ()):
         yield from iter_subterms(kid, path + (i,))
 
 
-# ---------------------------------------------------------------------------
-# Open/close/instantiate per namespace
-
-
-def _map_term(t: TargetTerm, on_var, on_type, vd: int, td: int) -> TargetTerm:
-    """Rebuild t applying on_var(node, vd) at variables and
-    on_type(ty, td) at every type."""
-    match t:
-        case TgVar(_) | TgBVar(_):
-            return on_var(t, vd)
-        case Star():
-            return t
-        case TgLam(hint, ann, body):
-            return TgLam(hint, on_type(ann, td), _map_term(body, on_var, on_type, vd + 1, td))
-        case TgApp(fn, arg):
-            return TgApp(
-                _map_term(fn, on_var, on_type, vd, td),
-                _map_term(arg, on_var, on_type, vd, td),
-            )
-        case Pair(left, right):
-            return Pair(
-                _map_term(left, on_var, on_type, vd, td),
-                _map_term(right, on_var, on_type, vd, td),
-            )
-        case LetPair(hx, hy, scrut, body):
-            return LetPair(
-                hx,
-                hy,
-                _map_term(scrut, on_var, on_type, vd, td),
-                _map_term(body, on_var, on_type, vd + 2, td),
-            )
-        case Pack(w, payload, ex):
-            return Pack(
-                on_type(w, td), _map_term(payload, on_var, on_type, vd, td), on_type(ex, td)
-            )
-        case LetPack(ht, hx, scrut, body):
-            return LetPack(
-                ht,
-                hx,
-                _map_term(scrut, on_var, on_type, vd, td),
-                _map_term(body, on_var, on_type, vd + 1, td + 1),
-            )
-    raise TypeError(t)
-
-
-def close_var(t: TargetTerm, x: str, depth: int = 0) -> TargetTerm:
-    def on_var(node, vd):
-        if isinstance(node, TgVar) and node.name == x:
-            return TgBVar(depth + vd)
-        return node
-
-    return _map_term(t, on_var, lambda ty, td: ty, 0, 0)
-
-
-def open_var(t: TargetTerm, x: str, depth: int = 0) -> TargetTerm:
-    def on_var(node, vd):
-        if isinstance(node, TgBVar) and node.index == depth + vd:
-            return TgVar(x)
-        return node
-
-    return _map_term(t, on_var, lambda ty, td: ty, 0, 0)
-
-
-def inst_var(t: TargetTerm, rep: TargetTerm, depth: int = 0) -> TargetTerm:
-    def on_var(node, vd):
-        if isinstance(node, TgBVar) and node.index == depth + vd:
-            return rep
-        return node
-
-    return _map_term(t, on_var, lambda ty, td: ty, 0, 0)
-
-
-def close_tvar_term(t: TargetTerm, x: str, depth: int = 0) -> TargetTerm:
-    return _map_term(t, lambda n, vd: n, lambda ty, td: close_tvar(ty, x, depth + td), 0, 0)
-
-
-def open_tvar_term(t: TargetTerm, x: str, depth: int = 0) -> TargetTerm:
-    return _map_term(t, lambda n, vd: n, lambda ty, td: open_tvar(ty, x, depth + td), 0, 0)
-
-
-def inst_tvar_term(t: TargetTerm, rep: TargetType, depth: int = 0) -> TargetTerm:
-    return _map_term(t, lambda n, vd: n, lambda ty, td: inst_tvar(ty, rep, depth + td), 0, 0)
+# As in mu_terms: open_* / close_*(t, atom, depth=0), inst_*(t, rep, depth=0)
+# and the free-atom sets, per namespace.
+close_var = partial(SYNTAX.close, VAR)
+open_var = partial(SYNTAX.open, VAR)
+inst_var = partial(SYNTAX.inst, VAR)
+close_tvar_term = partial(SYNTAX.close, TVAR)
+open_tvar_term = partial(SYNTAX.open, TVAR)
+inst_tvar_term = partial(SYNTAX.inst, TVAR)
+free_vars = partial(SYNTAX.free, VAR)
+free_tvars = partial(SYNTAX.free, TVAR)
 
 
 def subst_var(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
-    def on_var(node, vd):
-        if isinstance(node, TgVar) and node.name == x:
-            return rep
-        return node
-
-    return _map_term(t, on_var, lambda ty, td: ty, 0, 0)
+    return SYNTAX.subst(VAR, t, {x: rep})
 
 
 def subst_tvar_term(t: TargetTerm, x: str, rep: TargetType) -> TargetTerm:
-    return _map_term(t, lambda n, vd: n, lambda ty, td: subst_tvar(ty, x, rep), 0, 0)
-
-
-def free_vars(t: TargetTerm) -> frozenset[str]:
-    acc: set[str] = set()
-
-    def on_var(node, vd):
-        if isinstance(node, TgVar):
-            acc.add(node.name)
-        return node
-
-    _map_term(t, on_var, lambda ty, td: ty, 0, 0)
-    return frozenset(acc)
-
-
-def free_tvars(t: TargetTerm) -> frozenset[str]:
-    from .target_types import ftv
-
-    acc: set[str] = set()
-    _map_term(t, lambda n, vd: n, lambda ty, td: (acc.update(ftv(ty)), ty)[1], 0, 0)
-    return frozenset(acc)
+    return SYNTAX.subst(TVAR, t, {x: rep})

@@ -7,8 +7,10 @@ locally nameless discipline as the source types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import mu_types as mt
+from .syntax import PASS, TVAR, TYPE, Child, Leaf, Syntax
 
 
 class TargetType:
@@ -47,6 +49,17 @@ class Exists(TargetType):
     body: TargetType
 
 
+#: Binder table (see :mod:`.syntax`); target_terms extends it.
+TABLE = {
+    TgVarT: (Leaf(TVAR, False),),
+    TgBoundT: (Leaf(TVAR, True),),
+    RType: (),
+    Neg: (Child(TYPE),),
+    Conj: (Child(TYPE), Child(TYPE)),
+    Exists: (PASS, Child(TYPE, tvar=1)),
+}
+SYNTAX = Syntax(TABLE)
+
 R = RType()
 
 #: exists X. X, the translation of the falsity type; terminal in
@@ -58,79 +71,16 @@ def exists(name: str, body: TargetType) -> TargetType:
     return Exists(name, close_tvar(body, name))
 
 
-def ftv(ty: TargetType) -> frozenset[str]:
-    match ty:
-        case TgVarT(name):
-            return frozenset((name,))
-        case TgBoundT(_) | RType():
-            return frozenset()
-        case Neg(body):
-            return ftv(body)
-        case Conj(left, right):
-            return ftv(left) | ftv(right)
-        case Exists(_, body):
-            return ftv(body)
-    raise TypeError(ty)
-
-
-def close_tvar(ty: TargetType, name: str, depth: int = 0) -> TargetType:
-    match ty:
-        case TgVarT(n):
-            return TgBoundT(depth) if n == name else ty
-        case TgBoundT(_) | RType():
-            return ty
-        case Neg(body):
-            return Neg(close_tvar(body, name, depth))
-        case Conj(left, right):
-            return Conj(close_tvar(left, name, depth), close_tvar(right, name, depth))
-        case Exists(hint, body):
-            return Exists(hint, close_tvar(body, name, depth + 1))
-    raise TypeError(ty)
-
-
-def open_tvar(ty: TargetType, name: str, depth: int = 0) -> TargetType:
-    match ty:
-        case TgVarT(_) | RType():
-            return ty
-        case TgBoundT(k):
-            return TgVarT(name) if k == depth else ty
-        case Neg(body):
-            return Neg(open_tvar(body, name, depth))
-        case Conj(left, right):
-            return Conj(open_tvar(left, name, depth), open_tvar(right, name, depth))
-        case Exists(hint, body):
-            return Exists(hint, open_tvar(body, name, depth + 1))
-    raise TypeError(ty)
-
-
-def inst_tvar(ty: TargetType, rep: TargetType, depth: int = 0) -> TargetType:
-    match ty:
-        case TgVarT(_) | RType():
-            return ty
-        case TgBoundT(k):
-            return rep if k == depth else ty
-        case Neg(body):
-            return Neg(inst_tvar(body, rep, depth))
-        case Conj(left, right):
-            return Conj(inst_tvar(left, rep, depth), inst_tvar(right, rep, depth))
-        case Exists(hint, body):
-            return Exists(hint, inst_tvar(body, rep, depth + 1))
-    raise TypeError(ty)
+# As in mu_types: ftv(ty); close_tvar / open_tvar(ty, atom, depth=0);
+# inst_tvar(ty, rep, depth=0).
+ftv = partial(SYNTAX.free, TVAR)
+close_tvar = partial(SYNTAX.close, TVAR)
+open_tvar = partial(SYNTAX.open, TVAR)
+inst_tvar = partial(SYNTAX.inst, TVAR)
 
 
 def subst_tvar(ty: TargetType, name: str, rep: TargetType) -> TargetType:
-    match ty:
-        case TgVarT(n):
-            return rep if n == name else ty
-        case TgBoundT(_) | RType():
-            return ty
-        case Neg(body):
-            return Neg(subst_tvar(body, name, rep))
-        case Conj(left, right):
-            return Conj(subst_tvar(left, name, rep), subst_tvar(right, name, rep))
-        case Exists(hint, body):
-            return Exists(hint, subst_tvar(body, name, rep))
-    raise TypeError(ty)
+    return SYNTAX.subst(TVAR, ty, {name: rep})
 
 
 # ---------------------------------------------------------------------------

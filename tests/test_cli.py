@@ -161,3 +161,40 @@ def test_golden_dir_env_override(capsys, tmp_path, monkeypatch):
     result = criterion_12_free_theorems()
     assert not result.passed  # empty directory: goldens missing
     monkeypatch.delenv("MU2FORGE_GOLDEN")
+
+
+def run_cold(*argv):
+    """Run the CLI in a fresh interpreter at the default recursion limit."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mu2forge
+
+    src = str(Path(mu2forge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mu2forge.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"},
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_deeply_nested_parentheses_exit_2():
+    code, _, err = run_cold("typecheck", "--ctx", "x:s", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_deep_numeral_equation_exit_2():
+    from mu2forge.combinators import church
+    from mu2forge.printer import print_mu_term
+
+    numeral = print_mu_term(church(200))
+    code, _, err = run_cold("eq", numeral, numeral)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

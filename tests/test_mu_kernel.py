@@ -2,6 +2,8 @@ import pytest
 
 from mu2forge import mu_terms as tm
 from mu2forge import mu_types as mt
+from mu2forge import target_terms as tg
+from mu2forge import target_types as tt
 from mu2forge.mu_typing import (
     IllFormedContext,
     TypeMismatch,
@@ -176,3 +178,184 @@ def test_judgement_check():
     j = judge(ctx(("x", A)), ctx(), tm.Var("x"))
     assert j.type == A
     assert j.check() == A
+
+
+# ---------------------------------------------------------------------------
+# Pinned traversal results.  Every public open/close/instantiate/substitute/
+# free-atom function of both calculi runs at every binder of every catalog
+# term, of its type and of its CPS image; the printed results are hashed.
+# Binders are opened with fixed atoms on the way down, so no index dangles
+# and nothing printed depends on the global fresh-atom counter.
+
+TRAVERSAL_DIGEST = "fa96b6e94392f428a5c7b25a2cda5ec2380f48bfc5a0706fb9b46fdd733b3ffd"
+
+
+def _atoms(s) -> str:
+    return " ".join(sorted(s)) or "-"
+
+
+def _mu_type_lines(ty, tag, out):
+    from mu2forge.printer import print_mu_type as p
+
+    out += [p(ty), _atoms(mt.ftv(ty)), str(mt.locally_closed(ty))]
+    for x in sorted(mt.ftv(ty)):
+        out.append(p(mt.subst_tvar(ty, x, mt.Arrow(mt.TVar("P"), mt.TVar("P")))))
+    match ty:
+        case mt.Arrow(dom, cod):
+            _mu_type_lines(dom, tag + "0", out)
+            _mu_type_lines(cod, tag + "1", out)
+        case mt.Forall(hint, body):
+            x = f"V{tag}"
+            opened = mt.open_tvar(body, x)
+            out += [
+                str(mt.locally_closed(body)),
+                p(mt.inst_tvar(body, mt.Arrow(mt.TVar("P"), mt.TVar("Q")))),
+                p(mt.Forall(hint, mt.close_tvar(opened, x))),
+                p(mt.close_tvar(opened, x, 2)),
+            ]
+            _mu_type_lines(opened, tag + "b", out)
+
+
+def _tg_type_lines(ty, tag, out):
+    from mu2forge.printer import print_target_type as p
+
+    out += [p(ty), _atoms(tt.ftv(ty))]
+    for x in sorted(tt.ftv(ty)):
+        out.append(p(tt.subst_tvar(ty, x, tt.Neg(tt.TgVarT("P")))))
+    match ty:
+        case tt.Neg(body):
+            _tg_type_lines(body, tag + "0", out)
+        case tt.Conj(left, right):
+            _tg_type_lines(left, tag + "0", out)
+            _tg_type_lines(right, tag + "1", out)
+        case tt.Exists(hint, body):
+            x = f"V{tag}"
+            opened = tt.open_tvar(body, x)
+            out += [
+                p(tt.inst_tvar(body, tt.Conj(tt.TgVarT("P"), tt.R))),
+                p(tt.Exists(hint, tt.close_tvar(opened, x))),
+                p(tt.close_tvar(opened, x, 1)),
+            ]
+            _tg_type_lines(opened, tag + "b", out)
+
+
+def _mu_term_lines(t, tag, out):
+    from mu2forge.printer import print_mu_term as p
+
+    out += [p(t), _atoms(tm.fv(t)), _atoms(tm.fn(t)), _atoms(tm.ftv_term(t))]
+    out.append(str(tm.locally_closed_term(t)))
+    for x in sorted(tm.fv(t)):
+        out.append(p(tm.subst_term(t, x, tm.App(tm.Var("q"), tm.Var("q")))))
+    for a in sorted(tm.fn(t)):
+        out.append(p(tm.rename_name(t, a, "c")))
+    for x in sorted(tm.ftv_term(t)):
+        out.append(p(tm.subst_type(t, x, mt.Arrow(mt.TVar("P"), mt.TVar("P")))))
+    match t:
+        case tm.App(fun, arg):
+            _mu_term_lines(fun, tag + "0", out)
+            _mu_term_lines(arg, tag + "1", out)
+        case tm.TyApp(fun, ty):
+            _mu_type_lines(ty, tag + "t", out)
+            _mu_term_lines(fun, tag + "0", out)
+        case tm.Lam(hint, ann, body):
+            x = f"v{tag}"
+            opened = tm.open_var(body, x)
+            out += [
+                str(tm.locally_closed_term(body)),
+                p(tm.inst_var(body, tm.App(tm.Var("w"), tm.Var("w")))),
+                p(tm.Lam(hint, ann, tm.close_var(opened, x))),
+                p(tm.close_var(opened, x, 3)),
+            ]
+            _mu_type_lines(ann, tag + "t", out)
+            _mu_term_lines(opened, tag + "b", out)
+        case tm.TyLam(hint, body):
+            x = f"V{tag}"
+            opened = tm.open_tvar_term(body, x)
+            out += [
+                str(tm.locally_closed_term(body)),
+                p(tm.inst_tvar_term(body, mt.Arrow(mt.TVar("P"), mt.TVar("Q")))),
+                p(tm.TyLam(hint, tm.close_tvar_term(opened, x))),
+            ]
+            _mu_term_lines(opened, tag + "b", out)
+        case tm.Mu(hint, ann, target, body):
+            a = f"n{tag}"
+            opened = tm.open_name(body, a)
+            out += [
+                str(tm.uses_bound_name(body, 0)),
+                str(tm.locally_closed_term(body)),
+                p(tm.Mu(hint, ann, target, tm.close_name(opened, a))),
+            ]
+            _mu_type_lines(ann, tag + "t", out)
+            _mu_term_lines(opened, tag + "b", out)
+
+
+def _tg_term_lines(t, tag, out):
+    from mu2forge.printer import print_target_term as p
+
+    kids = tg.children(t)
+    out += [p(t), _atoms(tg.free_vars(t)), _atoms(tg.free_tvars(t)), str(len(kids))]
+    out.append(p(tg.with_children(t, kids[::-1])))
+    assert tg.with_children(t, kids) == t
+    for x in sorted(tg.free_vars(t)):
+        out.append(p(tg.subst_var(t, x, tg.TgApp(tg.TgVar("q"), tg.TgVar("q")))))
+    for x in sorted(tg.free_tvars(t)):
+        out.append(p(tg.subst_tvar_term(t, x, tt.Neg(tt.TgVarT("P")))))
+    match t:
+        case tg.TgLam(hint, ann, body):
+            x = f"v{tag}"
+            opened = tg.open_var(body, x)
+            out += [
+                p(tg.inst_var(body, tg.TgApp(tg.TgVar("w"), tg.TgVar("w")))),
+                p(tg.TgLam(hint, ann, tg.close_var(opened, x))),
+                p(tg.close_var(opened, x, 2)),
+            ]
+            _tg_type_lines(ann, tag + "t", out)
+            _tg_term_lines(opened, tag + "b", out)
+        case tg.LetPair(hx, hy, scrut, body):
+            x, y = f"x{tag}", f"y{tag}"
+            opened = tg.open_var(tg.open_var(body, y), x, 1)
+            out += [
+                p(tg.inst_var(body, tg.TgVar("w"), 1)),
+                p(tg.LetPair(hx, hy, scrut, tg.close_var(tg.close_var(opened, y), x, 1))),
+            ]
+            _tg_term_lines(scrut, tag + "0", out)
+            _tg_term_lines(opened, tag + "b", out)
+        case tg.LetPack(ht, hx, scrut, body):
+            v, x = f"V{tag}", f"x{tag}"
+            opened = tg.open_var(tg.open_tvar_term(body, v), x)
+            out += [
+                p(tg.inst_tvar_term(body, tt.Conj(tt.TgVarT("P"), tt.R))),
+                p(tg.open_tvar_term(body, "U", 1)),
+                p(tg.inst_tvar_term(body, tt.R, 2)),
+                p(tg.LetPack(ht, hx, scrut, tg.close_tvar_term(tg.close_var(opened, x), v))),
+                p(tg.close_tvar_term(opened, v, 1)),
+            ]
+            _tg_term_lines(scrut, tag + "0", out)
+            _tg_term_lines(opened, tag + "b", out)
+        case tg.Pack(w, payload, ex):
+            _tg_type_lines(w, tag + "w", out)
+            _tg_type_lines(ex, tag + "e", out)
+            _tg_term_lines(payload, tag + "0", out)
+        case _:
+            for i, kid in enumerate(kids):
+                _tg_term_lines(kid, f"{tag}{i}", out)
+
+
+def test_traversal_results_pinned():
+    import hashlib
+
+    from mu2forge.combinators import catalog
+    from mu2forge.cps import cps_term_typed, cps_type
+    from mu2forge.suite_runner import _entry_gamma
+
+    out: list[str] = []
+    for entry in catalog():
+        out.append(entry.name)
+        _mu_term_lines(entry.term, "", out)
+        _mu_type_lines(entry.type, "", out)
+        target, _ = cps_term_typed(_entry_gamma(entry), (), entry.term)
+        _tg_term_lines(target, "", out)
+        _tg_type_lines(cps_type(entry.type), "", out)
+    text = "\n".join(out)
+    assert "%" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == TRAVERSAL_DIGEST

@@ -209,3 +209,33 @@ def test_answer_and_continuation_classification():
         cont, None, PLAIN, tg_ctx(("x", tt.Neg(S)), ("k", S))
     )
     assert form.kind == CONTINUATION
+
+
+# The sha256 of every rendered trace step ("rule path") for the core axiom
+# instances and S^n O = n (n = 1..6), under both theories.  A change to a
+# rule, to the search order or to child-slot numbering moves it.
+TRACE_DIGEST = "77e12d0b00a153d5a57735d263d4ec2455f4379a6f96cdafba42d93749f80c71"
+
+
+def test_rewrite_traces_pinned():
+    import hashlib
+
+    from mu2forge.theory import BETA_ETA, LAMBDA_MU_2P, core_axiom_instances, eq_mu
+
+    lines = []
+
+    def record(label, verdict):
+        lines.append(f"{label} {verdict.equal}")
+        for side in (verdict.left_trace, verdict.right_trace):
+            lines.extend(step.render() for step in side)
+            lines.append("--")
+
+    for theory in (BETA_ETA, LAMBDA_MU_2P):
+        for inst in core_axiom_instances():
+            record(inst.name, eq_mu(inst.left, inst.right, theory, inst.gamma, inst.delta))
+        t = church_zero()
+        for n in range(1, 7):
+            t = tm.App(church_succ(), t)
+            record(f"S^{n}", eq_mu(t, church(n), theory))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TRACE_DIGEST

@@ -16,6 +16,7 @@ from mu2forge.relations import (
     NegRel,
     NotFocal,
     OpenType,
+    RelAtom,
     RelVar,
     UnboundRelVar,
     formula_to_sexpr,
@@ -149,6 +150,12 @@ def test_formula_sexpr_export():
     text = formula_to_sexpr(rename_for_display(free_theorem(mt.BOT)))
     assert text.startswith("(forall-term")
     assert "(forall-rel" in text and '"focal"' in text
+
+
+def test_display_renaming_keeps_binders_apart():
+    # y%1 is shown as y, so the bound y must move to y1 without y%1 following it.
+    f = ForallTerm("y%1", A, ForallTerm("y", A, RelAtom(IdentityRef(A), tm.Var("y%1"), tm.Var("y"))))
+    assert print_formula(rename_for_display(f)) == "∀y : a. ∀y1 : a. id[a](y, y1)"
 
 
 def test_obligations_catalog():
