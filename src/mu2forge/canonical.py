@@ -186,4 +186,4 @@ def eq_target(
         raise TargetTypeMismatch(f"eq_target across types {lty} vs {rty}")
     lnorm, lsteps = normalize(left, context, mode)
     rnorm, rsteps = normalize(right, context, mode)
-    return EqVerdict(lnorm == rnorm, lnorm, rnorm, tuple(lsteps), tuple(rsteps))
+    return EqVerdict(tg.equal(lnorm, rnorm), lnorm, rnorm, tuple(lsteps), tuple(rsteps))

@@ -120,15 +120,77 @@ def from_nameful(t: TargetTerm) -> TargetTerm:
     raise TypeError(t)
 
 
+# ---------------------------------------------------------------------------
+# Free-atom memo.  The free term atoms of a nameful node are a function of
+# the node alone, so each node object gets its set once, built from its
+# children's sets, and keeps it in its instance dict beside the dataclass
+# fields; ``==``, ``hash`` and ``repr`` read only the fields.  A rewrite
+# step rebuilds the path to the redex and what the rule builds, so only
+# those nodes lack a set afterwards.
+
+_ATOMS = "_free_atoms"
+_NO_ATOMS: frozenset[str] = frozenset()
+
+
+def _slot_binders(t: TargetTerm, i: int) -> tuple[str, ...]:
+    """The term atoms that nameful node t binds over its child slot i."""
+    match t:
+        case TgLam(x, _, _):
+            return (x,)
+        case LetPair(x, y, _, _) if i == 1:
+            return (x, y)
+        case LetPack(_, x, _, _) if i == 1:
+            return (x,)
+    return ()
+
+
+def _own_atoms(t: TargetTerm) -> frozenset[str]:
+    """The free atoms of t from the memoised sets of its children."""
+    if t.__class__ is TgVar:
+        return frozenset((t.name,))
+    acc = _NO_ATOMS
+    for i, kid in enumerate(children(t)):
+        atoms = kid.__dict__[_ATOMS]
+        bound = _slot_binders(t, i)
+        if bound and not atoms.isdisjoint(bound):
+            atoms = atoms.difference(bound)
+        if atoms and atoms is not acc:
+            acc = atoms if not acc else acc | atoms
+    return acc
+
+
+def free_atoms(t: TargetTerm) -> frozenset[str]:
+    """The free term atoms of a nameful term, memoised per node object.
+
+    Unmemoised nodes are filled in post-order from an explicit stack, so
+    a deep term costs no Python frames here."""
+    atoms = t.__dict__.get(_ATOMS)
+    if atoms is not None:
+        return atoms
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if _ATOMS in node.__dict__:
+            stack.pop()
+            continue
+        missing = [kid for kid in children(node) if _ATOMS not in kid.__dict__]
+        if missing:
+            stack.extend(missing)
+        else:
+            stack.pop()
+            node.__dict__[_ATOMS] = _own_atoms(node)
+    return t.__dict__[_ATOMS]
+
+
 def uniquify(t: TargetTerm) -> TargetTerm:
     """Refresh every binder atom of a nameful term (used on duplication)."""
     from .mu_terms import base_name
 
     def go(t: TargetTerm, ren: dict[str, str], tren: dict[str, tt.TargetType]) -> TargetTerm:
         def rty(ty: tt.TargetType) -> tt.TargetType:
-            for old, new in tren.items():
-                ty = tt.subst_tvar(ty, old, new)
-            return ty
+            # One simultaneous pass: the new atoms are fresh, so no entry
+            # can rename the result of another.
+            return tt.SYNTAX.subst(tt.TVAR, ty, tren) if tren else ty
 
         match t:
             case TgVar(n):
@@ -162,38 +224,50 @@ def uniquify(t: TargetTerm) -> TargetTerm:
     return go(t, {}, {})
 
 
+def _replace_where(t: TargetTerm, atom: str, replace) -> TargetTerm:
+    """Rebuild t with each outermost subtree s for which replace(s) is not
+    None replaced by that value.  Only subtrees that hold atom free are
+    visited, so every other subtree is returned as the same object."""
+    if atom not in free_atoms(t):
+        return t
+    out = replace(t)
+    if out is not None:
+        return out
+    kids = []
+    for kid in children(t):
+        kids.append(_replace_where(kid, atom, replace))
+    return with_children(t, tuple(kids))
+
+
 def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
-    """Nameful substitution; each inserted copy gets fresh binder atoms."""
-    match t:
-        case TgVar(n):
-            return uniquify(rep) if n == x else t
-        case Star():
-            return t
-        case TgLam(h, ann, body):
-            return TgLam(h, ann, subst_refresh(body, x, rep))
-        case TgApp(fn, arg):
-            return TgApp(subst_refresh(fn, x, rep), subst_refresh(arg, x, rep))
-        case Pair(left, right):
-            return Pair(subst_refresh(left, x, rep), subst_refresh(right, x, rep))
-        case LetPair(hx, hy, scrut, body):
-            return LetPair(hx, hy, subst_refresh(scrut, x, rep), subst_refresh(body, x, rep))
-        case Pack(w, payload, ex):
-            return Pack(w, subst_refresh(payload, x, rep), ex)
-        case LetPack(ht, hx, scrut, body):
-            return LetPack(ht, hx, subst_refresh(scrut, x, rep), subst_refresh(body, x, rep))
-    raise TypeError(t)
+    """Nameful substitution of rep for the atom x.
+
+    Only nodes whose free atoms hold x are rebuilt; every other subtree
+    is returned as the same object.  The first occurrence of x (in
+    preorder) takes rep itself, each later one a copy with fresh binder
+    atoms.  That keeps every binder atom of the term bound exactly once:
+    the rules substitute the argument of the redex they contract (the
+    function argument, a pair component, a pack payload), and the
+    contractum replaces the whole redex, so the one other place where
+    rep's binder atoms occur is deleted by the same step.
+    """
+    first = True
+
+    def occurrence(node: TargetTerm) -> TargetTerm | None:
+        nonlocal first
+        if node.__class__ is not TgVar:
+            return None
+        if first:
+            first = False
+            return rep
+        return uniquify(rep)
+
+    return _replace_where(t, x, occurrence)
 
 
 def nameful_occurs(t: TargetTerm, x: str) -> bool:
-    match t:
-        case TgVar(n):
-            return n == x
-        case Star():
-            return False
-    for c in children(t):
-        if nameful_occurs(c, x):
-            return True
-    return False
+    # Binder atoms are unique, so an occurrence of x anywhere is free.
+    return x in free_atoms(t)
 
 
 def nameful_tvar_occurs(t: TargetTerm, tv: str) -> bool:
@@ -303,21 +377,19 @@ def _rw_star_eta(t, env, mode):
     return None
 
 
-def _replace_pattern(t, pats: tuple[TargetTerm, ...], rep: TargetTerm):
-    """Replace every occurrence of any pattern; counts replacements."""
+def _replace_pattern(t, atom: str, pats: tuple[TargetTerm, ...], rep: TargetTerm):
+    """Replace every occurrence of any pattern; counts replacements.
+    Every pattern holds the atom free."""
     count = 0
 
-    def go(t):
+    def occurrence(node):
         nonlocal count
-        if t in pats:
+        if node in pats:
             count += 1
             return uniquify(rep)
-        if isinstance(t, (TgVar, Star)):
-            return t
-        return with_children(t, tuple(go(c) for c in children(t)))
+        return None
 
-    out = go(t)
-    return out, count
+    return _replace_where(t, atom, occurrence), count
 
 
 def _rw_eta_pair(t, env, mode):
@@ -331,7 +403,7 @@ def _rw_eta_pair(t, env, mode):
                 sty = nameful_synth(scrut, env)
                 if isinstance(sty, tt.Conj) and sty.right == tt.TOP:
                     pats = pats + (Pair(TgVar(x), STAR),)
-            out, count = _replace_pattern(body, pats, scrut)
+            out, count = _replace_pattern(body, x, pats, scrut)
             if count >= 1 and not nameful_occurs(out, x) and not nameful_occurs(out, y):
                 return out
     return None
@@ -342,7 +414,7 @@ def _rw_eta_pack(t, env, mode):
         case LetPack(tv, x, scrut, body):
             sty = nameful_synth(scrut, env)
             pat = Pack(tt.TgVarT(tv), TgVar(x), sty)
-            out, count = _replace_pattern(body, (pat,), scrut)
+            out, count = _replace_pattern(body, x, (pat,), scrut)
             if (
                 count >= 1
                 and not nameful_occurs(out, x)
@@ -354,10 +426,10 @@ def _rw_eta_pack(t, env, mode):
 
 def _replace_first_scrut(body, atom: str, kind, rep):
     """Rebuild body with the first same-kind let scrutinising atom redirected."""
+    if atom not in free_atoms(body):
+        return None
     if isinstance(body, kind) and body.scrut == TgVar(atom):
         return _remake_let(body, rep, body.body)
-    if isinstance(body, (TgVar, Star)):
-        return None
     kids = children(body)
     for i, kid in enumerate(kids):
         out = _replace_first_scrut(kid, atom, kind, rep)

@@ -14,7 +14,8 @@ per node class and per field in constructor order, what the field is:
 open, close, instantiate, substitute, free atoms, local closure and the
 child slots from it.  Every such operation of ``mu_types``, ``mu_terms``,
 ``target_types`` and ``target_terms`` is a one-line call into it.  The
-recursion, :func:`_map`, takes exactly one Python frame per tree level.
+recursion, :func:`_map`, takes exactly one Python frame per tree level;
+structural equality, :meth:`Syntax.equal`, takes none.
 """
 
 from __future__ import annotations
@@ -90,13 +91,20 @@ class Syntax:
         #: node class -> getter of its term children, in path-slot order
         self.children: dict[type, object] = {}
         self._rebuild: dict[type, tuple] = {}
+        self._compare: dict[type, tuple] = {}
         for cls, specs in table.items():
-            names = tuple(f.name for f in dataclasses.fields(cls))
+            fields = dataclasses.fields(cls)
+            names = tuple(f.name for f in fields)
             if len(names) != len(specs):
                 raise TypeError(f"binder table of {cls.__name__} has {len(specs)} fields")
             kids = tuple(i for i, s in enumerate(specs) if isinstance(s, Child) and s.sort == TERM)
             self.children[cls] = _fields(tuple(names[i] for i in kids))
             self._rebuild[cls] = (_fields(names), kids)
+            compared = [(f.name, isinstance(s, Child)) for f, s in zip(fields, specs) if f.compare]
+            self._compare[cls] = (
+                _fields(tuple(n for n, sub in compared if not sub)),
+                _fields(tuple(n for n, sub in compared if sub)),
+            )
             leaf = specs[0] if specs and isinstance(specs[0], Leaf) else None
             if leaf is not None:
                 (self._bound if leaf.bound else self._free)[leaf.ns] = cls
@@ -119,6 +127,23 @@ class Syntax:
         for i, kid in zip(slots, kids):
             args[i] = kid
         return t.__class__(*args)
+
+    def equal(self, a, b) -> bool:
+        """The generated ``__eq__`` of the node classes, over the same
+        compared fields (hints are skipped), but driven by an explicit
+        stack: the depth of the trees costs no Python frames."""
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            values, subtrees = self._compare[a.__class__]
+            if values(a) != values(b):
+                return False
+            stack.extend(zip(subtrees(a), subtrees(b)))
+        return True
 
     # The operations take the namespace first, so that a calculus defines
     # each of its own as functools.partial(op, namespace).

@@ -23,7 +23,7 @@ __all__ = [
     "tg_lam", "tg_let_pair", "tg_let_pack",
     "open_var", "close_var", "inst_var", "open_tvar_term", "close_tvar_term",
     "inst_tvar_term", "subst_var", "subst_tvar_term", "free_vars", "free_tvars",
-    "subterm_at", "replace_at", "iter_subterms",
+    "subterm_at", "replace_at", "iter_subterms", "equal",
 ]
 
 
@@ -134,6 +134,8 @@ def children(t: TargetTerm) -> tuple[TargetTerm, ...]:
 
 
 with_children = SYNTAX.with_children
+#: ``a == b`` without one Python frame per level: deep terms compare safely.
+equal = SYNTAX.equal
 
 
 def subterm_at(t: TargetTerm, path: tuple[int, ...]) -> TargetTerm:

@@ -189,12 +189,25 @@ def test_deeply_nested_parentheses_exit_2():
     assert "Traceback" not in err
 
 
-def test_deep_numeral_equation_exit_2():
+def printed_church(n):
     from mu2forge.combinators import church
     from mu2forge.printer import print_mu_term
 
-    numeral = print_mu_term(church(200))
+    return print_mu_term(church(n))
+
+
+def test_deep_numeral_equation_exit_2():
+    # Church 400 still overflows the default recursion limit (in the CPS
+    # translation); the kernel must say so as an input error.
+    numeral = printed_church(400)
     code, _, err = run_cold("eq", numeral, numeral)
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_deep_numeral_equation_decided():
+    numeral = printed_church(200)
+    code, out, err = run_cold("eq", numeral, numeral)
+    assert code == 0, err
+    assert out.splitlines()[0] == "Equal"

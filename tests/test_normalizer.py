@@ -239,3 +239,185 @@ def test_rewrite_traces_pinned():
             record(f"S^{n}", eq_mu(t, church(n), theory))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TRACE_DIGEST
+
+
+# The sha256 of the printed canonical forms of both sides of the same
+# equations plus S^12 O = 12 and S^24 O = 24.  The printed form does not
+# depend on the global fresh counter (repr does: never hash repr).
+CANONICAL_DIGEST = "bb1ee04e4262daf0909e2c65d93f2f890e07c671b746ee65474834a6aa9ebaa6"
+
+
+def test_canonical_forms_pinned():
+    import hashlib
+
+    from mu2forge.printer import print_target_term
+    from mu2forge.theory import BETA_ETA, LAMBDA_MU_2P, core_axiom_instances, eq_mu
+
+    lines = []
+
+    def record(label, verdict):
+        lines.append(f"{label} {verdict.equal}")
+        lines.append(print_target_term(verdict.left))
+        lines.append(print_target_term(verdict.right))
+
+    for theory in (BETA_ETA, LAMBDA_MU_2P):
+        for inst in core_axiom_instances():
+            record(inst.name, eq_mu(inst.left, inst.right, theory, inst.gamma, inst.delta))
+        t = church_zero()
+        for n in range(1, 25):
+            t = tm.App(church_succ(), t)
+            if n <= 6 or n in (12, 24):
+                record(f"S^{n}", eq_mu(t, church(n), theory))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CANONICAL_DIGEST
+
+
+def succ_power(n):
+    t = church_zero()
+    for _ in range(n):
+        t = tm.App(church_succ(), t)
+    return t
+
+
+@pytest.mark.parametrize("n, steps", [(16, 197), (32, 389), (64, 773)])
+def test_numeral_step_counts_pinned(n, steps):
+    """S^n O = n: steps on the S^n O side, then on the numeral side."""
+    from mu2forge.theory import BETA_ETA, LAMBDA_MU_2P, eq_mu
+
+    for theory in (BETA_ETA, LAMBDA_MU_2P):
+        verdict = eq_mu(succ_power(n), church(n), theory)
+        assert verdict.equal
+        assert (len(verdict.left_trace), len(verdict.right_trace)) == (steps, 5), theory
+
+
+# -- the invariants the rewrite engine's sharing relies on
+
+
+def assert_binders_scoped(t):
+    """Every binder atom of nameful t is bound exactly once, and each of
+    its occurrences (term or type) lies inside that binder's scope."""
+    binders = set()
+
+    def bind(node):
+        match node:
+            case tg.TgLam(x, _, _):
+                atoms = (x,)
+            case tg.LetPair(x, y, _, _):
+                atoms = (x, y)
+            case tg.LetPack(tv, x, _, _):
+                atoms = (tv, x)
+            case _:
+                atoms = ()
+        for a in atoms:
+            assert a not in binders, f"{a} is bound twice"
+            binders.add(a)
+        for kid in tg.children(node):
+            bind(kid)
+
+    bind(t)
+    scope = set()
+
+    def inside(atoms):
+        escaped = (atoms & binders) - scope
+        assert not escaped, f"{escaped} free outside its scope"
+
+    def under(atoms, body):
+        scope.update(atoms)
+        walk(body)
+        scope.difference_update(atoms)
+
+    def walk(node):
+        match node:
+            case tg.TgVar(n):
+                inside({n})
+            case tg.TgLam(x, ann, body):
+                inside(tt.ftv(ann))
+                under((x,), body)
+            case tg.LetPair(x, y, scrut, body):
+                walk(scrut)
+                under((x, y), body)
+            case tg.LetPack(tv, x, scrut, body):
+                walk(scrut)
+                under((tv, x), body)
+            case tg.Pack(w, payload, ex):
+                inside(tt.ftv(w) | tt.ftv(ex))
+                walk(payload)
+            case _:
+                for kid in tg.children(node):
+                    walk(kid)
+
+    walk(t)
+
+
+def test_binder_atoms_unique_after_normalization(monkeypatch):
+    """Binder atoms stay unique and scoped after normalizing every catalog
+    image and S^n O (n <= 8) in both modes; for the catalog, n <= 4 and
+    (lam f. lam x. f (f x)) (lam y. y), whose beta steps duplicate an
+    abstraction, also after every single rewrite step."""
+    from mu2forge import rewrite
+    from mu2forge.combinators import catalog
+    from mu2forge.suite_runner import _entry_gamma
+
+    replace_at = tg.replace_at
+    steps_checked = 0
+
+    def checked_replace_at(t, path, new):
+        nonlocal steps_checked
+        out = replace_at(t, path, new)
+        if every_step:
+            assert_binders_scoped(out)
+            steps_checked += 1
+        return out
+
+    monkeypatch.setattr(tg, "replace_at", checked_replace_at)
+    images = [(_entry_gamma(entry), entry.term, True) for entry in catalog()]
+    images += [((), succ_power(n), n <= 4) for n in range(9)]
+    a = mt.TVar("a")
+    f, x = tm.Var("f"), tm.Var("x")
+    twice = tm.lam("f", mt.Arrow(a, a), tm.lam("x", a, tm.App(f, tm.App(f, x))))
+    images.append(((), tm.App(twice, tm.lam("y", a, tm.Var("y"))), True))
+    for gamma, source, every_step in images:
+        term, _ = cps_term_typed(gamma, (), source)
+        env = dict(cps_context(gamma, ()))
+        for mode in (PLAIN, PARAMETRIC):
+            t = rewrite.to_nameful(term)
+            assert_binders_scoped(t)
+            normal, _ = rewrite.normalize_nameful(t, env, mode)
+            assert_binders_scoped(normal)
+    assert steps_checked > 500
+
+
+def test_subst_refresh_shares_untouched_subtrees():
+    from mu2forge.rewrite import free_atoms, subst_refresh
+
+    x, k = tg.fresh("x"), tg.fresh("k")
+    untouched = tg.TgLam(k, S, tg.TgApp(tg.TgVar("g"), tg.TgVar(k)))
+    head = tg.TgVar("f")
+    body = tg.Pair(untouched, tg.TgApp(head, tg.TgVar(x)))
+    before = (repr(body), hash(body))
+    assert free_atoms(body) == {"f", "g", x}
+    # the memo is not a field: equality, hash and repr ignore it
+    assert (repr(body), hash(body)) == before
+    assert body == tg.Pair(untouched, tg.TgApp(tg.TgVar("f"), tg.TgVar(x)))
+    rep = tg.TgVar("m")
+    out = subst_refresh(body, x, rep)
+    assert out.left is untouched
+    assert out.right.fn is head
+    assert out.right.arg is rep
+    assert subst_refresh(untouched, x, rep) is untouched
+
+
+def test_subst_refresh_reuses_first_copy():
+    from mu2forge.rewrite import from_nameful, subst_refresh
+
+    x, k = tg.fresh("x"), tg.fresh("k")
+    rep = tg.TgLam(k, S, tg.TgApp(tg.TgVar("m"), tg.TgVar(k)))
+    body = tg.Pair(
+        tg.TgApp(tg.TgVar("f"), tg.TgVar(x)), tg.TgApp(tg.TgVar("g"), tg.TgVar(x))
+    )
+    out = subst_refresh(body, x, rep)
+    first, second = out.left.arg, out.right.arg
+    assert first is rep
+    assert second is not rep and second.hint != k
+    assert from_nameful(second) == from_nameful(rep)
+    assert_binders_scoped(out)

@@ -136,3 +136,22 @@ def test_paths():
     assert tg.subterm_at(t, (1, 0)) == tg.TgVar("x")
     swapped = tg.replace_at(t, (1, 0), tg.TgVar("q"))
     assert tg.subterm_at(swapped, (1, 0)) == tg.TgVar("q")
+
+
+def test_structural_equality_matches_eq_without_recursion():
+    def nest(n, leaf, hint="x"):
+        t = leaf
+        for _ in range(n):
+            t = tg.TgLam(hint, tt.Neg(S), tg.TgApp(tg.TgBVar(0), tg.Pair(t, tg.STAR)))
+        return t
+
+    pairs = [
+        (nest(3, tg.TgVar("a")), nest(3, tg.TgVar("a"), hint="y")),  # hints not compared
+        (nest(3, tg.TgVar("a")), nest(3, tg.TgVar("b"))),
+        (tg.Pack(S, tg.TgVar("k"), tt.TOP), tg.Pack(T, tg.TgVar("k"), tt.TOP)),
+        (tg.TgVar("a"), tg.TgBVar(0)),
+    ]
+    for a, b in pairs:
+        assert tg.equal(a, b) == (a == b)
+    assert tg.equal(nest(5000, tg.TgVar("a")), nest(5000, tg.TgVar("a"), hint="y"))
+    assert not tg.equal(nest(5000, tg.TgVar("a")), nest(5000, tg.TgVar("b")))
