@@ -64,6 +64,12 @@ def cps_term_typed(gamma: Context, delta: Context, subject: tm.MuTerm) -> tuple[
 
 
 def _translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
+    image, ty = _image(gamma, delta, term)
+    return tg.close_binders(image), ty
+
+
+def _image(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
+    """The nameful image of term (see target_terms.close_binders), its type."""
     match term:
         case tm.Var(n):
             ty = lookup(gamma, n)
@@ -72,46 +78,46 @@ def _translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.Targ
             return tg.TgVar(n), ty
         case tm.Lam(hint, ann, body):
             x = tm.fresh(hint or "x")
-            tb, body_ty = _translate(gamma + ((x, ann),), delta, tm.open_var(body, x))
+            tb, body_ty = _image(gamma + ((x, ann),), delta, tm.open_var(body, x))
             fun_ty = mt.Arrow(ann, body_ty)
             z, k = tm.fresh("z"), tm.fresh("k")
-            out = tg.tg_lam(
+            out = tg.TgLam(
                 z,
                 cps_type(fun_ty),
-                tg.tg_let_pair(x, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))),
+                tg.LetPair(x, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))),
             )
             return out, fun_ty
         case tm.App(fun, arg):
-            tf, fun_ty = _translate(gamma, delta, fun)
+            tf, fun_ty = _image(gamma, delta, fun)
             if not isinstance(fun_ty, mt.Arrow):
                 raise IllTyped(f"application of non-arrow type {fun_ty}")
-            ta, arg_ty = _translate(gamma, delta, arg)
+            ta, arg_ty = _image(gamma, delta, arg)
             if arg_ty != fun_ty.dom:
                 raise IllTyped(f"argument type {arg_ty} != domain {fun_ty.dom}")
             k = tm.fresh("k")
-            out = tg.tg_lam(
+            out = tg.TgLam(
                 k, cps_type(fun_ty.cod), tg.TgApp(tf, tg.Pair(ta, tg.TgVar(k)))
             )
             return out, fun_ty.cod
         case tm.TyLam(hint, body):
             xv = tm.fresh(hint or "X")
-            tb, body_ty = _translate(gamma, delta, tm.open_tvar_term(body, xv))
+            tb, body_ty = _image(gamma, delta, tm.open_tvar_term(body, xv))
             all_ty = mt.Forall(hint or "X", mt.close_tvar(body_ty, xv))
             z, k = tm.fresh("z"), tm.fresh("k")
-            out = tg.tg_lam(
+            out = tg.TgLam(
                 z,
                 cps_type(all_ty),
-                tg.tg_let_pack(xv, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))),
+                tg.LetPack(xv, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))),
             )
             return out, all_ty
         case tm.TyApp(fun, ty_arg):
-            tf, fun_ty = _translate(gamma, delta, fun)
+            tf, fun_ty = _image(gamma, delta, fun)
             if not isinstance(fun_ty, mt.Forall):
                 raise IllTyped(f"type application of non-forall type {fun_ty}")
             inst = mt.inst_tvar(fun_ty.body, ty_arg)
             k = tm.fresh("k")
             pack = tg.Pack(cps_type(ty_arg), tg.TgVar(k), cps_type(fun_ty))
-            out = tg.tg_lam(k, cps_type(inst), tg.TgApp(tf, pack))
+            out = tg.TgLam(k, cps_type(inst), tg.TgApp(tf, pack))
             return out, inst
         case tm.Mu(hint, ann, target, body):
             a = tm.fresh(hint or "a")
@@ -126,12 +132,12 @@ def _translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.Targ
             named_ty = lookup(delta2, tname)
             if named_ty is None:
                 raise UnboundName(tname)
-            tb, body_ty = _translate(gamma, delta2, opened)
+            tb, body_ty = _image(gamma, delta2, opened)
             if body_ty != named_ty:
                 raise IllTyped(
                     f"named term has type {body_ty} but name {tname} expects {named_ty}"
                 )
-            out = tg.tg_lam(a, cps_type(ann), tg.TgApp(tb, tg.TgVar(tname)))
+            out = tg.TgLam(a, cps_type(ann), tg.TgApp(tb, tg.TgVar(tname)))
             return out, ann
     raise TypeError(term)
 

@@ -424,37 +424,41 @@ def target_type_from_sexpr(node) -> tt.TargetType:
 
 
 def target_term_from_sexpr(node) -> tg.TargetTerm:
+    return tg.close_binders(_nameful_target_term(node))
+
+
+def _nameful_target_term(node) -> tg.TargetTerm:
     tag = _sym(node[0])
     if tag == "var":
         return tg.TgVar(_sym(node[1]))
     if tag == "star":
         return tg.STAR
     if tag == "lam":
-        return tg.tg_lam(
-            _sym(node[1]), target_type_from_sexpr(node[2]), target_term_from_sexpr(node[3])
+        return tg.TgLam(
+            _sym(node[1]), target_type_from_sexpr(node[2]), _nameful_target_term(node[3])
         )
     if tag == "app":
-        return tg.TgApp(target_term_from_sexpr(node[1]), target_term_from_sexpr(node[2]))
+        return tg.TgApp(_nameful_target_term(node[1]), _nameful_target_term(node[2]))
     if tag == "pair":
-        return tg.Pair(target_term_from_sexpr(node[1]), target_term_from_sexpr(node[2]))
+        return tg.Pair(_nameful_target_term(node[1]), _nameful_target_term(node[2]))
     if tag == "pack":
         return tg.Pack(
             target_type_from_sexpr(node[1]),
-            target_term_from_sexpr(node[2]),
+            _nameful_target_term(node[2]),
             target_type_from_sexpr(node[3]),
         )
     if tag == "letpair":
-        return tg.tg_let_pair(
+        return tg.LetPair(
             _sym(node[1]),
             _sym(node[2]),
-            target_term_from_sexpr(node[3]),
-            target_term_from_sexpr(node[4]),
+            _nameful_target_term(node[3]),
+            _nameful_target_term(node[4]),
         )
     if tag == "letpack":
-        return tg.tg_let_pack(
+        return tg.LetPack(
             _sym(node[1]),
             _sym(node[2]),
-            target_term_from_sexpr(node[3]),
-            target_term_from_sexpr(node[4]),
+            _nameful_target_term(node[3]),
+            _nameful_target_term(node[4]),
         )
     raise SexprError(f"unknown target term tag {tag}")

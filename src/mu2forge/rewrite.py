@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 from . import target_types as tt
 from . import target_terms as tg
+from .mu_terms import base_name
+from .syntax import TVAR, VAR
 from .target_terms import (
     LetPack,
     LetPair,
@@ -72,52 +74,43 @@ class RewriteStep:
 
 
 def to_nameful(t: TargetTerm) -> TargetTerm:
-    match t:
-        case TgVar(_) | Star():
+    """Open every binder of t with a fresh atom, in one preorder pass that
+    keeps the atoms of the enclosing binders on one stack per namespace."""
+    atoms: tuple[list, list] = ([], [])  # VAR, TVAR: innermost last
+    ty = lambda a: tt.SYNTAX.open_all(TVAR, a, atoms[TVAR])
+
+    def go(t: TargetTerm) -> TargetTerm:
+        cls = t.__class__
+        if cls is TgVar or cls is Star:
             return t
-        case TgBVar(k):
-            raise RewriteError(f"dangling bound variable {k}")
-        case TgLam(hint, ann, body):
-            x = fresh(hint or "x")
-            return TgLam(x, ann, to_nameful(tg.open_var(body, x)))
-        case TgApp(fn, arg):
-            return TgApp(to_nameful(fn), to_nameful(arg))
-        case Pair(left, right):
-            return Pair(to_nameful(left), to_nameful(right))
-        case LetPair(hx, hy, scrut, body):
-            x, y = fresh(hx or "x"), fresh(hy or "y")
-            opened = tg.open_var(tg.open_var(body, y), x, 1)
-            return LetPair(x, y, to_nameful(scrut), to_nameful(opened))
-        case Pack(w, payload, ex):
-            return Pack(w, to_nameful(payload), ex)
-        case LetPack(ht, hx, scrut, body):
-            tv, x = fresh(ht or "X"), fresh(hx or "x")
-            opened = tg.open_var(tg.open_tvar_term(body, tv), x)
-            return LetPack(tv, x, to_nameful(scrut), to_nameful(opened))
-    raise TypeError(t)
+        if cls is TgBVar:
+            if not 0 <= t.index < len(atoms[VAR]):
+                raise RewriteError(f"dangling bound variable {t.index}")
+            return TgVar(atoms[VAR][-1 - t.index])
+        if cls is TgApp:
+            return TgApp(go(t.fn), go(t.arg))
+        if cls is Pair:
+            return Pair(go(t.left), go(t.right))
+        if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
+            ex = t.ex_ann
+            return Pack(ty(t.witness), go(t.payload), None if ex is None else ty(ex))
+        binders = tg.BINDERS.get(cls)
+        if binders is None:
+            raise TypeError(t)
+        bound = [fresh(getattr(t, field_name) or base) for field_name, _, base in binders]
+        outer = ty(t.ann) if cls is TgLam else go(t.scrut)
+        for (_, ns, _), atom in zip(binders, bound):
+            atoms[ns].append(atom)
+        body = go(t.body)
+        for _, ns, _ in binders:
+            atoms[ns].pop()
+        return cls(*bound, outer, body)
+
+    return go(t)
 
 
 def from_nameful(t: TargetTerm) -> TargetTerm:
-    from .mu_terms import base_name
-
-    match t:
-        case TgVar(_) | Star():
-            return t
-        case TgLam(x, ann, body):
-            return TgLam(base_name(x), ann, tg.close_var(from_nameful(body), x))
-        case TgApp(fn, arg):
-            return TgApp(from_nameful(fn), from_nameful(arg))
-        case Pair(left, right):
-            return Pair(from_nameful(left), from_nameful(right))
-        case LetPair(x, y, scrut, body):
-            closed = tg.close_var(tg.close_var(from_nameful(body), y), x, 1)
-            return LetPair(base_name(x), base_name(y), from_nameful(scrut), closed)
-        case Pack(w, payload, ex):
-            return Pack(w, from_nameful(payload), ex)
-        case LetPack(tv, x, scrut, body):
-            closed = tg.close_tvar_term(tg.close_var(from_nameful(body), x), tv)
-            return LetPack(base_name(tv), base_name(x), from_nameful(scrut), closed)
-    raise TypeError(t)
+    return tg.close_binders(t, base_name)
 
 
 # ---------------------------------------------------------------------------
@@ -183,45 +176,9 @@ def free_atoms(t: TargetTerm) -> frozenset[str]:
 
 
 def uniquify(t: TargetTerm) -> TargetTerm:
-    """Refresh every binder atom of a nameful term (used on duplication)."""
-    from .mu_terms import base_name
-
-    def go(t: TargetTerm, ren: dict[str, str], tren: dict[str, tt.TargetType]) -> TargetTerm:
-        def rty(ty: tt.TargetType) -> tt.TargetType:
-            # One simultaneous pass: the new atoms are fresh, so no entry
-            # can rename the result of another.
-            return tt.SYNTAX.subst(tt.TVAR, ty, tren) if tren else ty
-
-        match t:
-            case TgVar(n):
-                return TgVar(ren.get(n, n))
-            case Star():
-                return t
-            case TgLam(x, ann, body):
-                x2 = fresh(base_name(x))
-                return TgLam(x2, rty(ann), go(body, {**ren, x: x2}, tren))
-            case TgApp(fn, arg):
-                return TgApp(go(fn, ren, tren), go(arg, ren, tren))
-            case Pair(left, right):
-                return Pair(go(left, ren, tren), go(right, ren, tren))
-            case LetPair(x, y, scrut, body):
-                x2, y2 = fresh(base_name(x)), fresh(base_name(y))
-                return LetPair(
-                    x2, y2, go(scrut, ren, tren), go(body, {**ren, x: x2, y: y2}, tren)
-                )
-            case Pack(w, payload, ex):
-                return Pack(rty(w), go(payload, ren, tren), rty(ex))
-            case LetPack(tv, x, scrut, body):
-                tv2, x2 = fresh(base_name(tv)), fresh(base_name(x))
-                return LetPack(
-                    tv2,
-                    x2,
-                    go(scrut, ren, tren),
-                    go(body, {**ren, x: x2}, {**tren, tv: tt.TgVarT(tv2)}),
-                )
-        raise TypeError(t)
-
-    return go(t, {}, {})
+    """Refresh every binder atom of a nameful term (used on duplication) by
+    closing and reopening it: fresh sees the same base names in preorder."""
+    return to_nameful(from_nameful(t))
 
 
 def _replace_where(t: TargetTerm, atom: str, replace) -> TargetTerm:
@@ -653,38 +610,49 @@ def _rw_expand(t, env, mode):
     return None
 
 
+def _at(rule, *heads: type):
+    """Declare the node classes at which rule can apply (it returns None at
+    every other node)."""
+    rule.heads = frozenset(heads)
+    return rule
+
+
+_LETS = (LetPair, LetPack)
+
 # Rule groups in priority order; within a group, scanning is preorder
-# (leftmost-outermost) and the listed order breaks ties at a node.
+# (leftmost-outermost) and the listed order breaks ties at a node.  Each
+# rule names its heads beside its name; star has none among TgLam, TgApp
+# and Pair, whose types are not t, R and t /\ t.
 BETA_RULES = (
-    ("beta-fun", _rw_beta_fun),
-    ("beta-pair", _rw_beta_pair),
-    ("beta-pack", _rw_beta_pack),
+    ("beta-fun", _at(_rw_beta_fun, TgApp)),
+    ("beta-pair", _at(_rw_beta_pair, LetPair)),
+    ("beta-pack", _at(_rw_beta_pack, LetPack)),
 )
 ETA_RULES = (
-    ("eta-fun", _rw_eta_fun),
-    ("eta-pair", _rw_eta_pair),
-    ("eta-pack", _rw_eta_pack),
-    ("dead-let-pair", _rw_dead_let_pair),
-    ("dead-let-pack", _rw_dead_let_pack),
-    ("dedup-pair", _rw_dedup_pair),
-    ("dedup-pack", _rw_dedup_pack),
+    ("eta-fun", _at(_rw_eta_fun, TgLam)),
+    ("eta-pair", _at(_rw_eta_pair, LetPair)),
+    ("eta-pack", _at(_rw_eta_pack, LetPack)),
+    ("dead-let-pair", _at(_rw_dead_let_pair, LetPair)),
+    ("dead-let-pack", _at(_rw_dead_let_pack, LetPack)),
+    ("dedup-pair", _at(_rw_dedup_pair, LetPair)),
+    ("dedup-pack", _at(_rw_dedup_pack, LetPack)),
 )
 HOIST_RULES = (
-    ("hoist-app-fn", _rw_hoist_app_fn),
-    ("hoist-app-arg", _rw_hoist_app_arg),
-    ("hoist-pair-left", _rw_hoist_pair_left),
-    ("hoist-pair-right", _rw_hoist_pair_right),
-    ("hoist-pack", _rw_hoist_pack),
-    ("hoist-scrut", _rw_hoist_scrut),
-    ("hoist-lam", _rw_hoist_lam),
-    ("let-expand", _rw_let_expand),
-    ("let-swap", _rw_let_swap),
+    ("hoist-app-fn", _at(_rw_hoist_app_fn, TgApp)),
+    ("hoist-app-arg", _at(_rw_hoist_app_arg, TgApp)),
+    ("hoist-pair-left", _at(_rw_hoist_pair_left, Pair)),
+    ("hoist-pair-right", _at(_rw_hoist_pair_right, Pair)),
+    ("hoist-pack", _at(_rw_hoist_pack, Pack)),
+    ("hoist-scrut", _at(_rw_hoist_scrut, *_LETS)),
+    ("hoist-lam", _at(_rw_hoist_lam, TgLam)),
+    ("let-expand", _at(_rw_let_expand, *_LETS)),
+    ("let-swap", _at(_rw_let_swap, *_LETS)),
 )
 STAR_RULES = (
-    ("star", _rw_star),
-    ("star-eta", _rw_star_eta),
+    ("star", _at(_rw_star, TgVar, LetPair, Pack, LetPack)),
+    ("star-eta", _at(_rw_star_eta, TgLam)),
 )
-EXPAND_RULES = (("expand", _rw_expand),)
+EXPAND_RULES = (("expand", _at(_rw_expand, TgApp, Pair, Pack, *_LETS)),)
 SHARE_RULES = (
     ("dead-let-pair", _rw_dead_let_pair),
     ("dead-let-pack", _rw_dead_let_pack),
@@ -695,32 +663,47 @@ SHARE_RULES = (
 ALL_RULES = dict(BETA_RULES + ETA_RULES + HOIST_RULES + STAR_RULES + EXPAND_RULES)
 
 
+def _by_head(group, threads_env: bool = True):
+    """A group as the search uses it: per node class, the rules whose head
+    it is, in listed order; and whether the search must keep env current."""
+    rules = {cls: tuple((n, r) for n, r in group if cls in r.heads) for cls in tg.SYNTAX.children}
+    return rules, threads_env
+
+
+_BETA = _by_head(BETA_RULES, threads_env=False)  # no beta rule reads env
+_ETA, _HOIST, _STAR, _EXPAND, _SHARE = map(
+    _by_head, (ETA_RULES, HOIST_RULES, STAR_RULES, EXPAND_RULES, SHARE_RULES)
+)
+
+
 def _find(t, group, env, mode, path=()):
-    for name, rule in group:
+    rules, threads_env = group
+    for name, rule in rules[t.__class__]:
         if name == "hoist-lam" and path == ():
             continue
         out = rule(t, env, mode)
         if out is not None:
             return name, path, out
     for i, kid in enumerate(children(t)):
-        hit = _find(kid, group, _env_through(t, i, env), mode, path + (i,))
+        kid_env = _env_through(t, i, env) if threads_env else env
+        hit = _find(kid, group, kid_env, mode, path + (i,))
         if hit is not None:
             return hit
     return None
 
 
 def _contract_groups(mode: str):
-    groups = [BETA_RULES, ETA_RULES, HOIST_RULES]
+    groups = [_BETA, _ETA, _HOIST]
     if mode == PARAMETRIC:
-        groups.append(STAR_RULES)
+        groups.append(_STAR)
     return groups
 
 
 def _expand_groups(mode: str):
-    groups = [BETA_RULES, SHARE_RULES, HOIST_RULES]
+    groups = [_BETA, _SHARE, _HOIST]
     if mode == PARAMETRIC:
-        groups.append(STAR_RULES)
-    groups.append(EXPAND_RULES)
+        groups.append(_STAR)
+    groups.append(_EXPAND)
     return groups
 
 
@@ -765,7 +748,7 @@ def normalize(
     if beta_only:
         steps: list[RewriteStep] = []
         for _ in range(MAX_STEPS):
-            hit = _find(t, BETA_RULES, env, mode)
+            hit = _find(t, _BETA, env, mode)
             if hit is None:
                 return from_nameful(t), steps
             name, path, out = hit

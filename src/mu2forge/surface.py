@@ -338,7 +338,8 @@ def parse_target_type(text: str) -> tt.TargetType:
 
 # ---------------------------------------------------------------------------
 # Target terms.  Unannotated packs carry ex_ann=None until resolved
-# against a typing context (resolve_packs).
+# against a typing context (resolve_packs).  The reader builds the term
+# nameful (binders hold their source names) and closes it once.
 
 
 def _tg_term(p: _Parser) -> tg.TargetTerm:
@@ -351,7 +352,7 @@ def _tg_term(p: _Parser) -> tg.TargetTerm:
         p.expect(":")
         ann = _tg_type(p)
         p.expect(".")
-        return tg.tg_lam(x, ann, _tg_term(p))
+        return tg.TgLam(x, ann, _tg_term(p))
     if tok.text == "let":
         p.next()
         p.expect("<")
@@ -364,8 +365,8 @@ def _tg_term(p: _Parser) -> tg.TargetTerm:
         p.expect("in")
         body = _tg_term(p)
         if first[:1].isupper():
-            return tg.tg_let_pack(first, second, scrut, body)
-        return tg.tg_let_pair(first, second, scrut, body)
+            return tg.LetPack(first, second, scrut, body)
+        return tg.LetPair(first, second, scrut, body)
     return _tg_app(p)
 
 
@@ -437,7 +438,7 @@ def parse_target_term(text: str) -> tg.TargetTerm:
     p = _Parser(text)
     term = _tg_term(p)
     p.done()
-    return term
+    return tg.close_binders(term)
 
 
 def resolve_packs(term: tg.TargetTerm, context, mode: str = "plain") -> tg.TargetTerm:
@@ -445,6 +446,10 @@ def resolve_packs(term: tg.TargetTerm, context, mode: str = "plain") -> tg.Targe
     occurrence of the witness in the payload's type (documented default;
     use <t | M : T> when another existential is intended)."""
     from . import target_typing as tgt
+    from .rewrite import from_nameful, to_nameful
+
+    def synth(ctx, t: tg.TargetTerm) -> tt.TargetType:  # t is nameful
+        return tgt.typecheck_target(ctx, tg.close_binders(t), mode)
 
     def anti(ty: tt.TargetType, witness: tt.TargetType, depth: int = 0) -> tt.TargetType:
         if ty == witness:
@@ -465,35 +470,26 @@ def resolve_packs(term: tg.TargetTerm, context, mode: str = "plain") -> tg.Targe
             case tg.Pack(w, payload, ex):
                 payload = go(payload, ctx)
                 if ex is None:
-                    pty = tgt.typecheck_target(ctx, payload, mode)
+                    pty = synth(ctx, payload)
                     ex = tt.Exists("X", anti(pty, w))
                 return tg.Pack(w, payload, ex)
-            case tg.TgVar(_) | tg.TgBVar(_) | tg.Star():
+            case tg.TgVar(_) | tg.Star():
                 return t
-            case tg.TgLam(hint, ann, body):
-                x = tg.fresh(hint or "x")
-                inner = go(tg.open_var(body, x), ctx + ((x, ann),))
-                return tg.TgLam(hint, ann, tg.close_var(inner, x))
+            case tg.TgLam(x, ann, body):
+                return tg.TgLam(x, ann, go(body, ctx + ((x, ann),)))
             case tg.TgApp(fn, arg):
                 return tg.TgApp(go(fn, ctx), go(arg, ctx))
             case tg.Pair(left, right):
                 return tg.Pair(go(left, ctx), go(right, ctx))
-            case tg.LetPair(hx, hy, scrut, body):
+            case tg.LetPair(x, y, scrut, body):
                 scrut = go(scrut, ctx)
-                sty = tgt.typecheck_target(ctx, scrut, mode)
-                x, y = tg.fresh(hx or "x"), tg.fresh(hy or "y")
-                opened = tg.open_var(tg.open_var(body, y), x, 1)
-                inner = go(opened, ctx + ((x, sty.left), (y, sty.right)))
-                return tg.LetPair(hx, hy, scrut, tg.close_var(tg.close_var(inner, y), x, 1))
-            case tg.LetPack(ht, hx, scrut, body):
+                sty = synth(ctx, scrut)
+                return tg.LetPair(x, y, scrut, go(body, ctx + ((x, sty.left), (y, sty.right))))
+            case tg.LetPack(xv, x, scrut, body):
                 scrut = go(scrut, ctx)
-                sty = tgt.typecheck_target(ctx, scrut, mode)
-                xv, x = tg.fresh(ht or "X"), tg.fresh(hx or "x")
-                opened = tg.open_var(tg.open_tvar_term(body, xv), x)
-                inner = go(opened, ctx + ((x, tt.inst_tvar(sty.body, tt.TgVarT(xv))),))
-                return tg.LetPack(
-                    ht, hx, scrut, tg.close_tvar_term(tg.close_var(inner, x), xv)
-                )
+                sty = synth(ctx, scrut)
+                inner = go(body, ctx + ((x, tt.inst_tvar(sty.body, tt.TgVarT(xv))),))
+                return tg.LetPack(xv, x, scrut, inner)
         raise TypeError(t)
 
-    return go(term, tuple(context))
+    return from_nameful(go(to_nameful(term), tuple(context)))

@@ -158,6 +158,20 @@ class Syntax:
         mk = self._free[ns]
         return _map(t, self._plans[ns], None, lambda n, d: mk(atom) if n.index == d else n, depth)
 
+    def open_all(self, ns: int, t, atoms: list[str]):
+        """Open each bound index that points k binders past t's own to the
+        atom atoms[-1 - k]; indices past all of atoms stay bound."""
+        mk, n = self._free[ns], len(atoms)
+        bound = lambda b, d: mk(atoms[d - b.index - 1]) if 0 <= b.index - d < n else b
+        return _map(t, self._plans[ns], None, bound, 0) if atoms else t
+
+    def close_all(self, ns: int, t, levels: dict[str, int], n: int):
+        """Close each free atom that levels maps to its binder's level, n
+        binders (the outermost at level 0) enclosing t."""
+        mk = self._bound[ns]
+        free = lambda a, d: a if (lv := levels.get(a.name)) is None else mk(d + n - 1 - lv)
+        return _map(t, self._plans[ns], free, None, 0) if levels else t
+
     def inst(self, ns: int, t, rep, depth: int = 0):
         """Replace the bound index at depth by the locally closed rep."""
         return _map(t, self._plans[ns], None, lambda n, d: rep if n.index == d else n, depth)

@@ -20,10 +20,10 @@ from .target_types import TargetType
 __all__ = [
     "TargetTerm", "TgVar", "TgBVar", "TgLam", "TgApp", "Pair", "LetPair",
     "Pack", "LetPack", "Star", "STAR", "fresh",
-    "tg_lam", "tg_let_pair", "tg_let_pack",
+    "close_binders",
     "open_var", "close_var", "inst_var", "open_tvar_term", "close_tvar_term",
     "inst_tvar_term", "subst_var", "subst_tvar_term", "free_vars", "free_tvars",
-    "subterm_at", "replace_at", "iter_subterms", "equal",
+    "subterm_at", "replace_at", "equal",
 ]
 
 
@@ -92,22 +92,6 @@ STAR = Star()
 
 
 # ---------------------------------------------------------------------------
-# Nameful smart constructors
-
-
-def tg_lam(x: str, ann: TargetType, body: TargetTerm) -> TargetTerm:
-    return TgLam(x, ann, close_var(body, x))
-
-
-def tg_let_pair(x: str, y: str, scrut: TargetTerm, body: TargetTerm) -> TargetTerm:
-    return LetPair(x, y, scrut, close_var(close_var(body, y), x, 1))
-
-
-def tg_let_pack(tv: str, x: str, scrut: TargetTerm, body: TargetTerm) -> TargetTerm:
-    return LetPack(tv, x, scrut, close_tvar_term(close_var(body, x), tv))
-
-
-# ---------------------------------------------------------------------------
 # Traversals, all derived from the binder table.  The term children of a
 # node, in table order, are its path slots: TgLam.body=0; TgApp.fn=0,
 # .arg=1; Pair.left=0,.right=1; LetPair.scrut=0,.body=1; Pack.payload=0;
@@ -152,13 +136,6 @@ def replace_at(t: TargetTerm, path: tuple[int, ...], new: TargetTerm) -> TargetT
     return with_children(t, tuple(kids))
 
 
-def iter_subterms(t: TargetTerm, path: tuple[int, ...] = ()):
-    """Preorder traversal yielding (path, subterm)."""
-    yield path, t
-    for i, kid in enumerate(children(t)):
-        yield from iter_subterms(kid, path + (i,))
-
-
 # As in mu_terms: open_* / close_*(t, atom, depth=0), inst_*(t, rep, depth=0)
 # and the free-atom sets, per namespace.
 close_var = partial(SYNTAX.close, VAR)
@@ -177,3 +154,63 @@ def subst_var(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
 
 def subst_tvar_term(t: TargetTerm, x: str, rep: TargetType) -> TargetTerm:
     return SYNTAX.subst(TVAR, t, {x: rep})
+
+
+# ---------------------------------------------------------------------------
+# Nameful terms: every TgLam, LetPair and LetPack carries the atoms it binds
+# in its hint slots.  Builders make nameful terms and close them once.
+
+#: Per binding node, its hint slots in field order: the field, the
+#: namespace it binds and the base name of a fresh atom for it.  The body
+#: sits under all of them, a later slot innermost (LetPair: x is index 1,
+#: y index 0); the field between the hints and the body (TgLam.ann, a
+#: let's scrut) is outside them.
+BINDERS = {
+    TgLam: (("hint", VAR, "x"),),
+    LetPair: (("hint_x", VAR, "x"), ("hint_y", VAR, "y")),
+    LetPack: (("hint_t", TVAR, "X"), ("hint_x", VAR, "x")),
+}
+
+
+def close_binders(t: TargetTerm, hint=str) -> TargetTerm:
+    """Abstract every binder's atoms in one pass (one Python frame per
+    level): an atom's occurrences, in terms and annotations, become the
+    index of its innermost binder, whose hint becomes hint(atom)."""
+    levels: tuple[dict, dict] = ({}, {})  # VAR, TVAR: atom -> level of its binder
+    depth = [0, 0]  # VAR, TVAR: binders around the current node
+
+    def ty(a: TargetType) -> TargetType:
+        return target_types.SYNTAX.close_all(TVAR, a, levels[TVAR], depth[TVAR])
+
+    def go(t: TargetTerm) -> TargetTerm:
+        cls = t.__class__
+        if cls is TgVar:
+            level = levels[VAR].get(t.name)
+            return t if level is None else TgBVar(depth[VAR] - 1 - level)
+        if cls is TgApp:
+            return TgApp(go(t.fn), go(t.arg))
+        if cls is Pair:
+            return Pair(go(t.left), go(t.right))
+        if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
+            ex = t.ex_ann
+            return Pack(ty(t.witness), go(t.payload), None if ex is None else ty(ex))
+        binders = BINDERS.get(cls)
+        if binders is None:
+            return t  # TgBVar, Star
+        outer = ty(t.ann) if cls is TgLam else go(t.scrut)
+        undo = []
+        for field_name, ns, _ in binders:
+            atom = getattr(t, field_name)
+            undo.append((ns, atom, levels[ns].get(atom)))
+            levels[ns][atom] = depth[ns]
+            depth[ns] += 1
+        body = go(t.body)
+        for ns, atom, level in reversed(undo):
+            depth[ns] -= 1
+            if level is None:
+                del levels[ns][atom]
+            else:
+                levels[ns][atom] = level
+        return cls(*(hint(atom) for _, atom, _ in undo), outer, body)
+
+    return go(t)

@@ -14,6 +14,8 @@ from .target_types import (
     RType,
     TOP,
     TargetType,
+    SYNTAX,
+    TVAR,
     TgVarT,
     ftv,
     inst_tvar,
@@ -30,8 +32,6 @@ from .target_terms import (
     TgLam,
     TgVar,
     fresh,
-    open_tvar_term,
-    open_var,
 )
 
 PLAIN = "plain"
@@ -77,68 +77,83 @@ def _lookup(context: TgContext, name: str) -> TargetType | None:
 
 
 def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) -> TargetType:
-    match term:
-        case TgVar(n):
-            ty = _lookup(context, n)
-            if ty is None:
-                raise UnboundTargetVariable(n)
-            return ty
-        case TgBVar(k):
-            raise TargetTypeError(f"dangling bound variable {k}")
-        case Star():
-            if mode != PARAMETRIC:
-                raise StarInPlainMode("Star is legal only in parametric mode")
-            return TOP
-        case TgLam(hint, ann, body):
-            x = fresh(hint or "x")
-            body_ty = typecheck_target(context + ((x, ann),), open_var(body, x), mode)
-            if not isinstance(body_ty, RType):
-                raise NonAnswerBody(f"abstraction body has type {body_ty}, not R")
-            return Neg(ann)
-        case TgApp(fn, arg):
-            fn_ty = typecheck_target(context, fn, mode)
-            if not isinstance(fn_ty, Neg):
-                raise TargetTypeMismatch(f"application of non-negation type {fn_ty}")
-            arg_ty = typecheck_target(context, arg, mode)
-            if arg_ty != fn_ty.body:
-                raise TargetTypeMismatch(
-                    f"argument type {arg_ty} does not match expected {fn_ty.body}"
-                )
-            return R
-        case Pair(left, right):
-            return Conj(
-                typecheck_target(context, left, mode),
-                typecheck_target(context, right, mode),
-            )
-        case LetPair(hx, hy, scrut, body):
-            scrut_ty = typecheck_target(context, scrut, mode)
-            if not isinstance(scrut_ty, Conj):
-                raise TargetTypeMismatch(f"let-pair scrutinee has type {scrut_ty}")
-            x, y = fresh(hx or "x"), fresh(hy or "y")
-            opened = open_var(open_var(body, y), x, 1)
-            ctx2 = context + ((x, scrut_ty.left), (y, scrut_ty.right))
-            return typecheck_target(ctx2, opened, mode)
-        case Pack(witness, payload, ex_ann):
-            if not isinstance(ex_ann, Exists):
-                raise TargetTypeMismatch(f"pack annotated with non-existential {ex_ann}")
-            payload_ty = typecheck_target(context, payload, mode)
-            want = inst_tvar(ex_ann.body, witness)
-            if payload_ty != want:
-                raise TargetTypeMismatch(
-                    f"pack payload has type {payload_ty}, expected {want}"
-                )
-            return ex_ann
-        case LetPack(ht, hx, scrut, body):
-            scrut_ty = typecheck_target(context, scrut, mode)
-            if not isinstance(scrut_ty, Exists):
-                raise TargetTypeMismatch(f"let-pack scrutinee has type {scrut_ty}")
-            tv, x = fresh(ht or "X"), fresh(hx or "x")
-            opened = open_var(open_tvar_term(body, tv), x)
-            ctx2 = context + ((x, inst_tvar(scrut_ty.body, TgVarT(tv))),)
-            result = typecheck_target(ctx2, opened, mode)
-            if tv in ftv(result):
-                raise EscapeCheckFailed(
-                    f"type variable {tv} escapes through the let-pack result {result}"
-                )
-            return result
-    raise TypeError(term)
+    """One pass: a bound variable's type is read off a stack of binder
+    types, and an annotation is opened against the type atoms when read."""
+    var_types: list[TargetType] = []  # innermost binder last
+    tvar_atoms: list[str] = []
+    read = lambda ty: SYNTAX.open_all(TVAR, ty, tvar_atoms)
+
+    def synth(term: TargetTerm) -> TargetType:
+        match term:
+            case TgVar(n):
+                ty = _lookup(context, n)
+                if ty is None:
+                    raise UnboundTargetVariable(n)
+                return ty
+            case TgBVar(k):
+                if not 0 <= k < len(var_types):
+                    raise TargetTypeError(f"dangling bound variable {k}")
+                return var_types[-1 - k]
+            case Star():
+                if mode != PARAMETRIC:
+                    raise StarInPlainMode("Star is legal only in parametric mode")
+                return TOP
+            case TgLam(_, ann, body):
+                ann = read(ann)
+                var_types.append(ann)
+                body_ty = synth(body)
+                var_types.pop()
+                if not isinstance(body_ty, RType):
+                    raise NonAnswerBody(f"abstraction body has type {body_ty}, not R")
+                return Neg(ann)
+            case TgApp(fn, arg):
+                fn_ty = synth(fn)
+                if not isinstance(fn_ty, Neg):
+                    raise TargetTypeMismatch(f"application of non-negation type {fn_ty}")
+                arg_ty = synth(arg)
+                if arg_ty != fn_ty.body:
+                    raise TargetTypeMismatch(
+                        f"argument type {arg_ty} does not match expected {fn_ty.body}"
+                    )
+                return R
+            case Pair(left, right):
+                return Conj(synth(left), synth(right))
+            case LetPair(_, _, scrut, body):
+                scrut_ty = synth(scrut)
+                if not isinstance(scrut_ty, Conj):
+                    raise TargetTypeMismatch(f"let-pair scrutinee has type {scrut_ty}")
+                var_types.extend((scrut_ty.left, scrut_ty.right))
+                body_ty = synth(body)
+                del var_types[-2:]
+                return body_ty
+            case Pack(witness, payload, ex_ann):
+                if not isinstance(ex_ann, Exists):  # None: a pack left unresolved
+                    shown = ex_ann if ex_ann is None else read(ex_ann)
+                    raise TargetTypeMismatch(f"pack annotated with non-existential {shown}")
+                ex_ann = read(ex_ann)
+                payload_ty = synth(payload)
+                want = inst_tvar(ex_ann.body, read(witness))
+                if payload_ty != want:
+                    raise TargetTypeMismatch(
+                        f"pack payload has type {payload_ty}, expected {want}"
+                    )
+                return ex_ann
+            case LetPack(ht, _, scrut, body):
+                scrut_ty = synth(scrut)
+                if not isinstance(scrut_ty, Exists):
+                    raise TargetTypeMismatch(f"let-pack scrutinee has type {scrut_ty}")
+                # the type binder is named: the escape check's message names it
+                tv = fresh(ht or "X")
+                tvar_atoms.append(tv)
+                var_types.append(inst_tvar(scrut_ty.body, TgVarT(tv)))
+                result = synth(body)
+                var_types.pop()
+                tvar_atoms.pop()
+                if tv in ftv(result):
+                    raise EscapeCheckFailed(
+                        f"type variable {tv} escapes through the let-pack result {result}"
+                    )
+                return result
+        raise TypeError(term)
+
+    return synth(term)

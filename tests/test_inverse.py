@@ -28,7 +28,7 @@ def test_variable_clause():
 
 def test_lambda_clause_produces_bold_mu():
     # (lam k:sdeg. A) inverts to a bold-mu abstraction
-    term = tg.tg_lam("k", S, tg.TgApp(tg.TgVar("x"), tg.TgVar("k")))
+    term = tg.close_binders(tg.TgLam("k", S, tg.TgApp(tg.TgVar("x"), tg.TgVar("k"))))
     tctx = tg_ctx(("x", tt.Neg(S)))
     form = canonicalize(term, tt.Neg(S), PLAIN, tctx)
     # canonicalization collapses this to the variable x, so build the

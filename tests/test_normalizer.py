@@ -24,7 +24,7 @@ S = tt.TgVarT("s")
 def test_beta_fun():
     # (lam x. x k) y  ->  y k
     t = tg.TgApp(
-        tg.tg_lam("x", tt.Neg(S), tg.TgApp(tg.TgVar("x"), tg.TgVar("k"))), tg.TgVar("y")
+        tg.close_binders(tg.TgLam("x", tt.Neg(S), tg.TgApp(tg.TgVar("x"), tg.TgVar("k")))), tg.TgVar("y")
     )
     out = beta_normalize(t, tg_ctx(("k", S), ("y", tt.Neg(S))))
     assert out == tg.TgApp(tg.TgVar("y"), tg.TgVar("k"))
@@ -32,12 +32,12 @@ def test_beta_fun():
 
 def test_beta_pair_let():
     # let <x,y> = <L, M> in x y  ->  L M
-    t = tg.tg_let_pair(
+    t = tg.close_binders(tg.LetPair(
         "x",
         "y",
         tg.Pair(tg.TgVar("L"), tg.TgVar("M")),
         tg.TgApp(tg.TgVar("x"), tg.TgVar("y")),
-    )
+    ))
     out = beta_normalize(t, tg_ctx(("L", tt.Neg(S)), ("M", S)))
     assert out == tg.TgApp(tg.TgVar("L"), tg.TgVar("M"))
 
@@ -62,7 +62,7 @@ def test_program_variable_classification():
 
 
 def test_eta_collapse_to_program_variable():
-    t = tg.tg_lam("k", S, tg.TgApp(tg.TgVar("x"), tg.TgVar("k")))
+    t = tg.close_binders(tg.TgLam("k", S, tg.TgApp(tg.TgVar("x"), tg.TgVar("k"))))
     form = canonicalize(t, tt.Neg(S), PLAIN, tg_ctx(("x", tt.Neg(S))))
     assert form.kind == PROGRAM and form.term == tg.TgVar("x")
 
@@ -97,9 +97,9 @@ def test_eq_reflexive_and_pair_eta():
     pairty = tt.Conj(tt.Neg(S), S)
     n_of = lambda z: tg.TgApp(tg.TgVar("g"), z)
     context = tg_ctx(("M", pairty), ("g", tt.Neg(pairty)))
-    lhs = tg.tg_let_pair(
+    lhs = tg.close_binders(tg.LetPair(
         "x", "y", tg.TgVar("M"), n_of(tg.Pair(tg.TgVar("x"), tg.TgVar("y")))
-    )
+    ))
     rhs = n_of(tg.TgVar("M"))
     verdict = eq_target(lhs, rhs, PLAIN, context)
     assert verdict.equal
@@ -421,3 +421,116 @@ def test_subst_refresh_reuses_first_copy():
     assert second is not rep and second.hint != k
     assert from_nameful(second) == from_nameful(rep)
     assert_binders_scoped(out)
+
+
+# -- the search's rule-head table
+
+
+def _catalog_and_numerals(max_n):
+    from mu2forge.combinators import catalog
+    from mu2forge.suite_runner import _entry_gamma
+
+    out = []
+    for entry in catalog():
+        gamma = _entry_gamma(entry)
+        out.append((cps_term_typed(gamma, (), entry.term)[0], dict(cps_context(gamma, ()))))
+    for n in range(max_n + 1):
+        out.append((cps_term_typed((), (), succ_power(n))[0], {}))
+    return out
+
+
+def _nodes(t, env):
+    """Every node of nameful t with its typing environment."""
+    from mu2forge import rewrite
+
+    todo = [(t, env)]
+    while todo:
+        node, env = todo.pop()
+        yield node, env
+        todo.extend((kid, rewrite._env_through(node, i, env)) for i, kid in enumerate(tg.children(node)))
+
+
+def test_rule_heads_sound(monkeypatch):
+    """Every rule declares its heads; at every node of the catalog images
+    and of S^n O (n <= 6), their normal forms and, for the catalog and
+    n <= 2, every term in between, in both modes, a rule applies only at
+    its heads, and a beta rule (the search does not keep env current for
+    them) gives the same result without env."""
+    from mu2forge import rewrite
+
+    groups = (rewrite.BETA_RULES, rewrite.ETA_RULES, rewrite.HOIST_RULES,
+              rewrite.STAR_RULES, rewrite.EXPAND_RULES, rewrite.SHARE_RULES)
+    rules = {name: rule for group in groups for name, rule in group}
+    assert rules.keys() == rewrite.ALL_RULES.keys()
+    for rule in rules.values():
+        assert rule.heads and rule.heads <= {tg.TgVar, tg.TgLam, tg.TgApp, tg.Pair, tg.LetPair, tg.Pack, tg.LetPack}
+    beta = {name for name, _ in rewrite.BETA_RULES}
+
+    terms = []
+    replace_at = tg.replace_at
+    depth = 0
+
+    def recording_replace_at(t, path, new):
+        nonlocal depth  # replace_at calls itself through the module
+        depth += 1
+        out = replace_at(t, path, new)
+        depth -= 1
+        if every_step and depth == 0:
+            terms.append((out, env))
+        return out
+
+    monkeypatch.setattr(tg, "replace_at", recording_replace_at)
+    images = _catalog_and_numerals(6)
+    catalog_size = len(images) - 7
+    for index, (term, env) in enumerate(images):
+        every_step = index < catalog_size + 3
+        for mode in (PLAIN, PARAMETRIC):
+            t = rewrite.to_nameful(term)
+            terms.append((t, env))
+            terms.append((rewrite.normalize_nameful(t, env, mode)[0], env))
+    monkeypatch.undo()
+    visits = fired = 0
+    for root, root_env in terms:
+        for node, env in _nodes(root, root_env):
+            for mode in (PLAIN, PARAMETRIC):
+                for name, rule in rules.items():
+                    visits += 1
+                    out = rule(node, env, mode)
+                    if node.__class__ not in rule.heads:
+                        assert out is None, (name, node)
+                    elif out is not None:
+                        fired += 1
+                        if name in beta:
+                            again = rule(node, None, mode)
+                            assert rewrite.from_nameful(again) == rewrite.from_nameful(out), name
+    assert visits > 1_000_000 and fired > 5000
+
+
+def test_results_do_not_depend_on_fresh_counter(monkeypatch):
+    """Typing calls fresh less often than the rewrite's own passes, so no
+    result may depend on the counter: traces, printed canonical forms and
+    eq_mu verdicts are the same after the counter jumps by at least 10 000
+    to a longer atom suffix."""
+    import itertools
+
+    from mu2forge import mu_terms as tm
+    from mu2forge.printer import print_target_term
+    from mu2forge.theory import BETA_ETA, LAMBDA_MU_2P, eq_mu
+
+    def run():
+        out = []
+        for term, env in _catalog_and_numerals(6):
+            for mode in (PLAIN, PARAMETRIC):
+                form = canonicalize(term, None, mode, tuple(env.items()))
+                out.append((print_target_term(form.term), [s.render() for s in form.trace]))
+        for theory in (BETA_ETA, LAMBDA_MU_2P):
+            for n in range(7):
+                verdict = eq_mu(succ_power(n), church(n), theory)
+                out.append((verdict.equal, print_target_term(verdict.left), print_target_term(verdict.right)))
+                out.append([s.render() for s in verdict.left_trace + verdict.right_trace])
+        return out
+
+    first = run()
+    start = next(tm._fresh_counter)
+    monkeypatch.setattr(tm, "_fresh_counter", itertools.count(10 ** len(str(start + 10_000))))
+    assert run() == first

@@ -26,6 +26,7 @@ from mu2forge.surface import (
     parse_target_type,
     resolve_packs,
 )
+from mu2forge.target_typing import TargetTypeMismatch, typecheck_target
 from mu2forge.theory import GaveUp, gen_judgement
 
 A = mt.TVar("a")
@@ -111,6 +112,67 @@ def test_resolve_packs_default_annotation():
     packed = parse_target_term("<s | k>")
     resolved = resolve_packs(packed, (("k", tt.TgVarT("s")),))
     assert resolved == tg.Pack(tt.TgVarT("s"), tg.TgVar("k"), tt.TOP)
+
+
+def test_shadowing_binders_read_as_innermost():
+    """An inner binder of the same name shadows an outer one only within
+    its own scope, in the surface reader and the s-expression reader."""
+    a, b = tt.TgVarT("a"), tt.TgVarT("b")
+    v, bv, bt = tg.TgVar, tg.TgBVar, tt.TgBoundT
+    app = tg.TgApp
+    assert parse_target_term(r"\x:a. \x:b. x") == tg.TgLam("x", a, tg.TgLam("x", b, bv(0)))
+    assert parse_target_term(r"\x:a. <(\x:b. x), x>") == tg.TgLam(
+        "x", a, tg.Pair(tg.TgLam("x", b, bv(0)), bv(0))
+    )
+    assert parse_target_term("let <x, y> = p in let <x, z> = x in g <x, <y, z>>") == tg.LetPair(
+        "x", "y", v("p"),
+        tg.LetPair("x", "z", bv(1), app(v("g"), tg.Pair(bv(1), tg.Pair(bv(2), bv(0))))),
+    )
+    assert parse_target_term("let <x, x> = p in x") == tg.LetPair("x", "x", v("p"), bv(0))
+    # the outer X is bound again in the lambda's annotation after the
+    # inner let-pack's scope ends
+    got = parse_target_term(r"let <X, x> = v in h <(let <X, y> = x in f y), \b: X. q b>")
+    inner = tg.LetPack("X", "y", bv(0), app(v("f"), bv(0)))
+    lam = tg.TgLam("b", bt(0), app(v("q"), bv(0)))
+    assert got == tg.LetPack("X", "x", v("v"), app(v("h"), tg.Pair(inner, lam)))
+    sexpr = "(lam x (tvar a) (lam x (tvar b) (app (var x) (var y))))"
+    assert target_term_from_sexpr(parse_sexpr(sexpr)) == tg.TgLam(
+        "x", a, tg.TgLam("x", b, app(bv(0), v("y")))
+    )
+    sexpr = (
+        "(letpack X x (var v) (letpack X y (var x)"
+        " (app (var f) (pack (tvar X) (var y) (exists Y (tvar Y))))))"
+    )
+    pack = tg.Pack(bt(0), bv(0), tt.TOP)
+    assert target_term_from_sexpr(parse_sexpr(sexpr)) == tg.LetPack(
+        "X", "x", v("v"), tg.LetPack("X", "y", bv(0), app(v("f"), pack))
+    )
+
+
+def test_unannotated_pack_under_let_pack():
+    term = parse_target_term("let <X, x> = v in f <X | x>")
+    ex = tt.exists("Y", tt.TgVarT("Y"))
+    context = (("v", ex), ("f", tt.Neg(ex)))
+    pack = tg.Pack(tt.TgBoundT(0), tg.TgBVar(0), tt.TOP)
+    assert resolve_packs(term, context) == tg.LetPack("X", "x", tg.TgVar("v"), tg.TgApp(tg.TgVar("f"), pack))
+    with pytest.raises(TargetTypeMismatch, match="non-existential None"):
+        typecheck_target(context, term)  # not resolved
+
+
+def test_resolve_packs_types_subterms_with_binders():
+    """A pack payload or a let scrutinee that holds a binder is typed
+    closed, so its own bound variables do not look like free ones."""
+    s, x = tt.TgVarT("s"), tt.TgVarT("X")
+    g, app, bv = tg.TgVar("g"), tg.TgApp, tg.TgBVar
+    lam = tg.TgLam("k", s, app(g, bv(0)))
+    context = (("g", tt.Neg(s)), ("f", tt.Neg(tt.exists("X", tt.Neg(x)))), ("w", s))
+    got = resolve_packs(parse_target_term(r"f <s | \k:s. g k>"), context)
+    assert got == app(tg.TgVar("f"), tg.Pack(s, lam, tt.exists("X", tt.Neg(x))))
+    got = resolve_packs(parse_target_term(r"let <x, y> = <\k:s. g k, w> in y"), context)
+    assert got == tg.LetPair("x", "y", tg.Pair(lam, tg.TgVar("w")), bv(0))
+    got = resolve_packs(parse_target_term(r"let <x, y> = <\k:s. g k, w> in f <s | x>"), context)
+    pack = tg.Pack(s, bv(1), tt.exists("X", tt.Neg(x)))
+    assert got == tg.LetPair("x", "y", tg.Pair(lam, tg.TgVar("w")), app(tg.TgVar("f"), pack))
 
 
 def test_sexpr_roundtrips():
