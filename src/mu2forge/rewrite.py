@@ -12,6 +12,17 @@ subterm across binders (let hoisting) can never capture.  Duplication
 re-freshens binder atoms.  Public inputs and outputs stay locally
 nameless.
 
+Rule groups are tried in priority order: each step applies the first
+group that has a redex, at that group's first redex in preorder
+(leftmost-outermost).  The search does not restart at the root after a
+step.  A step at path p leaves every subtree left of p the same object
+under the same typing environment, so each group resumes where its last
+search left off, or at p if that is earlier; the beta group, first in
+every phase, resumes at the contractum and re-tests only its parent.
+The focus is a zipper over the term, and the path to the root is
+rebuilt once, when the zipper unwinds.  `_run` states the invariant;
+the test suite checks every step against a search from the root.
+
 Every applied step is logged as ``rule path``; `replay` re-applies a
 logged trace step by step, validating each rule pattern, which is the
 trace-consumer contract of the equality oracle.
@@ -20,6 +31,7 @@ trace-consumer contract of the equality oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import target_types as tt
 from . import target_terms as tg
@@ -114,14 +126,16 @@ def from_nameful(t: TargetTerm) -> TargetTerm:
 
 
 # ---------------------------------------------------------------------------
-# Free-atom memo.  The free term atoms of a nameful node are a function of
-# the node alone, so each node object gets its set once, built from its
-# children's sets, and keeps it in its instance dict beside the dataclass
-# fields; ``==``, ``hash`` and ``repr`` read only the fields.  A rewrite
-# step rebuilds the path to the redex and what the rule builds, so only
-# those nodes lack a set afterwards.
+# Free-atom memos.  The free term atoms of a nameful node, and its free
+# type atoms, are functions of the node alone, so each node object gets
+# each set once, built from its children's sets, and keeps it in its
+# instance dict beside the dataclass fields; ``==``, ``hash`` and
+# ``repr`` read only the fields.  A rewrite step rebuilds the path to the
+# redex and what the rule builds, so only those nodes lack a set
+# afterwards.
 
 _ATOMS = "_free_atoms"
+_TATOMS = "_free_tatoms"
 _NO_ATOMS: frozenset[str] = frozenset()
 
 
@@ -137,8 +151,16 @@ def _slot_binders(t: TargetTerm, i: int) -> tuple[str, ...]:
     return ()
 
 
+def _union(acc: frozenset[str], atoms: frozenset[str]) -> frozenset[str]:
+    # Reuse one operand where the other adds nothing, so most nodes share
+    # a child's set instead of holding a copy.
+    if not atoms or atoms is acc:
+        return acc
+    return atoms if not acc else acc | atoms
+
+
 def _own_atoms(t: TargetTerm) -> frozenset[str]:
-    """The free atoms of t from the memoised sets of its children."""
+    """The free term atoms of t from the memoised sets of its children."""
     if t.__class__ is TgVar:
         return frozenset((t.name,))
     acc = _NO_ATOMS
@@ -147,32 +169,57 @@ def _own_atoms(t: TargetTerm) -> frozenset[str]:
         bound = _slot_binders(t, i)
         if bound and not atoms.isdisjoint(bound):
             atoms = atoms.difference(bound)
-        if atoms and atoms is not acc:
-            acc = atoms if not acc else acc | atoms
+        acc = _union(acc, atoms)
     return acc
 
 
-def free_atoms(t: TargetTerm) -> frozenset[str]:
-    """The free term atoms of a nameful term, memoised per node object.
+def _own_tatoms(t: TargetTerm) -> frozenset[str]:
+    """The free type atoms of t from its own annotations and the memoised
+    sets of its children; a LetPack binds its type atom over its body."""
+    cls = t.__class__
+    if cls is TgLam:
+        return _union(t.body.__dict__[_TATOMS], tt.ftv(t.ann))
+    if cls is Pack:
+        own = _union(tt.ftv(t.witness), tt.ftv(t.ex_ann))
+        return _union(t.payload.__dict__[_TATOMS], own)
+    acc = _NO_ATOMS
+    for kid in children(t):
+        acc = _union(acc, kid.__dict__[_TATOMS])
+    if cls is LetPack and t.hint_t in acc:
+        acc = acc.difference((t.hint_t,))
+    return acc
 
-    Unmemoised nodes are filled in post-order from an explicit stack, so
-    a deep term costs no Python frames here."""
-    atoms = t.__dict__.get(_ATOMS)
+
+def _memo(t: TargetTerm, key: str, own) -> frozenset[str]:
+    """The set own(node) computes from a node's children's sets, memoised
+    under key per node object.  Unmemoised nodes are filled in post-order
+    from an explicit stack, so a deep term costs no Python frames here."""
+    atoms = t.__dict__.get(key)
     if atoms is not None:
         return atoms
     stack = [t]
     while stack:
         node = stack[-1]
-        if _ATOMS in node.__dict__:
+        if key in node.__dict__:
             stack.pop()
             continue
-        missing = [kid for kid in children(node) if _ATOMS not in kid.__dict__]
+        missing = [kid for kid in children(node) if key not in kid.__dict__]
         if missing:
             stack.extend(missing)
         else:
             stack.pop()
-            node.__dict__[_ATOMS] = _own_atoms(node)
-    return t.__dict__[_ATOMS]
+            node.__dict__[key] = own(node)
+    return t.__dict__[key]
+
+
+def free_atoms(t: TargetTerm) -> frozenset[str]:
+    """The free term atoms of a nameful term, memoised per node object."""
+    return _memo(t, _ATOMS, _own_atoms)
+
+
+def free_tatoms(t: TargetTerm) -> frozenset[str]:
+    """The free type atoms of a nameful term, memoised per node object."""
+    return _memo(t, _TATOMS, _own_tatoms)
 
 
 def uniquify(t: TargetTerm) -> TargetTerm:
@@ -228,17 +275,29 @@ def nameful_occurs(t: TargetTerm, x: str) -> bool:
 
 
 def nameful_tvar_occurs(t: TargetTerm, tv: str) -> bool:
-    match t:
-        case TgVar(_) | Star():
-            return False
-        case TgLam(_, ann, _) if tv in tt.ftv(ann):
-            return True
-        case Pack(w, _, ex) if tv in tt.ftv(w) or tv in tt.ftv(ex):
-            return True
-    for c in children(t):
-        if nameful_tvar_occurs(c, tv):
-            return True
-    return False
+    # As for term atoms: binder atoms are unique, so any occurrence is free.
+    return tv in free_tatoms(t)
+
+
+def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
+    """Nameful substitution of the type w for the type atom tv.  Only
+    nodes whose free type atoms hold tv are rebuilt; every other subtree
+    is returned as the same object."""
+    if tv not in free_tatoms(t):
+        return t
+    cls = t.__class__
+    if cls is TgLam:
+        return TgLam(t.hint, tt.subst_tvar(t.ann, tv, w), subst_tatom(t.body, tv, w))
+    if cls is Pack:
+        return Pack(
+            tt.subst_tvar(t.witness, tv, w),
+            subst_tatom(t.payload, tv, w),
+            tt.subst_tvar(t.ex_ann, tv, w),
+        )
+    kids = []
+    for kid in children(t):
+        kids.append(subst_tatom(kid, tv, w))
+    return with_children(t, tuple(kids))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +371,7 @@ def _rw_beta_pair(t, env, mode):
 def _rw_beta_pack(t, env, mode):
     match t:
         case LetPack(tv, x, Pack(w, payload, _), body):
-            body2 = tg.subst_tvar_term(body, tv, w)
-            return subst_refresh(body2, x, payload)
+            return subst_refresh(subst_tatom(body, tv, w), x, payload)
     return None
 
 
@@ -676,22 +734,6 @@ _ETA, _HOIST, _STAR, _EXPAND, _SHARE = map(
 )
 
 
-def _find(t, group, env, mode, path=()):
-    rules, threads_env = group
-    for name, rule in rules[t.__class__]:
-        if name == "hoist-lam" and path == ():
-            continue
-        out = rule(t, env, mode)
-        if out is not None:
-            return name, path, out
-    for i, kid in enumerate(children(t)):
-        kid_env = _env_through(t, i, env) if threads_env else env
-        hit = _find(kid, group, kid_env, mode, path + (i,))
-        if hit is not None:
-            return hit
-    return None
-
-
 def _contract_groups(mode: str):
     groups = [_BETA, _ETA, _HOIST]
     if mode == PARAMETRIC:
@@ -707,19 +749,178 @@ def _expand_groups(mode: str):
     return groups
 
 
+# ---------------------------------------------------------------------------
+# The search.  It walks a zipper over the term and resumes each group's
+# leftmost-outermost search where that group's last search left off, so
+# a step costs the nodes it changes and the search the nodes it visits
+# anew, not a walk from the root.
+
+
+_SLOT = itemgetter(1)  # a zipper frame's child slot
+
+
+class _Zipper:
+    """A nameful term seen from a focus (Huet, "The Zipper", JFP 1997).
+
+    ``node`` is the focused subtree and ``env`` its typing environment
+    (meaningless below a frame pushed by a search that does not keep env
+    current).  ``stack`` holds one frame per ancestor, the root first:
+    ``[parent, slot, env, kids, dirty]``, that is the parent as the focus
+    found it, the child slot the path takes, the parent's env, its
+    children (a tuple) with every replaced child written in, and whether
+    any child was replaced.  Moving up rebuilds a parent only if it is
+    dirty, so each ancestor is rebuilt once per unwinding however many
+    steps land below it."""
+
+    __slots__ = ("node", "env", "stack")
+
+    def __init__(self, t: TargetTerm, env):
+        self.node, self.env, self.stack = t, env, []
+
+    def path(self) -> tuple[int, ...]:
+        return tuple(map(_SLOT, self.stack))
+
+    def down(self, i: int, threads_env: bool) -> bool:
+        """Move to child i; False, staying put, if the focus has none."""
+        node = self.node
+        kids = children(node)
+        if i >= len(kids):
+            return False
+        self.stack.append([node, i, self.env, kids, False])
+        self.node = kids[i]
+        self.env = _env_through(node, i, self.env) if threads_env else None
+        return True
+
+    def up(self) -> None:
+        parent, _, env, kids, dirty = self.stack.pop()
+        self.env = env
+        if dirty:
+            self.replace(with_children(parent, kids))
+        else:
+            self.node = parent
+
+    def right(self, threads_env: bool) -> bool:
+        """Move to the next subtree in preorder outside the focus: the
+        right sibling of the focus or of its nearest ancestor that has
+        one.  False, with the focus on the root, at the end of the term."""
+        stack = self.stack
+        while stack:
+            frame = stack[-1]
+            i = frame[1] + 1
+            kids = frame[3]
+            if i < len(kids):
+                frame[1] = i
+                self.node = kids[i]
+                self.env = _env_through(frame[0], i, frame[2]) if threads_env else None
+                return True
+            self.up()
+        return False
+
+    def replace(self, new: TargetTerm) -> None:
+        self.node = new
+        if self.stack:
+            frame = self.stack[-1]
+            kids, i = frame[3], frame[1]
+            frame[3] = kids[:i] + (new,) + kids[i + 1:]
+            frame[4] = True
+
+    def unwind(self) -> TargetTerm:
+        """Move the focus to the root, whose env is the one given."""
+        while self.stack:
+            self.up()
+        return self.node
+
+
+def _test(z: _Zipper, rules, mode: str):
+    """The first rule of a group that applies at the focus, as (name,
+    contractum), or None."""
+    node = z.node
+    for name, rule in rules[node.__class__]:
+        if name == "hoist-lam" and not z.stack:
+            continue  # the outermost Program keeps its  lam k. A  shape
+        out = rule(node, z.env, mode)
+        if out is not None:
+            return name, out
+    return None
+
+
+def _scan(z: _Zipper, group, mode: str):
+    """Search the focus's subtree and then every subtree right of it, in
+    preorder.  On a hit the focus is on the redex; otherwise None, with
+    the focus on the root."""
+    rules, threads_env = group
+    while True:
+        hit = _test(z, rules, mode)
+        if hit is not None:
+            return hit
+        if not z.down(0, threads_env) and not z.right(threads_env):
+            return None
+
+
+def _search_beta(z: _Zipper, mode: str):
+    """The beta group resumes at the focus.  A beta rule reads only its
+    node and the class of a child, so a step can make a beta redex only
+    in the contractum or at its parent; the parent is re-tested alone."""
+    rules = _BETA[0]
+    stack = z.stack
+    if stack and rules[stack[-1][0].__class__]:
+        slot = stack[-1][1]
+        z.up()
+        hit = _test(z, rules, mode)
+        if hit is not None:
+            return hit
+        z.down(slot, False)
+    return _scan(z, _BETA, mode)
+
+
+def _search(z: _Zipper, group, resume: tuple[int, ...], mode: str):
+    """Any other group resumes at its path: it re-tests the ancestors of
+    the path from the root down, then scans from the path."""
+    rules, threads_env = group
+    z.unwind()
+    for i in resume:
+        hit = _test(z, rules, mode)
+        if hit is not None:
+            return hit
+        z.down(i, threads_env)
+    return _scan(z, group, mode)
+
+
 def _run(t, env, mode, groups, steps):
+    """Rewrite t to a normal form of the groups, which are in priority
+    order with the beta group first: each step applies the first group
+    that has a redex, at its first redex in preorder.
+
+    Every group but beta keeps a resume path r with the invariant: no
+    node before r in preorder, other than an ancestor of r, is a redex of
+    the group (paths compare in preorder as tuples).  A search from r
+    re-tests r's ancestors, whose rules read the subtrees that hold r,
+    then scans from r, so it finds the group's first redex.  A step at
+    path p keeps every subtree left of p the same object under the same
+    env (the rules preserve types).  So afterwards the stepping group,
+    which found nothing before p, resumes at p, and every other group at
+    min(r, p), a group whose search has just found nothing counting as
+    r = infinity.  For beta, first in every phase, that minimum is always
+    p, where the focus is after the step."""
+    z = _Zipper(t, env)
+    resume: list = [()] * len(groups)  # resume[0] is unused: see above
     for _ in range(MAX_STEPS):
-        hit = None
-        for group in groups:
-            hit = _find(t, group, env, mode)
+        for g, group in enumerate(groups):
+            hit = _search_beta(z, mode) if g == 0 else _search(z, group, resume[g], mode)
             if hit is not None:
                 break
-        if hit is None:
-            return t
-        name, path, out = hit
-        t = tg.replace_at(t, path, out)
+            resume[g] = None
+        else:
+            return z.unwind()
+        name, out = hit
+        path = z.path()
+        z.replace(out)
         steps.append(RewriteStep(name, path))
-    raise RewriteError("rewrite did not terminate within the step budget")
+        for h, r in enumerate(resume):
+            if h == g or r is None or path < r:
+                resume[h] = path
+    what = "beta reduction" if len(groups) == 1 else "rewrite"
+    raise RewriteError(f"{what} did not terminate within the step budget")
 
 
 def normalize_nameful(
@@ -747,15 +948,9 @@ def normalize(
     t = to_nameful(term)
     if beta_only:
         steps: list[RewriteStep] = []
-        for _ in range(MAX_STEPS):
-            hit = _find(t, _BETA, env, mode)
-            if hit is None:
-                return from_nameful(t), steps
-            name, path, out = hit
-            t = tg.replace_at(t, path, out)
-            steps.append(RewriteStep(name, path))
-        raise RewriteError("beta reduction did not terminate within the step budget")
-    t, steps = normalize_nameful(t, env, mode)
+        t = _run(t, env, mode, [_BETA], steps)
+    else:
+        t, steps = normalize_nameful(t, env, mode)
     return from_nameful(t), steps
 
 

@@ -129,11 +129,16 @@ def subterm_at(t: TargetTerm, path: tuple[int, ...]) -> TargetTerm:
 
 
 def replace_at(t: TargetTerm, path: tuple[int, ...], new: TargetTerm) -> TargetTerm:
-    if not path:
-        return new
-    kids = list(children(t))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return with_children(t, tuple(kids))
+    """t with the subtree at path replaced by new, in one Python frame."""
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = children(t)[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        kids = list(children(node))
+        kids[i] = new
+        new = with_children(node, tuple(kids))
+    return new
 
 
 # As in mu_terms: open_* / close_*(t, atom, depth=0), inst_*(t, rep, depth=0)

@@ -349,27 +349,41 @@ def assert_binders_scoped(t):
     walk(t)
 
 
+def replay_steps(monkeypatch, term, context, mode, normal, trace, seen):
+    """Replay the engine's trace for term through `replay`, which applies
+    each logged step with tg.replace_at; seen(t) gets every term in
+    between.  Every step is observed once, and the replay ends in the
+    engine's own result."""
+    from mu2forge import rewrite
+
+    replace_at = tg.replace_at
+    observed = 0
+
+    def observed_replace_at(t, path, new):
+        nonlocal observed
+        out = replace_at(t, path, new)
+        observed += 1
+        seen(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tg, "replace_at", observed_replace_at)
+        replayed = rewrite.replay(term, trace, context, mode)
+    assert observed == len(trace)
+    assert tg.equal(replayed, rewrite.from_nameful(normal))
+    return observed
+
+
 def test_binder_atoms_unique_after_normalization(monkeypatch):
     """Binder atoms stay unique and scoped after normalizing every catalog
     image and S^n O (n <= 8) in both modes; for the catalog, n <= 4 and
     (lam f. lam x. f (f x)) (lam y. y), whose beta steps duplicate an
-    abstraction, also after every single rewrite step."""
+    abstraction, also after every single step of the trace, replayed."""
     from mu2forge import rewrite
     from mu2forge.combinators import catalog
     from mu2forge.suite_runner import _entry_gamma
 
-    replace_at = tg.replace_at
     steps_checked = 0
-
-    def checked_replace_at(t, path, new):
-        nonlocal steps_checked
-        out = replace_at(t, path, new)
-        if every_step:
-            assert_binders_scoped(out)
-            steps_checked += 1
-        return out
-
-    monkeypatch.setattr(tg, "replace_at", checked_replace_at)
     images = [(_entry_gamma(entry), entry.term, True) for entry in catalog()]
     images += [((), succ_power(n), n <= 4) for n in range(9)]
     a = mt.TVar("a")
@@ -378,12 +392,16 @@ def test_binder_atoms_unique_after_normalization(monkeypatch):
     images.append(((), tm.App(twice, tm.lam("y", a, tm.Var("y"))), True))
     for gamma, source, every_step in images:
         term, _ = cps_term_typed(gamma, (), source)
-        env = dict(cps_context(gamma, ()))
+        context = cps_context(gamma, ())
         for mode in (PLAIN, PARAMETRIC):
             t = rewrite.to_nameful(term)
             assert_binders_scoped(t)
-            normal, _ = rewrite.normalize_nameful(t, env, mode)
+            normal, trace = rewrite.normalize_nameful(t, dict(context), mode)
             assert_binders_scoped(normal)
+            if every_step:
+                steps_checked += replay_steps(
+                    monkeypatch, term, context, mode, normal, trace, assert_binders_scoped
+                )
     assert steps_checked > 500
 
 
@@ -453,9 +471,10 @@ def _nodes(t, env):
 def test_rule_heads_sound(monkeypatch):
     """Every rule declares its heads; at every node of the catalog images
     and of S^n O (n <= 6), their normal forms and, for the catalog and
-    n <= 2, every term in between, in both modes, a rule applies only at
-    its heads, and a beta rule (the search does not keep env current for
-    them) gives the same result without env."""
+    n <= 2, every term in between (replayed from the trace), in both
+    modes, a rule applies only at its heads, and a beta rule (the search
+    does not keep env current for them) gives the same result without
+    env."""
     from mu2forge import rewrite
 
     groups = (rewrite.BETA_RULES, rewrite.ETA_RULES, rewrite.HOIST_RULES,
@@ -467,19 +486,6 @@ def test_rule_heads_sound(monkeypatch):
     beta = {name for name, _ in rewrite.BETA_RULES}
 
     terms = []
-    replace_at = tg.replace_at
-    depth = 0
-
-    def recording_replace_at(t, path, new):
-        nonlocal depth  # replace_at calls itself through the module
-        depth += 1
-        out = replace_at(t, path, new)
-        depth -= 1
-        if every_step and depth == 0:
-            terms.append((out, env))
-        return out
-
-    monkeypatch.setattr(tg, "replace_at", recording_replace_at)
     images = _catalog_and_numerals(6)
     catalog_size = len(images) - 7
     for index, (term, env) in enumerate(images):
@@ -487,8 +493,11 @@ def test_rule_heads_sound(monkeypatch):
         for mode in (PLAIN, PARAMETRIC):
             t = rewrite.to_nameful(term)
             terms.append((t, env))
-            terms.append((rewrite.normalize_nameful(t, env, mode)[0], env))
-    monkeypatch.undo()
+            normal, trace = rewrite.normalize_nameful(t, env, mode)
+            terms.append((normal, env))
+            if every_step:
+                record = lambda out, env=env: terms.append((out, env))
+                replay_steps(monkeypatch, term, tuple(env.items()), mode, normal, trace, record)
     visits = fired = 0
     for root, root_env in terms:
         for node, env in _nodes(root, root_env):
