@@ -13,11 +13,6 @@ import sys
 
 from . import mu_terms as tm
 from . import mu_types as mt
-from .canonical import canonicalize, eq_target
-from .combinators import abort, catalog, dne, exotic_numeral, church_succ, church_zero, peirce
-from .cps import cps_context, cps_term_typed
-from .focality import NoCertificate, certificate_to_dict, check_focal
-from .inverse import invert
 from .mu_typing import MuTypeError, typecheck_mu
 from .printer import (
     print_mu_term,
@@ -27,7 +22,6 @@ from .printer import (
     sexpr_mu_term,
     sexpr_target_term,
 )
-from .relations import formula_to_sexpr, free_theorem, open_obligations, print_formula
 from .surface import (
     MuParseError,
     parse_mu_term,
@@ -37,9 +31,15 @@ from .surface import (
     resolve_packs,
 )
 from .target_typing import PARAMETRIC, PLAIN, TargetTypeError, typecheck_target
-from .theory import BETA_ETA, LAMBDA_MU_2P, eq_mu
 
-THEORIES = {"beta-eta": BETA_ETA, "p": LAMBDA_MU_2P}
+# A cold call imports only the parse/print/typing core above; each cmd_*
+# imports the layer it runs.  The printers stay imported here by name:
+# perfbench's tracer wraps a self-recursive function only in the modules
+# that import it by name.
+
+THEORY_CHOICES = ("beta-eta", "p")
+# names a source term may leave free to mean a polymorphic catalog combinator
+CATALOG_NAMES = ("C", "P", "A", "O", "S", "exotic")
 
 
 class CliError(Exception):
@@ -61,22 +61,29 @@ def _parse_bindings(spec: str | None):
     return tuple(out)
 
 
-def _polymorphic_catalog():
+def _polymorphic_catalog(names) -> dict[str, tm.MuTerm]:
+    from .combinators import abort, church_succ, church_zero, dne, exotic_numeral, peirce
+
     a, b = mt.TVar("X"), mt.TVar("Y")
-    return {
-        "C": tm.tylam("X", dne(a)),
-        "P": tm.tylam("X", tm.tylam("Y", peirce(a, b))),
-        "A": tm.tylam("X", abort(a)),
-        "O": church_zero(),
-        "S": church_succ(),
-        "exotic": exotic_numeral(),
+    build = {
+        "C": lambda: tm.tylam("X", dne(a)),
+        "P": lambda: tm.tylam("X", tm.tylam("Y", peirce(a, b))),
+        "A": lambda: tm.tylam("X", abort(a)),
+        "O": church_zero,
+        "S": church_succ,
+        "exotic": exotic_numeral,
     }
+    return {name: build[name]() for name in names}
 
 
 def _resolve_catalog_names(term: tm.MuTerm, bound: set[str]) -> tm.MuTerm:
-    for name, combinator in _polymorphic_catalog().items():
-        if name in tm.fv(term) and name not in bound:
-            term = tm.subst_term(term, name, combinator)
+    # Combinators are closed, so one substitution never frees another name.
+    free = tm.fv(term)
+    wanted = [name for name in CATALOG_NAMES if name in free and name not in bound]
+    if not wanted:
+        return term
+    for name, combinator in _polymorphic_catalog(wanted).items():
+        term = tm.subst_term(term, name, combinator)
     return term
 
 
@@ -116,6 +123,8 @@ def _split_raw(spec: str | None):
 
 
 def cmd_cps(args) -> int:
+    from .cps import cps_term_typed
+
     term, gamma, delta = _load_mu(args, args.expr)
     target, ty = cps_term_typed(gamma, delta, term)
     if args.ast:
@@ -127,10 +136,11 @@ def cmd_cps(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .canonical import canonicalize
+    from .cps import cps_context, cps_term_typed
+
     mode = PARAMETRIC if args.mode == "parametric" else PLAIN
     if args.target:
-        from .surface import parse_target_type
-
         tctx = tuple((n, parse_target_type(t)) for n, t in _split_raw(args.ctx))
         term = resolve_packs(parse_target_term(args.expr), tctx, mode)
     else:
@@ -147,7 +157,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_uncps(args) -> int:
-    from .surface import parse_target_type
+    from .canonical import canonicalize
+    from .cps import cps_context
+    from .inverse import invert
 
     gamma = _parse_bindings(args.ctx)
     delta = _parse_bindings(args.names)
@@ -165,10 +177,11 @@ def cmd_uncps(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    theory = THEORIES[args.theory]
-    if args.target:
-        from .surface import parse_target_type
+    from .canonical import eq_target
+    from .theory import BETA_ETA, LAMBDA_MU_2P, eq_mu
 
+    theory = BETA_ETA if args.theory == "beta-eta" else LAMBDA_MU_2P
+    if args.target:
         tctx = tuple((n, parse_target_type(t)) for n, t in _split_raw(args.ctx))
         mode = PARAMETRIC if theory == LAMBDA_MU_2P else PLAIN
         left = resolve_packs(parse_target_term(args.left), tctx, mode)
@@ -197,6 +210,8 @@ def cmd_eq(args) -> int:
 
 
 def cmd_focal_check(args) -> int:
+    from .focality import NoCertificate, certificate_to_dict, check_focal
+
     term, gamma, delta = _load_mu(args, args.expr)
     s1 = parse_mu_type(args.source)
     s2 = parse_mu_type(args.to)
@@ -209,16 +224,31 @@ def cmd_focal_check(args) -> int:
 
 
 def cmd_free_theorem(args) -> int:
+    from .relations import (
+        OpenType,
+        formula_to_sexpr,
+        free_theorem,
+        print_formula,
+        rename_for_display,
+    )
+
     ty = parse_mu_type(args.type)
-    formula = free_theorem(ty)
+    try:
+        formula = free_theorem(ty)
+    except OpenType as exc:
+        raise CliError(exc) from exc
     if args.ast:
-        print(formula_to_sexpr(formula))
+        # display names, as in the text: raw atoms would show the fresh-atom counter
+        print(formula_to_sexpr(rename_for_display(formula)))
     else:
         print(print_formula(formula))
     return 0
 
 
 def cmd_catalog(args) -> int:
+    from .combinators import catalog
+    from .relations import open_obligations
+
     for entry in catalog():
         print(f"{entry.name:16s} : {print_mu_type(entry.type)}")
         print(f"{'':16s}   [{entry.ref}] {entry.description}")
@@ -285,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq", help="decide an equation")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--theory", choices=sorted(THEORIES), default="p")
+    p.add_argument("--theory", choices=THEORY_CHOICES, default="p")
     p.add_argument("--target", action="store_true", help="compare target-calculus terms")
     p.add_argument("--trace", action="store_true")
     common(p)

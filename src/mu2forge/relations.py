@@ -307,7 +307,9 @@ def free_theorem(sigma: mt.MuType) -> RelFormula:
     """The focal parametricity statement for a closed type:
     every M : sigma is related to itself."""
     if mt.ftv(sigma):
-        raise OpenType(f"free theorems are stated for closed types: {sigma}")
+        from .printer import print_mu_type
+
+        raise OpenType(f"free theorems are stated for closed types, not {print_mu_type(sigma)}")
     m = tm.fresh("m")
     rel = mu_relation(sigma, {})
     return ForallTerm(m, sigma, unfold(rel, tm.Var(m), tm.Var(m)))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mu2forge.cli import main
 
 
@@ -211,3 +213,34 @@ def test_deep_numeral_equation_decided():
     code, out, err = run_cold("eq", numeral, numeral)
     assert code == 0, err
     assert out.splitlines()[0] == "Equal"
+
+
+@pytest.mark.parametrize("ty", ["X", "forall X. Y"])
+def test_free_theorem_open_type_exit_2(ty):
+    code, out, err = run_cold("free-theorem", ty)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_free_theorem_ast_uses_display_names(capsys):
+    expected = (
+        '(forall-term "m" (forall "X" (tvar "X")) (forall-type "X" (forall-type "X\'" '
+        '(forall-rel "r" "focal" "X" "X\'" (atom (rel-var "r") (tyapp (var "m") (tvar "X")) '
+        '(tyapp (var "m") (tvar "X\'")))))))\n'
+    )
+    code, out, _ = run_cold("free-theorem", "--ast", "forall X. X")
+    assert (code, out) == (0, expected)
+    # In process, after other work has drawn fresh atoms, the export is the same.
+    run(capsys, "catalog")
+    code, out, _ = run(capsys, "free-theorem", "--ast", "forall X. X")
+    assert (code, out) == (0, expected)
+
+
+def test_catalog_names_resolve_unless_bound(capsys):
+    code, out, _ = run(capsys, "typecheck", "S (S O)")
+    assert (code, out) == (0, "∀X. X → (X → X) → X\n")
+    code, out, _ = run(capsys, "typecheck", "--ctx", "S:s -> s, x:s", "S x")
+    assert (code, out) == (0, "s\n")
+    code, out, _ = run(capsys, "typecheck", "--names", "O:s", r"\x:s. [O] x")
+    assert (code, out) == (0, "¬s\n")
