@@ -17,10 +17,10 @@ Distinct verdicts are advisory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import target_types as tt
 from . import target_terms as tg
+from .printer import print_target_term, print_target_type as show
+from .record import field, record
 from .rewrite import RewriteStep, normalize
 from .target_types import NotInImageType, is_image
 from .target_typing import (
@@ -41,7 +41,7 @@ CONTINUATION = "continuation"
 ANSWER = "answer"
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalForm:
     kind: str
     term: tg.TargetTerm
@@ -50,7 +50,7 @@ class CanonicalForm:
     trace: tuple[RewriteStep, ...] = field(default=(), compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class EqVerdict:
     equal: bool
     left: tg.TargetTerm
@@ -104,11 +104,13 @@ def _classify_program(t, sdeg, env, mode) -> None:
             return
         case tg.TgLam(hint, ann, body):
             if ann != sdeg:
-                raise NotCanonical(f"program abstraction annotated {ann}, expected {sdeg}")
+                raise NotCanonical(
+                    f"program abstraction annotated {show(ann)}, expected {show(sdeg)}"
+                )
             x = tg.fresh(hint or "k")
             _classify_answer(tg.open_var(body, x), {**env, x: ann}, mode)
             return
-    raise NotCanonical(f"not a Program form: {t}")
+    raise NotCanonical(f"not a Program form: {print_target_term(t)}")
 
 
 def _classify_continuation(t, sdeg, env, mode) -> None:
@@ -119,21 +121,21 @@ def _classify_continuation(t, sdeg, env, mode) -> None:
             return
         case tg.Pair(left, right):
             if not (isinstance(sdeg, tt.Conj) and isinstance(sdeg.left, tt.Neg)):
-                raise NotCanonical(f"pair continuation at non-arrow image {sdeg}")
+                raise NotCanonical(f"pair continuation at non-arrow image {show(sdeg)}")
             _classify_program(left, sdeg.left.body, env, mode)
             _classify_continuation(right, sdeg.right, env, mode)
             return
         case tg.Pack(w, payload, ex):
             if not isinstance(sdeg, tt.Exists) or ex != sdeg:
-                raise NotCanonical(f"pack continuation at {sdeg}")
+                raise NotCanonical(f"pack continuation at {show(sdeg)}")
             if not is_image(w):
-                raise NotCanonical(f"pack witness {w} is not a translated type")
+                raise NotCanonical(f"pack witness {show(w)} is not a translated type")
             _classify_continuation(payload, tt.inst_tvar(sdeg.body, w), env, mode)
             return
         case tg.LetPair(_, _, _, _) | tg.LetPack(_, _, _, _):
             _classify_let(t, env, mode, lambda body, env2: _classify_continuation(body, sdeg, env2, mode))
             return
-    raise NotCanonical(f"not a Continuation form: {t}")
+    raise NotCanonical(f"not a Continuation form: {print_target_term(t)}")
 
 
 def _classify_answer(t, env, mode) -> None:
@@ -141,28 +143,28 @@ def _classify_answer(t, env, mode) -> None:
         case tg.TgApp(fn, arg):
             fn_ty = _synth(fn, env, mode)
             if not (isinstance(fn_ty, tt.Neg) and is_image(fn_ty.body)):
-                raise NotCanonical(f"answer head at type {fn_ty}")
+                raise NotCanonical(f"answer head at type {show(fn_ty)}")
             _classify_program(fn, fn_ty.body, env, mode)
             _classify_continuation(arg, fn_ty.body, env, mode)
             return
         case tg.LetPair(_, _, _, _) | tg.LetPack(_, _, _, _):
             _classify_let(t, env, mode, lambda body, env2: _classify_answer(body, env2, mode))
             return
-    raise NotCanonical(f"not an Answer form: {t}")
+    raise NotCanonical(f"not an Answer form: {print_target_term(t)}")
 
 
 def _classify_let(t, env, mode, classify_body) -> None:
     sty = _synth(t.scrut, env, mode)
     if isinstance(t, tg.LetPair):
         if not (isinstance(sty, tt.Conj) and is_image(sty)):
-            raise NotCanonical(f"let-pair scrutinee at {sty}")
+            raise NotCanonical(f"let-pair scrutinee at {show(sty)}")
         _classify_continuation(t.scrut, sty, env, mode)
         x, y = tg.fresh(t.hint_x or "x"), tg.fresh(t.hint_y or "k")
         body = tg.open_var(tg.open_var(t.body, y), x, 1)
         classify_body(body, {**env, x: sty.left, y: sty.right})
     else:
         if not (isinstance(sty, tt.Exists) and is_image(sty)):
-            raise NotCanonical(f"let-pack scrutinee at {sty}")
+            raise NotCanonical(f"let-pack scrutinee at {show(sty)}")
         _classify_continuation(t.scrut, sty, env, mode)
         tv, x = tg.fresh(t.hint_t or "X"), tg.fresh(t.hint_x or "k")
         body = tg.open_var(tg.open_tvar_term(t.body, tv), x)
@@ -183,7 +185,7 @@ def eq_target(
     lty = typecheck_target(context, left, mode)
     rty = typecheck_target(context, right, mode)
     if lty != rty:
-        raise TargetTypeMismatch(f"eq_target across types {lty} vs {rty}")
+        raise TargetTypeMismatch(f"eq_target across types {show(lty)} vs {show(rty)}")
     lnorm, lsteps = normalize(left, context, mode)
     rnorm, rsteps = normalize(right, context, mode)
     return EqVerdict(tg.equal(lnorm, rnorm), lnorm, rnorm, tuple(lsteps), tuple(rsteps))

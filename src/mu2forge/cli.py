@@ -30,6 +30,7 @@ from .surface import (
     parse_target_type,
     resolve_packs,
 )
+from .target_types import NotInImageType
 from .target_typing import PARAMETRIC, PLAIN, TargetTypeError, typecheck_target
 
 # A cold call imports only the parse/print/typing core above; each cmd_*
@@ -135,8 +136,16 @@ def cmd_cps(args) -> int:
     return 0
 
 
+def _no_canonical_form(exc: Exception) -> CliError:
+    """The input error for a normal form outside the canonical grammar
+    (NotCanonical) or at a type that translates no source type."""
+    if isinstance(exc, NotInImageType):
+        return CliError(f"no canonical form at {print_target_type(exc.args[0])}, not a translated type")
+    return CliError(f"no canonical form: {exc}")
+
+
 def cmd_normalize(args) -> int:
-    from .canonical import canonicalize
+    from .canonical import NotCanonical, canonicalize
     from .cps import cps_context, cps_term_typed
 
     mode = PARAMETRIC if args.mode == "parametric" else PLAIN
@@ -147,7 +156,10 @@ def cmd_normalize(args) -> int:
         source, gamma, delta = _load_mu(args, args.expr)
         term, _ = cps_term_typed(gamma, delta, source)
         tctx = cps_context(gamma, delta)
-    form = canonicalize(term, None, mode, tctx)
+    try:
+        form = canonicalize(term, None, mode, tctx)
+    except (NotCanonical, NotInImageType) as exc:
+        raise _no_canonical_form(exc) from exc
     print(print_target_term(form.term))
     print(f". {form.kind} : {print_target_type(form.type)}", file=sys.stderr)
     if args.trace:
@@ -157,7 +169,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_uncps(args) -> int:
-    from .canonical import canonicalize
+    from .canonical import NotCanonical, canonicalize
     from .cps import cps_context
     from .inverse import invert
 
@@ -165,8 +177,11 @@ def cmd_uncps(args) -> int:
     delta = _parse_bindings(args.names)
     tctx = cps_context(gamma, delta)
     term = resolve_packs(parse_target_term(args.expr), tctx, PLAIN)
-    form = canonicalize(term, None, PLAIN, tctx)
-    result = invert(form, tctx)
+    try:
+        form = canonicalize(term, None, PLAIN, tctx)
+        result = invert(form, tctx)
+    except (NotCanonical, NotInImageType) as exc:
+        raise _no_canonical_form(exc) from exc
     if form.kind == "continuation":
         hole = tm.Var("HOLE")
         print(print_mu_term(result(hole)))

@@ -7,12 +7,11 @@ displayed type (the test suite re-derives every entry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import mu_types as mt
 from . import mu_terms as tm
 from .mu_terms import App, TyApp, Var, bold_mu, lam, mu, named, tylam
 from .mu_types import BOT, Arrow, MuType, TVar, forall, neg
+from .record import record
 
 
 class ArityMismatch(Exception):
@@ -139,7 +138,7 @@ def sharp(g: tm.MuTerm, s1: MuType, s2: MuType) -> tm.MuTerm:
 # Type schemes and functorial actions
 
 
-@dataclass(frozen=True)
+@record
 class TypeScheme:
     """A type body with one distinguished free variable (the parameter)."""
 
@@ -350,7 +349,7 @@ def fold_numeral(g: tm.MuTerm, sigma: MuType) -> tm.MuTerm:
 # Catalog
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     term: tm.MuTerm

@@ -9,8 +9,6 @@ Terms:   a subject M : sigma translates to [[M]] : not sigmadeg, with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import mu_types as mt
 from . import mu_terms as tm
 from . import target_types as tt
@@ -23,6 +21,8 @@ from .mu_typing import (
     UnboundVariable,
     lookup,
 )
+from .printer import print_mu_type as show
+from .record import record
 from .target_typing import TgContext, typecheck_target
 
 
@@ -90,10 +90,10 @@ def _image(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTe
         case tm.App(fun, arg):
             tf, fun_ty = _image(gamma, delta, fun)
             if not isinstance(fun_ty, mt.Arrow):
-                raise IllTyped(f"application of non-arrow type {fun_ty}")
+                raise IllTyped(f"application of non-arrow type {show(fun_ty)}")
             ta, arg_ty = _image(gamma, delta, arg)
             if arg_ty != fun_ty.dom:
-                raise IllTyped(f"argument type {arg_ty} != domain {fun_ty.dom}")
+                raise IllTyped(f"argument type {show(arg_ty)} != domain {show(fun_ty.dom)}")
             k = tm.fresh("k")
             out = tg.TgLam(
                 k, cps_type(fun_ty.cod), tg.TgApp(tf, tg.Pair(ta, tg.TgVar(k)))
@@ -113,7 +113,7 @@ def _image(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTe
         case tm.TyApp(fun, ty_arg):
             tf, fun_ty = _image(gamma, delta, fun)
             if not isinstance(fun_ty, mt.Forall):
-                raise IllTyped(f"type application of non-forall type {fun_ty}")
+                raise IllTyped(f"type application of non-forall type {show(fun_ty)}")
             inst = mt.inst_tvar(fun_ty.body, ty_arg)
             k = tm.fresh("k")
             pack = tg.Pack(cps_type(ty_arg), tg.TgVar(k), cps_type(fun_ty))
@@ -127,7 +127,7 @@ def _image(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTe
             elif isinstance(target, tm.FName):
                 tname = target.name
             else:
-                raise IllTyped(f"dangling bound name {target}")
+                raise IllTyped(f"dangling bound name {target.index}")
             delta2 = ((a, ann),) + delta
             named_ty = lookup(delta2, tname)
             if named_ty is None:
@@ -135,14 +135,14 @@ def _image(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTe
             tb, body_ty = _image(gamma, delta2, opened)
             if body_ty != named_ty:
                 raise IllTyped(
-                    f"named term has type {body_ty} but name {tname} expects {named_ty}"
+                    f"named term has type {show(body_ty)} but name {tname} expects {show(named_ty)}"
                 )
             out = tg.TgLam(a, cps_type(ann), tg.TgApp(tb, tg.TgVar(tname)))
             return out, ann
     raise TypeError(term)
 
 
-@dataclass(frozen=True)
+@record
 class SoundnessReport:
     judgement: MuJudgement
     source_type: mt.MuType
@@ -164,7 +164,7 @@ def check_type_soundness(judgement: MuJudgement) -> SoundnessReport:
     return SoundnessReport(judgement, source_type, target_term, target_type)
 
 
-@dataclass(frozen=True)
+@record
 class SubstLemmaReport:
     lemma: str
     holds: bool

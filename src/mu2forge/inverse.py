@@ -9,7 +9,6 @@ binders around the hole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import mu_terms as tm
@@ -19,6 +18,8 @@ from . import target_types as tt
 from .canonical import ANSWER, CONTINUATION, PROGRAM, CanonicalForm, NotCanonical, eq_target
 from .cps import cps_term_typed
 from .mu_typing import Context
+from .printer import print_target_term, print_target_type as show
+from .record import record
 from .target_types import uncps_type
 from .target_typing import PLAIN, TgContext, typecheck_target
 
@@ -26,7 +27,7 @@ VAR = "var"
 NAME = "name"
 
 
-@dataclass(frozen=True)
+@record
 class MuContext:
     """One-hole context  C[-] : bot  with a hole of type hole_type."""
 
@@ -47,7 +48,7 @@ def split_context(context: TgContext) -> tuple[Context, Context]:
         elif tt.is_image(ty):
             delta.append((atom, uncps_type(ty)))
         else:
-            raise NotCanonical(f"context entry {atom} : {ty} is not translated")
+            raise NotCanonical(f"context entry {atom} : {show(ty)} is not translated")
     return tuple(gamma), tuple(delta)
 
 
@@ -75,12 +76,12 @@ def _inv_program(t, sdeg, env) -> tm.MuTerm:
             return tm.Var(x)
         case tg.TgLam(hint, ann, body):
             if ann != sdeg:
-                raise NotCanonical(f"program abstraction at {ann}, expected {sdeg}")
+                raise NotCanonical(f"program abstraction at {show(ann)}, expected {show(sdeg)}")
             k = tm.fresh(hint or "k")
             sigma = uncps_type(sdeg)
             inner = _inv_answer(tg.open_var(body, k), {**env, k: sdeg})
             return tm.bold_mu(k, sigma, inner)
-    raise NotCanonical(f"not a Program: {t}")
+    raise NotCanonical(f"not a Program: {print_target_term(t)}")
 
 
 def _inv_cont(t, sdeg, env) -> MuContext:
@@ -90,20 +91,20 @@ def _inv_cont(t, sdeg, env) -> MuContext:
             return MuContext(hole_ty, lambda h: tm.named(k, h))
         case tg.Pair(p, c):
             if not (isinstance(sdeg, tt.Conj) and isinstance(sdeg.left, tt.Neg)):
-                raise NotCanonical(f"pair continuation at {sdeg}")
+                raise NotCanonical(f"pair continuation at {show(sdeg)}")
             arg = _inv_program(p, sdeg.left.body, env)
             inner = _inv_cont(c, sdeg.right, env)
             return MuContext(hole_ty, lambda h: inner(tm.App(h, arg)))
         case tg.Pack(w, c, _):
             if not isinstance(sdeg, tt.Exists):
-                raise NotCanonical(f"pack continuation at {sdeg}")
+                raise NotCanonical(f"pack continuation at {show(sdeg)}")
             ty_arg = uncps_type(w)
             inner = _inv_cont(c, tt.inst_tvar(sdeg.body, w), env)
             return MuContext(hole_ty, lambda h: inner(tm.TyApp(h, ty_arg)))
         case tg.LetPair(hx, hy, c1, c2):
             s1deg = _synth(c1, env)
             if not (isinstance(s1deg, tt.Conj) and isinstance(s1deg.left, tt.Neg)):
-                raise NotCanonical(f"let-pair scrutinee at {s1deg}")
+                raise NotCanonical(f"let-pair scrutinee at {show(s1deg)}")
             x, k = tm.fresh(hx or "x"), tm.fresh(hy or "k")
             sigma1 = uncps_type(s1deg.left.body)
             sigma2 = uncps_type(s1deg.right)
@@ -120,7 +121,7 @@ def _inv_cont(t, sdeg, env) -> MuContext:
         case tg.LetPack(ht, hx, c1, c2):
             s1deg = _synth(c1, env)
             if not isinstance(s1deg, tt.Exists):
-                raise NotCanonical(f"let-pack scrutinee at {s1deg}")
+                raise NotCanonical(f"let-pack scrutinee at {show(s1deg)}")
             xv, k = tm.fresh(ht or "X"), tm.fresh(hx or "k")
             inst_deg = tt.inst_tvar(s1deg.body, tt.TgVarT(xv))
             sigma1 = uncps_type(inst_deg)
@@ -136,7 +137,7 @@ def _inv_cont(t, sdeg, env) -> MuContext:
             )
         case tg.Star():
             raise NotCanonical("Star has no inverse in the plain theory")
-    raise NotCanonical(f"not a Continuation: {t}")
+    raise NotCanonical(f"not a Continuation: {print_target_term(t)}")
 
 
 def _inv_answer(t, env) -> tm.MuTerm:
@@ -144,12 +145,12 @@ def _inv_answer(t, env) -> tm.MuTerm:
         case tg.TgApp(p, c):
             fn_ty = _synth(p, env)
             if not (isinstance(fn_ty, tt.Neg) and tt.is_image(fn_ty.body)):
-                raise NotCanonical(f"answer head at {fn_ty}")
+                raise NotCanonical(f"answer head at {show(fn_ty)}")
             return _inv_cont(c, fn_ty.body, env)(_inv_program(p, fn_ty.body, env))
         case tg.LetPair(hx, hy, c, a):
             s1deg = _synth(c, env)
             if not (isinstance(s1deg, tt.Conj) and isinstance(s1deg.left, tt.Neg)):
-                raise NotCanonical(f"let-pair scrutinee at {s1deg}")
+                raise NotCanonical(f"let-pair scrutinee at {show(s1deg)}")
             x, k = tm.fresh(hx or "x"), tm.fresh(hy or "k")
             sigma1 = uncps_type(s1deg.left.body)
             sigma2 = uncps_type(s1deg.right)
@@ -162,7 +163,7 @@ def _inv_answer(t, env) -> tm.MuTerm:
         case tg.LetPack(ht, hx, c, a):
             s1deg = _synth(c, env)
             if not isinstance(s1deg, tt.Exists):
-                raise NotCanonical(f"let-pack scrutinee at {s1deg}")
+                raise NotCanonical(f"let-pack scrutinee at {show(s1deg)}")
             xv, k = tm.fresh(ht or "X"), tm.fresh(hx or "k")
             inst_deg = tt.inst_tvar(s1deg.body, tt.TgVarT(xv))
             sigma1 = uncps_type(inst_deg)
@@ -172,7 +173,7 @@ def _inv_answer(t, env) -> tm.MuTerm:
             return outer(
                 tm.tylam(xv, tm.bold_mu(k, sigma1, _inv_answer(body, env2)))
             )
-    raise NotCanonical(f"not an Answer: {t}")
+    raise NotCanonical(f"not an Answer: {print_target_term(t)}")
 
 
 def roundtrip(form: CanonicalForm, context: TgContext = ()):

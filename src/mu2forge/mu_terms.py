@@ -13,11 +13,11 @@ desugar onto it via :func:`named` and :func:`bold_mu`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import mu_types
 from .mu_types import BOT, MuType, is_bot
+from .record import field, record
 from .syntax import NAME, NAME_REF, PASS, TERM, TVAR, TYPE, VAR, Child, Leaf, Syntax
 
 _fresh_counter = itertools.count(1)
@@ -36,49 +36,49 @@ class MuTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Var(MuTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class BVar(MuTerm):
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class Lam(MuTerm):
-    hint: str = field(compare=False, hash=False)
+    hint: str = field(compare=False)
     ann: MuType
     body: MuTerm
 
 
-@dataclass(frozen=True)
+@record
 class App(MuTerm):
     fn: MuTerm
     arg: MuTerm
 
 
-@dataclass(frozen=True)
+@record
 class TyLam(MuTerm):
-    hint: str = field(compare=False, hash=False)
+    hint: str = field(compare=False)
     body: MuTerm
 
 
-@dataclass(frozen=True)
+@record
 class TyApp(MuTerm):
     fn: MuTerm
     ty: MuType
 
 
-@dataclass(frozen=True)
+@record
 class FName:
     """Free name occurrence (naming target of a Mu node)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class BName:
     """Bound name occurrence; index 0 is the nearest enclosing Mu."""
 
@@ -88,11 +88,11 @@ class BName:
 NameRef = FName | BName
 
 
-@dataclass(frozen=True)
+@record
 class Mu(MuTerm):
     """mu a:ann. [target] body, binding the name ``a`` in target and body."""
 
-    hint: str = field(compare=False, hash=False)
+    hint: str = field(compare=False)
     ann: MuType
     target: NameRef
     body: MuTerm
@@ -209,17 +209,17 @@ def rename_name(t: MuTerm, a: str, b: str) -> MuTerm:
 # Mixed substitution
 
 
-@dataclass(frozen=True)
+@record
 class AppArg:
     arg: MuTerm
 
 
-@dataclass(frozen=True)
+@record
 class TyArg:
     ty: MuType
 
 
-@dataclass(frozen=True)
+@record
 class Rename:
     name: str
 

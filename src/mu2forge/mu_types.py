@@ -8,9 +8,9 @@ never participate in comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
+from .record import field, record
 from .syntax import PASS, TVAR, TYPE, Child, Leaf, Syntax
 
 
@@ -18,29 +18,29 @@ class MuType:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class TVar(MuType):
     """Free type variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TBound(MuType):
     """Bound type variable (de Bruijn index)."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class Arrow(MuType):
     dom: MuType
     cod: MuType
 
 
-@dataclass(frozen=True)
+@record
 class Forall(MuType):
-    hint: str = field(compare=False, hash=False)
+    hint: str = field(compare=False)
     body: MuType
 
 

@@ -7,8 +7,6 @@ every judgement syntax-directed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .mu_types import Arrow, Forall, MuType, close_tvar, inst_tvar, locally_closed
 from .mu_terms import (
     App,
@@ -26,6 +24,8 @@ from .mu_terms import (
     open_tvar_term,
     open_var,
 )
+from .printer import print_mu_type as show
+from .record import field, record
 
 
 class MuTypeError(Exception):
@@ -72,7 +72,7 @@ def check_context(context: Context, zone: str) -> None:
             raise IllFormedContext(f"type of {zone} {n!r} has dangling bound variables")
 
 
-@dataclass(frozen=True)
+@record
 class MuJudgement:
     gamma: Context
     delta: Context
@@ -82,7 +82,7 @@ class MuJudgement:
     def check(self) -> MuType:
         got = typecheck_mu(self.gamma, self.delta, self.subject)
         if self.type is not None and got != self.type:
-            raise TypeMismatch(f"judgement annotated {self.type} but synthesised {got}")
+            raise TypeMismatch(f"judgement annotated {show(self.type)} but synthesised {show(got)}")
         return got
 
 
@@ -116,11 +116,11 @@ def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
         case App(fun, arg):
             fun_ty = _synth(gamma, delta, fun)
             if not isinstance(fun_ty, Arrow):
-                raise TypeMismatch(f"application of a non-arrow type {fun_ty}")
+                raise TypeMismatch(f"application of a non-arrow type {show(fun_ty)}")
             arg_ty = _synth(gamma, delta, arg)
             if arg_ty != fun_ty.dom:
                 raise TypeMismatch(
-                    f"argument type {arg_ty} does not match domain {fun_ty.dom}"
+                    f"argument type {show(arg_ty)} does not match domain {show(fun_ty.dom)}"
                 )
             return fun_ty.cod
         case TyLam(hint, body):
@@ -130,7 +130,7 @@ def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
         case TyApp(fun, ty):
             fun_ty = _synth(gamma, delta, fun)
             if not isinstance(fun_ty, Forall):
-                raise TypeMismatch(f"type application of a non-forall type {fun_ty}")
+                raise TypeMismatch(f"type application of a non-forall type {show(fun_ty)}")
             return inst_tvar(fun_ty.body, ty)
         case Mu(hint, ann, _, _):
             a = fresh(hint or "a")
@@ -141,7 +141,7 @@ def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
             elif isinstance(target, FName):
                 tname = target.name
             else:
-                raise MuTypeError(f"dangling bound name {target}")
+                raise MuTypeError(f"dangling bound name {target.index}")
             delta2 = ((a, ann),) + delta
             named_ty = lookup(delta2, tname)
             if named_ty is None:
@@ -149,7 +149,7 @@ def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
             body_ty = _synth(gamma, delta2, body)
             if body_ty != named_ty:
                 raise TypeMismatch(
-                    f"named term has type {body_ty} but name {tname} expects {named_ty}"
+                    f"named term has type {show(body_ty)} but name {tname} expects {show(named_ty)}"
                 )
             return ann
     raise TypeError(term)

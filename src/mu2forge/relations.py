@@ -9,7 +9,6 @@ equality oracle suffices, and everything else stays an open obligation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import mu_terms as tm
@@ -17,6 +16,7 @@ from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
 from .mu_typing import Context
+from .record import field, record
 from .syntax import TVAR, VAR
 
 
@@ -41,19 +41,19 @@ class Relation:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class RelVar(Relation):
     name: str
     left: object = None
     right: object = None
 
 
-@dataclass(frozen=True)
+@record
 class IdentityRef(Relation):
     type: object
 
 
-@dataclass(frozen=True)
+@record
 class GraphRef(Relation):
     """Graph of a map; in the source world only focal maps are allowed."""
 
@@ -64,14 +64,14 @@ class GraphRef(Relation):
     label: str = "f"
 
 
-@dataclass(frozen=True)
+@record
 class NegRel(Relation):
     body: Relation
     dom_left: tt.TargetType | None = None
     dom_right: tt.TargetType | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ConjRel(Relation):
     left: Relation
     right: Relation
@@ -79,13 +79,13 @@ class ConjRel(Relation):
     types_right: tuple[tt.TargetType, tt.TargetType] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ExistsRel(Relation):
     var: str
     body: Relation
 
 
-@dataclass(frozen=True)
+@record
 class ArrowRel(Relation):
     """Logical relation at an arrow type; endpoints annotate the domains."""
 
@@ -95,7 +95,7 @@ class ArrowRel(Relation):
     dom_right: mt.MuType
 
 
-@dataclass(frozen=True)
+@record
 class AllRel(Relation):
     """Focal-relation clause at a forall type."""
 
@@ -113,39 +113,39 @@ class RelFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class RelAtom(RelFormula):
     rel: Relation
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Implies(RelFormula):
     premise: RelFormula
     conclusion: RelFormula
 
 
-@dataclass(frozen=True)
+@record
 class And(RelFormula):
     left: RelFormula
     right: RelFormula
 
 
-@dataclass(frozen=True)
+@record
 class ForallTerm(RelFormula):
     var: str
     type: mt.MuType
     body: RelFormula
 
 
-@dataclass(frozen=True)
+@record
 class ForallType(RelFormula):
     var: str
     body: RelFormula
 
 
-@dataclass(frozen=True)
+@record
 class ForallRel(RelFormula):
     var: str
     kind: str  # "admissible" | "focal"
@@ -319,7 +319,7 @@ def free_theorem(sigma: mt.MuType) -> RelFormula:
 # Graph instantiation
 
 
-@dataclass(frozen=True)
+@record
 class DischargeEquation:
     """A mu-calculus equation ready for the oracle, with its binders."""
 
@@ -636,7 +636,7 @@ def _rel_sexpr(rel: Relation) -> str:
 # separately and do not close the headline claim.
 
 
-@dataclass(frozen=True)
+@record
 class Obligation:
     key: str
     ref: str
@@ -762,5 +762,5 @@ def open_obligations(run_oracle: bool = False) -> list[Obligation]:
                 compose(dne(a), iota, l_type(a)), l_alpha(a), LAMBDA_MU_2P
             )
             notes.append(f"triangle C . (x [bot]) = alpha: {verdict(tri)}")
-        out.append(replace(ob, notes=tuple(notes)))
+        out.append(Obligation(ob.key, ob.ref, ob.statement, ob.status, tuple(notes)))
     return out

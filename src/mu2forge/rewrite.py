@@ -30,12 +30,12 @@ trace-consumer contract of the equality oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from . import target_types as tt
 from . import target_terms as tg
 from .mu_terms import base_name
+from .record import record
 from .syntax import TVAR, VAR
 from .target_terms import (
     LetPack,
@@ -66,7 +66,7 @@ class ReplayError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RewriteStep:
     rule: str
     path: tuple[int, ...]
@@ -129,7 +129,7 @@ def from_nameful(t: TargetTerm) -> TargetTerm:
 # Free-atom memos.  The free term atoms of a nameful node, and its free
 # type atoms, are functions of the node alone, so each node object gets
 # each set once, built from its children's sets, and keeps it in its
-# instance dict beside the dataclass fields; ``==``, ``hash`` and
+# instance dict beside the record fields; ``==``, ``hash`` and
 # ``repr`` read only the fields.  A rewrite step rebuilds the path to the
 # redex and what the rule builds, so only those nodes lack a set
 # afterwards.

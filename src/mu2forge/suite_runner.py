@@ -5,7 +5,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import mu_terms as tm
@@ -55,6 +54,7 @@ from .focality import (
 )
 from .inverse import roundtrip
 from .mu_typing import MuJudgement, ctx, judge
+from .record import record
 from .relations import free_theorem, instantiate_graph, open_obligations, print_formula
 from .target_typing import PLAIN
 from .theory import (
@@ -80,7 +80,7 @@ def golden_dir(override: str | None = None) -> Path:
     return Path(env) if env else GOLDEN_DIR
 
 
-@dataclass(frozen=True)
+@record
 class CriterionResult:
     number: int
     name: str

@@ -11,12 +11,11 @@ synonyms, so parse(print(t)) = t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
+from .record import record
 
 
 class MuParseError(Exception):
@@ -45,7 +44,7 @@ _UNICODE = {
 _PUNCT = ("/\\", "->", "\\", ".", ":", "(", ")", "[", "]", "<", ">", ",", "|", "*", "=")
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "ident" | "punct"
     text: str

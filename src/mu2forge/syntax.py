@@ -1,7 +1,8 @@
 """One binder-aware traversal for the syntax of both calculi.
 
-Every syntax node is a frozen dataclass.  A constant binder table says,
-per node class and per field in constructor order, what the field is:
+Every syntax node is a frozen record (:mod:`.record`).  A constant binder
+table says, per node class and per field in constructor order, what the
+field is:
 
 * ``PASS``: carried through untouched (binder hints);
 * ``Leaf(ns, bound)``: the node is an occurrence of namespace ``ns``,
@@ -20,9 +21,10 @@ structural equality, :meth:`Syntax.equal`, takes none.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import attrgetter, eq, ge
 from typing import NamedTuple
+
+from .record import fields as record_fields
 
 #: The three binder namespaces: term variables, type variables, mu-names.
 VAR, TVAR, NAME = 0, 1, 2
@@ -93,7 +95,7 @@ class Syntax:
         self._rebuild: dict[type, tuple] = {}
         self._compare: dict[type, tuple] = {}
         for cls, specs in table.items():
-            fields = dataclasses.fields(cls)
+            fields = record_fields(cls)
             names = tuple(f.name for f in fields)
             if len(names) != len(specs):
                 raise TypeError(f"binder table of {cls.__name__} has {len(specs)} fields")

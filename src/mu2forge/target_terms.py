@@ -9,11 +9,11 @@ cannot synthesise it from the payload alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import target_types
 from .mu_terms import fresh  # noqa: F401 - shared fresh-atom supply, re-exported
+from .record import field, record
 from .syntax import PASS, TERM, TVAR, TYPE, VAR, Child, Leaf, Syntax
 from .target_types import TargetType
 
@@ -31,59 +31,59 @@ class TargetTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class TgVar(TargetTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TgBVar(TargetTerm):
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class TgLam(TargetTerm):
-    hint: str = field(compare=False, hash=False)
+    hint: str = field(compare=False)
     ann: TargetType
     body: TargetTerm
 
 
-@dataclass(frozen=True)
+@record
 class TgApp(TargetTerm):
     fn: TargetTerm
     arg: TargetTerm
 
 
-@dataclass(frozen=True)
+@record
 class Pair(TargetTerm):
     left: TargetTerm
     right: TargetTerm
 
 
-@dataclass(frozen=True)
+@record
 class LetPair(TargetTerm):
-    hint_x: str = field(compare=False, hash=False)
-    hint_y: str = field(compare=False, hash=False)
+    hint_x: str = field(compare=False)
+    hint_y: str = field(compare=False)
     scrut: TargetTerm
     body: TargetTerm  # binds x (index 1) and y (index 0)
 
 
-@dataclass(frozen=True)
+@record
 class Pack(TargetTerm):
     witness: TargetType
     payload: TargetTerm
     ex_ann: TargetType  # the full existential type of the pack
 
 
-@dataclass(frozen=True)
+@record
 class LetPack(TargetTerm):
-    hint_t: str = field(compare=False, hash=False)
-    hint_x: str = field(compare=False, hash=False)
+    hint_t: str = field(compare=False)
+    hint_x: str = field(compare=False)
     scrut: TargetTerm
     body: TargetTerm  # binds one type variable and one term variable
 
 
-@dataclass(frozen=True)
+@record
 class Star(TargetTerm):
     """The distinguished inhabitant of exists X. X (parametric mode only)."""
 

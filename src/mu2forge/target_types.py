@@ -6,10 +6,10 @@ locally nameless discipline as the source types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import mu_types as mt
+from .record import field, record
 from .syntax import PASS, TVAR, TYPE, Child, Leaf, Syntax
 
 
@@ -17,35 +17,35 @@ class TargetType:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class TgVarT(TargetType):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TgBoundT(TargetType):
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class RType(TargetType):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Neg(TargetType):
     body: TargetType
 
 
-@dataclass(frozen=True)
+@record
 class Conj(TargetType):
     left: TargetType
     right: TargetType
 
 
-@dataclass(frozen=True)
+@record
 class Exists(TargetType):
-    hint: str = field(compare=False, hash=False)
+    hint: str = field(compare=False)
     body: TargetType
 
 

@@ -6,6 +6,7 @@ constant Star at type exists X. X.
 
 from __future__ import annotations
 
+from .printer import print_target_type as show
 from .target_types import (
     Conj,
     Exists,
@@ -104,16 +105,16 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
                 body_ty = synth(body)
                 var_types.pop()
                 if not isinstance(body_ty, RType):
-                    raise NonAnswerBody(f"abstraction body has type {body_ty}, not R")
+                    raise NonAnswerBody(f"abstraction body has type {show(body_ty)}, not R")
                 return Neg(ann)
             case TgApp(fn, arg):
                 fn_ty = synth(fn)
                 if not isinstance(fn_ty, Neg):
-                    raise TargetTypeMismatch(f"application of non-negation type {fn_ty}")
+                    raise TargetTypeMismatch(f"application of non-negation type {show(fn_ty)}")
                 arg_ty = synth(arg)
                 if arg_ty != fn_ty.body:
                     raise TargetTypeMismatch(
-                        f"argument type {arg_ty} does not match expected {fn_ty.body}"
+                        f"argument type {show(arg_ty)} does not match expected {show(fn_ty.body)}"
                     )
                 return R
             case Pair(left, right):
@@ -121,27 +122,27 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
             case LetPair(_, _, scrut, body):
                 scrut_ty = synth(scrut)
                 if not isinstance(scrut_ty, Conj):
-                    raise TargetTypeMismatch(f"let-pair scrutinee has type {scrut_ty}")
+                    raise TargetTypeMismatch(f"let-pair scrutinee has type {show(scrut_ty)}")
                 var_types.extend((scrut_ty.left, scrut_ty.right))
                 body_ty = synth(body)
                 del var_types[-2:]
                 return body_ty
             case Pack(witness, payload, ex_ann):
                 if not isinstance(ex_ann, Exists):  # None: a pack left unresolved
-                    shown = ex_ann if ex_ann is None else read(ex_ann)
+                    shown = ex_ann if ex_ann is None else show(read(ex_ann))
                     raise TargetTypeMismatch(f"pack annotated with non-existential {shown}")
                 ex_ann = read(ex_ann)
                 payload_ty = synth(payload)
                 want = inst_tvar(ex_ann.body, read(witness))
                 if payload_ty != want:
                     raise TargetTypeMismatch(
-                        f"pack payload has type {payload_ty}, expected {want}"
+                        f"pack payload has type {show(payload_ty)}, expected {show(want)}"
                     )
                 return ex_ann
             case LetPack(ht, _, scrut, body):
                 scrut_ty = synth(scrut)
                 if not isinstance(scrut_ty, Exists):
-                    raise TargetTypeMismatch(f"let-pack scrutinee has type {scrut_ty}")
+                    raise TargetTypeMismatch(f"let-pack scrutinee has type {show(scrut_ty)}")
                 # the type binder is named: the escape check's message names it
                 tv = fresh(ht or "X")
                 tvar_atoms.append(tv)
@@ -151,7 +152,7 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
                 tvar_atoms.pop()
                 if tv in ftv(result):
                     raise EscapeCheckFailed(
-                        f"type variable {tv} escapes through the let-pack result {result}"
+                        f"type variable {tv} escapes through the let-pack result {show(result)}"
                     )
                 return result
         raise TypeError(term)

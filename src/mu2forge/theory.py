@@ -10,13 +10,14 @@ theory; Distinct is advisory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import mu_types as mt
 from . import mu_terms as tm
 from .canonical import EqVerdict, eq_target
 from .cps import cps_context, cps_term_typed
 from .mu_typing import Context, TypeMismatch, ctx, typecheck_mu
+from .printer import print_mu_type as show
+from .record import record
 from .target_typing import PARAMETRIC, PLAIN
 
 BETA_ETA = "BetaEta"
@@ -37,7 +38,7 @@ def eq_mu(
     lt, lty = cps_term_typed(gamma, delta, left)
     rt, rty = cps_term_typed(gamma, delta, right)
     if lty != rty:
-        raise TypeMismatch(f"equation across types {lty} vs {rty}")
+        raise TypeMismatch(f"equation across types {show(lty)} vs {show(rty)}")
     return eq_target(lt, rt, mode, cps_context(gamma, delta))
 
 
@@ -46,7 +47,7 @@ def eq_mu(
 # names over fresh atomic types).
 
 
-@dataclass(frozen=True)
+@record
 class SchemaInstance:
     name: str
     gamma: Context
@@ -295,7 +296,7 @@ def check_schema(inst: SchemaInstance, theory: str) -> EqVerdict:
     return eq_mu(inst.left, inst.right, theory, inst.gamma, inst.delta)
 
 
-@dataclass(frozen=True)
+@record
 class AdditionalAxiomReport:
     presentation: str
     instance: str

@@ -166,7 +166,8 @@ def test_golden_dir_env_override(capsys, tmp_path, monkeypatch):
 
 
 def run_cold(*argv):
-    """Run the CLI in a fresh interpreter at the default recursion limit."""
+    """Run the CLI in a fresh interpreter at the default recursion limit,
+    writing no bytecode into the checkout (-B)."""
     import subprocess
     import sys
     from pathlib import Path
@@ -175,7 +176,7 @@ def run_cold(*argv):
 
     src = str(Path(mu2forge.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "mu2forge.cli", *argv],
+        [sys.executable, "-B", "-m", "mu2forge.cli", *argv],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"},
@@ -244,3 +245,40 @@ def test_catalog_names_resolve_unless_bound(capsys):
     assert (code, out) == (0, "s\n")
     code, out, _ = run(capsys, "typecheck", "--names", "O:s", r"\x:s. [O] x")
     assert (code, out) == (0, "¬s\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["normalize", "--target", "--ctx", "M:not s, g:not not s", r"(\x:not s. g x) M"],
+         "error: no canonical form: answer head at type ¬¬s"),
+        (["normalize", "--target", "--ctx", "M:not s", r"\g:not not s. g M"],
+         "error: no canonical form at ¬¬¬s, not a translated type"),
+        (["uncps", "--ctx", "M:s", r"\g:not not s. g M"],
+         "error: no canonical form at ¬¬¬s, not a translated type"),
+    ],
+    ids=["normalize-answer-head", "normalize-type", "uncps-type"],
+)
+def test_no_canonical_form_exit_2(argv, message):
+    # Exit 1 means Distinct or NoCertificate; a term outside the canonical
+    # grammar is an input error.
+    code, out, err = run_cold(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["uncps", "--ctx", "x:s", r"\k:not s. x"], "abstraction body has type ¬s, not R"),
+        (["typecheck", "--ctx", "f:s -> s", "f f"], "argument type s → s does not match domain s"),
+        (["cps", "--ctx", "f:s -> s", "f f"], "argument type s → s != domain s"),
+        (["eq", "--ctx", "x:s, y:t", "x", "y"], "equation across types s vs t"),
+        (["focal-check", "--source", "s", "--to", "t", r"\x:s. x"], "subject has type s → s, expected s → t"),
+    ],
+    ids=["target_typing", "mu_typing", "cps", "theory", "focality"],
+)
+def test_type_errors_print_surface_syntax(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -24,8 +24,10 @@ assert not loaded, loaded
 
 
 def run_fresh(code: str, *argv: str) -> str:
+    # -B: the fresh environment drops PYTHONDONTWRITEBYTECODE, and a child
+    # must not leave bytecode in the checkout.
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + textwrap.dedent(code), *argv],
+        [sys.executable, "-B", "-c", PRELUDE + textwrap.dedent(code), *argv],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"},
@@ -99,7 +101,7 @@ print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules if m.star
 """
 
 CORE = {"surface", "printer", "mu_typing", "target_typing", "mu_types", "mu_terms", "target_types",
-        "target_terms", "syntax"}
+        "target_terms", "syntax", "record"}
 
 
 # Exact sets: `typecheck` loads none of cps, canonical, rewrite, theory,
@@ -119,3 +121,14 @@ def test_cold_call_loads_only_its_layer(argv, code, layer):
     got, loaded = json.loads(run_fresh(COLD_CALL, *argv).splitlines()[-1])
     assert got == code
     assert set(loaded) == CORE | layer
+
+
+# The kernel's records are built without `dataclasses`, whose import also
+# loads `inspect`.
+@pytest.mark.parametrize(
+    "argv",
+    [["typecheck", r"\x:s. x"], ["eq", "--ctx", "x:s, y:s", "x", "y"], ["free-theorem", "forall X. X"]],
+    ids=["typecheck", "eq", "free-theorem"],
+)
+def test_cold_call_loads_neither_dataclasses_nor_inspect(argv):
+    run_fresh(COLD_CALL + 'assert not {"dataclasses", "inspect"} & set(sys.modules)', *argv)

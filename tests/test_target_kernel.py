@@ -135,8 +135,7 @@ def test_binders_agree_with_binder_table():
     """BINDERS names, per binding node, as many binders of each namespace
     as the binder table puts over its body, and the body is the last
     field, right after the hint slots and the one field outside them."""
-    from dataclasses import fields
-
+    from mu2forge.record import fields
     from mu2forge.syntax import TVAR, VAR, Child
 
     binding = {cls for cls, specs in tg.TABLE.items() if issubclass(cls, tg.TargetTerm)
@@ -321,6 +320,7 @@ def _ref_uniquify(t):
 
 
 def _ref_typecheck(context, term, mode=PLAIN):
+    from mu2forge.printer import print_target_type as show
     from mu2forge.target_typing import TargetTypeError
 
     match term:
@@ -339,16 +339,16 @@ def _ref_typecheck(context, term, mode=PLAIN):
             x = tg.fresh(hint or "x")
             body_ty = _ref_typecheck(context + ((x, ann),), tg.open_var(body, x), mode)
             if not isinstance(body_ty, tt.RType):
-                raise NonAnswerBody(f"abstraction body has type {body_ty}, not R")
+                raise NonAnswerBody(f"abstraction body has type {show(body_ty)}, not R")
             return tt.Neg(ann)
         case tg.TgApp(fn, arg):
             fn_ty = _ref_typecheck(context, fn, mode)
             if not isinstance(fn_ty, tt.Neg):
-                raise TargetTypeMismatch(f"application of non-negation type {fn_ty}")
+                raise TargetTypeMismatch(f"application of non-negation type {show(fn_ty)}")
             arg_ty = _ref_typecheck(context, arg, mode)
             if arg_ty != fn_ty.body:
                 raise TargetTypeMismatch(
-                    f"argument type {arg_ty} does not match expected {fn_ty.body}"
+                    f"argument type {show(arg_ty)} does not match expected {show(fn_ty.body)}"
                 )
             return tt.R
         case tg.Pair(left, right):
@@ -356,30 +356,30 @@ def _ref_typecheck(context, term, mode=PLAIN):
         case tg.LetPair(hx, hy, scrut, body):
             scrut_ty = _ref_typecheck(context, scrut, mode)
             if not isinstance(scrut_ty, tt.Conj):
-                raise TargetTypeMismatch(f"let-pair scrutinee has type {scrut_ty}")
+                raise TargetTypeMismatch(f"let-pair scrutinee has type {show(scrut_ty)}")
             x, y = tg.fresh(hx or "x"), tg.fresh(hy or "y")
             opened = tg.open_var(tg.open_var(body, y), x, 1)
             ctx2 = context + ((x, scrut_ty.left), (y, scrut_ty.right))
             return _ref_typecheck(ctx2, opened, mode)
         case tg.Pack(witness, payload, ex_ann):
             if not isinstance(ex_ann, tt.Exists):
-                raise TargetTypeMismatch(f"pack annotated with non-existential {ex_ann}")
+                raise TargetTypeMismatch(f"pack annotated with non-existential {ex_ann if ex_ann is None else show(ex_ann)}")
             payload_ty = _ref_typecheck(context, payload, mode)
             want = tt.inst_tvar(ex_ann.body, witness)
             if payload_ty != want:
-                raise TargetTypeMismatch(f"pack payload has type {payload_ty}, expected {want}")
+                raise TargetTypeMismatch(f"pack payload has type {show(payload_ty)}, expected {show(want)}")
             return ex_ann
         case tg.LetPack(ht, hx, scrut, body):
             scrut_ty = _ref_typecheck(context, scrut, mode)
             if not isinstance(scrut_ty, tt.Exists):
-                raise TargetTypeMismatch(f"let-pack scrutinee has type {scrut_ty}")
+                raise TargetTypeMismatch(f"let-pack scrutinee has type {show(scrut_ty)}")
             tv, x = tg.fresh(ht or "X"), tg.fresh(hx or "x")
             opened = tg.open_var(tg.open_tvar_term(body, tv), x)
             ctx2 = context + ((x, tt.inst_tvar(scrut_ty.body, tt.TgVarT(tv))),)
             result = _ref_typecheck(ctx2, opened, mode)
             if tv in tt.ftv(result):
                 raise EscapeCheckFailed(
-                    f"type variable {tv} escapes through the let-pack result {result}"
+                    f"type variable {tv} escapes through the let-pack result {show(result)}"
                 )
             return result
     raise TypeError(term)
