@@ -182,12 +182,11 @@ def cmd_uncps(args) -> int:
         result = invert(form, tctx)
     except (NotCanonical, NotInImageType) as exc:
         raise _no_canonical_form(exc) from exc
-    if form.kind == "continuation":
-        hole = tm.Var("HOLE")
-        print(print_mu_term(result(hole)))
+    continuation = form.kind == "continuation"
+    term = result(tm.Var("HOLE")) if continuation else result
+    print(sexpr_mu_term(term) if args.ast else print_mu_term(term))
+    if continuation:
         print(f". context with hole HOLE : {print_mu_type(result.hole_type)}", file=sys.stderr)
-    else:
-        print(print_mu_term(result) if not args.ast else sexpr_mu_term(result))
     return 0
 
 

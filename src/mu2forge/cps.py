@@ -19,6 +19,7 @@ from .mu_typing import (
     MuTypeError,
     UnboundName,
     UnboundVariable,
+    check_contexts,
     lookup,
 )
 from .printer import print_mu_type as show
@@ -64,6 +65,7 @@ def cps_term_typed(gamma: Context, delta: Context, subject: tm.MuTerm) -> tuple[
 
 
 def _translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
+    check_contexts(gamma, delta)
     image, ty = _image(gamma, delta, term)
     return tg.close_binders(image), ty
 

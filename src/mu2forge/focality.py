@@ -291,20 +291,13 @@ def check_fold_square(
 
 def certificate_to_dict(cert: FocalityCertificate) -> dict:
     """Serialisable view: subject, type pair, transformer, evidence trace."""
-    from .printer import print_mu_term, print_mu_type, print_target_term
+    from .printer import Names, print_mu_term, print_mu_type, print_target_term
 
-    rename: dict[str, str] = {}
-    used: set[str] = set()
-    for atom in sorted(
-        tg.free_vars(cert.transformer) | tg.free_vars(cert.evidence) | {cert.hole}
-    ):
-        base = tm.base_name(atom)
-        name, i = base, 1
-        while name in used:
-            name = f"{base}{i}"
-            i += 1
-        rename[atom] = name
-        used.add(name)
+    display = Names()
+    rename = {
+        atom: display.bind(atom, "")
+        for atom in sorted(tg.free_vars(cert.transformer) | tg.free_vars(cert.evidence) | {cert.hole})
+    }
     return {
         "subject": print_mu_term(cert.subject),
         "source": print_mu_type(cert.source),

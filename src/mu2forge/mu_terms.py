@@ -18,7 +18,7 @@ from functools import partial
 from . import mu_types
 from .mu_types import BOT, MuType, is_bot
 from .record import field, record
-from .syntax import NAME, NAME_REF, PASS, TERM, TVAR, TYPE, VAR, Child, Leaf, Syntax
+from .syntax import NAME, NAME_REF, TERM, TVAR, TYPE, VAR, Child, Hint, Leaf, Syntax
 
 _fresh_counter = itertools.count(1)
 
@@ -159,13 +159,13 @@ TABLE = {
     **mu_types.TABLE,
     Var: (Leaf(VAR, False),),
     BVar: (Leaf(VAR, True),),
-    Lam: (PASS, Child(TYPE), Child(TERM, var=1)),
+    Lam: (Hint(VAR, "x"), Child(TYPE), Child(TERM, var=1)),
     App: (Child(TERM), Child(TERM)),
-    TyLam: (PASS, Child(TERM, tvar=1)),
+    TyLam: (Hint(TVAR, "X"), Child(TERM, tvar=1)),
     TyApp: (Child(TERM), Child(TYPE)),
     FName: (Leaf(NAME, False),),
     BName: (Leaf(NAME, True),),
-    Mu: (PASS, Child(TYPE), Child(NAME_REF, name=1), Child(TERM, name=1)),
+    Mu: (Hint(NAME, "a"), Child(TYPE), Child(NAME_REF, name=1), Child(TERM, name=1)),
 }
 SYNTAX = Syntax(TABLE)
 

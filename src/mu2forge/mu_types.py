@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import partial
 
 from .record import field, record
-from .syntax import PASS, TVAR, TYPE, Child, Leaf, Syntax
+from .syntax import TVAR, TYPE, Child, Hint, Leaf, Syntax
 
 
 class MuType:
@@ -49,7 +49,7 @@ TABLE = {
     TVar: (Leaf(TVAR, False),),
     TBound: (Leaf(TVAR, True),),
     Arrow: (Child(TYPE), Child(TYPE)),
-    Forall: (PASS, Child(TYPE, tvar=1)),
+    Forall: (Hint(TVAR, "X"), Child(TYPE, tvar=1)),
 }
 SYNTAX = Syntax(TABLE)
 

@@ -91,12 +91,17 @@ def judge(gamma: Context, delta: Context, subject: MuTerm) -> MuJudgement:
     return MuJudgement(gamma, delta, subject, ty)
 
 
-def typecheck_mu(gamma: Context, delta: Context, term: MuTerm) -> MuType:
-    """Synthesise the unique type of ``term`` under the two contexts."""
+def check_contexts(gamma: Context, delta: Context) -> None:
+    """Both zones well formed, and no identifier in both."""
     check_context(gamma, "variable")
     check_context(delta, "name")
     if {n for n, _ in gamma} & {n for n, _ in delta}:
         raise IllFormedContext("variable and name zones share an identifier")
+
+
+def typecheck_mu(gamma: Context, delta: Context, term: MuTerm) -> MuType:
+    """Synthesise the unique type of ``term`` under the two contexts."""
+    check_contexts(gamma, delta)
     return _synth(gamma, delta, term)
 
 

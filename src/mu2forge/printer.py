@@ -5,36 +5,73 @@ and bold-mu abstractions; the surface parser accepts both the ASCII and
 the printed spellings, so parse(print(t)) = t.  Binder display names are
 derived from hints and deduplicated deterministically, so printing is
 stable across runs regardless of the internal fresh-atom counter.
+
+The s-expression writer and reader serve both calculi and are derived
+from the binder tables (:mod:`.syntax`) plus one tag per node class.
 """
 
 from __future__ import annotations
+
+import re
+from functools import partial
 
 from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
 from .mu_terms import base_name
+from .record import fields
+from .syntax import NAME, NAME_REF, TERM, TYPE, Hint, Leaf, field_getter
+
+# ---------------------------------------------------------------------------
+# Binder display names
 
 
-class _Names:
-    def __init__(self, avoid: set[str], rename: dict[str, str] | None = None):
-        self.used = set(avoid)
-        self.rename = dict(rename or {})
+class Names:
+    """The binder display names of one printout.  A binder takes the first
+    of b, b1, b2, ... that is neither held nor avoided, b being its hint's
+    base name, or its table base for a hint without one.
 
-    def display(self, atom: str) -> str:
-        if atom in self.rename:
-            return self.rename[atom]
-        return atom
+    A held name stays taken until it is released.  The global policy
+    (:meth:`bind`) holds every name for good, so no two binders share one;
+    the scoped policy holds a binder's names only over the children under
+    it.  Every name below a base's start suffix is held, so the next
+    search for that base begins there and naming stays linear."""
 
-    def bind(self, hint: str, fallback: str) -> str:
-        base = base_name(hint) or fallback
-        name = base
-        i = 1
-        while name in self.used:
-            name = f"{base}{i}"
+    def __init__(self, taken=()):
+        self.held = dict.fromkeys(taken, 1)  # name -> binders holding it
+        self.scope: list[tuple[str, str, int]] = []  # per hold: name, base, the base's old start
+        self.start: dict[str, int] = {}
+
+    def pick(self, hint: str, base: str, avoid=()) -> tuple[str, str, int]:
+        """(b, name, start): the name, and the suffix a later search for b
+        may start at while every name held now stays held."""
+        b = base_name(hint) or base
+        i = self.start.get(b, 0)
+        name, gap = f"{b}{i}" if i else b, None
+        while name in self.held or name in avoid:
+            if gap is None and name not in self.held:
+                gap = i
             i += 1
-        self.used.add(name)
-        return name
+            name = f"{b}{i}"
+        return b, name, i + 1 if gap is None else gap
+
+    def hold(self, b: str, name: str, start: int) -> None:
+        self.scope.append((name, b, self.start.get(b, 0)))
+        self.start[b] = start
+        self.held[name] = self.held.get(name, 0) + 1
+
+    def release(self) -> None:
+        name, b, self.start[b] = self.scope.pop()
+        self.held[name] -= 1
+        if not self.held[name]:
+            del self.held[name]
+
+    def bind(self, hint: str, base: str) -> str:
+        """Name a binder under the global policy."""
+        picked = self.pick(hint, base)
+        self.hold(*picked)
+        return picked[1]
 
 
 # ---------------------------------------------------------------------------
@@ -56,36 +93,22 @@ def print_mu_type(ty: mt.MuType, env: tuple[str, ...] = (), prec: int = 0) -> st
             s = f"{print_mu_type(dom, env, 1)} → {print_mu_type(cod, env, 0)}"
             return f"({s})" if prec > 0 else s
         case mt.Forall(hint, body):
-            x = _fresh_display(hint or "X", env, mt.ftv(body))
+            x = Names(env).pick(hint, "X", mt.ftv(body))[1]
             s = f"∀{x}. {print_mu_type(body, (x,) + env, 0)}"
             return f"({s})" if prec > 0 else s
     raise TypeError(ty)
 
 
-def _fresh_display(hint: str, env: tuple[str, ...], avoid: frozenset[str]) -> str:
-    base = base_name(hint) or "X"
-    name = base
-    i = 1
-    while name in env or name in avoid:
-        name = f"{base}{i}"
-        i += 1
-    return name
-
-
-def print_mu_term(
-    t: tm.MuTerm,
-    rename: dict[str, str] | None = None,
-) -> str:
-    avoid = set(tm.fv(t)) | set(tm.fn(t)) | set(tm.ftv_term(t))
-    names = _Names(avoid, rename)
+def print_mu_term(t: tm.MuTerm) -> str:
+    names = Names(tm.fv(t) | tm.fn(t) | tm.ftv_term(t))
     return _pmt(t, (), (), (), names, 0)
 
 
-def _pmt(t, venv, tenv, nenv, names: _Names, prec: int) -> str:
+def _pmt(t, venv, tenv, nenv, names: Names, prec: int) -> str:
     # prec: 0 top, 1 application, 2 atom
     match t:
         case tm.Var(n):
-            return names.display(n)
+            return n
         case tm.BVar(k):
             return venv[k] if k < len(venv) else f"?v{k}"
         case tm.App(fn, arg):
@@ -106,7 +129,7 @@ def _pmt(t, venv, tenv, nenv, names: _Names, prec: int) -> str:
             sug = tm.match_named(t)
             if sug is not None:
                 target, body = sug
-                tname = names.display(target.name) if isinstance(target, tm.FName) else nenv[target.index - 1]
+                tname = target.name if isinstance(target, tm.FName) else nenv[target.index - 1]
                 s = f"[{tname}] {_pmt(body, venv, tenv, ('?self',) + nenv, names, 0)}"
                 return f"({s})" if prec > 0 else s
             bold = tm.match_bold_mu(t)
@@ -120,7 +143,7 @@ def _pmt(t, venv, tenv, nenv, names: _Names, prec: int) -> str:
             if isinstance(t.target, tm.BName):
                 tname = nenv2[t.target.index]
             else:
-                tname = names.display(t.target.name)
+                tname = t.target.name
             s = f"μ{a}:{print_mu_type(t.ann, tenv)}. [{tname}] {_pmt(t.body, venv, tenv, nenv2, names, 0)}"
             return f"({s})" if prec > 0 else s
     raise TypeError(t)
@@ -144,163 +167,163 @@ def print_target_type(ty: tt.TargetType, env: tuple[str, ...] = (), prec: int = 
             s = f"{print_target_type(left, env, 2)} ∧ {print_target_type(right, env, 1)}"
             return f"({s})" if prec > 1 else s
         case tt.Exists(hint, body):
-            x = _fresh_display(hint or "X", env, tt.ftv(body))
+            x = Names(env).pick(hint, "X", tt.ftv(body))[1]
             s = f"∃{x}. {print_target_type(body, (x,) + env, 0)}"
             return f"({s})" if prec > 0 else s
     raise TypeError(ty)
 
 
 def print_target_term(t: tg.TargetTerm, rename: dict[str, str] | None = None) -> str:
-    avoid = set(tg.free_vars(t)) | set(tg.free_tvars(t))
-    names = _Names(avoid, rename)
-    return _ptt(t, (), (), names, 0)
+    """The term, each free atom shown as rename maps it (default: as is)."""
+    names = Names(tg.free_vars(t) | tg.free_tvars(t))
+    return _ptt(t, (), (), names, rename or {}, 0)
 
 
-def _ptt(t, venv, tenv, names: _Names, prec: int) -> str:
+def _ptt(t, venv, tenv, names: Names, rename: dict[str, str], prec: int) -> str:
     match t:
         case tg.TgVar(n):
-            return names.display(n)
+            return rename.get(n, n)
         case tg.TgBVar(k):
             return venv[k] if k < len(venv) else f"?v{k}"
         case tg.Star():
             return "⋆"
         case tg.TgApp(fn, arg):
-            s = f"{_ptt(fn, venv, tenv, names, 1)} {_ptt(arg, venv, tenv, names, 2)}"
+            s = f"{_ptt(fn, venv, tenv, names, rename, 1)} {_ptt(arg, venv, tenv, names, rename, 2)}"
             return f"({s})" if prec > 1 else s
         case tg.TgLam(hint, ann, body):
             x = names.bind(hint, "x")
-            s = f"λ{x}:{print_target_type(ann, tenv)}. {_ptt(body, (x,) + venv, tenv, names, 0)}"
+            inner = _ptt(body, (x,) + venv, tenv, names, rename, 0)
+            s = f"λ{x}:{print_target_type(ann, tenv)}. {inner}"
             return f"({s})" if prec > 0 else s
         case tg.Pair(left, right):
-            return f"⟨{_ptt(left, venv, tenv, names, 0)}, {_ptt(right, venv, tenv, names, 0)}⟩"
+            return (
+                f"⟨{_ptt(left, venv, tenv, names, rename, 0)}, "
+                f"{_ptt(right, venv, tenv, names, rename, 0)}⟩"
+            )
         case tg.Pack(w, payload, ex):
             return (
-                f"⟨{print_target_type(w, tenv)} | {_ptt(payload, venv, tenv, names, 0)}"
+                f"⟨{print_target_type(w, tenv)} | {_ptt(payload, venv, tenv, names, rename, 0)}"
                 f" : {print_target_type(ex, tenv)}⟩"
             )
         case tg.LetPair(hx, hy, scrut, body):
             x = names.bind(hx, "x")
             y = names.bind(hy, "y")
             s = (
-                f"let ⟨{x}, {y}⟩ = {_ptt(scrut, venv, tenv, names, 0)} in "
-                f"{_ptt(body, (y, x) + venv, tenv, names, 0)}"
+                f"let ⟨{x}, {y}⟩ = {_ptt(scrut, venv, tenv, names, rename, 0)} in "
+                f"{_ptt(body, (y, x) + venv, tenv, names, rename, 0)}"
             )
             return f"({s})" if prec > 0 else s
         case tg.LetPack(ht, hx, scrut, body):
             xv = names.bind(ht, "X")
             x = names.bind(hx, "x")
             s = (
-                f"let ⟨{xv}, {x}⟩ = {_ptt(scrut, venv, tenv, names, 0)} in "
-                f"{_ptt(body, (x,) + venv, (xv,) + tenv, names, 0)}"
+                f"let ⟨{xv}, {x}⟩ = {_ptt(scrut, venv, tenv, names, rename, 0)} in "
+                f"{_ptt(body, (x,) + venv, (xv,) + tenv, names, rename, 0)}"
             )
             return f"({s})" if prec > 0 else s
     raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------
-# S-expression interchange.  Tags match the constructor names; binders
-# are exported nameful with their display hints.
+# S-expression interchange: ``(tag field ...)`` per node, its fields in
+# constructor order.  Binders are exported nameful under display names.
+
+#: One s-expression tag per node class of both calculi.  A mu-name
+#: occurrence has none: it is written as its bare atom.
+TAGS = {
+    mt.TVar: "tvar", mt.TBound: "tvar", mt.Arrow: "arrow", mt.Forall: "forall",
+    tm.Var: "var", tm.BVar: "var", tm.Lam: "lam", tm.App: "app", tm.TyLam: "tylam",
+    tm.TyApp: "tyapp", tm.FName: None, tm.BName: None, tm.Mu: "mu",
+    tt.TgVarT: "tvar", tt.TgBoundT: "tvar", tt.RType: "r", tt.Neg: "neg", tt.Conj: "conj",
+    tt.Exists: "exists",
+    tg.TgVar: "var", tg.TgBVar: "var", tg.TgLam: "lam", tg.TgApp: "app", tg.Pair: "pair",
+    tg.LetPair: "letpair", tg.Pack: "pack", tg.LetPack: "letpack", tg.Star: "star",
+}
+
+_TABLE = {**tm.TABLE, **tg.TABLE}
+
+
+def _plan(cls, specs):
+    """What the writer and the reader use of a class's table row: its tag,
+    its leaf spec (or None), the getter of its fields, per hint (field
+    index, namespace, base), and per later field (whether it sits under
+    the node's binders, its sort).  The hints come first."""
+    leaf = specs[0] if specs and isinstance(specs[0], Leaf) else None
+    hints = tuple((i, s.ns, s.base) for i, s in enumerate(specs) if isinstance(s, Hint))
+    if hints and hints[-1][0] != len(hints) - 1:
+        raise TypeError(f"the hints of {cls.__name__} do not come first")
+    kids = () if leaf else tuple((bool(s.var or s.tvar or s.name), s.sort) for s in specs[len(hints):])
+    return TAGS[cls], leaf, field_getter(tuple(f.name for f in fields(cls))), hints, kids
+
+
+_PLANS = {cls: _plan(cls, specs) for cls, specs in _TABLE.items()}
+_NO_ATOMS: frozenset = frozenset()
 
 
 def _atom(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def sexpr_mu_type(ty: mt.MuType, env: tuple[str, ...] = ()) -> str:
-    match ty:
-        case mt.TVar(n):
-            return f"(tvar {_atom(n)})"
-        case mt.TBound(k):
-            return f"(tvar {_atom(env[k])})"
-        case mt.Arrow(dom, cod):
-            return f"(arrow {sexpr_mu_type(dom, env)} {sexpr_mu_type(cod, env)})"
-        case mt.Forall(hint, body):
-            x = _fresh_display(hint or "X", env, mt.ftv(body))
-            return f"(forall {_atom(x)} {sexpr_mu_type(body, (x,) + env)})"
-    raise TypeError(ty)
+def _free_under(t, out: dict) -> frozenset:
+    """The free atoms (namespace, atom) of t, in one bottom-up pass; out
+    maps the id of each binding node to those of its children under it."""
+    _, leaf, get, hints, kids = _PLANS[t.__class__]
+    if leaf is not None:
+        return _NO_ATOMS if leaf.bound else frozenset(((leaf.ns, t.name),))
+    acc = under = _NO_ATOMS
+    for (inside, _), v in zip(kids, get(t)[len(hints):]):
+        if atoms := _free_under(v, out):
+            acc |= atoms
+            if inside:
+                under |= atoms
+    if hints:
+        out[id(t)] = under
+    return acc
 
 
-def sexpr_mu_term(t: tm.MuTerm, venv=(), tenv=(), nenv=()) -> str:
-    match t:
-        case tm.Var(n):
-            return f"(var {_atom(n)})"
-        case tm.BVar(k):
-            return f"(var {_atom(venv[k])})"
-        case tm.Lam(hint, ann, body):
-            x = _fresh_display(hint or "x", venv, tm.fv(body))
-            return f"(lam {_atom(x)} {sexpr_mu_type(ann, tenv)} {sexpr_mu_term(body, (x,) + venv, tenv, nenv)})"
-        case tm.App(fn, arg):
-            return f"(app {sexpr_mu_term(fn, venv, tenv, nenv)} {sexpr_mu_term(arg, venv, tenv, nenv)})"
-        case tm.TyLam(hint, body):
-            x = _fresh_display(hint or "X", tenv, tm.ftv_term(body))
-            return f"(tylam {_atom(x)} {sexpr_mu_term(body, venv, (x,) + tenv, nenv)})"
-        case tm.TyApp(fn, ty):
-            return f"(tyapp {sexpr_mu_term(fn, venv, tenv, nenv)} {sexpr_mu_type(ty, tenv)})"
-        case tm.Mu(hint, ann, target, body):
-            a = _fresh_display(hint or "a", nenv, tm.fn(t))
-            nenv2 = (a,) + nenv
-            tname = nenv2[target.index] if isinstance(target, tm.BName) else target.name
-            return (
-                f"(mu {_atom(a)} {sexpr_mu_type(ann, tenv)} {_atom(tname)} "
-                f"{sexpr_mu_term(body, venv, tenv, nenv2)})"
-            )
-    raise TypeError(t)
+def sexpr(node) -> str:
+    """The s-expression of a type or term of either calculus.  A binder
+    takes the first display name that no binder of its namespace in scope
+    holds and no free atom of that namespace under it uses."""
+    under: dict[int, frozenset] = {}
+    _free_under(node, under)
+    names = (Names(), Names(), Names())  # per namespace
+    out: list[str] = []
+
+    def go(t):
+        tag, leaf, get, hints, kids = _PLANS[t.__class__]
+        if leaf is not None:
+            atom = _atom(names[leaf.ns].scope[-1 - t.index][0] if leaf.bound else t.name)
+            out.append(atom if tag is None else f"({tag} {atom})")
+            return
+        vals = get(t)
+        picked = []  # per hint: its namespace and (base, name, start)
+        for i, ns, base in hints:  # a later hint avoids the earlier ones
+            avoid = {a for n, a in under[id(t)] if n == ns} | {p[1] for n, p in picked if n == ns}
+            picked.append((ns, names[ns].pick(vals[i], base, avoid)))
+        out.append(f"({tag}")
+        out.extend(f" {_atom(p[1])}" for _, p in picked)
+        for (inside, _), v in zip(kids, vals[len(hints):]):
+            out.append(" ")
+            if inside:
+                for ns, p in picked:
+                    names[ns].hold(*p)
+            go(v)
+            if inside:
+                for ns, _ in picked:
+                    names[ns].release()
+        out.append(")")
+
+    go(node)
+    return "".join(out)
 
 
-def sexpr_target_type(ty: tt.TargetType, env=()) -> str:
-    match ty:
-        case tt.TgVarT(n):
-            return f"(tvar {_atom(n)})"
-        case tt.TgBoundT(k):
-            return f"(tvar {_atom(env[k])})"
-        case tt.RType():
-            return "(r)"
-        case tt.Neg(body):
-            return f"(neg {sexpr_target_type(body, env)})"
-        case tt.Conj(left, right):
-            return f"(conj {sexpr_target_type(left, env)} {sexpr_target_type(right, env)})"
-        case tt.Exists(hint, body):
-            x = _fresh_display(hint or "X", env, tt.ftv(body))
-            return f"(exists {_atom(x)} {sexpr_target_type(body, (x,) + env)})"
-    raise TypeError(ty)
+def sexpr_mu_term(t: tm.MuTerm) -> str:
+    return sexpr(t)
 
 
-def sexpr_target_term(t: tg.TargetTerm, venv=(), tenv=()) -> str:
-    match t:
-        case tg.TgVar(n):
-            return f"(var {_atom(n)})"
-        case tg.TgBVar(k):
-            return f"(var {_atom(venv[k])})"
-        case tg.Star():
-            return "(star)"
-        case tg.TgLam(hint, ann, body):
-            x = _fresh_display(hint or "x", venv, tg.free_vars(body))
-            return f"(lam {_atom(x)} {sexpr_target_type(ann, tenv)} {sexpr_target_term(body, (x,) + venv, tenv)})"
-        case tg.TgApp(fn, arg):
-            return f"(app {sexpr_target_term(fn, venv, tenv)} {sexpr_target_term(arg, venv, tenv)})"
-        case tg.Pair(left, right):
-            return f"(pair {sexpr_target_term(left, venv, tenv)} {sexpr_target_term(right, venv, tenv)})"
-        case tg.Pack(w, payload, ex):
-            return (
-                f"(pack {sexpr_target_type(w, tenv)} {sexpr_target_term(payload, venv, tenv)} "
-                f"{sexpr_target_type(ex, tenv)})"
-            )
-        case tg.LetPair(hx, hy, scrut, body):
-            used = tg.free_vars(body)
-            x = _fresh_display(hx or "x", venv, used)
-            y = _fresh_display(hy or "y", (x,) + venv, used)
-            return (
-                f"(letpair {_atom(x)} {_atom(y)} {sexpr_target_term(scrut, venv, tenv)} "
-                f"{sexpr_target_term(body, (y, x) + venv, tenv)})"
-            )
-        case tg.LetPack(ht, hx, scrut, body):
-            xv = _fresh_display(ht or "X", tenv, tg.free_tvars(body))
-            x = _fresh_display(hx or "x", venv, tg.free_vars(body))
-            return (
-                f"(letpack {_atom(xv)} {_atom(x)} {sexpr_target_term(scrut, venv, tenv)} "
-                f"{sexpr_target_term(body, (x,) + venv, (xv,) + tenv)})"
-            )
-    raise TypeError(t)
+def sexpr_target_term(t: tg.TargetTerm) -> str:
+    return sexpr(t)
 
 
 # ---------------------------------------------------------------------------
@@ -311,61 +334,33 @@ class SexprError(Exception):
     pass
 
 
-def _tokenize_sexpr(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            yield ch
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                out.append(text[j])
-                j += 1
-            if j >= n:
-                raise SexprError("unterminated string")
-            yield ("str", "".join(out))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            yield ("sym", text[i:j])
-            i = j
+# a parenthesis, a string (backslash escapes the next character), another
+# atom, or else the opening quote of an unterminated string
+_TOKEN = r'\s*(?:([()])|"((?:[^"\\]|\\.)*)"|([^\s()"][^\s()]*)|(\S))'
 
 
 def parse_sexpr(text: str):
-    tokens = list(_tokenize_sexpr(text))
-    pos = 0
-
-    def walk():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise SexprError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(walk())
-            if pos >= len(tokens):
-                raise SexprError("missing closing parenthesis")
-            pos += 1
-            return items
-        if tok == ")":
-            raise SexprError("unexpected )")
-        return tok
-
-    out = walk()
-    if pos != len(tokens):
-        raise SexprError("trailing input")
-    return out
+    """The tree of one s-expression: a list per parenthesis, and
+    ("str", s) or ("sym", s) per atom."""
+    stack: list[list] = [[]]
+    for paren, string, sym, bad in re.findall(_TOKEN, text, re.S):
+        if bad:
+            raise SexprError("unterminated string")
+        if paren == "(":
+            stack.append([])
+        elif paren == ")":
+            if len(stack) == 1:
+                raise SexprError("unexpected )")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            atom = ("sym", sym) if sym else ("str", re.sub(r"\\(.)", r"\1", string, flags=re.S))
+            stack[-1].append(atom)
+    if len(stack) > 1:
+        raise SexprError("missing closing parenthesis")
+    if len(stack[0]) != 1:
+        raise SexprError("trailing input" if stack[0] else "unexpected end of input")
+    return stack[0][0]
 
 
 def _sym(node) -> str:
@@ -374,91 +369,62 @@ def _sym(node) -> str:
     raise SexprError(f"expected an atom, got {node}")
 
 
-def mu_type_from_sexpr(node) -> mt.MuType:
-    tag = _sym(node[0])
-    if tag == "tvar":
-        return mt.TVar(_sym(node[1]))
-    if tag == "arrow":
-        return mt.Arrow(mu_type_from_sexpr(node[1]), mu_type_from_sexpr(node[2]))
-    if tag == "forall":
-        x = _sym(node[1])
-        return mt.forall(x, mu_type_from_sexpr(node[2]))
-    raise SexprError(f"unknown type tag {tag}")
+def _read(node, calculus, sort):
+    """The node of sort read from a parsed s-expression of the calculus,
+    closed in the same pass: an occurrence of an atom that a binder around
+    it binds becomes the index of the innermost such binder."""
+    types, syntax, tags = calculus
+    levels: tuple[dict, dict, dict] = ({}, {}, {})  # per namespace: atom -> level of its binder
+    depth = [0, 0, 0]  # per namespace: binders around the current node
+
+    def occurrence(ns, atom):
+        level = levels[ns].get(atom)
+        if level is None:
+            return syntax.free_leaf[ns](atom)
+        return syntax.bound_leaf[ns](depth[ns] - 1 - level)
+
+    def go(node, sort):
+        if sort is NAME_REF:
+            return occurrence(NAME, _sym(node))
+        if not isinstance(node, list) or not node:
+            raise SexprError(f"expected a tagged list, got {node}")
+        tag = _sym(node[0])
+        cls = tags.get(tag)
+        if cls is None or (cls in types) != (sort is TYPE):
+            raise SexprError(f"unknown {'type' if sort is TYPE else 'term'} tag {tag}")
+        _, leaf, _, hints, kids = _PLANS[cls]
+        if len(node) != 1 + len(_TABLE[cls]):
+            raise SexprError(f"({tag} ...) takes {len(_TABLE[cls])} fields, not {len(node) - 1}")
+        if leaf is not None:
+            return occurrence(leaf.ns, _sym(node[1]))
+        bound = [(ns, _sym(node[1 + i])) for i, ns, _ in hints]
+        args = [atom for _, atom in bound]
+        for (inside, sort), x in zip(kids, node[1 + len(hints):]):
+            if inside:
+                saved = [levels[ns].get(atom) for ns, atom in bound]
+                for ns, atom in bound:
+                    levels[ns][atom] = depth[ns]
+                    depth[ns] += 1
+            args.append(go(x, sort))
+            if inside:
+                for (ns, atom), level in zip(reversed(bound), reversed(saved)):
+                    depth[ns] -= 1
+                    levels[ns][atom] = level
+        return cls(*args)
+
+    return go(node, sort)
 
 
-def mu_term_from_sexpr(node) -> tm.MuTerm:
-    tag = _sym(node[0])
-    if tag == "var":
-        return tm.Var(_sym(node[1]))
-    if tag == "lam":
-        return tm.lam(_sym(node[1]), mu_type_from_sexpr(node[2]), mu_term_from_sexpr(node[3]))
-    if tag == "app":
-        return tm.App(mu_term_from_sexpr(node[1]), mu_term_from_sexpr(node[2]))
-    if tag == "tylam":
-        return tm.tylam(_sym(node[1]), mu_term_from_sexpr(node[2]))
-    if tag == "tyapp":
-        return tm.TyApp(mu_term_from_sexpr(node[1]), mu_type_from_sexpr(node[2]))
-    if tag == "mu":
-        return tm.mu(
-            _sym(node[1]),
-            mu_type_from_sexpr(node[2]),
-            _sym(node[3]),
-            mu_term_from_sexpr(node[4]),
-        )
-    raise SexprError(f"unknown term tag {tag}")
+def _calculus(types: dict, syntax, table: dict):
+    """A calculus as the reader sees it: its types table, its syntax, and
+    tag -> class of each node it builds, every one but bound occurrences."""
+    bound = syntax.bound_leaf.values()
+    return types, syntax, {TAGS[cls]: cls for cls in table if TAGS[cls] and cls not in bound}
 
 
-def target_type_from_sexpr(node) -> tt.TargetType:
-    tag = _sym(node[0])
-    if tag == "tvar":
-        return tt.TgVarT(_sym(node[1]))
-    if tag == "r":
-        return tt.R
-    if tag == "neg":
-        return tt.Neg(target_type_from_sexpr(node[1]))
-    if tag == "conj":
-        return tt.Conj(target_type_from_sexpr(node[1]), target_type_from_sexpr(node[2]))
-    if tag == "exists":
-        return tt.exists(_sym(node[1]), target_type_from_sexpr(node[2]))
-    raise SexprError(f"unknown target type tag {tag}")
-
-
-def target_term_from_sexpr(node) -> tg.TargetTerm:
-    return tg.close_binders(_nameful_target_term(node))
-
-
-def _nameful_target_term(node) -> tg.TargetTerm:
-    tag = _sym(node[0])
-    if tag == "var":
-        return tg.TgVar(_sym(node[1]))
-    if tag == "star":
-        return tg.STAR
-    if tag == "lam":
-        return tg.TgLam(
-            _sym(node[1]), target_type_from_sexpr(node[2]), _nameful_target_term(node[3])
-        )
-    if tag == "app":
-        return tg.TgApp(_nameful_target_term(node[1]), _nameful_target_term(node[2]))
-    if tag == "pair":
-        return tg.Pair(_nameful_target_term(node[1]), _nameful_target_term(node[2]))
-    if tag == "pack":
-        return tg.Pack(
-            target_type_from_sexpr(node[1]),
-            _nameful_target_term(node[2]),
-            target_type_from_sexpr(node[3]),
-        )
-    if tag == "letpair":
-        return tg.LetPair(
-            _sym(node[1]),
-            _sym(node[2]),
-            _nameful_target_term(node[3]),
-            _nameful_target_term(node[4]),
-        )
-    if tag == "letpack":
-        return tg.LetPack(
-            _sym(node[1]),
-            _sym(node[2]),
-            _nameful_target_term(node[3]),
-            _nameful_target_term(node[4]),
-        )
-    raise SexprError(f"unknown target term tag {tag}")
+_MU = _calculus(mt.TABLE, tm.SYNTAX, tm.TABLE)
+_TARGET = _calculus(tt.TABLE, tg.SYNTAX, tg.TABLE)
+mu_type_from_sexpr = partial(_read, calculus=_MU, sort=TYPE)
+mu_term_from_sexpr = partial(_read, calculus=_MU, sort=TERM)
+target_type_from_sexpr = partial(_read, calculus=_TARGET, sort=TYPE)
+target_term_from_sexpr = partial(_read, calculus=_TARGET, sort=TERM)

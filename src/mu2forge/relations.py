@@ -16,7 +16,7 @@ from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
 from .mu_typing import Context
-from .record import field, record
+from .record import field, fields, record
 from .syntax import TVAR, VAR
 
 
@@ -156,6 +156,44 @@ class ForallRel(RelFormula):
 
 ADMISSIBLE = "admissible"
 FOCAL = "focal"
+
+# The role of each field of a formula or relation record: an atom that the
+# record binds (BIND) or that refers to such a binder (REF), a type or term
+# (SYNTAX), a nested formula or relation (NODE), or a value kept as it is
+# (KEEP).  Renaming maps every BIND and REF atom and every type and term;
+# the export writes these fields but not the endpoint annotations, which
+# are a type or term (NOTE_SYNTAX) or kept (NOTE).
+BIND, REF, SYNTAX, NODE, KEEP, NOTE_SYNTAX, NOTE = range(7)
+
+#: Per formula and relation record: its export tag and its fields' roles.
+FORMAT = {
+    ForallTerm: ("forall-term", (BIND, SYNTAX, NODE)),
+    ForallType: ("forall-type", (BIND, NODE)),
+    ForallRel: ("forall-rel", (BIND, KEEP, REF, REF, NODE)),
+    Implies: ("implies", (NODE, NODE)),
+    And: ("and", (NODE, NODE)),
+    RelAtom: ("atom", (NODE, SYNTAX, SYNTAX)),
+    RelVar: ("rel-var", (REF, NOTE_SYNTAX, NOTE_SYNTAX)),
+    IdentityRef: ("identity", (NOTE_SYNTAX,)),
+    GraphRef: ("graph", (SYNTAX, KEEP, NOTE, NOTE, NOTE)),
+    NegRel: ("neg-rel", (NODE, NOTE, NOTE)),
+    ConjRel: ("conj-rel", (NODE, NODE, NOTE, NOTE)),
+    ExistsRel: ("exists-rel", (BIND, NODE)),
+    ArrowRel: ("arrow-rel", (NODE, NODE, NOTE_SYNTAX, NOTE_SYNTAX)),
+    AllRel: ("all-rel", (BIND, BIND, BIND, NODE)),
+}
+
+
+def _fields(r) -> list[tuple[int, object]]:
+    """(role, value) per field of a formula or relation record."""
+    return [(role, getattr(r, f.name)) for role, f in zip(FORMAT[r.__class__][1], fields(r.__class__))]
+
+
+def _syntax(x):
+    """The binder syntax of x's calculus, or None when x is no type or term."""
+    if isinstance(x, (tm.MuTerm, mt.MuType)):
+        return tm.SYNTAX
+    return tg.SYNTAX if isinstance(x, (tg.TargetTerm, tt.TargetType)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -376,51 +414,18 @@ def instantiate_graph(formula: RelFormula, cert) -> list[DischargeEquation]:
 
 
 def _map_formula(f: RelFormula, names: dict[str, str], sub, rels: dict[str, Relation]) -> RelFormula:
-    """Rebuild f in one pass: every binder and relation atom renamed by
-    names, every type and term through sub(), and each relation variable
-    that rels names by its relation.  NegRel and ConjRel keep their
-    endpoint types, which no printer or export reads."""
-
-    def atom(a: str) -> str:
-        return names.get(a, a)
-
-    def rel(r: Relation) -> Relation:
-        match r:
-            case RelVar(n, left, right):
-                return rels[n] if n in rels else RelVar(atom(n), sub(left), sub(right))
-            case IdentityRef(ty):
-                return IdentityRef(sub(ty))
-            case GraphRef(map=m, focality_required=req, source=src, target=tgt, label=lab):
-                return GraphRef(sub(m), req, src, tgt, lab)
-            case NegRel(body, dl, dr):
-                return NegRel(rel(body), dl, dr)
-            case ConjRel(left, right, tl, tr):
-                return ConjRel(rel(left), rel(right), tl, tr)
-            case ExistsRel(x, body):
-                return ExistsRel(atom(x), rel(body))
-            case ArrowRel(dom, cod, dl, dr):
-                return ArrowRel(rel(dom), rel(cod), sub(dl), sub(dr))
-            case AllRel(xl, xr, rv, body):
-                return AllRel(atom(xl), atom(xr), atom(rv), rel(body))
-        raise TypeError(r)
-
-    def go(f: RelFormula) -> RelFormula:
-        match f:
-            case ForallTerm(v, ty, body):
-                return ForallTerm(atom(v), sub(ty), go(body))
-            case ForallType(v, body):
-                return ForallType(atom(v), go(body))
-            case ForallRel(v, kind, left, right, body):
-                return ForallRel(atom(v), kind, atom(left), atom(right), go(body))
-            case Implies(p, c):
-                return Implies(go(p), go(c))
-            case And(left, right):
-                return And(go(left), go(right))
-            case RelAtom(r, left, right):
-                return RelAtom(rel(r), sub(left), sub(right))
-        raise TypeError(f)
-
-    return go(f)
+    """Rebuild f in one pass: every BIND and REF atom renamed by names,
+    every type and term through sub(), and each relation variable that
+    rels names by its relation.  Kept fields stay as they are."""
+    if f.__class__ is RelVar and f.name in rels:
+        return rels[f.name]
+    return f.__class__(*(
+        names.get(v, v) if role in (BIND, REF)
+        else sub(v) if role in (SYNTAX, NOTE_SYNTAX)
+        else _map_formula(v, names, sub, rels) if role == NODE
+        else v
+        for role, v in _fields(f)
+    ))
 
 
 def _collect_equations(formula, binders, conditional, out) -> None:
@@ -451,69 +456,42 @@ def _collect_equations(formula, binders, conditional, out) -> None:
 
 
 def print_formula(formula: RelFormula) -> str:
-    return _pf(rename_for_display(formula), {})
+    return _pf(rename_for_display(formula))
 
 
 def rename_for_display(formula: RelFormula) -> RelFormula:
+    from .printer import Names
+
     order: list[str] = []
     free: set[str] = set()
 
-    def walk(f):
-        match f:
-            case ForallTerm(v, ty, body):
+    def walk(f):  # the quantified atoms, in order, and the free ones
+        for role, v in _fields(f):
+            if role == BIND:
                 order.append(v)
-                free.update(mt.ftv(ty) if isinstance(ty, mt.MuType) else tt.ftv(ty))
-                walk(body)
-            case ForallType(v, body):
-                order.append(v)
-                walk(body)
-            case ForallRel(v, _, _, _, body):
-                order.append(v)
-                walk(body)
-            case Implies(p, c):
-                walk(p)
-                walk(c)
-            case And(left, right):
-                walk(left)
-                walk(right)
-            case RelAtom(_, left, right):
-                for t in (left, right):
-                    if isinstance(t, tm.MuTerm):
-                        free.update(tm.fv(t))
-                        free.update(tm.ftv_term(t))
-                    elif isinstance(t, tg.TargetTerm):
-                        free.update(tg.free_vars(t))
-                        free.update(tg.free_tvars(t))
+            elif role == SYNTAX and (syntax := _syntax(v)) is not None:
+                free.update(syntax.free(VAR, v), syntax.free(TVAR, v))
+            elif role == NODE and isinstance(v, RelFormula):
+                walk(v)
 
     walk(formula)
     free -= set(order)
-    used = {tm.base_name(a) for a in free} | free
-    names: dict[str, str] = {}
-    for atom in order:
-        base = tm.base_name(atom)
-        name = base
-        i = 1
-        while name in used:
-            name = f"{base}{i}"
-            i += 1
-        names[atom] = name
-        used.add(name)
+    display = Names({tm.base_name(a) for a in free} | free)
+    names = {atom: display.bind(atom, "") for atom in order}
     mu_reps = ({a: tm.Var(n) for a, n in names.items()}, {a: mt.TVar(n) for a, n in names.items()})
     tg_reps = ({a: tg.TgVar(n) for a, n in names.items()}, {a: tt.TgVarT(n) for a, n in names.items()})
 
     def rename(x):
-        if isinstance(x, (tm.MuTerm, mt.MuType)):
-            syntax, (vars_, tvars) = tm.SYNTAX, mu_reps
-        elif isinstance(x, (tg.TargetTerm, tt.TargetType)):
-            syntax, (vars_, tvars) = tg.SYNTAX, tg_reps
-        else:
+        syntax = _syntax(x)
+        if syntax is None:
             return x
+        vars_, tvars = mu_reps if syntax is tm.SYNTAX else tg_reps
         return syntax.subst(TVAR, syntax.subst(VAR, x, vars_), tvars)
 
     return _map_formula(formula, names, rename, {})
 
 
-def _pf(f: RelFormula, names: dict[str, str]) -> str:
+def _pf(f: RelFormula) -> str:
     from .printer import print_mu_term, print_mu_type, print_target_term, print_target_type
 
     def pty(ty) -> str:
@@ -530,22 +508,22 @@ def _pf(f: RelFormula, names: dict[str, str]) -> str:
 
     match f:
         case ForallTerm(v, ty, body):
-            return f"∀{v} : {pty(ty)}. {_pf(body, names)}"
+            return f"∀{v} : {pty(ty)}. {_pf(body)}"
         case ForallType(v, body):
-            return f"∀{v}. {_pf(body, names)}"
+            return f"∀{v}. {_pf(body)}"
         case ForallRel(v, kind, left, right, body):
-            return f"∀{v} : {left} ↔ {right} ({kind}). {_pf(body, names)}"
+            return f"∀{v} : {left} ↔ {right} ({kind}). {_pf(body)}"
         case Implies(p, c):
-            return f"({_pf(p, names)}) ⇒ ({_pf(c, names)})"
+            return f"({_pf(p)}) ⇒ ({_pf(c)})"
         case And(left, right):
-            return f"({_pf(left, names)}) ∧ ({_pf(right, names)})"
+            return f"({_pf(left)}) ∧ ({_pf(right)})"
         case RelAtom(rel, left, right):
-            return f"{_pr(rel, names)}({ptm(left)}, {ptm(right)})"
+            return f"{_pr(rel)}({ptm(left)}, {ptm(right)})"
     raise TypeError(f)
 
 
-def _pr(rel: Relation, names: dict[str, str]) -> str:
-    from .printer import print_mu_term, print_mu_type, print_target_type
+def _pr(rel: Relation) -> str:
+    from .printer import print_mu_term, print_mu_type, print_target_term, print_target_type
 
     match rel:
         case RelVar(n, _, _):
@@ -560,74 +538,38 @@ def _pr(rel: Relation, names: dict[str, str]) -> str:
             if isinstance(f, tm.MuTerm):
                 return f"⟨{print_mu_term(f)}⟩"
             if isinstance(f, tg.TargetTerm):
-                from .printer import print_target_term as _ptt_term
-
-                return f"⟨{_ptt_term(f)}⟩"
+                return f"⟨{print_target_term(f)}⟩"
             return f"⟨{label}⟩"
         case NegRel(body, _, _):
-            return f"¬{_pr(body, names)}"
+            return f"¬{_pr(body)}"
         case ConjRel(left, right, _, _):
-            return f"({_pr(left, names)} ∧ {_pr(right, names)})"
+            return f"({_pr(left)} ∧ {_pr(right)})"
         case ExistsRel(x, body):
-            return f"(∃{tm.base_name(x)}. {_pr(body, names)})"
+            return f"(∃{tm.base_name(x)}. {_pr(body)})"
         case ArrowRel(dom, cod, _, _):
-            return f"({_pr(dom, names)} → {_pr(cod, names)})"
+            return f"({_pr(dom)} → {_pr(cod)})"
         case AllRel(xl, xr, r, body):
-            return f"(∀{xl} {xr} {names.get(r, r)}. {_pr(body, names)})"
+            return f"(∀{xl} {xr} {r}. {_pr(body)})"
     raise TypeError(rel)
 
 
 # ---------------------------------------------------------------------------
-# Structured export
+# Structured export: ``(tag field ...)`` per record, from FORMAT; a type or
+# term through the interchange writer, a flag as "focal" or "plain".
 
 
 def formula_to_sexpr(f: RelFormula) -> str:
-    from .printer import _atom, sexpr_mu_term, sexpr_mu_type
+    from .printer import _atom, sexpr
 
-    match f:
-        case ForallTerm(v, ty, body):
-            return f"(forall-term {_atom(v)} {sexpr_mu_type(ty)} {formula_to_sexpr(body)})"
-        case ForallType(v, body):
-            return f"(forall-type {_atom(v)} {formula_to_sexpr(body)})"
-        case ForallRel(v, kind, left, right, body):
-            return (
-                f"(forall-rel {_atom(v)} {_atom(kind)} {_atom(left)} {_atom(right)} "
-                f"{formula_to_sexpr(body)})"
-            )
-        case Implies(p, c):
-            return f"(implies {formula_to_sexpr(p)} {formula_to_sexpr(c)})"
-        case And(left, right):
-            return f"(and {formula_to_sexpr(left)} {formula_to_sexpr(right)})"
-        case RelAtom(rel, left, right):
-            lt = sexpr_mu_term(left) if isinstance(left, tm.MuTerm) else _atom(str(left))
-            rt = sexpr_mu_term(right) if isinstance(right, tm.MuTerm) else _atom(str(right))
-            return f"(atom {_rel_sexpr(rel)} {lt} {rt})"
-    raise TypeError(f)
-
-
-def _rel_sexpr(rel: Relation) -> str:
-    from .printer import _atom, sexpr_mu_term
-
-    match rel:
-        case RelVar(n, _, _):
-            return f"(rel-var {_atom(n)})"
-        case IdentityRef(_):
-            return "(identity)"
-        case GraphRef(map=f, focality_required=req):
-            if isinstance(f, tm.MuTerm):
-                return f"(graph {sexpr_mu_term(f)} {_atom('focal' if req else 'plain')})"
-            return f"(graph {_atom(str(f))} {_atom('focal' if req else 'plain')})"
-        case NegRel(body):
-            return f"(neg-rel {_rel_sexpr(body)})"
-        case ConjRel(left, right):
-            return f"(conj-rel {_rel_sexpr(left)} {_rel_sexpr(right)})"
-        case ExistsRel(x, body):
-            return f"(exists-rel {_atom(x)} {_rel_sexpr(body)})"
-        case ArrowRel(dom, cod, _, _):
-            return f"(arrow-rel {_rel_sexpr(dom)} {_rel_sexpr(cod)})"
-        case AllRel(xl, xr, r, body):
-            return f"(all-rel {_atom(xl)} {_atom(xr)} {_atom(r)} {_rel_sexpr(body)})"
-    raise TypeError(rel)
+    out = [FORMAT[f.__class__][0]]
+    for role, v in _fields(f):
+        if role == NODE:
+            out.append(formula_to_sexpr(v))
+        elif role == SYNTAX:
+            out.append(sexpr(v))
+        elif role in (BIND, REF, KEEP):
+            out.append(_atom(("focal" if v else "plain") if isinstance(v, bool) else v))
+    return f"({' '.join(out)})"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Every syntax node is a frozen record (:mod:`.record`).  A constant binder
 table says, per node class and per field in constructor order, what the
 field is:
 
-* ``PASS``: carried through untouched (binder hints);
+* ``Hint(ns, base)``: a binder hint, carried through untouched by the
+  traversals; the node binds one atom of namespace ``ns`` there, and a
+  printer names it from the hint, or from ``base`` for a hint without
+  a base name;
 * ``Leaf(ns, bound)``: the node is an occurrence of namespace ``ns``,
   free (its field is the atom ``name``) or bound (its field is the de
   Bruijn ``index``);
@@ -29,7 +32,10 @@ from .record import fields as record_fields
 #: The three binder namespaces: term variables, type variables, mu-names.
 VAR, TVAR, NAME = 0, 1, 2
 
-PASS = None
+
+class Hint(NamedTuple):
+    ns: int
+    base: str
 
 
 class Leaf(NamedTuple):
@@ -51,7 +57,7 @@ NAME_REF = frozenset((NAME,))
 _FREE, _BOUND = "free", "bound"
 
 
-def _fields(names: tuple[str, ...]):
+def field_getter(names: tuple[str, ...]):
     """A getter for the named fields that always returns a tuple."""
     if len(names) == 1:
         get = attrgetter(names[0])
@@ -88,8 +94,9 @@ class Syntax:
 
     def __init__(self, table: dict[type, tuple]):
         self._plans = ({}, {}, {})
-        self._free: dict[int, type] = {}
-        self._bound: dict[int, type] = {}
+        #: namespace -> class of its free (bound) occurrences
+        self.free_leaf: dict[int, type] = {}
+        self.bound_leaf: dict[int, type] = {}
         #: node class -> getter of its term children, in path-slot order
         self.children: dict[type, object] = {}
         self._rebuild: dict[type, tuple] = {}
@@ -100,16 +107,16 @@ class Syntax:
             if len(names) != len(specs):
                 raise TypeError(f"binder table of {cls.__name__} has {len(specs)} fields")
             kids = tuple(i for i, s in enumerate(specs) if isinstance(s, Child) and s.sort == TERM)
-            self.children[cls] = _fields(tuple(names[i] for i in kids))
-            self._rebuild[cls] = (_fields(names), kids)
+            self.children[cls] = field_getter(tuple(names[i] for i in kids))
+            self._rebuild[cls] = (field_getter(names), kids)
             compared = [(f.name, isinstance(s, Child)) for f, s in zip(fields, specs) if f.compare]
             self._compare[cls] = (
-                _fields(tuple(n for n, sub in compared if not sub)),
-                _fields(tuple(n for n, sub in compared if sub)),
+                field_getter(tuple(n for n, sub in compared if not sub)),
+                field_getter(tuple(n for n, sub in compared if sub)),
             )
             leaf = specs[0] if specs and isinstance(specs[0], Leaf) else None
             if leaf is not None:
-                (self._bound if leaf.bound else self._free)[leaf.ns] = cls
+                (self.bound_leaf if leaf.bound else self.free_leaf)[leaf.ns] = cls
             for ns, plan in enumerate(self._plans):
                 if leaf is not None:
                     plan[cls] = (_BOUND if leaf.bound else _FREE) if ns == leaf.ns else None
@@ -119,7 +126,7 @@ class Syntax:
                     for i, s in enumerate(specs)
                     if isinstance(s, Child) and ns in s.sort
                 )
-                plan[cls] = (cls, _fields(names), slots) if slots else None
+                plan[cls] = (cls, field_getter(names), slots) if slots else None
 
     def with_children(self, t, kids: tuple):
         fields, slots = self._rebuild[t.__class__]
@@ -152,25 +159,25 @@ class Syntax:
 
     def close(self, ns: int, t, atom: str, depth: int = 0):
         """Abstract the free atom as the bound index at depth."""
-        mk = self._bound[ns]
+        mk = self.bound_leaf[ns]
         return _map(t, self._plans[ns], lambda n, d: mk(d) if n.name == atom else n, None, depth)
 
     def open(self, ns: int, t, atom: str, depth: int = 0):
         """Replace the bound index at depth by the free atom."""
-        mk = self._free[ns]
+        mk = self.free_leaf[ns]
         return _map(t, self._plans[ns], None, lambda n, d: mk(atom) if n.index == d else n, depth)
 
     def open_all(self, ns: int, t, atoms: list[str]):
         """Open each bound index that points k binders past t's own to the
         atom atoms[-1 - k]; indices past all of atoms stay bound."""
-        mk, n = self._free[ns], len(atoms)
+        mk, n = self.free_leaf[ns], len(atoms)
         bound = lambda b, d: mk(atoms[d - b.index - 1]) if 0 <= b.index - d < n else b
         return _map(t, self._plans[ns], None, bound, 0) if atoms else t
 
     def close_all(self, ns: int, t, levels: dict[str, int], n: int):
         """Close each free atom that levels maps to its binder's level, n
         binders (the outermost at level 0) enclosing t."""
-        mk = self._bound[ns]
+        mk = self.bound_leaf[ns]
         free = lambda a, d: a if (lv := levels.get(a.name)) is None else mk(d + n - 1 - lv)
         return _map(t, self._plans[ns], free, None, 0) if levels else t
 

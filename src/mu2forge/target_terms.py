@@ -13,8 +13,8 @@ from functools import partial
 
 from . import target_types
 from .mu_terms import fresh  # noqa: F401 - shared fresh-atom supply, re-exported
-from .record import field, record
-from .syntax import PASS, TERM, TVAR, TYPE, VAR, Child, Leaf, Syntax
+from .record import field, fields, record
+from .syntax import TERM, TVAR, TYPE, VAR, Child, Hint, Leaf, Syntax
 from .target_types import TargetType
 
 __all__ = [
@@ -101,12 +101,12 @@ TABLE = {
     **target_types.TABLE,
     TgVar: (Leaf(VAR, False),),
     TgBVar: (Leaf(VAR, True),),
-    TgLam: (PASS, Child(TYPE), Child(TERM, var=1)),
+    TgLam: (Hint(VAR, "x"), Child(TYPE), Child(TERM, var=1)),
     TgApp: (Child(TERM), Child(TERM)),
     Pair: (Child(TERM), Child(TERM)),
-    LetPair: (PASS, PASS, Child(TERM), Child(TERM, var=2)),
+    LetPair: (Hint(VAR, "x"), Hint(VAR, "y"), Child(TERM), Child(TERM, var=2)),
     Pack: (Child(TYPE), Child(TERM), Child(TYPE)),
-    LetPack: (PASS, PASS, Child(TERM), Child(TERM, var=1, tvar=1)),
+    LetPack: (Hint(TVAR, "X"), Hint(VAR, "x"), Child(TERM), Child(TERM, var=1, tvar=1)),
     Star: (),
 }
 SYNTAX = Syntax(TABLE)
@@ -165,15 +165,18 @@ def subst_tvar_term(t: TargetTerm, x: str, rep: TargetType) -> TargetTerm:
 # Nameful terms: every TgLam, LetPair and LetPack carries the atoms it binds
 # in its hint slots.  Builders make nameful terms and close them once.
 
-#: Per binding node, its hint slots in field order: the field, the
-#: namespace it binds and the base name of a fresh atom for it.  The body
-#: sits under all of them, a later slot innermost (LetPair: x is index 1,
-#: y index 0); the field between the hints and the body (TgLam.ann, a
-#: let's scrut) is outside them.
+#: Per binding node, its hint slots in field order, read from the binder
+#: table: the field, the namespace it binds and the base name of a fresh
+#: atom for it.  The body sits under all of them, a later slot innermost
+#: (LetPair: x is index 1, y index 0); the field between the hints and
+#: the body (TgLam.ann, a let's scrut) is outside them.
 BINDERS = {
-    TgLam: (("hint", VAR, "x"),),
-    LetPair: (("hint_x", VAR, "x"), ("hint_y", VAR, "y")),
-    LetPack: (("hint_t", TVAR, "X"), ("hint_x", VAR, "x")),
+    cls: hints
+    for cls, specs in TABLE.items()
+    if issubclass(cls, TargetTerm)
+    and (hints := tuple(
+        (f.name, s.ns, s.base) for f, s in zip(fields(cls), specs) if isinstance(s, Hint)
+    ))
 }
 
 

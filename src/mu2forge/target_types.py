@@ -10,7 +10,7 @@ from functools import partial
 
 from . import mu_types as mt
 from .record import field, record
-from .syntax import PASS, TVAR, TYPE, Child, Leaf, Syntax
+from .syntax import TVAR, TYPE, Child, Hint, Leaf, Syntax
 
 
 class TargetType:
@@ -56,7 +56,7 @@ TABLE = {
     RType: (),
     Neg: (Child(TYPE),),
     Conj: (Child(TYPE), Child(TYPE)),
-    Exists: (PASS, Child(TYPE, tvar=1)),
+    Exists: (Hint(TVAR, "X"), Child(TYPE, tvar=1)),
 }
 SYNTAX = Syntax(TABLE)
 

@@ -105,6 +105,9 @@ def test_uncps_continuation_prints_context(capsys):
     assert code == 0
     assert "HOLE" in out
     assert "context with hole" in err
+    code, out, err = run(capsys, "uncps", "--ast", "--names", "k:s", "k")
+    assert (code, out) == (0, '(mu "_" (forall "X" (tvar "X")) "k" (var "HOLE"))\n')
+    assert "context with hole" in err
 
 
 def test_focal_check_certificate(capsys):
@@ -282,3 +285,20 @@ def test_no_canonical_form_exit_2(argv, message):
 def test_type_errors_print_surface_syntax(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["typecheck", "--ctx", "x:s, x:t", "x"],
+        ["cps", "--ctx", "x:s, x:t", "x"],
+        ["eq", "--ctx", "x:s, x:t", "x", "x"],
+        ["normalize", "--ctx", "x:s, x:t", "x"],
+    ],
+    ids=["typecheck", "cps", "eq", "normalize"],
+)
+def test_ill_formed_context_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: duplicate variable 'x'\n")
+    code, out, err = run(capsys, argv[0], "--ctx", "x:s", "--names", "x:s", *argv[3:])
+    assert (code, out, err) == (2, "", "error: variable and name zones share an identifier\n")

@@ -26,10 +26,9 @@ from mu2forge.printer import (
     print_mu_type,
     print_target_term,
     print_target_type,
+    sexpr,
     sexpr_mu_term,
-    sexpr_mu_type,
     sexpr_target_term,
-    sexpr_target_type,
     target_term_from_sexpr,
     target_type_from_sexpr,
 )
@@ -154,9 +153,9 @@ PRINTERS = {
     "print_mu_term": ("mu_term", print_mu_term),
     "print_target_type": ("tg_type", print_target_type),
     "print_target_term": ("tg_term", print_target_term),
-    "sexpr_mu_type": ("mu_type", sexpr_mu_type),
+    "sexpr_mu_type": ("mu_type", sexpr),
     "sexpr_mu_term": ("mu_term", sexpr_mu_term),
-    "sexpr_target_type": ("tg_type", sexpr_target_type),
+    "sexpr_target_type": ("tg_type", sexpr),
     "sexpr_target_term": ("tg_term", sexpr_target_term),
     "print_formula": ("formula", print_formula),
     "formula_to_sexpr": ("formula", lambda f: formula_to_sexpr(rename_for_display(f))),
@@ -184,9 +183,9 @@ def test_printer_output_pinned(corpus, name):
 
 
 READERS = {
-    "mu_type": (sexpr_mu_type, mu_type_from_sexpr),
+    "mu_type": (sexpr, mu_type_from_sexpr),
     "mu_term": (sexpr_mu_term, mu_term_from_sexpr),
-    "tg_type": (sexpr_target_type, target_type_from_sexpr),
+    "tg_type": (sexpr, target_type_from_sexpr),
     "tg_term": (sexpr_target_term, target_term_from_sexpr),
 }
 

@@ -61,6 +61,18 @@ def test_target_relation_unfolds_negation_clause():
     assert text == "∀x : t1. ∀y : t2. (r(x, y)) ⇒ (id[R](f x, g y))"
 
 
+def test_target_formula_exports():
+    from mu2forge import target_terms as tg
+    from mu2forge.printer import parse_sexpr
+    from mu2forge.relations import unfold_target
+
+    rel = target_relation(tt.Neg(tt.TgVarT("X")), {"X": RelVar("r")})
+    formula = unfold_target(rel, tg.TgVar("f"), tg.TgVar("g"))
+    text = formula_to_sexpr(rename_for_display(formula))
+    assert parse_sexpr(text)[0] == ("sym", "forall-term")
+    assert '(app (var "f") (var "x"))' in text and '(var "g")' in text
+
+
 def test_target_relation_unfolds_conjunction_clause():
     from mu2forge import target_terms as tg
     from mu2forge.relations import unfold_target

@@ -13,8 +13,9 @@ from mu2forge.printer import (
     print_mu_term,
     print_mu_type,
     print_target_term,
+    sexpr,
     sexpr_mu_term,
-    sexpr_mu_type,
+    SexprError,
     sexpr_target_term,
     target_term_from_sexpr,
 )
@@ -179,9 +180,31 @@ def test_sexpr_roundtrips():
     for term in [dne(A), exotic_numeral(), l_mu(A)]:
         assert mu_term_from_sexpr(parse_sexpr(sexpr_mu_term(term))) == term
     ty = mt.forall("X", mt.Arrow(mt.TVar("X"), A))
-    assert mu_type_from_sexpr(parse_sexpr(sexpr_mu_type(ty))) == ty
+    assert mu_type_from_sexpr(parse_sexpr(sexpr(ty))) == ty
     image, _ = cps_term_typed((), (), dne(A))
     assert target_term_from_sexpr(parse_sexpr(sexpr_target_term(image))) == image
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (mu_term_from_sexpr, '(lam "x")'),
+        (mu_term_from_sexpr, "()"),
+        (mu_term_from_sexpr, '(app (var "f"))'),
+        (mu_term_from_sexpr, '(lam "x" (tvar "a") (var "x") extra)'),
+        (mu_term_from_sexpr, '(lam "x" (var "a") (var "x"))'),
+        (mu_term_from_sexpr, '(pair (var "x") (var "y"))'),
+        (mu_term_from_sexpr, '"x"'),
+        (mu_type_from_sexpr, '(tvar "a" "b")'),
+        (target_term_from_sexpr, '(lam "x" (r) (var "x") extra)'),
+        (target_term_from_sexpr, '(letpair "x" (var "p") (var "x"))'),
+        (target_term_from_sexpr, '(tylam "X" (var "x"))'),
+        (target_term_from_sexpr, '(lam (var "x") (r) (var "x"))'),
+    ],
+)
+def test_sexpr_reader_rejects_malformed_input(read, text):
+    with pytest.raises(SexprError):
+        read(parse_sexpr(text))
 
 
 def test_unicode_output_is_reparseable():
