@@ -24,6 +24,7 @@ from .mu_typing import (
 )
 from .printer import print_mu_type as show
 from .record import record
+from .syntax import TVAR
 from .target_typing import TgContext, typecheck_target
 
 
@@ -71,77 +72,104 @@ def _translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.Targ
 
 
 def _image(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
-    """The nameful image of term (see target_terms.close_binders), its type."""
-    match term:
-        case tm.Var(n):
-            ty = lookup(gamma, n)
+    """The nameful image of term (see target_terms.close_binders), its
+    type, in one pass over an explicit stack that checks each node in
+    the order a recursive reading checks it.  As in mu_typing._synth, no
+    binder is opened: the enclosing binders' atoms and types sit on
+    stacks, and an annotation is opened when read."""
+    variables: list[tuple[str, mt.MuType]] = []  # per enclosing Lam: its atom and annotation
+    tvar_atoms: list[str] = []  # per enclosing TyLam: its atom
+    names: list[tuple[str, mt.MuType]] = []  # per enclosing Mu: its atom and annotation
+    read = lambda ty: mt.SYNTAX.open_all(TVAR, ty, tvar_atoms)
+    out: list[tuple[tg.TargetTerm, mt.MuType]] = []  # (image, type) of the finished subterms
+    todo: list = [term]  # terms to translate, and (node, step) to go on with
+    while todo:
+        term = todo.pop()
+        cls = term.__class__
+        if cls is tuple:
+            term, step = term
+            cls = term.__class__
+            tb, body_ty = out.pop()
+            if cls is tm.App:
+                if step is None:  # the function is done: its argument
+                    if not isinstance(body_ty, mt.Arrow):
+                        raise IllTyped(f"application of non-arrow type {show(body_ty)}")
+                    todo.append((term, (tb, body_ty)))
+                    todo.append(term.arg)
+                    continue
+                ta, arg_ty = tb, body_ty
+                tf, fun_ty = step
+                if arg_ty != fun_ty.dom:
+                    raise IllTyped(f"argument type {show(arg_ty)} != domain {show(fun_ty.dom)}")
+                k = tm.fresh("k")
+                out.append((tg.TgLam(k, cps_type(fun_ty.cod), tg.TgApp(tf, tg.Pair(ta, tg.TgVar(k)))), fun_ty.cod))
+            elif cls is tm.Lam:
+                x, ann = variables.pop()
+                fun_ty = mt.Arrow(ann, body_ty)
+                z, k = tm.fresh("z"), tm.fresh("k")
+                image = tg.TgLam(z, cps_type(fun_ty), tg.LetPair(x, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))))
+                out.append((image, fun_ty))
+            elif cls is tm.TyLam:
+                xv = tvar_atoms.pop()
+                all_ty = mt.Forall(term.hint or "X", mt.close_tvar(body_ty, xv))
+                z, k = tm.fresh("z"), tm.fresh("k")
+                image = tg.TgLam(z, cps_type(all_ty), tg.LetPack(xv, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))))
+                out.append((image, all_ty))
+            elif cls is tm.TyApp:
+                if not isinstance(body_ty, mt.Forall):
+                    raise IllTyped(f"type application of non-forall type {show(body_ty)}")
+                arg = read(term.ty)
+                inst = mt.inst_tvar(body_ty.body, arg)
+                k = tm.fresh("k")
+                pack = tg.Pack(cps_type(arg), tg.TgVar(k), cps_type(body_ty))
+                out.append((tg.TgLam(k, cps_type(inst), tg.TgApp(tb, pack)), inst))
+            else:  # Mu
+                a, ann = names.pop()
+                tname, named_ty = step
+                if body_ty != named_ty:
+                    raise IllTyped(
+                        f"named term has type {show(body_ty)} but name {tname} expects {show(named_ty)}"
+                    )
+                out.append((tg.TgLam(a, cps_type(ann), tg.TgApp(tb, tg.TgVar(tname))), ann))
+        elif cls is tm.Var:
+            ty = lookup(gamma, term.name)
             if ty is None:
-                raise UnboundVariable(n)
-            return tg.TgVar(n), ty
-        case tm.Lam(hint, ann, body):
-            x = tm.fresh(hint or "x")
-            tb, body_ty = _image(gamma + ((x, ann),), delta, tm.open_var(body, x))
-            fun_ty = mt.Arrow(ann, body_ty)
-            z, k = tm.fresh("z"), tm.fresh("k")
-            out = tg.TgLam(
-                z,
-                cps_type(fun_ty),
-                tg.LetPair(x, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))),
-            )
-            return out, fun_ty
-        case tm.App(fun, arg):
-            tf, fun_ty = _image(gamma, delta, fun)
-            if not isinstance(fun_ty, mt.Arrow):
-                raise IllTyped(f"application of non-arrow type {show(fun_ty)}")
-            ta, arg_ty = _image(gamma, delta, arg)
-            if arg_ty != fun_ty.dom:
-                raise IllTyped(f"argument type {show(arg_ty)} != domain {show(fun_ty.dom)}")
-            k = tm.fresh("k")
-            out = tg.TgLam(
-                k, cps_type(fun_ty.cod), tg.TgApp(tf, tg.Pair(ta, tg.TgVar(k)))
-            )
-            return out, fun_ty.cod
-        case tm.TyLam(hint, body):
-            xv = tm.fresh(hint or "X")
-            tb, body_ty = _image(gamma, delta, tm.open_tvar_term(body, xv))
-            all_ty = mt.Forall(hint or "X", mt.close_tvar(body_ty, xv))
-            z, k = tm.fresh("z"), tm.fresh("k")
-            out = tg.TgLam(
-                z,
-                cps_type(all_ty),
-                tg.LetPack(xv, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))),
-            )
-            return out, all_ty
-        case tm.TyApp(fun, ty_arg):
-            tf, fun_ty = _image(gamma, delta, fun)
-            if not isinstance(fun_ty, mt.Forall):
-                raise IllTyped(f"type application of non-forall type {show(fun_ty)}")
-            inst = mt.inst_tvar(fun_ty.body, ty_arg)
-            k = tm.fresh("k")
-            pack = tg.Pack(cps_type(ty_arg), tg.TgVar(k), cps_type(fun_ty))
-            out = tg.TgLam(k, cps_type(inst), tg.TgApp(tf, pack))
-            return out, inst
-        case tm.Mu(hint, ann, target, body):
-            a = tm.fresh(hint or "a")
-            opened = tm.open_name(body, a)
+                raise UnboundVariable(term.name)
+            out.append((tg.TgVar(term.name), ty))
+        elif cls is tm.BVar and term.index < len(variables):
+            x, ty = variables[-1 - term.index]
+            out.append((tg.TgVar(x), ty))
+        elif cls is tm.App or cls is tm.TyApp:
+            todo.append((term, None))
+            todo.append(term.fn)
+        elif cls is tm.Lam:
+            variables.append((tm.fresh(term.hint or "x"), read(term.ann)))
+            todo.append((term, None))
+            todo.append(term.body)
+        elif cls is tm.TyLam:
+            tvar_atoms.append(tm.fresh(term.hint or "X"))
+            todo.append((term, None))
+            todo.append(term.body)
+        elif cls is tm.Mu:
+            a, ann = tm.fresh(term.hint or "a"), read(term.ann)
+            target = term.target
             if target == tm.BName(0):
-                tname = a
+                tname, named_ty = a, ann
             elif isinstance(target, tm.FName):
                 tname = target.name
+                named_ty = lookup(delta, tname)
+            elif target.index <= len(names):
+                tname, named_ty = names[-target.index]
             else:
                 raise IllTyped(f"dangling bound name {target.index}")
-            delta2 = ((a, ann),) + delta
-            named_ty = lookup(delta2, tname)
             if named_ty is None:
                 raise UnboundName(tname)
-            tb, body_ty = _image(gamma, delta2, opened)
-            if body_ty != named_ty:
-                raise IllTyped(
-                    f"named term has type {show(body_ty)} but name {tname} expects {show(named_ty)}"
-                )
-            out = tg.TgLam(a, cps_type(ann), tg.TgApp(tb, tg.TgVar(tname)))
-            return out, ann
-    raise TypeError(term)
+            names.append((a, ann))
+            todo.append((term, (tname, named_ty)))
+            todo.append(term.body)
+        else:
+            raise TypeError(term)
+    return out[0]
 
 
 @record

@@ -7,7 +7,7 @@ every judgement syntax-directed.
 
 from __future__ import annotations
 
-from .mu_types import Arrow, Forall, MuType, close_tvar, inst_tvar, locally_closed
+from .mu_types import SYNTAX, Arrow, Forall, MuType, close_tvar, inst_tvar, locally_closed
 from .mu_terms import (
     App,
     BName,
@@ -20,12 +20,10 @@ from .mu_terms import (
     TyLam,
     Var,
     fresh,
-    open_name,
-    open_tvar_term,
-    open_var,
 )
 from .printer import print_mu_type as show
 from .record import field, record
+from .syntax import TVAR
 
 
 class MuTypeError(Exception):
@@ -106,55 +104,92 @@ def typecheck_mu(gamma: Context, delta: Context, term: MuTerm) -> MuType:
 
 
 def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
-    match term:
-        case Var(n):
-            ty = lookup(gamma, n)
+    """The type of term, in one pass over an explicit stack that checks
+    each node in the order a recursive reading checks it.  No binder is
+    opened: the atoms and types of the enclosing binders sit on stacks,
+    innermost last, and an annotation is opened against the type atoms
+    when read, so each binder costs what its own node costs."""
+    var_types: list[MuType] = []  # per enclosing Lam: its annotation
+    tvar_atoms: list[str] = []  # per enclosing TyLam: its atom
+    names: list[tuple[str, MuType]] = []  # per enclosing Mu: its atom and annotation
+    read = lambda ty: SYNTAX.open_all(TVAR, ty, tvar_atoms)
+    types: list[MuType] = []  # the types of the finished subterms
+    todo: list = [term]  # terms to type, and (node, step) to go on with
+    while todo:
+        term = todo.pop()
+        cls = term.__class__
+        if cls is tuple:
+            term, step = term
+            cls = term.__class__
+            ty = types.pop()
+            if cls is App:
+                if step is None:  # the function is typed: its argument
+                    if not isinstance(ty, Arrow):
+                        raise TypeMismatch(f"application of a non-arrow type {show(ty)}")
+                    todo.append((term, ty))
+                    todo.append(term.arg)
+                    continue
+                if ty != step.dom:
+                    raise TypeMismatch(
+                        f"argument type {show(ty)} does not match domain {show(step.dom)}"
+                    )
+                ty = step.cod
+            elif cls is Lam:
+                ty = Arrow(var_types.pop(), ty)
+            elif cls is TyLam:
+                ty = Forall(term.hint or "X", close_tvar(ty, tvar_atoms.pop()))
+            elif cls is TyApp:
+                if not isinstance(ty, Forall):
+                    raise TypeMismatch(f"type application of a non-forall type {show(ty)}")
+                ty = inst_tvar(ty.body, read(term.ty))
+            else:  # Mu
+                a, ann = names.pop()
+                tname, named_ty = step
+                if ty != named_ty:
+                    raise TypeMismatch(
+                        f"named term has type {show(ty)} but name {tname} expects {show(named_ty)}"
+                    )
+                ty = ann
+            types.append(ty)
+        elif cls is Var:
+            ty = lookup(gamma, term.name)
             if ty is None:
-                raise UnboundVariable(n)
-            return ty
-        case BVar(k):
-            raise MuTypeError(f"dangling bound variable {k}")
-        case Lam(hint, ann, _):
-            x = fresh(hint or "x")
-            body_ty = _synth(gamma + ((x, ann),), delta, open_var(term.body, x))
-            return Arrow(ann, body_ty)
-        case App(fun, arg):
-            fun_ty = _synth(gamma, delta, fun)
-            if not isinstance(fun_ty, Arrow):
-                raise TypeMismatch(f"application of a non-arrow type {show(fun_ty)}")
-            arg_ty = _synth(gamma, delta, arg)
-            if arg_ty != fun_ty.dom:
-                raise TypeMismatch(
-                    f"argument type {show(arg_ty)} does not match domain {show(fun_ty.dom)}"
-                )
-            return fun_ty.cod
-        case TyLam(hint, body):
-            x = fresh(hint or "X")
-            body_ty = _synth(gamma, delta, open_tvar_term(body, x))
-            return Forall(hint or "X", close_tvar(body_ty, x))
-        case TyApp(fun, ty):
-            fun_ty = _synth(gamma, delta, fun)
-            if not isinstance(fun_ty, Forall):
-                raise TypeMismatch(f"type application of a non-forall type {show(fun_ty)}")
-            return inst_tvar(fun_ty.body, ty)
-        case Mu(hint, ann, _, _):
-            a = fresh(hint or "a")
-            body = open_name(term.body, a)
+                raise UnboundVariable(term.name)
+            types.append(ty)
+        elif cls is BVar:
+            k = term.index
+            if k >= len(var_types):
+                raise MuTypeError(f"dangling bound variable {k}")
+            types.append(var_types[-1 - k])
+        elif cls is App or cls is TyApp:
+            todo.append((term, None))
+            todo.append(term.fn)
+        elif cls is Lam:
+            fresh(term.hint or "x")  # unused: drawn so that later fresh atoms do not shift
+            var_types.append(read(term.ann))
+            todo.append((term, None))
+            todo.append(term.body)
+        elif cls is TyLam:
+            tvar_atoms.append(fresh(term.hint or "X"))
+            todo.append((term, None))
+            todo.append(term.body)
+        elif cls is Mu:
+            a, ann = fresh(term.hint or "a"), read(term.ann)
             target = term.target
             if target == BName(0):
-                tname = a
+                tname, named_ty = a, ann
             elif isinstance(target, FName):
                 tname = target.name
+                named_ty = lookup(delta, tname)
+            elif target.index <= len(names):
+                tname, named_ty = names[-target.index]
             else:
                 raise MuTypeError(f"dangling bound name {target.index}")
-            delta2 = ((a, ann),) + delta
-            named_ty = lookup(delta2, tname)
             if named_ty is None:
                 raise UnboundName(tname)
-            body_ty = _synth(gamma, delta2, body)
-            if body_ty != named_ty:
-                raise TypeMismatch(
-                    f"named term has type {show(body_ty)} but name {tname} expects {show(named_ty)}"
-                )
-            return ann
-    raise TypeError(term)
+            names.append((a, ann))
+            todo.append((term, (tname, named_ty)))
+            todo.append(term.body)
+        else:
+            raise TypeError(term)
+    return types[0]

@@ -101,52 +101,72 @@ def print_mu_type(ty: mt.MuType, env: tuple[str, ...] = (), prec: int = 0) -> st
 
 def print_mu_term(t: tm.MuTerm) -> str:
     names = Names(tm.fv(t) | tm.fn(t) | tm.ftv_term(t))
-    return _pmt(t, (), (), (), names, 0)
+    return _pmt(t, names)
 
 
-def _pmt(t, venv, tenv, nenv, names: Names, prec: int) -> str:
-    # prec: 0 top, 1 application, 2 atom
-    match t:
-        case tm.Var(n):
-            return n
-        case tm.BVar(k):
-            return venv[k] if k < len(venv) else f"?v{k}"
-        case tm.App(fn, arg):
-            s = f"{_pmt(fn, venv, tenv, nenv, names, 1)} {_pmt(arg, venv, tenv, nenv, names, 2)}"
-            return f"({s})" if prec > 1 else s
-        case tm.TyApp(fn, ty):
-            s = f"{_pmt(fn, venv, tenv, nenv, names, 1)} [{print_mu_type(ty, tenv)}]"
-            return f"({s})" if prec > 1 else s
-        case tm.Lam(hint, ann, body):
-            x = names.bind(hint, "x")
-            s = f"λ{x}:{print_mu_type(ann, tenv)}. {_pmt(body, (x,) + venv, tenv, nenv, names, 0)}"
-            return f"({s})" if prec > 0 else s
-        case tm.TyLam(hint, body):
-            x = names.bind(hint, "X")
-            s = f"Λ{x}. {_pmt(body, venv, (x,) + tenv, nenv, names, 0)}"
-            return f"({s})" if prec > 0 else s
-        case tm.Mu(_, _, _, _):
-            sug = tm.match_named(t)
-            if sug is not None:
-                target, body = sug
-                tname = target.name if isinstance(target, tm.FName) else nenv[target.index - 1]
-                s = f"[{tname}] {_pmt(body, venv, tenv, ('?self',) + nenv, names, 0)}"
-                return f"({s})" if prec > 0 else s
-            bold = tm.match_bold_mu(t)
-            if bold is not None:
-                ann, inner = bold
+def _unfold(todo: list, out: list, paren: bool, *parts) -> None:
+    """Schedule the parts of a template, strings and (node, ...) items to
+    print, in order, parenthesised if paren."""
+    if paren:
+        out.append("(")
+        todo.append(")")
+    todo.extend(reversed(parts))
+
+
+def _pmt(t, names: Names) -> str:
+    """The term's text, printed in preorder over an explicit stack of
+    template parts: strings, and (node, venv, tenv, nenv, prec) items,
+    prec being 0 top, 1 application, 2 atom."""
+    out: list[str] = []
+    todo: list = [(t, (), (), (), 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        t, venv, tenv, nenv, prec = item
+        match t:
+            case tm.Var(n):
+                out.append(n)
+            case tm.BVar(k):
+                out.append(venv[k] if k < len(venv) else f"?v{k}")
+            case tm.App(fn, arg):
+                _unfold(todo, out, prec > 1, (fn, venv, tenv, nenv, 1), " ", (arg, venv, tenv, nenv, 2))
+            case tm.TyApp(fn, ty):
+                _unfold(todo, out, prec > 1, (fn, venv, tenv, nenv, 1), f" [{print_mu_type(ty, tenv)}]")
+            case tm.Lam(hint, ann, body):
+                x = names.bind(hint, "x")
+                head = f"λ{x}:{print_mu_type(ann, tenv)}. "
+                _unfold(todo, out, prec > 0, head, (body, (x,) + venv, tenv, nenv, 0))
+            case tm.TyLam(hint, body):
+                x = names.bind(hint, "X")
+                _unfold(todo, out, prec > 0, f"Λ{x}. ", (body, venv, (x,) + tenv, nenv, 0))
+            case tm.Mu(_, _, _, _):
+                sug = tm.match_named(t)
+                if sug is not None:
+                    target, body = sug
+                    tname = target.name if isinstance(target, tm.FName) else nenv[target.index - 1]
+                    inner = (body, venv, tenv, ("?self",) + nenv, 0)
+                    _unfold(todo, out, prec > 0, f"[{tname}] ", inner)
+                    continue
+                bold = tm.match_bold_mu(t)
+                if bold is not None:
+                    ann, inner = bold
+                    a = names.bind(t.hint, "a")
+                    head = f"μ*{a}:{print_mu_type(ann, tenv)}. "
+                    _unfold(todo, out, prec > 0, head, (inner, venv, tenv, (a,) + nenv, 0))
+                    continue
                 a = names.bind(t.hint, "a")
-                s = f"μ*{a}:{print_mu_type(ann, tenv)}. {_pmt(inner, venv, tenv, (a,) + nenv, names, 0)}"
-                return f"({s})" if prec > 0 else s
-            a = names.bind(t.hint, "a")
-            nenv2 = (a,) + nenv
-            if isinstance(t.target, tm.BName):
-                tname = nenv2[t.target.index]
-            else:
-                tname = t.target.name
-            s = f"μ{a}:{print_mu_type(t.ann, tenv)}. [{tname}] {_pmt(t.body, venv, tenv, nenv2, names, 0)}"
-            return f"({s})" if prec > 0 else s
-    raise TypeError(t)
+                nenv2 = (a,) + nenv
+                if isinstance(t.target, tm.BName):
+                    tname = nenv2[t.target.index]
+                else:
+                    tname = t.target.name
+                head = f"μ{a}:{print_mu_type(t.ann, tenv)}. [{tname}] "
+                _unfold(todo, out, prec > 0, head, (t.body, venv, tenv, nenv2, 0))
+            case _:
+                raise TypeError(t)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -174,54 +194,56 @@ def print_target_type(ty: tt.TargetType, env: tuple[str, ...] = (), prec: int = 
 
 
 def print_target_term(t: tg.TargetTerm, rename: dict[str, str] | None = None) -> str:
-    """The term, each free atom shown as rename maps it (default: as is)."""
-    names = Names(tg.free_vars(t) | tg.free_tvars(t))
-    return _ptt(t, (), (), names, rename or {}, 0)
+    """The term, each free atom shown as rename maps it (default: as is).
+    No binder is shown under the name of a free atom, raw or shown."""
+    free = tg.free_vars(t) | tg.free_tvars(t)
+    if rename:
+        free |= {rename.get(a, a) for a in free}
+    return _ptt(t, Names(free), rename or {})
 
 
-def _ptt(t, venv, tenv, names: Names, rename: dict[str, str], prec: int) -> str:
-    match t:
-        case tg.TgVar(n):
-            return rename.get(n, n)
-        case tg.TgBVar(k):
-            return venv[k] if k < len(venv) else f"?v{k}"
-        case tg.Star():
-            return "⋆"
-        case tg.TgApp(fn, arg):
-            s = f"{_ptt(fn, venv, tenv, names, rename, 1)} {_ptt(arg, venv, tenv, names, rename, 2)}"
-            return f"({s})" if prec > 1 else s
-        case tg.TgLam(hint, ann, body):
-            x = names.bind(hint, "x")
-            inner = _ptt(body, (x,) + venv, tenv, names, rename, 0)
-            s = f"λ{x}:{print_target_type(ann, tenv)}. {inner}"
-            return f"({s})" if prec > 0 else s
-        case tg.Pair(left, right):
-            return (
-                f"⟨{_ptt(left, venv, tenv, names, rename, 0)}, "
-                f"{_ptt(right, venv, tenv, names, rename, 0)}⟩"
-            )
-        case tg.Pack(w, payload, ex):
-            return (
-                f"⟨{print_target_type(w, tenv)} | {_ptt(payload, venv, tenv, names, rename, 0)}"
-                f" : {print_target_type(ex, tenv)}⟩"
-            )
-        case tg.LetPair(hx, hy, scrut, body):
-            x = names.bind(hx, "x")
-            y = names.bind(hy, "y")
-            s = (
-                f"let ⟨{x}, {y}⟩ = {_ptt(scrut, venv, tenv, names, rename, 0)} in "
-                f"{_ptt(body, (y, x) + venv, tenv, names, rename, 0)}"
-            )
-            return f"({s})" if prec > 0 else s
-        case tg.LetPack(ht, hx, scrut, body):
-            xv = names.bind(ht, "X")
-            x = names.bind(hx, "x")
-            s = (
-                f"let ⟨{xv}, {x}⟩ = {_ptt(scrut, venv, tenv, names, rename, 0)} in "
-                f"{_ptt(body, (x,) + venv, (xv,) + tenv, names, rename, 0)}"
-            )
-            return f"({s})" if prec > 0 else s
-    raise TypeError(t)
+def _ptt(t, names: Names, rename: dict[str, str]) -> str:
+    """As _pmt, for target terms: (node, venv, tenv, prec) items."""
+    out: list[str] = []
+    todo: list = [(t, (), (), 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        t, venv, tenv, prec = item
+        match t:
+            case tg.TgVar(n):
+                out.append(rename.get(n, n))
+            case tg.TgBVar(k):
+                out.append(venv[k] if k < len(venv) else f"?v{k}")
+            case tg.Star():
+                out.append("⋆")
+            case tg.TgApp(fn, arg):
+                _unfold(todo, out, prec > 1, (fn, venv, tenv, 1), " ", (arg, venv, tenv, 2))
+            case tg.TgLam(hint, ann, body):
+                x = names.bind(hint, "x")
+                head = f"λ{x}:{print_target_type(ann, tenv)}. "
+                _unfold(todo, out, prec > 0, head, (body, (x,) + venv, tenv, 0))
+            case tg.Pair(left, right):
+                _unfold(todo, out, False, "⟨", (left, venv, tenv, 0), ", ", (right, venv, tenv, 0), "⟩")
+            case tg.Pack(w, payload, ex):
+                head = f"⟨{print_target_type(w, tenv)} | "
+                tail = f" : {print_target_type(ex, tenv)}⟩"
+                _unfold(todo, out, False, head, (payload, venv, tenv, 0), tail)
+            case tg.LetPair(hx, hy, scrut, body):
+                x = names.bind(hx, "x")
+                y = names.bind(hy, "y")
+                _unfold(todo, out, prec > 0, f"let ⟨{x}, {y}⟩ = ", (scrut, venv, tenv, 0), " in ",
+                        (body, (y, x) + venv, tenv, 0))
+            case tg.LetPack(ht, hx, scrut, body):
+                xv = names.bind(ht, "X")
+                x = names.bind(hx, "x")
+                _unfold(todo, out, prec > 0, f"let ⟨{xv}, {x}⟩ = ", (scrut, venv, tenv, 0), " in ",
+                        (body, (x,) + venv, (xv,) + tenv, 0))
+            case _:
+                raise TypeError(t)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

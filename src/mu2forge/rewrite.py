@@ -86,39 +86,56 @@ class RewriteStep:
 
 
 def to_nameful(t: TargetTerm) -> TargetTerm:
-    """Open every binder of t with a fresh atom, in one preorder pass that
-    keeps the atoms of the enclosing binders on one stack per namespace."""
+    """Open every binder of t with a fresh atom, in one preorder pass over
+    an explicit stack that keeps the atoms of the enclosing binders on
+    one stack per namespace."""
     atoms: tuple[list, list] = ([], [])  # VAR, TVAR: innermost last
     ty = lambda a: tt.SYNTAX.open_all(TVAR, a, atoms[TVAR])
-
-    def go(t: TargetTerm) -> TargetTerm:
+    out: list[TargetTerm] = []
+    todo: list = [t]  # nodes to visit, [node, atoms] to enter its binders, (node, atoms) to finish
+    while todo:
+        t = todo.pop()
         cls = t.__class__
-        if cls is TgVar or cls is Star:
-            return t
-        if cls is TgBVar:
+        if cls is tuple:
+            t, bound = t
+            cls = t.__class__
+            if bound is None:
+                right = out.pop()
+                if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
+                    ex = t.ex_ann
+                    out.append(Pack(ty(t.witness), right, None if ex is None else ty(ex)))
+                else:
+                    out[-1] = cls(out[-1], right)
+                continue
+            for _, ns, _ in tg.BINDERS[cls]:
+                atoms[ns].pop()
+            body = out.pop()
+            outer = ty(t.ann) if cls is TgLam else out.pop()
+            out.append(cls(*bound, outer, body))
+        elif cls is TgBVar:
             if not 0 <= t.index < len(atoms[VAR]):
                 raise RewriteError(f"dangling bound variable {t.index}")
-            return TgVar(atoms[VAR][-1 - t.index])
-        if cls is TgApp:
-            return TgApp(go(t.fn), go(t.arg))
-        if cls is Pair:
-            return Pair(go(t.left), go(t.right))
-        if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
-            ex = t.ex_ann
-            return Pack(ty(t.witness), go(t.payload), None if ex is None else ty(ex))
-        binders = tg.BINDERS.get(cls)
-        if binders is None:
-            raise TypeError(t)
-        bound = [fresh(getattr(t, field_name) or base) for field_name, _, base in binders]
-        outer = ty(t.ann) if cls is TgLam else go(t.scrut)
-        for (_, ns, _), atom in zip(binders, bound):
-            atoms[ns].append(atom)
-        body = go(t.body)
-        for _, ns, _ in binders:
-            atoms[ns].pop()
-        return cls(*bound, outer, body)
-
-    return go(t)
+            out.append(TgVar(atoms[VAR][-1 - t.index]))
+        elif cls is TgApp:
+            todo += ((t, None), t.arg, t.fn)
+        elif cls is TgLam:  # enter its binder now: the annotation is read when it is done
+            x = fresh(t.hint or "x")
+            atoms[VAR].append(x)
+            todo += ((t, (x,)), t.body)
+        elif cls is list:  # enter the binders
+            t, bound = t
+            for (_, ns, _), atom in zip(tg.BINDERS[t.__class__], bound):
+                atoms[ns].append(atom)
+        elif cls is Pair:
+            todo += ((t, None), t.right, t.left)
+        elif cls is TgVar or cls is Star:
+            out.append(t)
+        elif cls is Pack:
+            todo += ((t, None), t.payload)
+        else:
+            bound = [fresh(getattr(t, field_name) or base) for field_name, _, base in tg.BINDERS[cls]]
+            todo += ((t, bound), t.body, [t, bound], t.scrut)
+    return out[0]
 
 
 def from_nameful(t: TargetTerm) -> TargetTerm:
@@ -228,19 +245,43 @@ def uniquify(t: TargetTerm) -> TargetTerm:
     return to_nameful(from_nameful(t))
 
 
-def _replace_where(t: TargetTerm, atom: str, replace) -> TargetTerm:
-    """Rebuild t with each outermost subtree s for which replace(s) is not
-    None replaced by that value.  Only subtrees that hold atom free are
-    visited, so every other subtree is returned as the same object."""
-    if atom not in free_atoms(t):
+def _rebuild(t: TargetTerm, atom: str, atoms_of, replace, build=with_children) -> TargetTerm:
+    """Rebuild t bottom-up over an explicit stack, one entry per node on
+    the path from the root.  Only subtrees s that hold atom in
+    atoms_of(s) are visited; every other subtree is kept as the same
+    object.  In preorder, replace(s) takes the place of a visited s
+    unless it is None, and else s becomes build(s, its children as
+    rebuilt)."""
+    if atom not in atoms_of(t):
         return t
     out = replace(t)
     if out is not None:
         return out
-    kids = []
-    for kid in children(t):
-        kids.append(_replace_where(kid, atom, replace))
-    return with_children(t, tuple(kids))
+    stack = []  # per ancestor: its node, children left and children rebuilt
+    node, todo, done = t, iter(children(t)), []
+    while True:
+        for kid in todo:
+            if atom in atoms_of(kid):
+                out = replace(kid)
+                if out is None:
+                    stack.append((node, todo, done))
+                    node, todo, done = kid, iter(children(kid)), []
+                    break
+                kid = out
+            done.append(kid)
+        else:
+            out = build(node, done)
+            if not stack:
+                return out
+            node, todo, done = stack.pop()
+            done.append(out)
+
+
+def _replace_where(t: TargetTerm, atom: str, replace) -> TargetTerm:
+    """Rebuild t with each outermost subtree s for which replace(s) is not
+    None replaced by that value.  Only subtrees that hold atom free are
+    visited, so every other subtree is returned as the same object."""
+    return _rebuild(t, atom, free_atoms, replace)
 
 
 def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
@@ -285,19 +326,20 @@ def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
     is returned as the same object."""
     if tv not in free_tatoms(t):
         return t
-    cls = t.__class__
-    if cls is TgLam:
-        return TgLam(t.hint, tt.subst_tvar(t.ann, tv, w), subst_tatom(t.body, tv, w))
-    if cls is Pack:
-        return Pack(
-            tt.subst_tvar(t.witness, tv, w),
-            subst_tatom(t.payload, tv, w),
-            tt.subst_tvar(t.ex_ann, tv, w),
-        )
-    kids = []
-    for kid in children(t):
-        kids.append(subst_tatom(kid, tv, w))
-    return with_children(t, tuple(kids))
+
+    def build(s: TargetTerm, kids: list) -> TargetTerm:
+        cls = s.__class__
+        if cls is TgLam:
+            return TgLam(s.hint, tt.subst_tvar(s.ann, tv, w), kids[0])
+        if cls is Pack:
+            return Pack(tt.subst_tvar(s.witness, tv, w), kids[0], tt.subst_tvar(s.ex_ann, tv, w))
+        return with_children(s, kids)
+
+    return _rebuild(t, tv, free_tatoms, _no_replacement, build)
+
+
+def _no_replacement(t: TargetTerm) -> None:
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +482,27 @@ def _rw_eta_pack(t, env, mode):
 
 
 def _replace_first_scrut(body, atom: str, kind, rep):
-    """Rebuild body with the first same-kind let scrutinising atom redirected."""
+    """Rebuild body with the first same-kind let scrutinising atom
+    redirected, or None if there is none."""
     if atom not in free_atoms(body):
         return None
-    if isinstance(body, kind) and body.scrut == TgVar(atom):
-        return _remake_let(body, rep, body.body)
-    kids = children(body)
-    for i, kid in enumerate(kids):
-        out = _replace_first_scrut(kid, atom, kind, rep)
-        if out is not None:
-            new = list(kids)
-            new[i] = out
-            return with_children(body, tuple(new))
-    return None
+    scrut = TgVar(atom)
+    found = False
+
+    def replace(s):
+        nonlocal found
+        if found:
+            return s  # right of the let: kept
+        if isinstance(s, kind) and s.scrut == scrut:
+            found = True
+            return _remake_let(s, rep, s.body)
+        return None
+
+    def build(s, kids):  # left of the let: kept
+        return with_children(s, kids) if found else s
+
+    out = _rebuild(body, atom, free_atoms, replace, build)
+    return out if found else None
 
 
 def _rw_dedup_pair(t, env, mode):

@@ -11,6 +11,8 @@ synonyms, so parse(print(t)) = t.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
@@ -208,49 +210,74 @@ def parse_mu_type(text: str) -> mt.MuType:
 # Source terms
 
 
+# The term parsers climb precedence over an explicit stack of what waits
+# for the subterm being read: a constructor that takes it as its last
+# field (a binder's body, an application's binder-term argument, a let's
+# body), None for an open parenthesis, a 1-tuple (function,) for an
+# application whose atom argument is being read, or a tagged tuple for
+# the parts of a target bracket or let.  A term ends where its
+# application does, so nesting costs no Python frames.
+
+_MU_STOP = ("mu", "mu*", "let", "not", "bot", "forall", "exists")
+
+
 def _mu_term(p: _Parser) -> tm.MuTerm:
-    tok = p.peek()
-    if tok is None:
-        raise p.eof("expected a term")
-    if tok.text == "\\":
-        p.next()
-        x = p.ident()
-        p.expect(":")
-        ann = _mu_type(p)
-        p.expect(".")
-        return tm.lam(x, ann, _mu_term(p))
-    if tok.text == "/\\":
-        p.next()
-        x = p.ident()
-        p.expect(".")
-        return tm.tylam(x, _mu_term(p))
-    if tok.text == "mu":
-        p.next()
-        a = p.ident()
-        p.expect(":")
-        ann = _mu_type(p)
-        p.expect(".")
-        p.expect("[")
-        b = p.ident()
-        p.expect("]")
-        return tm.mu(a, ann, b, _mu_term(p))
-    if tok.text == "mu*":
-        p.next()
-        a = p.ident()
-        p.expect(":")
-        ann = _mu_type(p)
-        p.expect(".")
-        return tm.bold_mu(a, ann, _mu_term(p))
+    waiting: list = []
+    while True:
+        tok = p.peek()
+        if tok is None:
+            raise p.eof("expected a term")
+        if tok.text in ("\\", "/\\", "mu", "mu*", "["):
+            waiting.append(_mu_binder(p))
+            continue
+        tok = p.next()
+        if tok.text == "(":
+            waiting.append(None)
+            continue
+        if tok.kind != "ident":
+            raise MuParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+        term = tm.Var(tok.text)
+        while True:  # term is an atom
+            if waiting and waiting[-1].__class__ is tuple:
+                term = tm.App(waiting.pop()[0], term)
+            term = _mu_app(p, term, waiting)
+            if term is None:
+                break  # a subterm starts
+            while waiting and waiting[-1] is not None:
+                term = waiting.pop()(term)
+            if not waiting:
+                return term
+            waiting.pop()
+            p.expect(")")
+
+
+def _mu_binder(p: _Parser):
+    """Read a binder's header; the constructor that waits for its body."""
+    tok = p.next()
     if tok.text == "[":
-        p.next()
         b = p.ident()
         p.expect("]")
-        return tm.named(b, _mu_term(p))
-    return _mu_app(p)
+        return partial(tm.named, b)
+    x = p.ident()
+    if tok.text == "/\\":
+        p.expect(".")
+        return partial(tm.tylam, x)
+    p.expect(":")
+    ann = _mu_type(p)
+    p.expect(".")
+    if tok.text == "\\":
+        return partial(tm.lam, x, ann)
+    if tok.text == "mu*":
+        return partial(tm.bold_mu, x, ann)
+    p.expect("[")
+    b = p.ident()
+    p.expect("]")
+    return partial(tm.mu, x, ann, b)
 
 
-def _mu_app(p: _Parser) -> tm.MuTerm:
-    term = _mu_atom(p)
+def _mu_app(p: _Parser, term: tm.MuTerm, waiting: list) -> tm.MuTerm | None:
+    """Apply term to the arguments that follow; None, with what waits
+    pushed, when an argument that is a subterm starts."""
     while True:
         tok = p.peek()
         if tok is None:
@@ -260,27 +287,19 @@ def _mu_app(p: _Parser) -> tm.MuTerm:
             ty = _mu_type(p)
             p.expect("]")
             term = tm.TyApp(term, ty)
-            continue
-        if tok.text == "(" or (tok.kind == "ident" and tok.text not in ("in",)):
-            if tok.text in ("mu", "mu*", "let", "not", "bot", "forall", "exists"):
+        elif tok.text == "(" or (tok.kind == "ident" and tok.text != "in"):
+            if tok.text in _MU_STOP:
                 return term
-            term = tm.App(term, _mu_atom(p))
-            continue
-        if tok.text in ("\\", "/\\"):
-            term = tm.App(term, _mu_term(p))
-            continue
-        return term
-
-
-def _mu_atom(p: _Parser) -> tm.MuTerm:
-    tok = p.next()
-    if tok.text == "(":
-        term = _mu_term(p)
-        p.expect(")")
-        return term
-    if tok.kind == "ident":
-        return tm.Var(tok.text)
-    raise MuParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            p.next()
+            if tok.text == "(":
+                waiting += ((term,), None)
+                return None
+            term = tm.App(term, tm.Var(tok.text))
+        elif tok.text in ("\\", "/\\"):
+            waiting.append(partial(tm.App, term))
+            return None
+        else:
+            return term
 
 
 def parse_mu_term(text: str) -> tm.MuTerm:
@@ -342,58 +361,98 @@ def parse_target_type(text: str) -> tt.TargetType:
 
 
 def _tg_term(p: _Parser) -> tg.TargetTerm:
-    tok = p.peek()
-    if tok is None:
-        raise p.eof("expected a term")
-    if tok.text == "\\":
-        p.next()
-        x = p.ident()
-        p.expect(":")
-        ann = _tg_type(p)
-        p.expect(".")
-        return tg.TgLam(x, ann, _tg_term(p))
-    if tok.text == "let":
-        p.next()
-        p.expect("<")
-        first = p.ident()
-        p.expect(",")
-        second = p.ident()
-        p.expect(">")
-        p.expect("=")
-        scrut = _tg_term(p)
+    waiting: list = []
+    while True:
+        tok = p.peek()
+        if tok is None:
+            raise p.eof("expected a term")
+        if tok.text == "\\":
+            p.next()
+            x = p.ident()
+            p.expect(":")
+            ann = _tg_type(p)
+            p.expect(".")
+            waiting.append(partial(tg.TgLam, x, ann))
+            continue
+        if tok.text == "let":
+            p.next()
+            p.expect("<")
+            first = p.ident()
+            p.expect(",")
+            second = p.ident()
+            p.expect(">")
+            p.expect("=")
+            waiting.append(("let", first, second))
+            continue
+        term = _tg_atom(p, waiting)
+        while term is not None:  # term is an atom
+            if waiting and waiting[-1].__class__ is tuple and len(waiting[-1]) == 1:
+                term = tg.TgApp(waiting.pop()[0], term)
+            term = _tg_app(p, term, waiting)
+            if term is None:
+                break  # a subterm starts
+            while waiting and waiting[-1].__class__ is partial:
+                term = waiting.pop()(term)
+            if not waiting:
+                return term
+            term = _tg_close(p, waiting, waiting.pop(), term)
+
+
+def _tg_close(p: _Parser, waiting: list, frame, term: tg.TargetTerm) -> tg.TargetTerm | None:
+    """The subterm term ends what frame waited for: the atom that this
+    completes, or None when another subterm starts."""
+    if frame is None:
+        p.expect(")")
+        return term
+    tag = frame[0]
+    if tag == "let":
         p.expect("in")
-        body = _tg_term(p)
-        if first[:1].isupper():
-            return tg.LetPack(first, second, scrut, body)
-        return tg.LetPair(first, second, scrut, body)
-    return _tg_app(p)
+        _, first, second = frame
+        waiting.append(partial(tg.LetPack if first[:1].isupper() else tg.LetPair, first, second, term))
+        return None
+    if tag == "<,":
+        p.expect(",")
+        waiting.append(("<,>", term))
+        return None
+    if tag == "<,>":
+        p.expect(">")
+        return tg.Pair(frame[1], term)
+    ex = None  # tag "<|": a pack
+    if p.at(":"):
+        p.next()
+        ex = _tg_type(p)
+    p.expect(">")
+    return tg.Pack(frame[1], term, ex)  # type: ignore[arg-type]
 
 
-def _tg_app(p: _Parser) -> tg.TargetTerm:
-    term = _tg_atom(p)
+def _tg_app(p: _Parser, term: tg.TargetTerm, waiting: list) -> tg.TargetTerm | None:
+    """As _mu_app, for target terms."""
     while True:
         tok = p.peek()
         if tok is None:
             return term
-        if tok.text in ("(", "<", "*") or (
-            tok.kind == "ident" and tok.text not in ("in", "let")
-        ):
-            term = tg.TgApp(term, _tg_atom(p))
+        if tok.text in ("(", "<", "*") or (tok.kind == "ident" and tok.text not in ("in", "let")):
+            waiting.append((term,))
+            atom = _tg_atom(p, waiting)
+            if atom is None:
+                return None
+            waiting.pop()
+            term = tg.TgApp(term, atom)
             continue
         if tok.text == "\\":
-            term = tg.TgApp(term, _tg_term(p))
-            continue
+            waiting.append(partial(tg.TgApp, term))
+            return None
         return term
 
 
-def _tg_atom(p: _Parser) -> tg.TargetTerm:
+def _tg_atom(p: _Parser, waiting: list) -> tg.TargetTerm | None:
+    """Read an atom; None, with what waits pushed, when it opens a subterm."""
     tok = p.next()
     if tok.text == "*":
         return tg.STAR
     if tok.text == "(":
-        term = _tg_term(p)
-        p.expect(")")
-        return term
+        waiting.append(None)
+        return None
     if tok.text == "<":
         # <M, N>  or  <t | M>  or  <t | M : T>; disambiguate by scanning
         # for the separator at depth zero.
@@ -412,21 +471,13 @@ def _tg_atom(p: _Parser) -> tg.TargetTerm:
                 sep = t.text
                 break
         if sep == ",":
-            left = _tg_term(p)
-            p.expect(",")
-            right = _tg_term(p)
-            p.expect(">")
-            return tg.Pair(left, right)
+            waiting.append(("<,", None))
+            return None
         if sep == "|":
             witness = _tg_type(p)
             p.expect("|")
-            payload = _tg_term(p)
-            ex = None
-            if p.at(":"):
-                p.next()
-                ex = _tg_type(p)
-            p.expect(">")
-            return tg.Pack(witness, payload, ex)  # type: ignore[arg-type]
+            waiting.append(("<|", witness))
+            return None
         raise MuParseError("malformed angle-bracket form", tok.line, tok.col)
     if tok.kind == "ident":
         return tg.TgVar(tok.text)

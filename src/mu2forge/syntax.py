@@ -18,8 +18,8 @@ field is:
 open, close, instantiate, substitute, free atoms, local closure and the
 child slots from it.  Every such operation of ``mu_types``, ``mu_terms``,
 ``target_types`` and ``target_terms`` is a one-line call into it.  The
-recursion, :func:`_map`, takes exactly one Python frame per tree level;
-structural equality, :meth:`Syntax.equal`, takes none.
+traversal, :func:`_map`, and structural equality, :meth:`Syntax.equal`,
+run on explicit stacks: the depth of a tree costs them no Python frames.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def field_getter(names: tuple[str, ...]):
 def _map(t, plan, free, bound, d):
     """Rebuild t, replacing each occurrence of the plan's namespace by
     free(node, d) or bound(node, d), d being its binder depth (``None``
-    keeps the occurrence).  Unchanged subtrees are returned as they are."""
+    keeps the occurrence).  Unchanged subtrees are returned as they are.
+    The walk is a post-order loop over an explicit stack that holds one
+    entry per node on the path from the root, so depth costs no frames."""
     step = plan[t.__class__]
     if step is None:
         return t
@@ -77,16 +79,40 @@ def _map(t, plan, free, bound, d):
     if step is _FREE:
         return t if free is None else free(t, d)
     cls, fields, slots = step
-    vals = fields(t)
-    args = None
-    for i, shift in slots:
-        old = vals[i]
-        new = _map(old, plan, free, bound, d + shift)
-        if new is not old:
-            if args is None:
-                args = list(vals)
-            args[i] = new
-    return t if args is None else cls(*args)
+    vals, todo, args = fields(t), iter(slots), None
+    stack = None  # per ancestor: its node, class, fields, slots left, depth, args and slot
+    while True:
+        for i, shift in todo:
+            old = vals[i]
+            step = plan[old.__class__]
+            if step is None:
+                continue
+            if step is _BOUND:
+                new = old if bound is None else bound(old, d + shift)
+            elif step is _FREE:
+                new = old if free is None else free(old, d + shift)
+            else:
+                if stack is None:
+                    stack = []
+                stack.append((t, cls, vals, todo, d, args, i))
+                t, d = old, d + shift
+                cls, fields, slots = step
+                vals, todo, args = fields(t), iter(slots), None
+                break
+            if new is not old:
+                if args is None:
+                    args = list(vals)
+                args[i] = new
+        else:
+            new = t if args is None else cls(*args)
+            if not stack:
+                return new
+            old = t
+            t, cls, vals, todo, d, args, i = stack.pop()
+            if new is not old:
+                if args is None:
+                    args = list(vals)
+                args[i] = new
 
 
 class Syntax:

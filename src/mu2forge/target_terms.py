@@ -181,44 +181,64 @@ BINDERS = {
 
 
 def close_binders(t: TargetTerm, hint=str) -> TargetTerm:
-    """Abstract every binder's atoms in one pass (one Python frame per
-    level): an atom's occurrences, in terms and annotations, become the
-    index of its innermost binder, whose hint becomes hint(atom)."""
+    """Abstract every binder's atoms in one post-order pass over an
+    explicit stack: an atom's occurrences, in terms and annotations,
+    become the index of its innermost binder, whose hint becomes
+    hint(atom).  Each binder's level per atom and namespace is kept in
+    a map, and an inner binder of an atom shadows an outer one only
+    within its scope."""
     levels: tuple[dict, dict] = ({}, {})  # VAR, TVAR: atom -> level of its binder
     depth = [0, 0]  # VAR, TVAR: binders around the current node
-
-    def ty(a: TargetType) -> TargetType:
-        return target_types.SYNTAX.close_all(TVAR, a, levels[TVAR], depth[TVAR])
-
-    def go(t: TargetTerm) -> TargetTerm:
+    ty = lambda a: target_types.SYNTAX.close_all(TVAR, a, levels[TVAR], depth[TVAR])
+    out: list[TargetTerm] = []
+    todo: list = [t]  # nodes to visit, [node, undo] to enter its binders, (node, undo) to finish
+    while todo:
+        t = todo.pop()
         cls = t.__class__
-        if cls is TgVar:
+        if cls is tuple:
+            t, undo = t
+            cls = t.__class__
+            if undo is None:
+                right = out.pop()
+                if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
+                    ex = t.ex_ann
+                    out.append(Pack(ty(t.witness), right, None if ex is None else ty(ex)))
+                else:
+                    out[-1] = cls(out[-1], right)
+                continue
+            for ns, atom, level in reversed(undo):
+                depth[ns] -= 1
+                if level is None:
+                    del levels[ns][atom]
+                else:
+                    levels[ns][atom] = level
+            body = out.pop()
+            outer = ty(t.ann) if cls is TgLam else out.pop()
+            out.append(cls(*[hint(atom) for _, atom, _ in undo], outer, body))
+        elif cls is TgVar:
             level = levels[VAR].get(t.name)
-            return t if level is None else TgBVar(depth[VAR] - 1 - level)
-        if cls is TgApp:
-            return TgApp(go(t.fn), go(t.arg))
-        if cls is Pair:
-            return Pair(go(t.left), go(t.right))
-        if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
-            ex = t.ex_ann
-            return Pack(ty(t.witness), go(t.payload), None if ex is None else ty(ex))
-        binders = BINDERS.get(cls)
-        if binders is None:
-            return t  # TgBVar, Star
-        outer = ty(t.ann) if cls is TgLam else go(t.scrut)
-        undo = []
-        for field_name, ns, _ in binders:
-            atom = getattr(t, field_name)
-            undo.append((ns, atom, levels[ns].get(atom)))
-            levels[ns][atom] = depth[ns]
-            depth[ns] += 1
-        body = go(t.body)
-        for ns, atom, level in reversed(undo):
-            depth[ns] -= 1
-            if level is None:
-                del levels[ns][atom]
-            else:
-                levels[ns][atom] = level
-        return cls(*(hint(atom) for _, atom, _ in undo), outer, body)
-
-    return go(t)
+            out.append(t if level is None else TgBVar(depth[VAR] - 1 - level))
+        elif cls is TgApp:
+            todo += ((t, None), t.arg, t.fn)
+        elif cls is TgLam:  # enter its binder now: the annotation is closed when it is done
+            atom = t.hint
+            todo += ((t, [(VAR, atom, levels[VAR].get(atom))]), t.body)
+            levels[VAR][atom] = depth[VAR]
+            depth[VAR] += 1
+        elif cls is list:  # enter the binders, noting what they shadow
+            t, undo = t
+            for field_name, ns, _ in BINDERS[t.__class__]:
+                atom = getattr(t, field_name)
+                undo.append((ns, atom, levels[ns].get(atom)))
+                levels[ns][atom] = depth[ns]
+                depth[ns] += 1
+        elif cls is Pair:
+            todo += ((t, None), t.right, t.left)
+        elif cls is TgBVar or cls is Star:
+            out.append(t)
+        elif cls is Pack:
+            todo += ((t, None), t.payload)
+        else:
+            undo: list = []
+            todo += ((t, undo), t.body, [t, undo], t.scrut)
+    return out[0]

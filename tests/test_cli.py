@@ -188,11 +188,11 @@ def run_cold(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_deeply_nested_parentheses_exit_2():
-    code, _, err = run_cold("typecheck", "--ctx", "x:s", "(" * 3000 + "x" + ")" * 3000)
-    assert code == 2
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+def test_deeply_nested_parentheses_parse():
+    # The parser climbs precedence over an explicit stack, so nesting far
+    # past the recursion limit parses.
+    code, out, err = run_cold("typecheck", "--ctx", "x:s", "(" * 3000 + "x" + ")" * 3000)
+    assert (code, out, err) == (0, "s\n", "")
 
 
 def printed_church(n):
@@ -202,14 +202,23 @@ def printed_church(n):
     return print_mu_term(church(n))
 
 
-def test_deep_numeral_equation_exit_2():
-    # Church 400 still overflows the default recursion limit (in the CPS
-    # translation); the kernel must say so as an input error.
-    numeral = printed_church(400)
-    code, _, err = run_cold("eq", numeral, numeral)
-    assert code == 2
+def test_deep_numeral_normalize_exit_2():
+    # Classifying a normal form still takes Python frames per level, so
+    # normalizing Church 400 overflows there; the kernel must say so as
+    # an input error, never as exit 1 (Distinct) or a traceback.
+    code, out, err = run_cold("normalize", printed_church(400))
+    assert (code, out) == (2, "")
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_deep_numeral_400_equation_decided():
+    # Every pass on the eq path runs on an explicit stack: Church 400,
+    # which overflowed the CPS translation before, is decided.
+    numeral = printed_church(400)
+    code, out, err = run_cold("eq", numeral, numeral)
+    assert code == 0, err
+    assert out.splitlines()[0] == "Equal"
 
 
 def test_deep_numeral_equation_decided():

@@ -195,3 +195,9 @@ def test_sexpr_reads_back(corpus, kind):
     write, read = READERS[kind]
     for label, obj in corpus[kind]:
         assert read(parse_sexpr(write(obj))) == obj, label
+
+
+def test_binder_avoids_shown_name_of_renamed_atom():
+    """A binder never takes the name a free atom is shown under."""
+    term = tg.TgLam("h", tt.TgVarT("s"), tg.TgApp(tg.TgVar("h%1"), tg.TgBVar(0)))
+    assert print_target_term(term, {"h%1": "h"}) == "λh1:s. h h1"
