@@ -10,9 +10,15 @@ Program / Continuation / Answer grammar:
                                   | let <X,k> = C in A
 
 In parametric mode Star is additionally a Continuation at exists X. X.
-Equality is alpha-identity of canonical forms; Equal verdicts are sound
-for the equational theory (the trace replayer witnesses each rewrite),
-Distinct verdicts are advisory.
+One walk checks the grammar, each clause once, and hands what each
+clause found to an optional builder: `classify` runs it with none, and
+`inverse.invert` with one that reads each clause back as a mu-term.
+
+Equality is alpha-identity of canonical forms.  An Equal verdict is
+sound as far as every rule of the rewrite engine is an instance, or a
+composite of instances, of the equational theory; nothing on the
+verdict path re-checks the trace, and `rewrite.replay` re-runs the
+engine's own rules.  Distinct verdicts are advisory.
 """
 
 from __future__ import annotations
@@ -85,90 +91,97 @@ def canonicalize(
 def classify(
     term: tg.TargetTerm, type_: tt.TargetType, mode: str, context: TgContext = ()
 ) -> str:
+    return _walk(term, type_, mode, context)[0]
+
+
+def _walk(term, type_, mode, context, build=None):
+    """Check term against the grammar at type_, each clause once, and
+    return its kind and what build made of its clauses, bottom up (None
+    without a builder)."""
     env = dict(context)
     if type_ == tt.R:
-        _classify_answer(term, env, mode)
-        return ANSWER
+        return ANSWER, _answer(term, env, mode, build)
     if isinstance(type_, tt.Neg) and is_image(type_.body):
-        _classify_program(term, type_.body, env, mode)
-        return PROGRAM
+        return PROGRAM, _program(term, type_.body, env, mode, build)
     if is_image(type_):
-        _classify_continuation(term, type_, env, mode)
-        return CONTINUATION
+        return CONTINUATION, _continuation(term, type_, env, mode, build)
     raise NotInImageType(type_)
 
 
-def _classify_program(t, sdeg, env, mode) -> None:
+def _program(t, sdeg, env, mode, build):
     match t:
-        case tg.TgVar(_):
-            return
+        case tg.TgVar(x):
+            return build and build.var(x)
         case tg.TgLam(hint, ann, body):
             if ann != sdeg:
                 raise NotCanonical(
                     f"program abstraction annotated {show(ann)}, expected {show(sdeg)}"
                 )
-            x = tg.fresh(hint or "k")
-            _classify_answer(tg.open_var(body, x), {**env, x: ann}, mode)
-            return
+            k = tg.fresh(hint or "k")
+            answer = _answer(tg.open_var(body, k), {**env, k: ann}, mode, build)
+            return build and build.bold_mu(k, sdeg, answer)
     raise NotCanonical(f"not a Program form: {print_target_term(t)}")
 
 
-def _classify_continuation(t, sdeg, env, mode) -> None:
+def _continuation(t, sdeg, env, mode, build):
+    t, env, lets = _lets(t, env, mode, build)
     match t:
-        case tg.TgVar(_):
-            return
+        case tg.TgVar(k):
+            out = build and build.named(k, sdeg)
         case tg.Star() if mode == PARAMETRIC and sdeg == tt.TOP:
-            return
+            out = None  # a builder runs in plain mode only
         case tg.Pair(left, right):
             if not (isinstance(sdeg, tt.Conj) and isinstance(sdeg.left, tt.Neg)):
                 raise NotCanonical(f"pair continuation at non-arrow image {show(sdeg)}")
-            _classify_program(left, sdeg.left.body, env, mode)
-            _classify_continuation(right, sdeg.right, env, mode)
-            return
+            program = _program(left, sdeg.left.body, env, mode, build)
+            rest = _continuation(right, sdeg.right, env, mode, build)
+            out = build and build.pair(sdeg, program, rest)
         case tg.Pack(w, payload, ex):
             if not isinstance(sdeg, tt.Exists) or ex != sdeg:
                 raise NotCanonical(f"pack continuation at {show(sdeg)}")
             if not is_image(w):
                 raise NotCanonical(f"pack witness {show(w)} is not a translated type")
-            _classify_continuation(payload, tt.inst_tvar(sdeg.body, w), env, mode)
-            return
-        case tg.LetPair(_, _, _, _) | tg.LetPack(_, _, _, _):
-            _classify_let(t, env, mode, lambda body, env2: _classify_continuation(body, sdeg, env2, mode))
-            return
-    raise NotCanonical(f"not a Continuation form: {print_target_term(t)}")
+            rest = _continuation(payload, tt.inst_tvar(sdeg.body, w), env, mode, build)
+            out = build and build.pack(sdeg, w, rest)
+        case _:
+            raise NotCanonical(f"not a Continuation form: {print_target_term(t)}")
+    return build.let(lets, out) if lets and build else out
 
 
-def _classify_answer(t, env, mode) -> None:
-    match t:
-        case tg.TgApp(fn, arg):
-            fn_ty = _synth(fn, env, mode)
-            if not (isinstance(fn_ty, tt.Neg) and is_image(fn_ty.body)):
-                raise NotCanonical(f"answer head at type {show(fn_ty)}")
-            _classify_program(fn, fn_ty.body, env, mode)
-            _classify_continuation(arg, fn_ty.body, env, mode)
-            return
-        case tg.LetPair(_, _, _, _) | tg.LetPack(_, _, _, _):
-            _classify_let(t, env, mode, lambda body, env2: _classify_answer(body, env2, mode))
-            return
-    raise NotCanonical(f"not an Answer form: {print_target_term(t)}")
+def _answer(t, env, mode, build):
+    t, env, lets = _lets(t, env, mode, build)
+    if not isinstance(t, tg.TgApp):
+        raise NotCanonical(f"not an Answer form: {print_target_term(t)}")
+    fn_ty = _synth(t.fn, env, mode)
+    if not (isinstance(fn_ty, tt.Neg) and is_image(fn_ty.body)):
+        raise NotCanonical(f"answer head at type {show(fn_ty)}")
+    program = _program(t.fn, fn_ty.body, env, mode, build)
+    continuation = _continuation(t.arg, fn_ty.body, env, mode, build)
+    out = build and build.apply(program, continuation)
+    return build.let(lets, out) if lets and build else out
 
 
-def _classify_let(t, env, mode, classify_body) -> None:
-    sty = _synth(t.scrut, env, mode)
-    if isinstance(t, tg.LetPair):
-        if not (isinstance(sty, tt.Conj) and is_image(sty)):
-            raise NotCanonical(f"let-pair scrutinee at {show(sty)}")
-        _classify_continuation(t.scrut, sty, env, mode)
-        x, y = tg.fresh(t.hint_x or "x"), tg.fresh(t.hint_y or "k")
-        body = tg.open_var(tg.open_var(t.body, y), x, 1)
-        classify_body(body, {**env, x: sty.left, y: sty.right})
-    else:
-        if not (isinstance(sty, tt.Exists) and is_image(sty)):
-            raise NotCanonical(f"let-pack scrutinee at {show(sty)}")
-        _classify_continuation(t.scrut, sty, env, mode)
-        tv, x = tg.fresh(t.hint_t or "X"), tg.fresh(t.hint_x or "k")
-        body = tg.open_var(tg.open_tvar_term(t.body, tv), x)
-        classify_body(body, {**env, x: tt.inst_tvar(sty.body, tt.TgVarT(tv))})
+def _lets(t, env, mode, build):
+    """Check the lets that t starts with, in one loop: the term under them,
+    its environment, and per let what a builder closes over that term."""
+    lets = []
+    while isinstance(t, (tg.LetPair, tg.LetPack)):
+        pair = isinstance(t, tg.LetPair)
+        sty = _synth(t.scrut, env, mode)
+        if not (isinstance(sty, tt.Conj if pair else tt.Exists) and is_image(sty)):
+            raise NotCanonical(f"let-{'pair' if pair else 'pack'} scrutinee at {show(sty)}")
+        scrut = _continuation(t.scrut, sty, env, mode, build)
+        if pair:
+            x, k = tg.fresh(t.hint_x or "x"), tg.fresh(t.hint_y or "k")
+            body = tg.open_var(tg.open_var(t.body, k), x, 1)
+            env = {**env, x: sty.left, k: sty.right}
+        else:
+            x, k = tg.fresh(t.hint_t or "X"), tg.fresh(t.hint_x or "k")
+            body = tg.open_var(tg.open_tvar_term(t.body, x), k)
+            env = {**env, k: tt.inst_tvar(sty.body, tt.TgVarT(x))}
+        lets.append((t, x, k, env, scrut))
+        t = body
+    return t, env, lets
 
 
 def _synth(t, env: dict, mode: str) -> tt.TargetType:

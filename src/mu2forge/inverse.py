@@ -1,10 +1,11 @@
 """Inverse translation from canonical forms back to the mu-calculus.
 
-Programs invert to terms, Continuations to one-hole contexts with a
-typed hole, Answers to terms of the falsity type.  Hole filling is
-capture-permitting: the let clauses bind the variables and names of the
-filled term, so contexts are represented as closures that construct the
-binders around the hole.
+`invert` runs `canonical`'s walk of the grammar with a builder that
+reads each clause back: Programs invert to terms, Continuations to
+one-hole contexts with a typed hole, Answers to terms of the falsity
+type.  Hole filling is capture-permitting: the let clauses bind the
+variables and names of the filled term, so contexts are represented as
+closures that construct the binders around the hole.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
-from .canonical import ANSWER, CONTINUATION, PROGRAM, CanonicalForm, NotCanonical, eq_target
+from .canonical import PROGRAM, CanonicalForm, NotCanonical, _walk, eq_target
 from .cps import cps_term_typed
 from .mu_typing import Context
-from .printer import print_target_term, print_target_type as show
+from .printer import print_target_type as show
 from .record import record
 from .target_types import uncps_type
-from .target_typing import PLAIN, TgContext, typecheck_target
-
-VAR = "var"
-NAME = "name"
+from .target_typing import PLAIN, TgContext
 
 
 @record
@@ -56,124 +54,49 @@ def invert(form: CanonicalForm, context: TgContext = ()):
     """Invert a canonical form: term, context, or falsity term by kind."""
     if form.mode != PLAIN:
         raise NotCanonical("inversion is defined on plain-mode canonical forms")
-    env = dict(context)
-    if form.kind == PROGRAM:
-        return _inv_program(form.term, form.type.body, env)
-    if form.kind == CONTINUATION:
-        return _inv_cont(form.term, form.type, env)
-    if form.kind == ANSWER:
-        return _inv_answer(form.term, env)
-    raise NotCanonical(form.kind)
+    kind, out = _walk(form.term, form.type, PLAIN, context, _Inverse())
+    if kind != form.kind:
+        raise NotCanonical(f"a {form.kind} at {show(form.type)}, the type of a {kind}")
+    return out
 
 
-def _synth(t, env) -> tt.TargetType:
-    return typecheck_target(tuple(env.items()), t, PLAIN)
+class _Inverse:
+    """The inverse of each clause of the grammar, given the inverses of
+    its parts.  A context is filled through `fill`, which spares a frame
+    per context over calling it."""
 
+    def var(self, x):
+        return tm.Var(x)
 
-def _inv_program(t, sdeg, env) -> tm.MuTerm:
-    match t:
-        case tg.TgVar(x):
-            return tm.Var(x)
-        case tg.TgLam(hint, ann, body):
-            if ann != sdeg:
-                raise NotCanonical(f"program abstraction at {show(ann)}, expected {show(sdeg)}")
-            k = tm.fresh(hint or "k")
-            sigma = uncps_type(sdeg)
-            inner = _inv_answer(tg.open_var(body, k), {**env, k: sdeg})
-            return tm.bold_mu(k, sigma, inner)
-    raise NotCanonical(f"not a Program: {print_target_term(t)}")
+    def bold_mu(self, k, sdeg, answer):
+        return tm.bold_mu(k, uncps_type(sdeg), answer)
 
+    def named(self, k, sdeg):  # [k] -
+        return MuContext(uncps_type(sdeg), lambda h: tm.named(k, h))
 
-def _inv_cont(t, sdeg, env) -> MuContext:
-    hole_ty = uncps_type(sdeg)
-    match t:
-        case tg.TgVar(k):
-            return MuContext(hole_ty, lambda h: tm.named(k, h))
-        case tg.Pair(p, c):
-            if not (isinstance(sdeg, tt.Conj) and isinstance(sdeg.left, tt.Neg)):
-                raise NotCanonical(f"pair continuation at {show(sdeg)}")
-            arg = _inv_program(p, sdeg.left.body, env)
-            inner = _inv_cont(c, sdeg.right, env)
-            return MuContext(hole_ty, lambda h: inner(tm.App(h, arg)))
-        case tg.Pack(w, c, _):
-            if not isinstance(sdeg, tt.Exists):
-                raise NotCanonical(f"pack continuation at {show(sdeg)}")
-            ty_arg = uncps_type(w)
-            inner = _inv_cont(c, tt.inst_tvar(sdeg.body, w), env)
-            return MuContext(hole_ty, lambda h: inner(tm.TyApp(h, ty_arg)))
-        case tg.LetPair(hx, hy, c1, c2):
-            s1deg = _synth(c1, env)
-            if not (isinstance(s1deg, tt.Conj) and isinstance(s1deg.left, tt.Neg)):
-                raise NotCanonical(f"let-pair scrutinee at {show(s1deg)}")
-            x, k = tm.fresh(hx or "x"), tm.fresh(hy or "k")
-            sigma1 = uncps_type(s1deg.left.body)
-            sigma2 = uncps_type(s1deg.right)
-            outer = _inv_cont(c1, s1deg, env)
-            body = tg.open_var(tg.open_var(c2, k), x, 1)
-            env2 = {**env, x: tt.Neg(s1deg.left.body), k: s1deg.right}
-            inner = _inv_cont(body, sdeg, env2)
-            return MuContext(
-                hole_ty,
-                lambda h: outer(
-                    tm.lam(x, sigma1, tm.bold_mu(k, sigma2, inner(h)))
-                ),
-            )
-        case tg.LetPack(ht, hx, c1, c2):
-            s1deg = _synth(c1, env)
-            if not isinstance(s1deg, tt.Exists):
-                raise NotCanonical(f"let-pack scrutinee at {show(s1deg)}")
-            xv, k = tm.fresh(ht or "X"), tm.fresh(hx or "k")
-            inst_deg = tt.inst_tvar(s1deg.body, tt.TgVarT(xv))
-            sigma1 = uncps_type(inst_deg)
-            outer = _inv_cont(c1, s1deg, env)
-            body = tg.open_var(tg.open_tvar_term(c2, xv), k)
-            env2 = {**env, k: inst_deg}
-            inner = _inv_cont(body, sdeg, env2)
-            return MuContext(
-                hole_ty,
-                lambda h: outer(
-                    tm.tylam(xv, tm.bold_mu(k, sigma1, inner(h)))
-                ),
-            )
-        case tg.Star():
-            raise NotCanonical("Star has no inverse in the plain theory")
-    raise NotCanonical(f"not a Continuation: {print_target_term(t)}")
+    def pair(self, sdeg, program, rest):  # C[- P]
+        return MuContext(uncps_type(sdeg), lambda h: rest.fill(tm.App(h, program)))
 
+    def pack(self, sdeg, w, rest):  # C[- w]
+        ty = uncps_type(w)
+        return MuContext(uncps_type(sdeg), lambda h: rest.fill(tm.TyApp(h, ty)))
 
-def _inv_answer(t, env) -> tm.MuTerm:
-    match t:
-        case tg.TgApp(p, c):
-            fn_ty = _synth(p, env)
-            if not (isinstance(fn_ty, tt.Neg) and tt.is_image(fn_ty.body)):
-                raise NotCanonical(f"answer head at {show(fn_ty)}")
-            return _inv_cont(c, fn_ty.body, env)(_inv_program(p, fn_ty.body, env))
-        case tg.LetPair(hx, hy, c, a):
-            s1deg = _synth(c, env)
-            if not (isinstance(s1deg, tt.Conj) and isinstance(s1deg.left, tt.Neg)):
-                raise NotCanonical(f"let-pair scrutinee at {show(s1deg)}")
-            x, k = tm.fresh(hx or "x"), tm.fresh(hy or "k")
-            sigma1 = uncps_type(s1deg.left.body)
-            sigma2 = uncps_type(s1deg.right)
-            outer = _inv_cont(c, s1deg, env)
-            body = tg.open_var(tg.open_var(a, k), x, 1)
-            env2 = {**env, x: tt.Neg(s1deg.left.body), k: s1deg.right}
-            return outer(
-                tm.lam(x, sigma1, tm.bold_mu(k, sigma2, _inv_answer(body, env2)))
-            )
-        case tg.LetPack(ht, hx, c, a):
-            s1deg = _synth(c, env)
-            if not isinstance(s1deg, tt.Exists):
-                raise NotCanonical(f"let-pack scrutinee at {show(s1deg)}")
-            xv, k = tm.fresh(ht or "X"), tm.fresh(hx or "k")
-            inst_deg = tt.inst_tvar(s1deg.body, tt.TgVarT(xv))
-            sigma1 = uncps_type(inst_deg)
-            outer = _inv_cont(c, s1deg, env)
-            body = tg.open_var(tg.open_tvar_term(a, xv), k)
-            env2 = {**env, k: inst_deg}
-            return outer(
-                tm.tylam(xv, tm.bold_mu(k, sigma1, _inv_answer(body, env2)))
-            )
-    raise NotCanonical(f"not an Answer: {print_target_term(t)}")
+    def apply(self, program, continuation):
+        return continuation.fill(program)
+
+    def let(self, lets, body):
+        """let <x,k> = C in B  to  C[lam x. mu* k. B] and let <X,k> = C in B
+        to  C[Lam X. mu* k. B], innermost first; over a context, a context."""
+        if isinstance(body, MuContext):
+            return MuContext(body.hole_type, lambda h: self.let(lets, body.fill(h)))
+        for t, x, k, env, scrut in reversed(lets):
+            body = tm.bold_mu(k, uncps_type(env[k]), body)
+            if isinstance(t, tg.LetPair):
+                body = tm.lam(x, uncps_type(env[x].body), body)
+            else:
+                body = tm.tylam(x, body)
+            body = scrut.fill(body)
+        return body
 
 
 def roundtrip(form: CanonicalForm, context: TgContext = ()):

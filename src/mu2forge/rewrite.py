@@ -2,9 +2,12 @@
 
 Rules are instances of the six beta/eta axiom schemas, the terminality
 rewrite of parametric mode (any term of type exists X. X equals Star),
-plus derived rules (hoisting and star-modulated eta patterns) that are
-two-step compositions of the primitive schemas; each derived rule's
-validator documents its decomposition.
+plus derived rules (hoisting, deduplication and the starred eta
+patterns) that compose primitive schemas.  Not every derived step is
+two primitive steps: eta-pair and eta-pack replace every occurrence of
+their pattern at once, dedup-* redirect a whole inner let, and
+let-expand and expand draw fresh binders; each derived rule's comment
+documents its decomposition.
 
 The engine works on a "nameful" image of the term: every binder is
 opened with a globally unique atom kept in the hint slot, so moving a
@@ -24,8 +27,9 @@ rebuilt once, when the zipper unwinds.  `_run` states the invariant;
 the test suite checks every step against a search from the root.
 
 Every applied step is logged as ``rule path``; `replay` re-applies a
-logged trace step by step, validating each rule pattern, which is the
-trace-consumer contract of the equality oracle.
+logged trace step by step with these same rule functions, checking that
+each named rule matches at its path.  It shares the engine's rules, so
+it does not check them.
 """
 
 from __future__ import annotations
@@ -1020,8 +1024,9 @@ def replay(
 
     A step is valid when the named rule's pattern matches at the recorded
     position; primitive rules are literal axiom instances, derived rules
-    (hoist-*, let-*, star-eta, the starred eta-pair pattern) are the
-    two-step axiom compositions documented on their implementations.
+    (hoist-*, let-*, dedup-*, star-eta, the eta-pair and eta-pack
+    patterns) compose axiom instances as documented on their
+    implementations, some in more than two steps.
     """
     env = dict(context)
     t = to_nameful(term)

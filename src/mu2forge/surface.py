@@ -496,10 +496,17 @@ def resolve_packs(term: tg.TargetTerm, context, mode: str = "plain") -> tg.Targe
     occurrence of the witness in the payload's type (documented default;
     use <t | M : T> when another existential is intended)."""
     from . import target_typing as tgt
+    from .printer import print_target_type
     from .rewrite import from_nameful, to_nameful
 
     def synth(ctx, t: tg.TargetTerm) -> tt.TargetType:  # t is nameful
         return tgt.typecheck_target(ctx, tg.close_binders(t), mode)
+
+    def scrut_type(ctx, scrut, cls, let: str) -> tt.TargetType:
+        ty = synth(ctx, scrut)
+        if not isinstance(ty, cls):  # worded as typecheck_target words it
+            raise tgt.TargetTypeMismatch(f"{let} scrutinee has type {print_target_type(ty)}")
+        return ty
 
     def anti(ty: tt.TargetType, witness: tt.TargetType, depth: int = 0) -> tt.TargetType:
         if ty == witness:
@@ -533,11 +540,11 @@ def resolve_packs(term: tg.TargetTerm, context, mode: str = "plain") -> tg.Targe
                 return tg.Pair(go(left, ctx), go(right, ctx))
             case tg.LetPair(x, y, scrut, body):
                 scrut = go(scrut, ctx)
-                sty = synth(ctx, scrut)
+                sty = scrut_type(ctx, scrut, tt.Conj, "let-pair")
                 return tg.LetPair(x, y, scrut, go(body, ctx + ((x, sty.left), (y, sty.right))))
             case tg.LetPack(xv, x, scrut, body):
                 scrut = go(scrut, ctx)
-                sty = synth(ctx, scrut)
+                sty = scrut_type(ctx, scrut, tt.Exists, "let-pack")
                 inner = go(body, ctx + ((x, tt.inst_tvar(sty.body, tt.TgVarT(xv))),))
                 return tg.LetPack(xv, x, scrut, inner)
         raise TypeError(t)

@@ -129,13 +129,25 @@ NOT_CANONICAL = [
     (tg.close_binders(tg.LetPack("X", "k", K("c"), V("r"))), tt.R,
      (("c", tt.exists("X", tt.Neg(X))), ("r", tt.R)), "let-pack scrutinee at ∃X. ¬X"),
 ]
+NOT_CANONICAL_IDS = ["lam-annotation", "program-form", "pair-image", "pack-image", "pack-witness",
+                     "continuation-form", "answer-head", "answer-form", "let-pair-scrutinee",
+                     "let-pack-scrutinee"]
 
 
 @pytest.mark.parametrize("term, type_, tctx, message", NOT_CANONICAL,
-                         ids=[m.split(" at")[0].split(":")[0] for *_, m in NOT_CANONICAL])
+                         ids=NOT_CANONICAL_IDS)
 def test_classify_error_messages(term, type_, tctx, message):
     with pytest.raises(NotCanonical) as info:
         classify(term, type_, PLAIN, tctx)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("term, type_, tctx, message", NOT_CANONICAL,
+                         ids=NOT_CANONICAL_IDS)
+def test_invert_raises_the_classify_messages(term, type_, tctx, message):
+    kind = ANSWER if type_ == tt.R else PROGRAM if isinstance(type_, tt.Neg) else CONTINUATION
+    with pytest.raises(NotCanonical) as info:
+        invert(CanonicalForm(kind, term, type_, PLAIN), tctx)
     assert str(info.value) == message
 
 

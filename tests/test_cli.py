@@ -296,6 +296,32 @@ def test_type_errors_print_surface_syntax(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+LET_PAIR, LET_PACK = "let <x, y> = k in x y", "let <X, y> = k in y"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["typecheck", "--target", "--ctx", "k:b", LET_PAIR], "let-pair scrutinee has type b"),
+        (["typecheck", "--target", "--ctx", "k:b", LET_PACK], "let-pack scrutinee has type b"),
+        (["typecheck", "--target", "--ctx", r"k:b /\ b", LET_PACK], "let-pack scrutinee has type b ∧ b"),
+        (["normalize", "--target", "--ctx", "k:b", LET_PAIR], "let-pair scrutinee has type b"),
+        (["normalize", "--target", "--ctx", "k:b", LET_PACK], "let-pack scrutinee has type b"),
+        (["eq", "--target", "--ctx", "k:b", LET_PAIR, LET_PAIR], "let-pair scrutinee has type b"),
+        (["uncps", "--names", "k:b", LET_PAIR], "let-pair scrutinee has type b"),
+        (["uncps", "--names", "k:b", LET_PACK], "let-pack scrutinee has type b"),
+    ],
+    ids=["typecheck-pair", "typecheck-pack", "typecheck-pack-conj", "normalize-pair",
+         "normalize-pack", "eq-pair", "uncps-pair", "uncps-pack"],
+)
+def test_ill_typed_let_scrutinee_exit_2(capsys, argv, message):
+    # Filling in pack annotations types each let's scrutinee first; a
+    # scrutinee of the wrong shape is a typing error, worded as
+    # typecheck_target words it.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

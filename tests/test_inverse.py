@@ -79,6 +79,16 @@ def test_star_not_invertible():
         invert(raw, ())
 
 
+def test_kind_must_match_the_type():
+    from mu2forge.canonical import CanonicalForm, PROGRAM
+
+    with pytest.raises(NotCanonical):
+        invert(CanonicalForm(PROGRAM, tg.TgVar("x"), tt.R, PLAIN), (("x", tt.R),))
+    # k is a Continuation at a, not a Program
+    with pytest.raises(NotCanonical, match="^a program at a, the type of a continuation$"):
+        invert(CanonicalForm(PROGRAM, tg.TgVar("k"), S, PLAIN), tg_ctx(("k", S)))
+
+
 def test_inverse_typing_on_corpus():
     for source, gamma, delta in [
         (dne(A), (), ()),
