@@ -311,3 +311,43 @@ def test_generator_corpus_pinned():
     assert _digest(_judgement_corpus(20240, 1000, 6)) == CRITERION_1_SHA256
     assert _digest(_term_in_term_corpus(77, 200)) == TERM_IN_TERM_SHA256
     assert _digest(_judgement_corpus(77 + 10_000, 200, 5)) == TYPE_IN_TERM_SHA256
+
+
+# Every decision of the inhabitation pre-filter over the corpus shapes
+# (gen_judgement at budgets 6 and 5; the term-in-term lemma's two terms
+# at budgets 5 and 4), pinned with its inputs.  A rewrite of `_inhabited`
+# that changes one boolean changes the digest.
+
+INHABITATION_SHA256 = "ed1bc62df605555e37a37a41a3f40b7399cb2292bae02c507c628d04b5bb012c"
+
+
+def test_inhabitation_decisions_pinned(monkeypatch):
+    from mu2forge import theory
+
+    decide = theory._inhabited
+    lines = []
+
+    def recorded(budget, gamma_types, delta_types, goal):
+        got = decide(budget, gamma_types, delta_types, goal)
+        shown = [", ".join(map(print_mu_type, z)) for z in (gamma_types, delta_types)]
+        lines.append(f"{budget}\t{shown[0]}\t{shown[1]}\t{print_mu_type(goal)}\t{int(got)}")
+        return got
+
+    monkeypatch.setattr(theory, "_inhabited", recorded)
+    for s in range(600):
+        for budget in (6, 5):
+            try:
+                gen_judgement(s, budget=budget)
+            except GaveUp:
+                pass
+        rng = random.Random(s)
+        sigma_x = gen_type(rng, 2)
+        gamma = ctx(("v1", gen_type(rng, 2)), ("v2", mt.Arrow(sigma_x, sigma_x)))
+        delta = ctx(("k1", gen_type(rng, 2)))
+        try:
+            gen_typed_term(s, 5, gamma + (("xsubst", sigma_x),), delta, gen_type(rng, 2))
+            gen_typed_term(s + 1, 4, gamma, delta, sigma_x)
+        except GaveUp:
+            pass
+    assert (len(lines), sum(line.endswith("0") for line in lines)) == (2223, 739)
+    assert _digest(lines) == INHABITATION_SHA256
