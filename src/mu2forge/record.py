@@ -7,23 +7,29 @@ optional default given directly or by :func:`field`, and gives the class
 * ``__repr__`` as ``Qualname(f=value!r, ...)``;
 * ``__eq__`` over the compared fields, in field order, between instances
   of the same class (``NotImplemented`` otherwise), and ``__hash__`` of
-  the same tuple;
+  the same tuple, computed once per instance;
 * ``__match_args__``, the field names in order;
 * ``__setattr__`` and ``__delattr__`` that raise :class:`FrozenRecordError`.
 
-This is what ``@dataclass(frozen=True)`` gives such a class, but the four
-methods are compiled from one source string in a single ``exec``.  The
+This is what ``@dataclass(frozen=True)`` gives such a class, but
+``__init__``, ``__repr__``, ``__eq__`` and ``_record_key`` (the tuple of
+compared fields) are compiled from one source string in a single
+``exec``, and every class shares one ``__hash__``.  The
 constructor stores each field through ``object.__setattr__`` bound once,
 so an instance keeps CPython's compact attribute values and their fast
 reads (a store into ``self.__dict__`` would build the dict and halve the
 speed of every later read).  The instance ``__dict__`` stays open to
-memos that are not fields (see ``rewrite``).  :func:`fields` returns the
-ordered field list.
+memos that are not fields (see ``rewrite``).  ``__hash__`` hashes the
+key once and stores the value beside the fields, as ``_record_hash``: a
+record is immutable, so its hash never changes, and hashing a tree of
+records a second time reads one attribute instead of walking the tree.
+:func:`fields` returns the ordered field list.
 """
 
 from __future__ import annotations
 
 MISSING = object()  # the default of a field that has none
+_setattr = object.__setattr__
 
 
 class FrozenRecordError(AttributeError):
@@ -55,6 +61,14 @@ def _frozen_delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+def _hash_once(self):
+    h = self._record_hash
+    if h is None:
+        h = hash(self._record_key())
+        _setattr(self, "_record_hash", h)
+    return h
+
+
 def record(cls: type) -> type:
     body, specs = vars(cls), []
     for name in body.get("__annotations__", {}):
@@ -79,14 +93,15 @@ def record(cls: type) -> type:
         f"def __repr__(self):\n    return f\"{{self.__class__.__qualname__}}({shown})\"\n"
         "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
         f"        return {mine} == {theirs}\n    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash({mine})\n"
+        f"def _record_key(self):\n    return {mine}\n"
     )
     methods: dict = {}
     defaults = {f"_d{i}": f.default for i, f in enumerate(specs)}
-    exec(source, {"_setattr": object.__setattr__, **defaults}, methods)
+    exec(source, {"_setattr": _setattr, **defaults}, methods)
     for name, fn in methods.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
+    cls.__hash__, cls._record_hash = _hash_once, None
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     cls.__match_args__ = tuple(names)
     cls.__record_fields__ = tuple(specs)

@@ -122,6 +122,31 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self._separators: dict[int, str | None] | None = None
+
+    def separators(self) -> dict[int, str | None]:
+        """The separator of each ``<`` token, by token index: the first
+        ``,`` or ``|`` at the depth just inside it, or None when a ``>``
+        at that depth comes first (a ``<`` missing here has neither).
+        Any of ``( < [`` opens a level and any of ``) > ]`` closes one,
+        matched or not.  One pass finds them all: each ``<`` waits at its
+        inner depth until a ``, | >`` at that depth settles it."""
+        if self._separators is None:
+            found: dict[int, str | None] = {}
+            waiting: dict[int, list[int]] = {}
+            depth = 0
+            for k, t in enumerate(self.tokens):
+                if t.text in (">", ",", "|") and depth in waiting:
+                    for opened in waiting.pop(depth):
+                        found[opened] = None if t.text == ">" else t.text
+                if t.text in ("(", "<", "["):
+                    depth += 1
+                    if t.text == "<":
+                        waiting.setdefault(depth, []).append(k)
+                elif t.text in (")", ">", "]"):
+                    depth -= 1
+            self._separators = found
+        return self._separators
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -454,22 +479,8 @@ def _tg_atom(p: _Parser, waiting: list) -> tg.TargetTerm | None:
         waiting.append(None)
         return None
     if tok.text == "<":
-        # <M, N>  or  <t | M>  or  <t | M : T>; disambiguate by scanning
-        # for the separator at depth zero.
-        start = p.pos
-        depth = 0
-        sep = None
-        for k in range(start, len(p.tokens)):
-            t = p.tokens[k]
-            if t.text in ("(", "<", "["):
-                depth += 1
-            elif t.text in (")", ">", "]"):
-                if t.text == ">" and depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0 and t.text in (",", "|"):
-                sep = t.text
-                break
+        # <M, N>  or  <t | M>  or  <t | M : T>, told apart by the separator
+        sep = p.separators().get(p.pos - 1)
         if sep == ",":
             waiting.append(("<,", None))
             return None

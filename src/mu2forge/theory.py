@@ -381,41 +381,75 @@ def _inhabited(budget, gamma_types, delta_types, goal) -> bool:
     or app domains builds a term, so every restart of `_gen` returns None
     and `gen_typed_term` would raise GaveUp anyway.  Termination: every
     recursive call strictly lowers the budget (budget - 1, or budget // 2
-    at budget >= 3).  The memo lives for this call only.
+    at budget >= 3).  The memos live for this call only.
+
+    The answer is a function of (budget, gamma, delta, goal) alone, so the
+    order in which the rules are tried and what is shared between calls
+    change no answer, only the work:
+
+    * A leaf is answered before the memo: a goal in gamma is a var, and
+      below budget 2 nothing else applies.  Most calls are such leaves,
+      and they take no memo entry.
+    * What gamma offers is computed once per gamma: the types tyapp-var
+      reaches (each forall instantiated at every `_ATOM_POOL` atom), and
+      the arrow domains of gamma by codomain, which app-var asks for.
+    * The mu rule asks whether any target in D = delta | {goal} is
+      inhabited at budget - 1 with D as delta.  That depends on the goal
+      only through D, so it is memoized on (budget, gamma, D), and every
+      goal that yields the same D shares one answer.
     """
     memo: dict = {}
+    mu_memo: dict = {}
+    offers: dict = {}
 
     def inh(budget, gam, dlt, goal) -> bool:
-        key = (budget, gam, dlt, goal)
-        if key not in memo:
-            memo[key] = step(budget, gam, dlt, goal)
-        return memo[key]
-
-    def step(budget, gam, dlt, goal) -> bool:
         if goal in gam:
             return True  # var
         if budget < 2:
             return False
-        for ty in gam:
-            if isinstance(ty, mt.Forall) and any(
-                mt.inst_tvar(ty.body, a) == goal for a in _ATOM_POOL
-            ):
-                return True  # tyapp-var
-            if isinstance(ty, mt.Arrow) and ty.cod == goal and inh(budget - 1, gam, dlt, ty.dom):
-                return True  # app-var
+        key = (budget, gam, dlt, goal)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = step(budget, gam, dlt, goal)
+        return got
+
+    def offered(gam):
+        got = offers.get(gam)
+        if got is None:
+            reached, doms = set(), {}
+            for ty in gam:
+                if isinstance(ty, mt.Forall):
+                    reached.update(mt.inst_tvar(ty.body, a) for a in _ATOM_POOL)
+                elif isinstance(ty, mt.Arrow):
+                    doms.setdefault(ty.cod, []).append(ty.dom)
+            got = offers[gam] = (reached, doms)
+        return got
+
+    def step(budget, gam, dlt, goal) -> bool:
+        reached, doms = offered(gam)
+        if goal in reached:
+            return True  # tyapp-var
+        if any(inh(budget - 1, gam, dlt, dom) for dom in doms.get(goal, ())):
+            return True  # app-var
         if isinstance(goal, mt.Arrow) and inh(budget - 1, gam | {goal.dom}, dlt, goal.cod):
             return True  # lam
         if isinstance(goal, mt.Forall):
             opened = mt.open_tvar(goal.body, f"#X{budget}")
             if inh(budget - 1, gam, dlt, opened):
                 return True  # tylam
-        dlt2 = dlt | {goal}
-        if any(inh(budget - 1, gam, dlt2, tgt) for tgt in dlt2):
+        if mu(budget, gam, dlt | {goal}):
             return True  # mu
-        return budget >= 3 and any(
-            inh(budget // 2, gam, dlt, mt.Arrow(a, goal)) and inh(budget // 2, gam, dlt, a)
+        return budget >= 3 and any(  # app, asking for the cheaper argument first
+            inh(budget // 2, gam, dlt, a) and inh(budget // 2, gam, dlt, mt.Arrow(a, goal))
             for a in _ATOM_POOL
         )
+
+    def mu(budget, gam, dlt2) -> bool:
+        key = (budget, gam, dlt2)
+        got = mu_memo.get(key)
+        if got is None:
+            got = mu_memo[key] = any(inh(budget - 1, gam, dlt2, tgt) for tgt in dlt2)
+        return got
 
     return inh(budget, frozenset(gamma_types), frozenset(delta_types), goal)
 

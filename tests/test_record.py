@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import mu2forge
-from mu2forge.record import MISSING, fields
+from mu2forge.record import MISSING, FrozenRecordError, fields
 
 
 def _record_classes() -> list[type]:
@@ -43,6 +43,20 @@ TWINS = {cls: _twin(cls) for cls in RECORDS}
 
 # field values of every kind the kernel stores: atoms, indices, tuples, None
 SAMPLES = ("x%3", 0, ("t", 1), None, "it's", -2, frozenset({"a"}))
+
+
+class _Counted:
+    """A field value that counts the calls of its __hash__."""
+
+    def __init__(self, value):
+        self.value, self.calls = value, 0
+
+    def __hash__(self):
+        self.calls += 1
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"_Counted({self.value!r})"
 
 
 def _values(cls: type, shift: int, compared_only: bool = False) -> list:
@@ -93,6 +107,21 @@ def test_record_matches_its_dataclass_twin(cls):
     assert rec.__eq__(values) is NotImplemented
     sub, twin_sub = type("Sub", (cls,), {}), type("Sub", (twin,), {})
     assert (rec == sub(*values)) == (ref == twin_sub(*values)) == False  # noqa: E712
+
+    # hash is computed once per instance: hashing again asks no field, and
+    # the stored hash changes no field, repr or == and keeps the record frozen
+    counted = [_Counted(v) for v in values]
+    hashed = cls(*counted)
+    first = hash(hashed)
+    asked = sum(c.calls for c in counted)
+    assert asked == sum(f.compare for f in fields(cls))
+    assert hash(hashed) == first == hash(twin(*counted))
+    assert sum(c.calls for c in counted) == 2 * asked  # the twin's hash only
+    assert [getattr(hashed, n) for n in names] == counted
+    assert repr(hashed) == repr(twin(*counted)) and hashed == cls(*counted)
+    for name in names:
+        with pytest.raises(FrozenRecordError):
+            setattr(hashed, name, 1)
 
     # frozen: the same exception message as the dataclass, and an AttributeError
     for name in [*names, "not_a_field"]:

@@ -77,11 +77,9 @@ def test_cps_typing_and_nameful_round_trip_deep():
     assert typecheck_target((), image) == tt.Neg(cps_type(ty))
     nameful = rewrite.to_nameful(image)
     assert tg.equal(rewrite.from_nameful(nameful), image)
-    # The image of Church n is more than 3n deep; reading a bracket back
-    # costs a scan to its separator, so the printer and parser run on the
-    # image of the smaller numeral.
-    image, _ = cps_term_typed((), (), church(LIMIT))
-    assert depth(image, tg.children) > DEEP
+    # The image of Church n is more than 3n deep, and every bracket of it
+    # nests the next; the reader finds all their separators in one pass.
+    assert depth(image, tg.children) > 3 * DEEP
     assert tg.equal(parse_target_term(print_target_term(image)), image)
 
 
