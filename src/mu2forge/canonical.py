@@ -19,6 +19,14 @@ sound as far as every rule of the rewrite engine is an instance, or a
 composite of instances, of the equational theory; nothing on the
 verdict path re-checks the trace, and `rewrite.replay` re-runs the
 engine's own rules.  Distinct verdicts are advisory.
+
+`eq_target` normalises its two sides in lockstep with
+`rewrite.normalize_pair`.  Most equations asked are Equal, and their
+sides are alpha-equal after the first contraction phase or earlier;
+from there the right side applies the left side's steps to its own
+term instead of searching for them.  A phase's steps depend only on the
+alpha-class of its input, so both normal forms and both traces are the
+ones two `normalize` calls give.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from . import target_types as tt
 from . import target_terms as tg
 from .printer import print_target_term, print_target_type as show
 from .record import field, record
-from .rewrite import RewriteStep, normalize
+from .rewrite import RewriteStep, normalize, normalize_pair
 from .target_types import NotInImageType, is_image
 from .target_typing import (
     PARAMETRIC,
@@ -194,11 +202,17 @@ def eq_target(
     mode: str = PLAIN,
     context: TgContext = (),
 ) -> EqVerdict:
-    """Decide provable equality by comparing canonical representatives."""
+    """Decide provable equality by comparing canonical representatives.
+
+    Both sides are normalised in lockstep (`rewrite.normalize_pair`):
+    once the right side is alpha-equal to the left, it replays the left
+    side's remaining steps instead of searching.  That is exact, because
+    no rule reads an atom's name, so the normal forms, binder names
+    included, and the traces are those of `normalize` on each side.
+    """
     lty = typecheck_target(context, left, mode)
     rty = typecheck_target(context, right, mode)
     if lty != rty:
         raise TargetTypeMismatch(f"eq_target across types {show(lty)} vs {show(rty)}")
-    lnorm, lsteps = normalize(left, context, mode)
-    rnorm, rsteps = normalize(right, context, mode)
+    lnorm, lsteps, rnorm, rsteps, _ = normalize_pair(left, right, context, mode)
     return EqVerdict(tg.equal(lnorm, rnorm), lnorm, rnorm, tuple(lsteps), tuple(rsteps))

@@ -169,20 +169,19 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_uncps(args) -> int:
-    from .canonical import NotCanonical, canonicalize
+    from .canonical import CONTINUATION, NotCanonical
     from .cps import cps_context
-    from .inverse import invert
+    from .inverse import invert_term
 
     gamma = _parse_bindings(args.ctx)
     delta = _parse_bindings(args.names)
     tctx = cps_context(gamma, delta)
     term = resolve_packs(parse_target_term(args.expr), tctx, PLAIN)
     try:
-        form = canonicalize(term, None, PLAIN, tctx)
-        result = invert(form, tctx)
+        kind, result = invert_term(term, tctx)
     except (NotCanonical, NotInImageType) as exc:
         raise _no_canonical_form(exc) from exc
-    continuation = form.kind == "continuation"
+    continuation = kind == CONTINUATION
     term = result(tm.Var("HOLE")) if continuation else result
     print(sexpr_mu_term(term) if args.ast else print_mu_term(term))
     if continuation:

@@ -3,7 +3,8 @@
 `invert` runs `canonical`'s walk of the grammar with a builder that
 reads each clause back: Programs invert to terms, Continuations to
 one-hole contexts with a typed hole, Answers to terms of the falsity
-type.  Hole filling is capture-permitting: the let clauses bind the
+type.  `invert_term` normalises a term and runs that walk on its normal
+form, once.  Hole filling is capture-permitting: the let clauses bind the
 variables and names of the filled term, so contexts are represented as
 closures that construct the binders around the hole.
 """
@@ -21,8 +22,9 @@ from .cps import cps_term_typed
 from .mu_typing import Context
 from .printer import print_target_type as show
 from .record import record
+from .rewrite import normalize
 from .target_types import uncps_type
-from .target_typing import PLAIN, TgContext
+from .target_typing import PLAIN, TgContext, typecheck_target
 
 
 @record
@@ -58,6 +60,14 @@ def invert(form: CanonicalForm, context: TgContext = ()):
     if kind != form.kind:
         raise NotCanonical(f"a {form.kind} at {show(form.type)}, the type of a {kind}")
     return out
+
+
+def invert_term(term: tg.TargetTerm, context: TgContext = ()):
+    """Normalise a term in plain mode and invert its canonical form, in
+    one walk of the grammar: its kind and its inverse."""
+    type_ = typecheck_target(context, term, PLAIN)
+    normal, _ = normalize(term, context, PLAIN)
+    return _walk(normal, type_, PLAIN, context, _Inverse())
 
 
 class _Inverse:

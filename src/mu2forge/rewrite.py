@@ -26,10 +26,18 @@ The focus is a zipper over the term, and the path to the root is
 rebuilt once, when the zipper unwinds.  `_run` states the invariant;
 the test suite checks every step against a search from the root.
 
-Every applied step is logged as ``rule path``; `replay` re-applies a
-logged trace step by step with these same rule functions, checking that
-each named rule matches at its path.  It shares the engine's rules, so
-it does not check them.
+Every applied step is logged as ``rule path``.  `_follow` applies a
+logged step list on the zipper by rule name and path, with these same
+rule functions; `replay` is that walk on a locally nameless term.  It
+shares the engine's rules, so it does not check them.
+
+`normalize_pair` normalises the two sides of an equation in lockstep.
+A phase's steps are a function of the alpha-class of its input: no rule
+reads an atom's name, and let-swap's name tiebreak only separates
+atoms of equal binding order, which are the same atom.  So once the
+right side is alpha-equal to the left, it stops searching and follows
+the left side's steps on its own term.  Its binder names, normal form
+and trace are exactly those of its own search.
 """
 
 from __future__ import annotations
@@ -977,6 +985,11 @@ def _run(t, env, mode, groups, steps):
     raise RewriteError(f"{what} did not terminate within the step budget")
 
 
+def _phases(mode: str):
+    """Contract, eta-expand to the long form, then contract again."""
+    return _contract_groups(mode), _expand_groups(mode), _contract_groups(mode)
+
+
 def normalize_nameful(
     t: TargetTerm, env: dict[str, tt.TargetType], mode: str
 ) -> tuple[TargetTerm, list[RewriteStep]]:
@@ -988,9 +1001,8 @@ def normalize_nameful(
     canonical representative for provably equal inputs.
     """
     steps: list[RewriteStep] = []
-    t = _run(t, env, mode, _contract_groups(mode), steps)
-    t = _run(t, env, mode, _expand_groups(mode), steps)
-    t = _run(t, env, mode, _contract_groups(mode), steps)
+    for groups in _phases(mode):
+        t = _run(t, env, mode, groups, steps)
     return t, steps
 
 
@@ -1014,37 +1026,172 @@ def beta_normalize(term: TargetTerm, context: TgContext = ()) -> TargetTerm:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Following a trace, and the lockstep pair
+
+
+def _alpha_equal(a: TargetTerm, b: TargetTerm) -> bool:
+    """Whether nameful terms a and b are alpha-equal, in one walk over an
+    explicit stack that builds no term.
+
+    Each side's binder atoms are unique and occur only in their binder's
+    scope, so a binder of a is matched with b's when the walk meets it,
+    and the match holds wherever the atom occurs.  A free atom must be
+    the same on both sides.  Annotations compare under the match of
+    LetPack-bound type atoms.  A subtree both sides share holds no binder
+    atom of either, since each side's binders are its own fresh atoms."""
+    atoms: dict[str, str] = {}
+    tatoms: dict[str, str] = {}
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is TgVar:
+            if atoms.get(a.name, a.name) != b.name:
+                return False
+        elif cls is TgApp:
+            todo += ((a.arg, b.arg), (a.fn, b.fn))
+        elif cls is TgLam:
+            atoms[a.hint] = b.hint
+            if not _alpha_type(a.ann, b.ann, tatoms):
+                return False
+            todo.append((a.body, b.body))
+        elif cls is Pair:
+            todo += ((a.right, b.right), (a.left, b.left))
+        elif cls is LetPair:
+            atoms[a.hint_x] = b.hint_x
+            atoms[a.hint_y] = b.hint_y
+            todo += ((a.body, b.body), (a.scrut, b.scrut))
+        elif cls is LetPack:
+            tatoms[a.hint_t] = b.hint_t
+            atoms[a.hint_x] = b.hint_x
+            todo += ((a.body, b.body), (a.scrut, b.scrut))
+        elif cls is Pack:
+            if not (_alpha_type(a.witness, b.witness, tatoms) and _alpha_type(a.ex_ann, b.ex_ann, tatoms)):
+                return False
+            todo.append((a.payload, b.payload))
+    return True
+
+
+def _alpha_type(a: tt.TargetType, b: tt.TargetType, tatoms: dict[str, str]) -> bool:
+    """Whether annotation a, read through the type-atom match, is b."""
+    if not tatoms:
+        return a == b
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is tt.TgVarT:
+            if tatoms.get(a.name, a.name) != b.name:
+                return False
+        elif cls is tt.TgBoundT:
+            if a.index != b.index:
+                return False
+        elif cls is tt.Conj:
+            todo += ((a.left, b.left), (a.right, b.right))
+        elif cls is not tt.RType:  # Neg, Exists
+            todo.append((a.body, b.body))
+    return True
+
+
+def _goto(z: _Zipper, path: tuple[int, ...]) -> bool:
+    """Move the focus to path, keeping env current, up only as far as
+    the common prefix with the focus's own path; False if path does not
+    exist."""
+    stack = z.stack
+    common, end = 0, min(len(stack), len(path))
+    while common < end and stack[common][1] == path[common]:
+        common += 1
+    while len(stack) > common:
+        z.up()
+    return all(z.down(i, True) for i in path[common:])
+
+
+def _follow(z: _Zipper, steps, mode: str) -> None:
+    """Apply logged steps to the zipper's term, each by rule name at its
+    path.  It trusts where the steps came from: it checks only that each
+    rule is known, each path exists and each rule applies there."""
+    for step in steps:
+        rule = ALL_RULES.get(step.rule)
+        if rule is None:
+            raise ReplayError(f"unknown rule {step.rule}")
+        if not _goto(z, step.path):
+            raise ReplayError(f"path {step.path} does not exist")
+        out = rule(z.node, z.env, mode)
+        if out is None:
+            raise ReplayError(f"rule {step.rule} does not apply at {step.path}")
+        z.replace(out)
+
+
+def normalize_pair(
+    left: TargetTerm, right: TargetTerm, context: TgContext = (), mode: str = PLAIN
+) -> tuple[TargetTerm, list[RewriteStep], TargetTerm, list[RewriteStep], str | None]:
+    """Normalise two locally closed terms, each as `normalize` does, in
+    lockstep; returns (left result, left trace, right result, right
+    trace, where they met).
+
+    Both sides run the phases of `normalize_nameful`, the left first.
+    The sides are compared at three points: the closed inputs before any
+    phase ("inputs"); the right side's input to a phase against the left
+    side's output of it ("ahead n": the right side is already a normal
+    form of the phase and takes no step in it); and the two outputs of a
+    phase ("outputs n").  From the point where they meet, the right side
+    stops searching and follows the left side's later steps on its own
+    term.  Since the steps of a phase depend only on the alpha-class of
+    its input, the right side's result and trace are exactly those of
+    its own search; a followed step that does not apply is a bug and
+    raises RewriteError.
+    """
+    env = dict(context)
+    lt, rt = to_nameful(left), to_nameful(right)
+    lsteps: list[RewriteStep] = []
+    rsteps: list[RewriteStep] = []
+    met = "inputs" if tg.equal(left, right) else None
+    for phase, groups in enumerate(_phases(mode), 1):
+        start = len(lsteps)
+        lt = _run(lt, env, mode, groups, lsteps)
+        if met is not None:
+            z = _Zipper(rt, env)
+            try:
+                _follow(z, lsteps[start:], mode)
+            except ReplayError as exc:
+                raise RewriteError(f"the right side cannot follow the left: {exc}") from exc
+            rt = z.unwind()
+            rsteps += lsteps[start:]
+        elif _alpha_equal(lt, rt):
+            met = f"ahead {phase}"
+        else:
+            rt = _run(rt, env, mode, groups, rsteps)
+            if _alpha_equal(lt, rt):
+                met = f"outputs {phase}"
+    return from_nameful(lt), lsteps, from_nameful(rt), rsteps, met
+
+
 def replay(
     term: TargetTerm,
     steps: list[RewriteStep],
     context: TgContext = (),
     mode: str = PLAIN,
 ) -> TargetTerm:
-    """Re-run a logged trace, validating every step, and return the result.
+    """Apply a logged trace to term with the engine's own rules and
+    return the result.
 
-    A step is valid when the named rule's pattern matches at the recorded
-    position; primitive rules are literal axiom instances, derived rules
+    Each named rule must be known, its path must exist and the rule must
+    apply there, or ReplayError is raised.  Replay trusts where the steps
+    came from: it shares the engine's rules, so it is not a checker of
+    them.  Primitive rules are literal axiom instances; derived rules
     (hoist-*, let-*, dedup-*, star-eta, the eta-pair and eta-pack
     patterns) compose axiom instances as documented on their
     implementations, some in more than two steps.
     """
-    env = dict(context)
-    t = to_nameful(term)
-    for step in steps:
-        rule = ALL_RULES.get(step.rule)
-        if rule is None:
-            raise ReplayError(f"unknown rule {step.rule}")
-        try:
-            node = tg.subterm_at(t, step.path)
-        except IndexError:
-            raise ReplayError(f"path {step.path} does not exist") from None
-        node_env = env
-        cur = t
-        for i in step.path:
-            node_env = _env_through(cur, i, node_env)
-            cur = children(cur)[i]
-        out = rule(node, node_env, mode)
-        if out is None:
-            raise ReplayError(f"rule {step.rule} does not apply at {step.path}")
-        t = tg.replace_at(t, step.path, out)
-    return from_nameful(t)
+    z = _Zipper(to_nameful(term), dict(context))
+    _follow(z, steps, mode)
+    return from_nameful(z.unwind())

@@ -110,6 +110,31 @@ def test_uncps_continuation_prints_context(capsys):
     assert "context with hole" in err
 
 
+@pytest.mark.parametrize("argv", [["--ctx", "x:s -> s", r"\k:not s /\ s. let <y, j> = k in x <y, j>"],
+                                  ["--names", "k:s", "k"]], ids=["program", "continuation"])
+def test_uncps_walks_the_grammar_once(capsys, monkeypatch, argv):
+    """One uncps call normalizes once and walks the canonical grammar
+    once, with the inverting builder."""
+    from mu2forge import canonical, inverse, rewrite
+
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    walk, normalize = counted(canonical._walk), counted(rewrite.normalize)
+    for module in (canonical, inverse):
+        monkeypatch.setattr(module, "_walk", walk)
+    for module in (rewrite, canonical, inverse):
+        monkeypatch.setattr(module, "normalize", normalize, raising=False)
+    code, out, _ = run(capsys, "uncps", *argv)
+    assert code == 0 and out
+    assert sorted(calls) == ["_walk", "normalize"]
+
+
 def test_focal_check_certificate(capsys):
     code, out, _ = run(
         capsys, "focal-check", "--source", "bot", "--to", "s", "A[s]"

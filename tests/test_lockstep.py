@@ -1,0 +1,201 @@
+"""The lockstep pair driver behind eq_target, against two independent
+`normalize` calls as the reference."""
+
+from collections import Counter
+
+import pytest
+
+from mu2forge import inverse, rewrite, theory
+from mu2forge import canonical
+from mu2forge import mu_terms as tm
+from mu2forge import target_terms as tg
+from mu2forge.combinators import church, church_succ, church_zero, identity
+from mu2forge.cps import cps_context, cps_term_typed
+from mu2forge.printer import print_target_term, sexpr_target_term
+from mu2forge.rewrite import normalize, normalize_pair
+from mu2forge.target_typing import PARAMETRIC, PLAIN
+from mu2forge.theory import (
+    BETA_ETA,
+    LAMBDA_MU_2P,
+    GaveUp,
+    additional_axiom_instances,
+    core_axiom_instances,
+    eq_mu,
+    gen_judgement,
+)
+
+GENERATOR_SEEDS = 12  # the first generated judgements from seed 140 000
+
+
+def succ_power(n):
+    t = church_zero()
+    for _ in range(n):
+        t = tm.App(church_succ(), t)
+    return t
+
+
+def _generated():
+    seed, out = 140_000, []
+    while len(out) < GENERATOR_SEEDS:
+        try:
+            out.append(gen_judgement(seed, budget=5))
+        except GaveUp:
+            pass
+        seed += 1
+    return out
+
+
+def _input_sets():
+    """Per input set, a thunk that asks the kernel its equations."""
+    from mu2forge.suite_runner import (
+        criterion_3_fullness,
+        criterion_7_focal_decomposition,
+        criterion_10_l_monad,
+    )
+
+    def axioms():
+        for inst in core_axiom_instances():
+            for th in (BETA_ETA, LAMBDA_MU_2P):
+                eq_mu(inst.left, inst.right, th, inst.gamma, inst.delta)
+        for instances in additional_axiom_instances().values():
+            for inst in instances:
+                for th in (BETA_ETA, LAMBDA_MU_2P):
+                    eq_mu(inst.left, inst.right, th, inst.gamma, inst.delta)
+
+    def numerals():
+        for th in (BETA_ETA, LAMBDA_MU_2P):
+            for n in range(6):
+                eq_mu(succ_power(n), church(n), th)
+                eq_mu(succ_power(n), church(n + 1), th)
+
+    def generated():
+        # each image against its own normal form, and each term against
+        # the identity applied to it
+        for gamma, delta, source, ty in _generated():
+            image, _ = cps_term_typed(gamma, delta, source)
+            tctx = cps_context(gamma, delta)
+            for mode in (PLAIN, PARAMETRIC):
+                canonical.eq_target(image, normalize(image, tctx, mode)[0], mode, tctx)
+            for th in (BETA_ETA, LAMBDA_MU_2P):
+                eq_mu(source, tm.App(identity(ty), source), th, gamma, delta)
+
+    return {
+        "round trips": criterion_3_fullness,
+        "axioms": axioms,
+        "L-monad and focal": lambda: (criterion_10_l_monad(), criterion_7_focal_decomposition()),
+        "numerals": numerals,
+        "generated": generated,
+    }
+
+
+@pytest.fixture(scope="module")
+def equations():
+    """Per input set, the (left, right, mode, context) of every eq_target
+    call it makes."""
+    real = canonical.eq_target
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, ask in _input_sets().items():
+            calls = out[name] = []
+
+            def capture(left, right, mode=PLAIN, context=(), calls=calls):
+                calls.append((left, right, mode, context))
+                return real(left, right, mode, context)
+
+            for module in (canonical, theory, inverse):
+                patch.setattr(module, "eq_target", capture)
+            ask()
+    return out
+
+
+def test_input_sets_sizes(equations):
+    assert {name: len(calls) for name, calls in equations.items()} == {
+        "round trips": 23,
+        "axioms": 2 * (len(core_axiom_instances())
+                       + sum(map(len, additional_axiom_instances().values()))),
+        "L-monad and focal": 18,
+        "numerals": 24,
+        "generated": 4 * GENERATOR_SEEDS,
+    }
+
+
+def test_eq_target_matches_two_normalize_calls(equations, monkeypatch):
+    """Same verdict, traces and printed normal forms, binder names
+    included, as two independent normalize calls; eq_target itself no
+    longer calls normalize.  The sides meet exactly when they are
+    Equal."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eq_target called normalize")
+
+    for calls in equations.values():
+        for left, right, mode, context in calls:
+            with monkeypatch.context() as patch:
+                patch.setattr(canonical, "normalize", refuse)
+                verdict = canonical.eq_target(left, right, mode, context)
+            lnorm, lsteps = normalize(left, context, mode)
+            rnorm, rsteps = normalize(right, context, mode)
+            assert verdict.equal == tg.equal(lnorm, rnorm)
+            assert verdict.equal == (normalize_pair(left, right, context, mode)[4] is not None)
+            assert verdict.left_trace == tuple(lsteps)
+            assert verdict.right_trace == tuple(rsteps)
+            for got, want in ((verdict.left, lnorm), (verdict.right, rnorm)):
+                assert print_target_term(got) == print_target_term(want)
+                assert sexpr_target_term(got) == sexpr_target_term(want)
+
+
+def test_meeting_points_pinned(equations):
+    """Where the two sides of each equation meet.  A change that stops
+    them meeting shifts these counts instead of only running slower."""
+    met = {
+        name: Counter(normalize_pair(left, right, context, mode)[4] for left, right, mode, context in calls)
+        for name, calls in equations.items()
+    }
+    assert met == {
+        "round trips": Counter({"ahead 1": 23}),  # the canonical side takes no phase-1 step
+        "axioms": Counter({"ahead 1": 15, "outputs 1": 14, None: 9}),
+        "L-monad and focal": Counter({"ahead 1": 9, "outputs 1": 9}),
+        "numerals": Counter({"outputs 1": 10, "inputs": 2, None: 12}),
+        "generated": Counter({"outputs 1": 24, "ahead 1": 20, "inputs": 4}),
+    }
+
+
+def _variant(term: tg.TargetTerm) -> tg.TargetTerm:
+    """term with every binder opened with other atoms and re-hinted:
+    lower- and upper-case letters of each hint run in reverse order, so
+    atom names sort the other way round."""
+
+    def rehint(atom: str) -> str:
+        flip = lambda c: chr(219 - ord(c)) if c.islower() else chr(155 - ord(c)) if c.isupper() else c
+        return "".join(map(flip, rewrite.base_name(atom))) + "'"
+
+    return tg.close_binders(rewrite.to_nameful(term), rehint)
+
+
+def test_normalization_is_alpha_invariant(equations):
+    """Each input beside an alpha-variant of itself, in both modes: the
+    same trace and tg.equal normal forms.  This is the property the right
+    side's following rests on: no rule reads an atom's name."""
+    checked = 0
+    for calls in equations.values():
+        for left, right, _, context in calls:
+            for term in (left, right):
+                variant = _variant(term)
+                assert tg.equal(variant, term)
+                for mode in (PLAIN, PARAMETRIC):
+                    normal, steps = normalize(term, context, mode)
+                    vnormal, vsteps = normalize(variant, context, mode)
+                    assert vsteps == steps
+                    assert tg.equal(vnormal, normal)
+                    checked += 1
+    assert checked > 500
+
+
+def test_followed_step_that_fails_is_a_bug():
+    """The right side follows the left's steps; one that does not apply
+    raises RewriteError, not a wrong answer."""
+    image, _ = cps_term_typed((), (), church(1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(rewrite.ALL_RULES, "beta-fun", lambda t, env, mode: None)
+        with pytest.raises(rewrite.RewriteError, match="cannot follow"):
+            normalize_pair(image, image, (), PLAIN)

@@ -349,32 +349,26 @@ def assert_binders_scoped(t):
     walk(t)
 
 
-def replay_steps(monkeypatch, term, context, mode, normal, trace, seen):
-    """Replay the engine's trace for term through `replay`, which applies
-    each logged step with tg.replace_at; seen(t) gets every term in
-    between.  Every step is observed once, and the replay ends in the
-    engine's own result."""
+def replay_steps(term, context, mode, normal, trace, seen):
+    """Replay the engine's trace for term one step at a time with the
+    follower `replay` runs; seen(t) gets every nameful term in between.
+    Every step is observed once, and both this walk and `replay` end in
+    the engine's own result."""
     from mu2forge import rewrite
 
-    replace_at = tg.replace_at
+    z = rewrite._Zipper(rewrite.to_nameful(term), dict(context))
     observed = 0
-
-    def observed_replace_at(t, path, new):
-        nonlocal observed
-        out = replace_at(t, path, new)
+    for step in trace:
+        rewrite._follow(z, [step], mode)
         observed += 1
-        seen(out)
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(tg, "replace_at", observed_replace_at)
-        replayed = rewrite.replay(term, trace, context, mode)
+        seen(z.unwind())
     assert observed == len(trace)
-    assert tg.equal(replayed, rewrite.from_nameful(normal))
+    assert tg.equal(rewrite.from_nameful(z.node), rewrite.from_nameful(normal))
+    assert tg.equal(rewrite.replay(term, trace, context, mode), rewrite.from_nameful(normal))
     return observed
 
 
-def test_binder_atoms_unique_after_normalization(monkeypatch):
+def test_binder_atoms_unique_after_normalization():
     """Binder atoms stay unique and scoped after normalizing every catalog
     image and S^n O (n <= 8) in both modes; for the catalog, n <= 4 and
     (lam f. lam x. f (f x)) (lam y. y), whose beta steps duplicate an
@@ -400,7 +394,7 @@ def test_binder_atoms_unique_after_normalization(monkeypatch):
             assert_binders_scoped(normal)
             if every_step:
                 steps_checked += replay_steps(
-                    monkeypatch, term, context, mode, normal, trace, assert_binders_scoped
+                    term, context, mode, normal, trace, assert_binders_scoped
                 )
     assert steps_checked > 500
 
@@ -468,7 +462,7 @@ def _nodes(t, env):
         todo.extend((kid, rewrite._env_through(node, i, env)) for i, kid in enumerate(tg.children(node)))
 
 
-def test_rule_heads_sound(monkeypatch):
+def test_rule_heads_sound():
     """Every rule declares its heads; at every node of the catalog images
     and of S^n O (n <= 6), their normal forms and, for the catalog and
     n <= 2, every term in between (replayed from the trace), in both
@@ -497,7 +491,7 @@ def test_rule_heads_sound(monkeypatch):
             terms.append((normal, env))
             if every_step:
                 record = lambda out, env=env: terms.append((out, env))
-                replay_steps(monkeypatch, term, tuple(env.items()), mode, normal, trace, record)
+                replay_steps(term, tuple(env.items()), mode, normal, trace, record)
     visits = fired = 0
     for root, root_env in terms:
         for node, env in _nodes(root, root_env):
