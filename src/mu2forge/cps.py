@@ -5,6 +5,12 @@ Types:   X deg = X,  (s1 -> s2) deg = not s1deg /\\ s2deg,
 Terms:   a subject M : sigma translates to [[M]] : not sigmadeg, with
          free term variables x : sigma becoming x : not sigmadeg and
          names a : sigma becoming target variables a : sigmadeg.
+
+The translation is defined on typing derivations, so it is a builder
+over mu_typing's walk: `_Image` gives the image of each typing clause,
+the walk checks the clause and draws its binders' atoms, and the
+nameful image is closed once at the end.  An ill-typed subject raises
+the typechecker's own errors.
 """
 
 from __future__ import annotations
@@ -13,23 +19,9 @@ from . import mu_types as mt
 from . import mu_terms as tm
 from . import target_types as tt
 from . import target_terms as tg
-from .mu_typing import (
-    Context,
-    MuJudgement,
-    MuTypeError,
-    UnboundName,
-    UnboundVariable,
-    check_contexts,
-    lookup,
-)
-from .printer import print_mu_type as show
+from .mu_typing import Context, MuJudgement, _synth, check_contexts
 from .record import record
-from .syntax import TVAR
 from .target_typing import TgContext, typecheck_target
-
-
-class IllTyped(MuTypeError):
-    pass
 
 
 class SoundnessViolation(Exception):
@@ -67,109 +59,38 @@ def cps_term_typed(gamma: Context, delta: Context, subject: tm.MuTerm) -> tuple[
 
 def _translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
     check_contexts(gamma, delta)
-    image, ty = _image(gamma, delta, term)
+    image, ty = _synth(gamma, delta, term, _Image())
     return tg.close_binders(image), ty
 
 
-def _image(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
-    """The nameful image of term (see target_terms.close_binders), its
-    type, in one pass over an explicit stack that checks each node in
-    the order a recursive reading checks it.  As in mu_typing._synth, no
-    binder is opened: the enclosing binders' atoms and types sit on
-    stacks, and an annotation is opened when read."""
-    variables: list[tuple[str, mt.MuType]] = []  # per enclosing Lam: its atom and annotation
-    tvar_atoms: list[str] = []  # per enclosing TyLam: its atom
-    names: list[tuple[str, mt.MuType]] = []  # per enclosing Mu: its atom and annotation
-    read = lambda ty: mt.SYNTAX.open_all(TVAR, ty, tvar_atoms)
-    out: list[tuple[tg.TargetTerm, mt.MuType]] = []  # (image, type) of the finished subterms
-    todo: list = [term]  # terms to translate, and (node, step) to go on with
-    while todo:
-        term = todo.pop()
-        cls = term.__class__
-        if cls is tuple:
-            term, step = term
-            cls = term.__class__
-            tb, body_ty = out.pop()
-            if cls is tm.App:
-                if step is None:  # the function is done: its argument
-                    if not isinstance(body_ty, mt.Arrow):
-                        raise IllTyped(f"application of non-arrow type {show(body_ty)}")
-                    todo.append((term, (tb, body_ty)))
-                    todo.append(term.arg)
-                    continue
-                ta, arg_ty = tb, body_ty
-                tf, fun_ty = step
-                if arg_ty != fun_ty.dom:
-                    raise IllTyped(f"argument type {show(arg_ty)} != domain {show(fun_ty.dom)}")
-                k = tm.fresh("k")
-                out.append((tg.TgLam(k, cps_type(fun_ty.cod), tg.TgApp(tf, tg.Pair(ta, tg.TgVar(k)))), fun_ty.cod))
-            elif cls is tm.Lam:
-                x, ann = variables.pop()
-                fun_ty = mt.Arrow(ann, body_ty)
-                z, k = tm.fresh("z"), tm.fresh("k")
-                image = tg.TgLam(z, cps_type(fun_ty), tg.LetPair(x, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))))
-                out.append((image, fun_ty))
-            elif cls is tm.TyLam:
-                xv = tvar_atoms.pop()
-                all_ty = mt.Forall(term.hint or "X", mt.close_tvar(body_ty, xv))
-                z, k = tm.fresh("z"), tm.fresh("k")
-                image = tg.TgLam(z, cps_type(all_ty), tg.LetPack(xv, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k))))
-                out.append((image, all_ty))
-            elif cls is tm.TyApp:
-                if not isinstance(body_ty, mt.Forall):
-                    raise IllTyped(f"type application of non-forall type {show(body_ty)}")
-                arg = read(term.ty)
-                inst = mt.inst_tvar(body_ty.body, arg)
-                k = tm.fresh("k")
-                pack = tg.Pack(cps_type(arg), tg.TgVar(k), cps_type(body_ty))
-                out.append((tg.TgLam(k, cps_type(inst), tg.TgApp(tb, pack)), inst))
-            else:  # Mu
-                a, ann = names.pop()
-                tname, named_ty = step
-                if body_ty != named_ty:
-                    raise IllTyped(
-                        f"named term has type {show(body_ty)} but name {tname} expects {show(named_ty)}"
-                    )
-                out.append((tg.TgLam(a, cps_type(ann), tg.TgApp(tb, tg.TgVar(tname))), ann))
-        elif cls is tm.Var:
-            ty = lookup(gamma, term.name)
-            if ty is None:
-                raise UnboundVariable(term.name)
-            out.append((tg.TgVar(term.name), ty))
-        elif cls is tm.BVar and term.index < len(variables):
-            x, ty = variables[-1 - term.index]
-            out.append((tg.TgVar(x), ty))
-        elif cls is tm.App or cls is tm.TyApp:
-            todo.append((term, None))
-            todo.append(term.fn)
-        elif cls is tm.Lam:
-            variables.append((tm.fresh(term.hint or "x"), read(term.ann)))
-            todo.append((term, None))
-            todo.append(term.body)
-        elif cls is tm.TyLam:
-            tvar_atoms.append(tm.fresh(term.hint or "X"))
-            todo.append((term, None))
-            todo.append(term.body)
-        elif cls is tm.Mu:
-            a, ann = tm.fresh(term.hint or "a"), read(term.ann)
-            target = term.target
-            if target == tm.BName(0):
-                tname, named_ty = a, ann
-            elif isinstance(target, tm.FName):
-                tname = target.name
-                named_ty = lookup(delta, tname)
-            elif target.index <= len(names):
-                tname, named_ty = names[-target.index]
-            else:
-                raise IllTyped(f"dangling bound name {target.index}")
-            if named_ty is None:
-                raise UnboundName(tname)
-            names.append((a, ann))
-            todo.append((term, (tname, named_ty)))
-            todo.append(term.body)
-        else:
-            raise TypeError(term)
-    return out[0]
+class _Image:
+    """The nameful image (see target_terms.close_binders) of each typing
+    clause, given the images of its parts and the clause's type.  The
+    walk draws the atoms of the source binders; each method draws its
+    own k and z."""
+
+    def var(self, x):
+        return tg.TgVar(x)
+
+    def app(self, fn, arg, ty):  # lam k. fn <arg, k>
+        k = tm.fresh("k")
+        return tg.TgLam(k, cps_type(ty), tg.TgApp(fn, tg.Pair(arg, tg.TgVar(k))))
+
+    def lam(self, x, body, ty):  # lam z. let <x, k> = z in body k
+        z, k = tm.fresh("z"), tm.fresh("k")
+        return tg.TgLam(z, cps_type(ty), tg.LetPair(x, k, tg.TgVar(z), tg.TgApp(body, tg.TgVar(k))))
+
+    def tylam(self, x, body, ty):  # lam z. let <X, k> = z in body k
+        z, k = tm.fresh("z"), tm.fresh("k")
+        return tg.TgLam(z, cps_type(ty), tg.LetPack(x, k, tg.TgVar(z), tg.TgApp(body, tg.TgVar(k))))
+
+    def tyapp(self, fn, fn_ty, arg, ty):  # lam k. fn <argdeg, k>
+        k = tm.fresh("k")
+        pack = tg.Pack(cps_type(arg), tg.TgVar(k), cps_type(fn_ty))
+        return tg.TgLam(k, cps_type(ty), tg.TgApp(fn, pack))
+
+    def mu(self, a, body, name, ty):  # lam a. body name
+        return tg.TgLam(a, cps_type(ty), tg.TgApp(body, tg.TgVar(name)))
 
 
 @record

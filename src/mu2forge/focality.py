@@ -176,10 +176,7 @@ def compose_certificates(
     if outer.source != inner.target:
         raise MuTypeError("certificates do not compose")
     subject = compose(outer.subject, inner.subject, inner.source)
-    cert = check_focal(subject, inner.source, outer.target, gamma, delta)
-    if isinstance(cert, NoCertificate):
-        return cert
-    return cert
+    return check_focal(subject, inner.source, outer.target, gamma, delta)
 
 
 def check_discardable(

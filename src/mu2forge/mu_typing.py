@@ -3,6 +3,10 @@
 Gamma assigns types to term variables, Delta to names (continuation
 variables).  Typing is synthesis: annotations on Lam and Mu binders make
 every judgement syntax-directed.
+
+One walk types a term, `_synth`, and hands each typing clause, once
+checked, to an optional builder: `typecheck_mu` runs it with none, and
+`cps` with one that builds the clause's CPS image.
 """
 
 from __future__ import annotations
@@ -100,20 +104,24 @@ def check_contexts(gamma: Context, delta: Context) -> None:
 def typecheck_mu(gamma: Context, delta: Context, term: MuTerm) -> MuType:
     """Synthesise the unique type of ``term`` under the two contexts."""
     check_contexts(gamma, delta)
-    return _synth(gamma, delta, term)
+    return _synth(gamma, delta, term)[1]
 
 
-def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
-    """The type of term, in one pass over an explicit stack that checks
-    each node in the order a recursive reading checks it.  No binder is
-    opened: the atoms and types of the enclosing binders sit on stacks,
-    innermost last, and an annotation is opened against the type atoms
-    when read, so each binder costs what its own node costs."""
-    var_types: list[MuType] = []  # per enclosing Lam: its annotation
+def _synth(gamma: Context, delta: Context, term: MuTerm, build=None) -> tuple[object, MuType]:
+    """What build made of term's typing clauses, bottom up (None without
+    a builder), and the type of term, in one pass over an explicit stack
+    that checks each node in the order a recursive reading checks it.
+    No binder is opened: the atoms and types of the enclosing binders sit
+    on stacks, innermost last, and an annotation is opened against the
+    type atoms when read, so each binder costs what its own node costs.
+    Each clause reaches the builder once checked, with the atoms drawn
+    for its binders and its type, so the atoms a builder draws come in
+    the walk's order."""
+    variables: list[tuple[str, MuType]] = []  # per enclosing Lam: its atom and annotation
     tvar_atoms: list[str] = []  # per enclosing TyLam: its atom
     names: list[tuple[str, MuType]] = []  # per enclosing Mu: its atom and annotation
     read = lambda ty: SYNTAX.open_all(TVAR, ty, tvar_atoms)
-    types: list[MuType] = []  # the types of the finished subterms
+    out: list[tuple[object, MuType]] = []  # (what build made, type) of the finished subterms
     todo: list = [term]  # terms to type, and (node, step) to go on with
     while todo:
         term = todo.pop()
@@ -121,27 +129,35 @@ def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
         if cls is tuple:
             term, step = term
             cls = term.__class__
-            ty = types.pop()
+            made, ty = out.pop()
             if cls is App:
                 if step is None:  # the function is typed: its argument
                     if not isinstance(ty, Arrow):
                         raise TypeMismatch(f"application of a non-arrow type {show(ty)}")
-                    todo.append((term, ty))
+                    todo.append((term, (made, ty)))
                     todo.append(term.arg)
                     continue
-                if ty != step.dom:
+                fn, fn_ty = step
+                if ty != fn_ty.dom:
                     raise TypeMismatch(
-                        f"argument type {show(ty)} does not match domain {show(step.dom)}"
+                        f"argument type {show(ty)} does not match domain {show(fn_ty.dom)}"
                     )
-                ty = step.cod
+                ty = fn_ty.cod
+                made = build and build.app(fn, made, ty)
             elif cls is Lam:
-                ty = Arrow(var_types.pop(), ty)
+                x, ann = variables.pop()
+                ty = Arrow(ann, ty)
+                made = build and build.lam(x, made, ty)
             elif cls is TyLam:
-                ty = Forall(term.hint or "X", close_tvar(ty, tvar_atoms.pop()))
+                xv = tvar_atoms.pop()
+                ty = Forall(term.hint or "X", close_tvar(ty, xv))
+                made = build and build.tylam(xv, made, ty)
             elif cls is TyApp:
                 if not isinstance(ty, Forall):
                     raise TypeMismatch(f"type application of a non-forall type {show(ty)}")
-                ty = inst_tvar(ty.body, read(term.ty))
+                fn_ty, arg = ty, read(term.ty)
+                ty = inst_tvar(fn_ty.body, arg)
+                made = build and build.tyapp(made, fn_ty, arg, ty)
             else:  # Mu
                 a, ann = names.pop()
                 tname, named_ty = step
@@ -150,23 +166,24 @@ def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
                         f"named term has type {show(ty)} but name {tname} expects {show(named_ty)}"
                     )
                 ty = ann
-            types.append(ty)
+                made = build and build.mu(a, made, tname, ty)
+            out.append((made, ty))
         elif cls is Var:
             ty = lookup(gamma, term.name)
             if ty is None:
                 raise UnboundVariable(term.name)
-            types.append(ty)
+            out.append((build and build.var(term.name), ty))
         elif cls is BVar:
             k = term.index
-            if k >= len(var_types):
+            if k >= len(variables):
                 raise MuTypeError(f"dangling bound variable {k}")
-            types.append(var_types[-1 - k])
+            x, ty = variables[-1 - k]
+            out.append((build and build.var(x), ty))
         elif cls is App or cls is TyApp:
             todo.append((term, None))
             todo.append(term.fn)
         elif cls is Lam:
-            fresh(term.hint or "x")  # unused: drawn so that later fresh atoms do not shift
-            var_types.append(read(term.ann))
+            variables.append((fresh(term.hint or "x"), read(term.ann)))
             todo.append((term, None))
             todo.append(term.body)
         elif cls is TyLam:
@@ -192,4 +209,4 @@ def _synth(gamma: Context, delta: Context, term: MuTerm) -> MuType:
             todo.append(term.body)
         else:
             raise TypeError(term)
-    return types[0]
+    return out[0]

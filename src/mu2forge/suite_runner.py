@@ -408,18 +408,24 @@ def criterion_10_l_monad() -> CriterionResult:
     )
 
 
+def _inst_n(dom, cod, nvar="N"):
+    """lam x:dom -> cod. x nvar, the instantiation at a term."""
+    return tm.lam("x", mt.Arrow(dom, cod), tm.App(tm.Var("x"), tm.Var(nvar)))
+
+
+def _inst_t(scheme, at):
+    """lam x:scheme. x [at], the instantiation at a type."""
+    return tm.lam("x", scheme, tm.TyApp(tm.Var("x"), at))
+
+
 def _certified_family():
     fa = mt.forall("X", mt.Arrow(mt.TVar("X"), C))
-
-    def inst_n(dom, cod, nvar):
-        return tm.lam("x", mt.Arrow(dom, cod), tm.App(tm.Var("x"), tm.Var(nvar)))
-
     gamma = ctx(("N", A), ("N2", B))
     family = [
         ("identity", identity(A), A, A),
         ("abort", abort(A), mt.BOT, A),
-        ("inst-term", inst_n(A, B, "N"), mt.Arrow(A, B), B),
-        ("inst-type", tm.lam("x", fa, tm.TyApp(tm.Var("x"), A)), fa, mt.Arrow(A, C)),
+        ("inst-term", _inst_n(A, B), mt.Arrow(A, B), B),
+        ("inst-type", _inst_t(fa, A), fa, mt.Arrow(A, C)),
     ]
     return gamma, family
 
@@ -429,13 +435,6 @@ def _composite_pairs():
     instantiations making them composable."""
     fa_c = mt.forall("X", mt.Arrow(mt.TVar("X"), C))
     fa_bot = mt.forall("X", mt.TVar("X"))
-
-    def inst_n(dom, cod, nvar="N"):
-        return tm.lam("x", mt.Arrow(dom, cod), tm.App(tm.Var("x"), tm.Var(nvar)))
-
-    def inst_t(body_scheme_ty, at):
-        return tm.lam("x", body_scheme_ty, tm.TyApp(tm.Var("x"), at))
-
     gamma = ctx(("N", A), ("N2", B))
     arr = mt.Arrow(A, B)
     fa_ab = mt.forall("X", arr)
@@ -443,46 +442,46 @@ def _composite_pairs():
     pairs = [
         ("id;id", identity(A), A, A, identity(A), A),
         ("id;abort", identity(mt.BOT), mt.BOT, mt.BOT, abort(A), A),
-        ("id;inst-term", identity(arr), arr, arr, inst_n(A, B), B),
-        ("id;inst-type", identity(fa_c), fa_c, fa_c, inst_t(fa_c, A), mt.Arrow(A, C)),
+        ("id;inst-term", identity(arr), arr, arr, _inst_n(A, B), B),
+        ("id;inst-type", identity(fa_c), fa_c, fa_c, _inst_t(fa_c, A), mt.Arrow(A, C)),
         ("abort;id", abort(A), mt.BOT, A, identity(A), A),
         ("abort;abort", abort(mt.BOT), mt.BOT, mt.BOT, abort(A), A),
-        ("abort;inst-term", abort(arr), mt.BOT, arr, inst_n(A, B), B),
-        ("abort;inst-type", abort(fa_c), mt.BOT, fa_c, inst_t(fa_c, A), mt.Arrow(A, C)),
-        ("inst-term;id", inst_n(A, B), arr, B, identity(B), B),
-        ("inst-term;abort", inst_n(A, mt.BOT), mt.Arrow(A, mt.BOT), mt.BOT, abort(C), C),
+        ("abort;inst-term", abort(arr), mt.BOT, arr, _inst_n(A, B), B),
+        ("abort;inst-type", abort(fa_c), mt.BOT, fa_c, _inst_t(fa_c, A), mt.Arrow(A, C)),
+        ("inst-term;id", _inst_n(A, B), arr, B, identity(B), B),
+        ("inst-term;abort", _inst_n(A, mt.BOT), mt.Arrow(A, mt.BOT), mt.BOT, abort(C), C),
         (
             "inst-term;inst-term",
-            inst_n(A, mt.Arrow(B, C)),
+            _inst_n(A, mt.Arrow(B, C)),
             mt.Arrow(A, mt.Arrow(B, C)),
             mt.Arrow(B, C),
-            inst_n(B, C, "N2"),
+            _inst_n(B, C, "N2"),
             C,
         ),
         (
             "inst-term;inst-type",
-            inst_n(A, fa_c),
+            _inst_n(A, fa_c),
             mt.Arrow(A, fa_c),
             fa_c,
-            inst_t(fa_c, A),
+            _inst_t(fa_c, A),
             mt.Arrow(A, C),
         ),
-        ("inst-type;id", inst_t(fa_c, A), fa_c, mt.Arrow(A, C), identity(mt.Arrow(A, C)), mt.Arrow(A, C)),
-        ("inst-type;abort", inst_t(fa_bot, A), fa_bot, A, tm.lam("x", A, tm.Var("x")), A),
+        ("inst-type;id", _inst_t(fa_c, A), fa_c, mt.Arrow(A, C), identity(mt.Arrow(A, C)), mt.Arrow(A, C)),
+        ("inst-type;abort", _inst_t(fa_bot, A), fa_bot, A, tm.lam("x", A, tm.Var("x")), A),
         (
             "inst-type;inst-term",
-            inst_t(fa_ab, C),
+            _inst_t(fa_ab, C),
             fa_ab,
             arr,
-            inst_n(A, B),
+            _inst_n(A, B),
             B,
         ),
         (
             "inst-type;inst-type",
-            inst_t(fa_fa, A),
+            _inst_t(fa_fa, A),
             fa_fa,
             mt.forall("Y", C),
-            inst_t(mt.forall("Y", C), B),
+            _inst_t(mt.forall("Y", C), B),
             C,
         ),
     ]

@@ -310,11 +310,17 @@ def test_no_canonical_form_exit_2(argv, message):
     [
         (["uncps", "--ctx", "x:s", r"\k:not s. x"], "abstraction body has type ¬s, not R"),
         (["typecheck", "--ctx", "f:s -> s", "f f"], "argument type s → s does not match domain s"),
-        (["cps", "--ctx", "f:s -> s", "f f"], "argument type s → s != domain s"),
+        (["cps", "--ctx", "f:s -> s", "f f"], "argument type s → s does not match domain s"),
+        (["cps", "--ctx", "x:s", "y"], "y"),
+        (["cps", "--ctx", "x:s", "[b] x"], "b"),
+        (["cps", "--ctx", "x:s", "x x"], "application of a non-arrow type s"),
+        (["cps", "--ctx", "x:s", "x [t]"], "type application of a non-forall type s"),
+        (["cps", "--ctx", "x:s", "--names", "b:t", "[b] x"], "named term has type s but name b expects t"),
         (["eq", "--ctx", "x:s, y:t", "x", "y"], "equation across types s vs t"),
         (["focal-check", "--source", "s", "--to", "t", r"\x:s. x"], "subject has type s → s, expected s → t"),
     ],
-    ids=["target_typing", "mu_typing", "cps", "theory", "focality"],
+    ids=["target_typing", "mu_typing", "cps", "cps-unbound-variable", "cps-unbound-name", "cps-non-arrow",
+         "cps-non-forall", "cps-named-term", "theory", "focality"],
 )
 def test_type_errors_print_surface_syntax(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -8,7 +8,6 @@ from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
 from mu2forge.combinators import dne
 from mu2forge.cps import (
-    IllTyped,
     check_subst_term_in_term,
     check_subst_type_in_term,
     check_subst_type_in_type,
@@ -16,7 +15,7 @@ from mu2forge.cps import (
     cps_term_typed,
     cps_type,
 )
-from mu2forge.mu_typing import ctx, judge
+from mu2forge.mu_typing import TypeMismatch, ctx, judge
 from mu2forge.theory import GaveUp, gen_type, gen_typed_term
 
 A, B = mt.TVar("a"), mt.TVar("b")
@@ -56,7 +55,7 @@ def test_type_soundness_examples():
 
 
 def test_ill_typed_propagates():
-    with pytest.raises(IllTyped):
+    with pytest.raises(TypeMismatch):
         cps_term_typed(ctx(("x", A)), (), tm.App(tm.Var("x"), tm.Var("x")))
 
 
