@@ -67,9 +67,9 @@ _EXPORTS = {
         "RelFormula",
         "free_theorem",
         "instantiate_graph",
-        "mu_relation",
         "open_obligations",
         "print_formula",
+        "relate",
         "target_relation",
     ),
     "surface": ("parse_mu_term", "parse_mu_type", "parse_target_term", "parse_target_type"),

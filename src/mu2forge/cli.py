@@ -2,7 +2,8 @@
 
 Subcommands: typecheck, cps, uncps, normalize, eq, focal-check,
 free-theorem, catalog, suite.  Exit codes: 0 success, 1 a Distinct or
-NoCertificate verdict where success was demanded, 2 input error.
+NoCertificate verdict where success was demanded, 2 input error or
+resource limit (nesting depth, rewrite steps).
 """
 
 from __future__ import annotations
@@ -376,6 +377,18 @@ def main(argv: list[str] | None = None) -> int:
         # Exit 1 means Distinct or NoCertificate; too deep an input is an input error.
         print("error: input nested too deeply for the kernel", file=sys.stderr)
         return 2
+    except _step_budget_exceeded() as exc:
+        # Running out of rewrite steps is a limit, not a verdict; any other
+        # RewriteError is a kernel fault and stays a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _step_budget_exceeded():
+    """rewrite.StepBudgetExceeded once a command has loaded rewrite, else
+    no class: an except clause reads it only when an exception is raised."""
+    rewrite = sys.modules.get(f"{__package__}.rewrite")
+    return rewrite.StepBudgetExceeded if rewrite is not None else ()
 
 
 if __name__ == "__main__":

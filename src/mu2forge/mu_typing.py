@@ -23,6 +23,7 @@ from .mu_terms import (
     TyApp,
     TyLam,
     Var,
+    base_name,
     fresh,
 )
 from .printer import print_mu_type as show
@@ -162,16 +163,15 @@ def _synth(gamma: Context, delta: Context, term: MuTerm, build=None) -> tuple[ob
                 a, ann = names.pop()
                 tname, named_ty = step
                 if ty != named_ty:
-                    raise TypeMismatch(
-                        f"named term has type {show(ty)} but name {tname} expects {show(named_ty)}"
-                    )
+                    raise TypeMismatch(f"named term has type {show(ty)} but name {base_name(tname)}"
+                                       f" expects {show(named_ty)}")
                 ty = ann
                 made = build and build.mu(a, made, tname, ty)
             out.append((made, ty))
         elif cls is Var:
             ty = lookup(gamma, term.name)
             if ty is None:
-                raise UnboundVariable(term.name)
+                raise UnboundVariable(f"unbound variable {term.name}")
             out.append((build and build.var(term.name), ty))
         elif cls is BVar:
             k = term.index
@@ -203,7 +203,7 @@ def _synth(gamma: Context, delta: Context, term: MuTerm, build=None) -> tuple[ob
             else:
                 raise MuTypeError(f"dangling bound name {target.index}")
             if named_ty is None:
-                raise UnboundName(tname)
+                raise UnboundName(f"unbound name {tname}")
             names.append((a, ann))
             todo.append((term, (tname, named_ty)))
             todo.append(term.body)

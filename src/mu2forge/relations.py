@@ -9,8 +9,6 @@ equality oracle suffices, and everything else stays an open obligation.
 
 from __future__ import annotations
 
-from functools import partial
-
 from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
@@ -33,8 +31,7 @@ class NotFocal(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Relations.  A relation knows its two endpoint types (source-world
-# MuTypes or target-world TargetTypes, depending on the construction).
+# Relations: what an atom of a formula relates two terms by.
 
 
 class Relation:
@@ -43,6 +40,8 @@ class Relation:
 
 @record
 class RelVar(Relation):
+    """A relation variable; left and right are the types it relates, when known."""
+
     name: str
     left: object = None
     right: object = None
@@ -55,53 +54,25 @@ class IdentityRef(Relation):
 
 @record
 class GraphRef(Relation):
-    """Graph of a map; in the source world only focal maps are allowed."""
+    """Graph of a focal map."""
 
     map: object  # MuTerm (source) or TargetTerm (target)
-    focality_required: bool
-    source: object = None
-    target: object = None
-    label: str = "f"
 
 
 @record
 class NegRel(Relation):
     body: Relation
-    dom_left: tt.TargetType | None = None
-    dom_right: tt.TargetType | None = None
 
 
 @record
 class ConjRel(Relation):
     left: Relation
     right: Relation
-    types_left: tuple[tt.TargetType, tt.TargetType] | None = None
-    types_right: tuple[tt.TargetType, tt.TargetType] | None = None
 
 
 @record
 class ExistsRel(Relation):
     var: str
-    body: Relation
-
-
-@record
-class ArrowRel(Relation):
-    """Logical relation at an arrow type; endpoints annotate the domains."""
-
-    dom: Relation
-    cod: Relation
-    dom_left: mt.MuType
-    dom_right: mt.MuType
-
-
-@record
-class AllRel(Relation):
-    """Focal-relation clause at a forall type."""
-
-    tyvar_left: str
-    tyvar_right: str
-    relvar: str
     body: Relation
 
 
@@ -148,22 +119,21 @@ class ForallType(RelFormula):
 @record
 class ForallRel(RelFormula):
     var: str
-    kind: str  # "admissible" | "focal"
+    kind: str  # "focal"
     left: str
     right: str
     body: RelFormula
 
 
-ADMISSIBLE = "admissible"
 FOCAL = "focal"
 
-# The role of each field of a formula or relation record: an atom that the
-# record binds (BIND) or that refers to such a binder (REF), a type or term
-# (SYNTAX), a nested formula or relation (NODE), or a value kept as it is
-# (KEEP).  Renaming maps every BIND and REF atom and every type and term;
-# the export writes these fields but not the endpoint annotations, which
-# are a type or term (NOTE_SYNTAX) or kept (NOTE).
-BIND, REF, SYNTAX, NODE, KEEP, NOTE_SYNTAX, NOTE = range(7)
+# The role of each field of a formula or relation record: an atom that a
+# formula binds (BIND), that a relation term binds (LOCAL) or that refers
+# to such a binder (REF), a type or term (SYNTAX), a nested formula or
+# relation (NODE), or a value kept as it is (KEEP).  Renaming maps every
+# BIND, LOCAL and REF atom and every type and term; the export writes these
+# fields but not the types a relation is annotated with (NOTE_SYNTAX).
+BIND, LOCAL, REF, SYNTAX, NODE, KEEP, NOTE_SYNTAX = range(7)
 
 #: Per formula and relation record: its export tag and its fields' roles.
 FORMAT = {
@@ -175,12 +145,10 @@ FORMAT = {
     RelAtom: ("atom", (NODE, SYNTAX, SYNTAX)),
     RelVar: ("rel-var", (REF, NOTE_SYNTAX, NOTE_SYNTAX)),
     IdentityRef: ("identity", (NOTE_SYNTAX,)),
-    GraphRef: ("graph", (SYNTAX, KEEP, NOTE, NOTE, NOTE)),
-    NegRel: ("neg-rel", (NODE, NOTE, NOTE)),
-    ConjRel: ("conj-rel", (NODE, NODE, NOTE, NOTE)),
-    ExistsRel: ("exists-rel", (BIND, NODE)),
-    ArrowRel: ("arrow-rel", (NODE, NODE, NOTE_SYNTAX, NOTE_SYNTAX)),
-    AllRel: ("all-rel", (BIND, BIND, BIND, NODE)),
+    GraphRef: ("graph", (SYNTAX,)),
+    NegRel: ("neg-rel", (NODE,)),
+    ConjRel: ("conj-rel", (NODE, NODE)),
+    ExistsRel: ("exists-rel", (LOCAL, NODE)),
 }
 
 
@@ -197,148 +165,86 @@ def _syntax(x):
 
 
 # ---------------------------------------------------------------------------
-# The target construction (admissible relations)
+# The logical relations.  One walk over the types of either calculus: the
+# focal relation of the source (variable, arrow, forall) and the admissible
+# relation of the target (variable, R, negation, conjunction, exists),
+# each type unfolding straight into the formula that relates two terms.
 
 
-def target_relation(
-    ty: tt.TargetType,
-    env: dict[str, Relation],
-    left_inst: dict[str, tt.TargetType] | None = None,
-    right_inst: dict[str, tt.TargetType] | None = None,
-) -> Relation:
-    """The five admissible-relation clauses over the target types."""
-    left_inst = left_inst or {}
-    right_inst = right_inst or {}
-    subst_all = partial(tt.SYNTAX.subst, TVAR)
+def relate(ty, env: dict[str, Relation], left, right) -> RelFormula:
+    """The formula saying that left and right are related at ty.
 
+    env maps each free type variable of ty to its relation.  A negation
+    relates functions that send related arguments to equal answers, a
+    conjunction quantifies over pair decompositions, and a forall over
+    the two instances and a focal relation between them.  Existentials
+    stay atomic: they assert a witness and an admissible relation, which
+    the formula language keeps abstract.
+    """
     match ty:
-        case tt.TgVarT(n):
-            try:
-                return env[n]
-            except KeyError:
-                raise UnboundRelVar(n) from None
-        case tt.RType():
-            return IdentityRef(tt.R)
-        case tt.Neg(body):
-            return NegRel(
-                target_relation(body, env, left_inst, right_inst),
-                subst_all(body, left_inst),
-                subst_all(body, right_inst),
-            )
-        case tt.Conj(left, right):
-            return ConjRel(
-                target_relation(left, env, left_inst, right_inst),
-                target_relation(right, env, left_inst, right_inst),
-                (subst_all(left, left_inst), subst_all(right, left_inst)),
-                (subst_all(left, right_inst), subst_all(right, right_inst)),
-            )
-        case tt.Exists(hint, body):
-            x = tm.fresh(tm.base_name(hint) or "X")
-            xl, xr = x, tm.fresh((tm.base_name(hint) or "X") + "'")
-            inner = target_relation(
-                tt.open_tvar(body, x),
-                {**env, x: RelVar(x, tt.TgVarT(xl), tt.TgVarT(xr))},
-                {**left_inst, x: tt.TgVarT(xl)},
-                {**right_inst, x: tt.TgVarT(xr)},
-            )
-            return ExistsRel(x, inner)
+        case mt.TVar() | tt.TgVarT() | tt.RType() | tt.Exists():
+            return RelAtom(target_relation(ty, env), left, right)
+        case mt.Arrow(dom, cod):
+            return _function(dom, cod, env, left, right, tm.Var, tm.App)
+        case tt.Neg(dom):  # ¬τ is τ → R
+            return _function(dom, tt.R, env, left, right, tg.TgVar, tg.TgApp)
+        case tt.Conj(first, second):
+            x, x2, y, y2 = (tm.fresh(n) for n in ("x", "x'", "y", "y'"))
+            ty_l, ty_r = _ends(ty, env)
+            eq_l = RelAtom(IdentityRef(ty_l), left, tg.Pair(tg.TgVar(x), tg.TgVar(x2)))
+            eq_r = RelAtom(IdentityRef(ty_r), right, tg.Pair(tg.TgVar(y), tg.TgVar(y2)))
+            both = And(relate(first, env, tg.TgVar(x), tg.TgVar(y)),
+                       relate(second, env, tg.TgVar(x2), tg.TgVar(y2)))
+            out: RelFormula = Implies(eq_l, Implies(eq_r, both))
+            for v, vt in ((y2, ty_r.right), (y, ty_r.left), (x2, ty_l.right), (x, ty_l.left)):
+                out = ForallTerm(v, vt, out)
+            return out
+        case mt.Forall(hint, body):
+            base = tm.base_name(hint) or "X"
+            xl, xr, r = tm.fresh(base), tm.fresh(base + "'"), tm.fresh("r")
+            inner = relate(mt.open_tvar(body, xl), {**env, xl: RelVar(r, mt.TVar(xl), mt.TVar(xr))},
+                           tm.TyApp(left, mt.TVar(xl)), tm.TyApp(right, mt.TVar(xr)))
+            return ForallType(xl, ForallType(xr, ForallRel(r, FOCAL, xl, xr, inner)))
     raise TypeError(ty)
 
 
-def unfold_target(rel: Relation, left, right) -> RelFormula:
-    """Unfold a target-world admissible relation into a formula.
-
-    The negation clause becomes the logical implication ending in an
-    answer-type equation; the conjunction clause quantifies over pair
-    decompositions; existentials stay atomic (they assert a witness and
-    an admissible relation, which the formula language keeps abstract).
-    """
-    match rel:
-        case NegRel(body, dom_l, dom_r) if dom_l is not None:
-            x, y = tm.fresh("x"), tm.fresh("y")
-            prem = unfold_target(body, tg.TgVar(x), tg.TgVar(y))
-            concl = RelAtom(
-                IdentityRef(tt.R), tg.TgApp(left, tg.TgVar(x)), tg.TgApp(right, tg.TgVar(y))
-            )
-            return ForallTerm(x, dom_l, ForallTerm(y, dom_r, Implies(prem, concl)))
-        case ConjRel(lrel, rrel, tys_l, tys_r) if tys_l is not None:
-            x, x2, y, y2 = (tm.fresh(n) for n in ("x", "x'", "y", "y'"))
-            pair_l = tg.Pair(tg.TgVar(x), tg.TgVar(x2))
-            pair_r = tg.Pair(tg.TgVar(y), tg.TgVar(y2))
-            decomposed = And(
-                unfold_target(lrel, tg.TgVar(x), tg.TgVar(y)),
-                unfold_target(rrel, tg.TgVar(x2), tg.TgVar(y2)),
-            )
-            eq_l = RelAtom(IdentityRef(tt.Conj(*tys_l)), left, pair_l)
-            eq_r = RelAtom(IdentityRef(tt.Conj(*tys_r)), right, pair_r)
-            body = Implies(eq_l, Implies(eq_r, decomposed))
-            out: RelFormula = body
-            for v, vt in ((y2, tys_r[1]), (y, tys_r[0]), (x2, tys_l[1]), (x, tys_l[0])):
-                out = ForallTerm(v, vt, out)
-            return out
-        case _:
-            return RelAtom(rel, left, right)
+def _function(dom, cod, env, left, right, var, app) -> RelFormula:
+    """Related functions send related arguments to related results."""
+    x, y = tm.fresh("x"), tm.fresh("y")
+    dom_l, dom_r = _ends(dom, env)
+    prem = relate(dom, env, var(x), var(y))
+    concl = relate(cod, env, app(left, var(x)), app(right, var(y)))
+    return ForallTerm(x, dom_l, ForallTerm(y, dom_r, Implies(prem, concl)))
 
 
-# ---------------------------------------------------------------------------
-# The source construction (focal relations)
+def _ends(ty, env: dict[str, Relation]) -> tuple[object, object]:
+    """ty's two endpoint types: each variable that env relates by a
+    relation variable with known types replaced by its left, resp. right,
+    type."""
+    rels = [(n, r) for n, r in env.items() if r.__class__ is RelVar and r.left is not None]
+    return tuple(_syntax(ty).subst(TVAR, ty, {n: getattr(r, end) for n, r in rels})
+                 for end in ("left", "right"))
 
 
-def mu_relation(
-    sigma: mt.MuType,
-    env: dict[str, Relation],
-    left_inst: dict[str, mt.MuType] | None = None,
-    right_inst: dict[str, mt.MuType] | None = None,
-) -> Relation:
-    """The three focal-relation clauses over the source types."""
-    left_inst = left_inst or {}
-    right_inst = right_inst or {}
-    subst_all = partial(mt.SYNTAX.subst, TVAR)
-
-    match sigma:
-        case mt.TVar(n):
-            try:
-                return env[n]
-            except KeyError:
-                raise UnboundRelVar(n) from None
-        case mt.Arrow(dom, cod):
-            return ArrowRel(
-                mu_relation(dom, env, left_inst, right_inst),
-                mu_relation(cod, env, left_inst, right_inst),
-                subst_all(dom, left_inst),
-                subst_all(dom, right_inst),
-            )
-        case mt.Forall(hint, body):
-            base = tm.base_name(hint) or "X"
-            x = tm.fresh(base)
-            xl, xr = x, tm.fresh(base + "'")
-            r = tm.fresh("r")
-            opened = mt.open_tvar(body, x)
-            inner = mu_relation(
-                opened,
-                {**env, x: RelVar(r, mt.TVar(xl), mt.TVar(xr))},
-                {**left_inst, x: mt.TVar(xl)},
-                {**right_inst, x: mt.TVar(xr)},
-            )
-            return AllRel(xl, xr, r, inner)
-    raise TypeError(sigma)
-
-
-def unfold(rel: Relation, left: tm.MuTerm, right: tm.MuTerm) -> RelFormula:
-    """Unfold a source-world structural relation into a formula."""
-    match rel:
-        case ArrowRel(dom, cod, dom_l, dom_r):
-            x, y = tm.fresh("x"), tm.fresh("y")
-            prem = unfold(dom, tm.Var(x), tm.Var(y))
-            concl = unfold(cod, tm.App(left, tm.Var(x)), tm.App(right, tm.Var(y)))
-            return ForallTerm(x, dom_l, ForallTerm(y, dom_r, Implies(prem, concl)))
-        case AllRel(xl, xr, r, body):
-            inner = unfold(
-                body, tm.TyApp(left, mt.TVar(xl)), tm.TyApp(right, mt.TVar(xr))
-            )
-            return ForallType(xl, ForallType(xr, ForallRel(r, FOCAL, xl, xr, inner)))
-        case _:
-            return RelAtom(rel, left, right)
+def target_relation(ty, env: dict[str, Relation]) -> Relation:
+    """The relation at a type as a relation term: what an atom of a formula
+    prints at a variable of either calculus, at R, and at an ∃, whose
+    admissible relation the formula language keeps abstract."""
+    match ty:
+        case mt.TVar(n) | tt.TgVarT(n):
+            if n not in env:
+                raise UnboundRelVar(n)
+            return env[n]
+        case tt.RType():
+            return IdentityRef(tt.R)
+        case tt.Neg(body):
+            return NegRel(target_relation(body, env))
+        case tt.Conj(left, right):
+            return ConjRel(target_relation(left, env), target_relation(right, env))
+        case tt.Exists(hint, body):
+            x = tm.fresh(tm.base_name(hint) or "X")
+            return ExistsRel(x, target_relation(tt.open_tvar(body, x), {**env, x: RelVar(x)}))
+    raise TypeError(ty)
 
 
 def free_theorem(sigma: mt.MuType) -> RelFormula:
@@ -349,8 +255,7 @@ def free_theorem(sigma: mt.MuType) -> RelFormula:
 
         raise OpenType(f"free theorems are stated for closed types, not {print_mu_type(sigma)}")
     m = tm.fresh("m")
-    rel = mu_relation(sigma, {})
-    return ForallTerm(m, sigma, unfold(rel, tm.Var(m), tm.Var(m)))
+    return ForallTerm(m, sigma, relate(sigma, {}, tm.Var(m), tm.Var(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +286,24 @@ def instantiate_graph(formula: RelFormula, cert) -> list[DischargeEquation]:
     if not isinstance(cert, FocalityCertificate):
         raise NotFocal("graph instantiation requires a focality certificate")
     binders: list[tuple[str, mt.MuType]] = []
-    node = formula
     tysub: dict[str, mt.MuType] = {}
 
     def sub(x):
-        if isinstance(x, (tm.MuTerm, mt.MuType)):
-            return tm.SYNTAX.subst(TVAR, x, tysub)
-        return x
+        return tm.SYNTAX.subst(TVAR, x, tysub) if isinstance(x, (tm.MuTerm, mt.MuType)) else x
 
-    while True:
-        if isinstance(node, ForallTerm):
-            binders.append((node.var, sub(node.type)))
-            node = node.body
-            continue
-        if isinstance(node, ForallType):
-            if isinstance(node.body, ForallType) and isinstance(
-                node.body.body, ForallRel
-            ):
-                tysub[node.var] = cert.source
-                tysub[node.body.var] = cert.target
-                node = node.body.body
-                continue
-            raise NotFocal("expected paired type quantifiers before the relation")
-        break
-    if not isinstance(node, ForallRel):
-        raise NotFocal("formula has no relation quantifier at its head")
-    graph = GraphRef(cert.subject, True, cert.source, cert.target)
+    node = formula
+    while node.__class__ is not ForallRel:
+        match node:
+            case ForallTerm(v, ty, body):
+                binders.append((v, sub(ty)))
+                node = body
+            case ForallType(xl, ForallType(xr, ForallRel() as node)):
+                tysub[xl], tysub[xr] = cert.source, cert.target
+            case ForallType():
+                raise NotFocal("expected paired type quantifiers before the relation")
+            case _:
+                raise NotFocal("formula has no relation quantifier at its head")
+    graph = GraphRef(cert.subject)
     body = _map_formula(node.body, {}, sub, {node.var: graph})
     out: list[DischargeEquation] = []
     _collect_equations(body, tuple(binders), False, out)
@@ -414,13 +311,13 @@ def instantiate_graph(formula: RelFormula, cert) -> list[DischargeEquation]:
 
 
 def _map_formula(f: RelFormula, names: dict[str, str], sub, rels: dict[str, Relation]) -> RelFormula:
-    """Rebuild f in one pass: every BIND and REF atom renamed by names,
+    """Rebuild f in one pass: every BIND, LOCAL and REF atom renamed by names,
     every type and term through sub(), and each relation variable that
     rels names by its relation.  Kept fields stay as they are."""
     if f.__class__ is RelVar and f.name in rels:
         return rels[f.name]
     return f.__class__(*(
-        names.get(v, v) if role in (BIND, REF)
+        names.get(v, v) if role in (BIND, LOCAL, REF)
         else sub(v) if role in (SYNTAX, NOTE_SYNTAX)
         else _map_formula(v, names, sub, rels) if role == NODE
         else v
@@ -431,9 +328,7 @@ def _map_formula(f: RelFormula, names: dict[str, str], sub, rels: dict[str, Rela
 def _collect_equations(formula, binders, conditional, out) -> None:
     match formula:
         case RelAtom(GraphRef(map=f), left, right):
-            out.append(
-                DischargeEquation(binders, tm.App(f, left), right, conditional)
-            )
+            out.append(DischargeEquation(binders, tm.App(f, left), right, conditional))
         case RelAtom(IdentityRef(_), left, right):
             out.append(DischargeEquation(binders, left, right, conditional))
         case RelAtom(_, _, _):
@@ -460,24 +355,40 @@ def print_formula(formula: RelFormula) -> str:
 
 
 def rename_for_display(formula: RelFormula) -> RelFormula:
+    """formula with every quantified atom under its display name.
+
+    A formula binder (BIND) takes a name that no other binder and no free
+    atom shows.  A relation term's binder (LOCAL) shows its hint unless a
+    relation variable free under it shows that name, so an ∃ of an atom
+    prints as its hint, as the type printer would show it."""
     from .printer import Names
 
     order: list[str] = []
     free: set[str] = set()
 
-    def walk(f):  # the quantified atoms, in order, and the free ones
+    def walk(f):  # the formula binders, in order, and the free atoms
         for role, v in _fields(f):
             if role == BIND:
                 order.append(v)
             elif role == SYNTAX and (syntax := _syntax(v)) is not None:
                 free.update(syntax.free(VAR, v), syntax.free(TVAR, v))
-            elif role == NODE and isinstance(v, RelFormula):
+            elif role == NODE:
                 walk(v)
 
     walk(formula)
     free -= set(order)
     display = Names({tm.base_name(a) for a in free} | free)
     names = {atom: display.bind(atom, "") for atom in order}
+
+    def name_locals(f):  # outer binders first: their names are shown under them
+        for role, v in _fields(f):
+            if role == LOCAL:
+                shown = {tm.base_name(names.get(a, a)) for a in _refs(f)}
+                names[v] = Names(shown).pick(v, "")[1]
+            elif role == NODE:
+                name_locals(v)
+
+    name_locals(formula)
     mu_reps = ({a: tm.Var(n) for a, n in names.items()}, {a: mt.TVar(n) for a, n in names.items()})
     tg_reps = ({a: tg.TgVar(n) for a, n in names.items()}, {a: tt.TgVarT(n) for a, n in names.items()})
 
@@ -491,24 +402,39 @@ def rename_for_display(formula: RelFormula) -> RelFormula:
     return _map_formula(formula, names, rename, {})
 
 
-def _pf(f: RelFormula) -> str:
+def _refs(f) -> set[str]:
+    """The REF atoms free in a formula or relation record."""
+    out: set[str] = set()
+    bound: set[str] = set()
+    for role, v in _fields(f):
+        if role == REF:
+            out.add(v)
+        elif role == NODE:
+            out |= _refs(v)
+        elif role in (BIND, LOCAL):
+            bound.add(v)
+    return out - bound
+
+
+def _show(x, prec: int = 0) -> str:
+    """A type or term of either calculus as its printer shows it."""
     from .printer import print_mu_term, print_mu_type, print_target_term, print_target_type
 
-    def pty(ty) -> str:
-        if isinstance(ty, tt.TargetType):
-            return print_target_type(ty, prec=2)
-        return print_mu_type(ty, prec=2)
+    if isinstance(x, mt.MuType):
+        return print_mu_type(x, prec=prec)
+    if isinstance(x, tt.TargetType):
+        return print_target_type(x, prec=prec)
+    if isinstance(x, tm.MuTerm):
+        return print_mu_term(x)
+    if isinstance(x, tg.TargetTerm):
+        return print_target_term(x)
+    return str(x)
 
-    def ptm(t) -> str:
-        if isinstance(t, tg.TargetTerm):
-            return print_target_term(t)
-        if isinstance(t, tm.MuTerm):
-            return print_mu_term(t)
-        return str(t)
 
+def _pf(f: RelFormula) -> str:
     match f:
         case ForallTerm(v, ty, body):
-            return f"∀{v} : {pty(ty)}. {_pf(body)}"
+            return f"∀{v} : {_show(ty, 2)}. {_pf(body)}"
         case ForallType(v, body):
             return f"∀{v}. {_pf(body)}"
         case ForallRel(v, kind, left, right, body):
@@ -518,44 +444,30 @@ def _pf(f: RelFormula) -> str:
         case And(left, right):
             return f"({_pf(left)}) ∧ ({_pf(right)})"
         case RelAtom(rel, left, right):
-            return f"{_pr(rel)}({ptm(left)}, {ptm(right)})"
+            return f"{_pr(rel)}({_show(left)}, {_show(right)})"
     raise TypeError(f)
 
 
 def _pr(rel: Relation) -> str:
-    from .printer import print_mu_term, print_mu_type, print_target_term, print_target_type
-
     match rel:
         case RelVar(n, _, _):
             return tm.base_name(n)
         case IdentityRef(ty):
-            if isinstance(ty, mt.MuType):
-                return f"id[{print_mu_type(ty)}]"
-            if isinstance(ty, tt.TargetType):
-                return f"id[{print_target_type(ty)}]"
-            return "id"
-        case GraphRef(map=f, label=label):
-            if isinstance(f, tm.MuTerm):
-                return f"⟨{print_mu_term(f)}⟩"
-            if isinstance(f, tg.TargetTerm):
-                return f"⟨{print_target_term(f)}⟩"
-            return f"⟨{label}⟩"
-        case NegRel(body, _, _):
+            return f"id[{_show(ty)}]"
+        case GraphRef(map=f):
+            return f"⟨{_show(f)}⟩"
+        case NegRel(body):
             return f"¬{_pr(body)}"
-        case ConjRel(left, right, _, _):
+        case ConjRel(left, right):
             return f"({_pr(left)} ∧ {_pr(right)})"
         case ExistsRel(x, body):
             return f"(∃{tm.base_name(x)}. {_pr(body)})"
-        case ArrowRel(dom, cod, _, _):
-            return f"({_pr(dom)} → {_pr(cod)})"
-        case AllRel(xl, xr, r, body):
-            return f"(∀{xl} {xr} {r}. {_pr(body)})"
     raise TypeError(rel)
 
 
 # ---------------------------------------------------------------------------
 # Structured export: ``(tag field ...)`` per record, from FORMAT; a type or
-# term through the interchange writer, a flag as "focal" or "plain".
+# term through the interchange writer.
 
 
 def formula_to_sexpr(f: RelFormula) -> str:
@@ -567,8 +479,8 @@ def formula_to_sexpr(f: RelFormula) -> str:
             out.append(formula_to_sexpr(v))
         elif role == SYNTAX:
             out.append(sexpr(v))
-        elif role in (BIND, REF, KEEP):
-            out.append(_atom(("focal" if v else "plain") if isinstance(v, bool) else v))
+        elif role in (BIND, LOCAL, REF, KEEP):
+            out.append(_atom(v))
     return f"({' '.join(out)})"
 
 

@@ -74,6 +74,10 @@ class RewriteError(Exception):
     pass
 
 
+class StepBudgetExceeded(RewriteError):
+    """A normalization ran out of its MAX_STEPS: a resource limit, not a verdict."""
+
+
 class ReplayError(Exception):
     pass
 
@@ -702,7 +706,9 @@ def _expand_program(child, env, mode):
     if not isinstance(child, TgVar):
         return None
     ty = nameful_synth(child, env)
-    if _is_image_neg(ty):
+    # In parametric mode a program at ¬(∃X.X) is already long: its k would
+    # become ⋆ (star) and star-eta would contract the expansion back.
+    if _is_image_neg(ty) and not (mode == PARAMETRIC and ty.body == tt.TOP):
         k = fresh("k")
         return TgLam(k, ty.body, TgApp(child, TgVar(k)))
     return None
@@ -982,7 +988,7 @@ def _run(t, env, mode, groups, steps):
             if h == g or r is None or path < r:
                 resume[h] = path
     what = "beta reduction" if len(groups) == 1 else "rewrite"
-    raise RewriteError(f"{what} did not terminate within the step budget")
+    raise StepBudgetExceeded(f"{what} did not terminate within the step budget")
 
 
 def _phases(mode: str):

@@ -311,16 +311,17 @@ def test_no_canonical_form_exit_2(argv, message):
         (["uncps", "--ctx", "x:s", r"\k:not s. x"], "abstraction body has type ¬s, not R"),
         (["typecheck", "--ctx", "f:s -> s", "f f"], "argument type s → s does not match domain s"),
         (["cps", "--ctx", "f:s -> s", "f f"], "argument type s → s does not match domain s"),
-        (["cps", "--ctx", "x:s", "y"], "y"),
-        (["cps", "--ctx", "x:s", "[b] x"], "b"),
+        (["cps", "--ctx", "x:s", "y"], "unbound variable y"),
+        (["cps", "--ctx", "x:s", "[b] x"], "unbound name b"),
         (["cps", "--ctx", "x:s", "x x"], "application of a non-arrow type s"),
         (["cps", "--ctx", "x:s", "x [t]"], "type application of a non-forall type s"),
         (["cps", "--ctx", "x:s", "--names", "b:t", "[b] x"], "named term has type s but name b expects t"),
+        (["typecheck", "--ctx", "x:s", "mu a:t. [a] x"], "named term has type s but name a expects t"),
         (["eq", "--ctx", "x:s, y:t", "x", "y"], "equation across types s vs t"),
         (["focal-check", "--source", "s", "--to", "t", r"\x:s. x"], "subject has type s → s, expected s → t"),
     ],
     ids=["target_typing", "mu_typing", "cps", "cps-unbound-variable", "cps-unbound-name", "cps-non-arrow",
-         "cps-non-forall", "cps-named-term", "theory", "focality"],
+         "cps-non-forall", "cps-named-term", "mu-bound-name", "theory", "focality"],
 )
 def test_type_errors_print_surface_syntax(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -368,3 +369,42 @@ def test_ill_formed_context_exit_2(capsys, argv):
     assert (code, out, err) == (2, "", "error: duplicate variable 'x'\n")
     code, out, err = run(capsys, argv[0], "--ctx", "x:s", "--names", "x:s", *argv[3:])
     assert (code, out, err) == (2, "", "error: variable and name zones share an identifier\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["normalize", "S (S O)"], ["eq", "S (S O)", "S (S O)"], ["eq", "--theory", "p", "S O", "S (S O)"]],
+    ids=["normalize", "eq", "eq-p"],
+)
+def test_step_budget_exits_2(capsys, monkeypatch, argv):
+    # Running out of rewrite steps is a resource limit, not a Distinct verdict.
+    from mu2forge import rewrite
+
+    monkeypatch.setattr(rewrite, "MAX_STEPS", 3)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: rewrite did not terminate within the step budget\n")
+
+
+def test_other_rewrite_errors_stay_uncaught(capsys, monkeypatch):
+    from mu2forge import rewrite
+
+    def fault(*args):
+        raise rewrite.RewriteError("kernel fault")
+
+    monkeypatch.setattr(rewrite, "_run", fault)
+    with pytest.raises(rewrite.RewriteError, match="kernel fault"):
+        main(["normalize", "S O"])
+
+
+@pytest.mark.parametrize("mode", ["plain", "parametric"])
+def test_normalize_program_at_falsity(capsys, mode):
+    # x : ¬(∃X.X) is already long: in parametric mode its η-expansion
+    # would turn k into ⋆ and star-eta would contract it back, forever.
+    code, out, err = run(capsys, "normalize", "--mode", mode, "--ctx", "m:bot -> b, x:bot", "m x")
+    assert (code, out, err) == (0, "λk:b. m ⟨x, k⟩\n", ". program : ¬b\n")
+
+
+def test_eq_on_abort_instance_decides(capsys):
+    ctx = "m:forall a. bot -> a, x:bot, y:bot"
+    code, out, err = run(capsys, "eq", "--theory", "p", "--ctx", ctx, r"(\z:bot. z [a]) (m [bot] x)", "m [a] y")
+    assert code == 1 and out.splitlines()[0] == "Distinct"

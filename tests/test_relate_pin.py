@@ -5,6 +5,8 @@ from seeds 0-239, each closed over its free type variables.  For each
 type the digests cover the text and the `--ast` export of its focal
 free theorem, and the text of the admissible-relation formula of its
 CPS image and of the negated image (the type of a translated term).
+The free theorems of the first 120 types, instantiated at the graph of
+abort, give equations that the oracle must decide.
 """
 
 import hashlib
@@ -15,17 +17,19 @@ import pytest
 from mu2forge import mu_types as mt
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
-from mu2forge.combinators import catalog
+from mu2forge.combinators import abort, catalog
 from mu2forge.cps import cps_type
+from mu2forge.focality import check_focal
 from mu2forge.relations import (
+    NotFocal,
     formula_to_sexpr,
     free_theorem,
+    instantiate_graph,
     print_formula,
+    relate,
     rename_for_display,
-    target_relation,
-    unfold_target,
 )
-from mu2forge.theory import gen_type
+from mu2forge.theory import LAMBDA_MU_2P, eq_mu, gen_type
 
 SEEDS = range(240)
 
@@ -44,7 +48,7 @@ def closed_types() -> list[tuple[str, mt.MuType]]:
 
 
 def target_formula(ty: tt.TargetType):
-    return unfold_target(target_relation(ty, {}), tg.TgVar("f"), tg.TgVar("g"))
+    return relate(ty, {}, tg.TgVar("f"), tg.TgVar("g"))
 
 
 OUTPUTS = {
@@ -76,3 +80,21 @@ def test_corpus_size(corpus):
 def test_formulas_pinned(corpus, name):
     text = "\n".join(f"{label}\t{OUTPUTS[name](ty)}" for label, ty in corpus)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_graph_instantiation_at_abort_decides(corpus):
+    """Every equation decides; none runs out of rewrite steps (in
+    parametric mode an η-expanded program at ¬(∃X.X) would loop through
+    star and star-eta)."""
+    cert = check_focal(abort(mt.TVar("a")), mt.BOT, mt.TVar("a"))
+    verdicts = []
+    for _, ty in corpus[:120]:
+        try:
+            equations = instantiate_graph(free_theorem(ty), cert)
+        except NotFocal:  # no type quantifier at the head
+            continue
+        for e in equations:
+            verdicts.append((e.conditional, eq_mu(e.left, e.right, LAMBDA_MU_2P, e.gamma).equal))
+    assert len(verdicts) == 87
+    assert sum(equal for _, equal in verdicts) == 43
+    assert sum(conditional for conditional, _ in verdicts) == 41

@@ -73,7 +73,7 @@ def test_mu_printer_and_parser_round_trip_deep():
 
 
 def test_cps_typing_and_nameful_round_trip_deep():
-    image, ty = cps_term_typed((), (), church(DEEP))  # cps._image, close_binders
+    image, ty = cps_term_typed((), (), church(DEEP))  # mu_typing._synth with cps._Image, close_binders
     assert typecheck_target((), image) == tt.Neg(cps_type(ty))
     nameful = rewrite.to_nameful(image)
     assert tg.equal(rewrite.from_nameful(nameful), image)
