@@ -67,30 +67,49 @@ class _Image:
     """The nameful image (see target_terms.close_binders) of each typing
     clause, given the images of its parts and the clause's type.  The
     walk draws the atoms of the source binders; each method draws its
-    own k and z."""
+    own k and z.  Each source type object is translated once per
+    translation: the memo holds it beside its image, keyed by identity,
+    so the walk's nested Arrow(ann, ty) costs one node per clause."""
+
+    def __init__(self):
+        self.types: dict[int, tuple[mt.MuType, tt.TargetType]] = {}
+
+    def type(self, ty: mt.MuType) -> tt.TargetType:
+        hit = self.types.get(id(ty))
+        if hit is not None:
+            return hit[1]
+        cls = ty.__class__
+        if cls is mt.Arrow:
+            out = tt.Conj(tt.Neg(self.type(ty.dom)), self.type(ty.cod))
+        elif cls is mt.Forall:
+            out = tt.Exists(ty.hint, self.type(ty.body))
+        else:
+            out = cps_type(ty)
+        self.types[id(ty)] = (ty, out)
+        return out
 
     def var(self, x):
         return tg.TgVar(x)
 
     def app(self, fn, arg, ty):  # lam k. fn <arg, k>
         k = tm.fresh("k")
-        return tg.TgLam(k, cps_type(ty), tg.TgApp(fn, tg.Pair(arg, tg.TgVar(k))))
+        return tg.TgLam(k, self.type(ty), tg.TgApp(fn, tg.Pair(arg, tg.TgVar(k))))
 
     def lam(self, x, body, ty):  # lam z. let <x, k> = z in body k
         z, k = tm.fresh("z"), tm.fresh("k")
-        return tg.TgLam(z, cps_type(ty), tg.LetPair(x, k, tg.TgVar(z), tg.TgApp(body, tg.TgVar(k))))
+        return tg.TgLam(z, self.type(ty), tg.LetPair(x, k, tg.TgVar(z), tg.TgApp(body, tg.TgVar(k))))
 
     def tylam(self, x, body, ty):  # lam z. let <X, k> = z in body k
         z, k = tm.fresh("z"), tm.fresh("k")
-        return tg.TgLam(z, cps_type(ty), tg.LetPack(x, k, tg.TgVar(z), tg.TgApp(body, tg.TgVar(k))))
+        return tg.TgLam(z, self.type(ty), tg.LetPack(x, k, tg.TgVar(z), tg.TgApp(body, tg.TgVar(k))))
 
     def tyapp(self, fn, fn_ty, arg, ty):  # lam k. fn <argdeg, k>
         k = tm.fresh("k")
-        pack = tg.Pack(cps_type(arg), tg.TgVar(k), cps_type(fn_ty))
-        return tg.TgLam(k, cps_type(ty), tg.TgApp(fn, pack))
+        pack = tg.Pack(self.type(arg), tg.TgVar(k), self.type(fn_ty))
+        return tg.TgLam(k, self.type(ty), tg.TgApp(fn, pack))
 
     def mu(self, a, body, name, ty):  # lam a. body name
-        return tg.TgLam(a, cps_type(ty), tg.TgApp(body, tg.TgVar(name)))
+        return tg.TgLam(a, self.type(ty), tg.TgApp(body, tg.TgVar(name)))
 
 
 @record

@@ -11,7 +11,7 @@ checked, to an optional builder: `typecheck_mu` runs it with none, and
 
 from __future__ import annotations
 
-from .mu_types import SYNTAX, Arrow, Forall, MuType, close_tvar, inst_tvar, locally_closed
+from .mu_types import SYNTAX, Arrow, Forall, MuType, TVar, close_tvar, inst_tvar, locally_closed
 from .mu_terms import (
     App,
     BName,
@@ -122,6 +122,8 @@ def _synth(gamma: Context, delta: Context, term: MuTerm, build=None) -> tuple[ob
     tvar_atoms: list[str] = []  # per enclosing TyLam: its atom
     names: list[tuple[str, MuType]] = []  # per enclosing Mu: its atom and annotation
     read = lambda ty: SYNTAX.open_all(TVAR, ty, tvar_atoms)
+    # A type in a message names each type atom of the walk by its binder's hint.
+    display = lambda ty: show(SYNTAX.subst(TVAR, ty, {a: TVar(base_name(a)) for a in tvar_atoms}))
     out: list[tuple[object, MuType]] = []  # (what build made, type) of the finished subterms
     todo: list = [term]  # terms to type, and (node, step) to go on with
     while todo:
@@ -134,14 +136,14 @@ def _synth(gamma: Context, delta: Context, term: MuTerm, build=None) -> tuple[ob
             if cls is App:
                 if step is None:  # the function is typed: its argument
                     if not isinstance(ty, Arrow):
-                        raise TypeMismatch(f"application of a non-arrow type {show(ty)}")
+                        raise TypeMismatch(f"application of a non-arrow type {display(ty)}")
                     todo.append((term, (made, ty)))
                     todo.append(term.arg)
                     continue
                 fn, fn_ty = step
                 if ty != fn_ty.dom:
                     raise TypeMismatch(
-                        f"argument type {show(ty)} does not match domain {show(fn_ty.dom)}"
+                        f"argument type {display(ty)} does not match domain {display(fn_ty.dom)}"
                     )
                 ty = fn_ty.cod
                 made = build and build.app(fn, made, ty)
@@ -155,7 +157,7 @@ def _synth(gamma: Context, delta: Context, term: MuTerm, build=None) -> tuple[ob
                 made = build and build.tylam(xv, made, ty)
             elif cls is TyApp:
                 if not isinstance(ty, Forall):
-                    raise TypeMismatch(f"type application of a non-forall type {show(ty)}")
+                    raise TypeMismatch(f"type application of a non-forall type {display(ty)}")
                 fn_ty, arg = ty, read(term.ty)
                 ty = inst_tvar(fn_ty.body, arg)
                 made = build and build.tyapp(made, fn_ty, arg, ty)
@@ -163,8 +165,8 @@ def _synth(gamma: Context, delta: Context, term: MuTerm, build=None) -> tuple[ob
                 a, ann = names.pop()
                 tname, named_ty = step
                 if ty != named_ty:
-                    raise TypeMismatch(f"named term has type {show(ty)} but name {base_name(tname)}"
-                                       f" expects {show(named_ty)}")
+                    raise TypeMismatch(f"named term has type {display(ty)} but name {base_name(tname)}"
+                                       f" expects {display(named_ty)}")
                 ty = ann
                 made = build and build.mu(a, made, tname, ty)
             out.append((made, ty))

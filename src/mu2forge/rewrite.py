@@ -172,18 +172,6 @@ _TATOMS = "_free_tatoms"
 _NO_ATOMS: frozenset[str] = frozenset()
 
 
-def _slot_binders(t: TargetTerm, i: int) -> tuple[str, ...]:
-    """The term atoms that nameful node t binds over its child slot i."""
-    match t:
-        case TgLam(x, _, _):
-            return (x,)
-        case LetPair(x, y, _, _) if i == 1:
-            return (x, y)
-        case LetPack(_, x, _, _) if i == 1:
-            return (x,)
-    return ()
-
-
 def _union(acc: frozenset[str], atoms: frozenset[str]) -> frozenset[str]:
     # Reuse one operand where the other adds nothing, so most nodes share
     # a child's set instead of holding a copy.
@@ -192,39 +180,39 @@ def _union(acc: frozenset[str], atoms: frozenset[str]) -> frozenset[str]:
     return atoms if not acc else acc | atoms
 
 
-def _own_atoms(t: TargetTerm) -> frozenset[str]:
-    """The free term atoms of t from the memoised sets of its children."""
-    if t.__class__ is TgVar:
-        return frozenset((t.name,))
-    acc = _NO_ATOMS
-    for i, kid in enumerate(children(t)):
-        atoms = kid.__dict__[_ATOMS]
-        bound = _slot_binders(t, i)
-        if bound and not atoms.isdisjoint(bound):
-            atoms = atoms.difference(bound)
-        acc = _union(acc, atoms)
-    return acc
+def _minus(atoms: frozenset[str], *bound: str) -> frozenset[str]:
+    return atoms.difference(bound) if not atoms.isdisjoint(bound) else atoms
 
 
-def _own_tatoms(t: TargetTerm) -> frozenset[str]:
-    """The free type atoms of t from its own annotations and the memoised
-    sets of its children; a LetPack binds its type atom over its body."""
-    cls = t.__class__
-    if cls is TgLam:
-        return _union(t.body.__dict__[_TATOMS], tt.ftv(t.ann))
-    if cls is Pack:
-        own = _union(tt.ftv(t.witness), tt.ftv(t.ex_ann))
-        return _union(t.payload.__dict__[_TATOMS], own)
-    acc = _NO_ATOMS
-    for kid in children(t):
-        acc = _union(acc, kid.__dict__[_TATOMS])
-    if cls is LetPack and t.hint_t in acc:
-        acc = acc.difference((t.hint_t,))
-    return acc
+# Per node class, its set from its fields and its children's memoised sets.
+_OWN_ATOMS = {
+    TgVar: lambda t: frozenset((t.name,)),
+    Star: lambda t: _NO_ATOMS,
+    TgLam: lambda t: _minus(t.body.__dict__[_ATOMS], t.hint),
+    TgApp: lambda t: _union(t.fn.__dict__[_ATOMS], t.arg.__dict__[_ATOMS]),
+    Pair: lambda t: _union(t.left.__dict__[_ATOMS], t.right.__dict__[_ATOMS]),
+    LetPair: lambda t: _union(
+        t.scrut.__dict__[_ATOMS], _minus(t.body.__dict__[_ATOMS], t.hint_x, t.hint_y)
+    ),
+    Pack: lambda t: t.payload.__dict__[_ATOMS],
+    LetPack: lambda t: _union(t.scrut.__dict__[_ATOMS], _minus(t.body.__dict__[_ATOMS], t.hint_x)),
+}
+_OWN_TATOMS = {
+    TgVar: lambda t: _NO_ATOMS,
+    Star: lambda t: _NO_ATOMS,
+    TgLam: lambda t: _union(t.body.__dict__[_TATOMS], tt.ftv(t.ann)),
+    TgApp: lambda t: _union(t.fn.__dict__[_TATOMS], t.arg.__dict__[_TATOMS]),
+    Pair: lambda t: _union(t.left.__dict__[_TATOMS], t.right.__dict__[_TATOMS]),
+    LetPair: lambda t: _union(t.scrut.__dict__[_TATOMS], t.body.__dict__[_TATOMS]),
+    Pack: lambda t: _union(
+        t.payload.__dict__[_TATOMS], _union(tt.ftv(t.witness), tt.ftv(t.ex_ann))
+    ),
+    LetPack: lambda t: _union(t.scrut.__dict__[_TATOMS], _minus(t.body.__dict__[_TATOMS], t.hint_t)),
+}
 
 
-def _memo(t: TargetTerm, key: str, own) -> frozenset[str]:
-    """The set own(node) computes from a node's children's sets, memoised
+def _memo(t: TargetTerm, key: str, own: dict) -> frozenset[str]:
+    """The set own[class] computes from a node's children's sets, memoised
     under key per node object.  Unmemoised nodes are filled in post-order
     from an explicit stack, so a deep term costs no Python frames here."""
     atoms = t.__dict__.get(key)
@@ -232,27 +220,27 @@ def _memo(t: TargetTerm, key: str, own) -> frozenset[str]:
         return atoms
     stack = [t]
     while stack:
-        node = stack[-1]
-        if key in node.__dict__:
-            stack.pop()
+        node = stack.pop()
+        memo = node.__dict__
+        if key in memo:
             continue
         missing = [kid for kid in children(node) if key not in kid.__dict__]
         if missing:
-            stack.extend(missing)
+            stack.append(node)
+            stack += missing
         else:
-            stack.pop()
-            node.__dict__[key] = own(node)
+            memo[key] = own[node.__class__](node)
     return t.__dict__[key]
 
 
 def free_atoms(t: TargetTerm) -> frozenset[str]:
     """The free term atoms of a nameful term, memoised per node object."""
-    return _memo(t, _ATOMS, _own_atoms)
+    return _memo(t, _ATOMS, _OWN_ATOMS)
 
 
 def free_tatoms(t: TargetTerm) -> frozenset[str]:
     """The free type atoms of a nameful term, memoised per node object."""
-    return _memo(t, _TATOMS, _own_tatoms)
+    return _memo(t, _TATOMS, _OWN_TATOMS)
 
 
 def uniquify(t: TargetTerm) -> TargetTerm:
@@ -339,17 +327,23 @@ def nameful_tvar_occurs(t: TargetTerm, tv: str) -> bool:
 def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
     """Nameful substitution of the type w for the type atom tv.  Only
     nodes whose free type atoms hold tv are rebuilt; every other subtree
-    is returned as the same object."""
+    is returned as the same object.  A rebuilt node keeps the term-atom
+    memo of the node it replaces: a type changes no term atom."""
     if tv not in free_tatoms(t):
         return t
 
     def build(s: TargetTerm, kids: list) -> TargetTerm:
         cls = s.__class__
         if cls is TgLam:
-            return TgLam(s.hint, tt.subst_tvar(s.ann, tv, w), kids[0])
-        if cls is Pack:
-            return Pack(tt.subst_tvar(s.witness, tv, w), kids[0], tt.subst_tvar(s.ex_ann, tv, w))
-        return with_children(s, kids)
+            out = TgLam(s.hint, tt.subst_tvar(s.ann, tv, w), kids[0])
+        elif cls is Pack:
+            out = Pack(tt.subst_tvar(s.witness, tv, w), kids[0], tt.subst_tvar(s.ex_ann, tv, w))
+        else:
+            out = with_children(s, kids)
+        atoms = s.__dict__.get(_ATOMS)
+        if atoms is not None:
+            out.__dict__[_ATOMS] = atoms
+        return out
 
     return _rebuild(t, tv, free_tatoms, _no_replacement, build)
 
@@ -450,19 +444,35 @@ def _rw_star_eta(t, env, mode):
     return None
 
 
+def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...], ns: int = VAR) -> bool:
+    """Whether some pattern occurs in body and every occurrence of the
+    atoms, of namespace ns, lies inside one: a read-only walk over the
+    subtrees that hold one of them.  Each pattern holds one of the atoms,
+    so the walk meets every pattern."""
+    atoms_of = free_atoms if ns == VAR else free_tatoms
+    found = False
+    todo = [body]
+    while todo:
+        s = todo.pop()
+        cls = s.__class__
+        if cls is pats[0].__class__ and s in pats:
+            found = True
+            continue
+        if ns == VAR:
+            if cls is TgVar:
+                return False  # an atom outside the patterns, or a body that is one variable
+        elif cls is TgLam or cls is Pack:  # a type atom occurs in annotations
+            anns = (s.ann,) if cls is TgLam else (s.witness, s.ex_ann)
+            if any(not tt.ftv(a).isdisjoint(atoms) for a in anns):
+                return False
+        todo += [kid for kid in children(s) if not atoms_of(kid).isdisjoint(atoms)]
+    return found
+
+
 def _replace_pattern(t, atom: str, pats: tuple[TargetTerm, ...], rep: TargetTerm):
-    """Replace every occurrence of any pattern; counts replacements.
-    Every pattern holds the atom free."""
-    count = 0
-
-    def occurrence(node):
-        nonlocal count
-        if node in pats:
-            count += 1
-            return uniquify(rep)
-        return None
-
-    return _replace_where(t, atom, occurrence), count
+    """Replace every occurrence of any pattern by a copy of rep.  Every
+    pattern holds the atom free."""
+    return _replace_where(t, atom, lambda node: uniquify(rep) if node in pats else None)
 
 
 def _rw_eta_pair(t, env, mode):
@@ -476,24 +486,17 @@ def _rw_eta_pair(t, env, mode):
                 sty = nameful_synth(scrut, env)
                 if isinstance(sty, tt.Conj) and sty.right == tt.TOP:
                     pats = pats + (Pair(TgVar(x), STAR),)
-            out, count = _replace_pattern(body, x, pats, scrut)
-            if count >= 1 and not nameful_occurs(out, x) and not nameful_occurs(out, y):
-                return out
+            if _only_in_patterns(body, pats, (x, y)):
+                return _replace_pattern(body, x, pats, scrut)
     return None
 
 
 def _rw_eta_pack(t, env, mode):
     match t:
         case LetPack(tv, x, scrut, body):
-            sty = nameful_synth(scrut, env)
-            pat = Pack(tt.TgVarT(tv), TgVar(x), sty)
-            out, count = _replace_pattern(body, x, (pat,), scrut)
-            if (
-                count >= 1
-                and not nameful_occurs(out, x)
-                and not nameful_tvar_occurs(out, tv)
-            ):
-                return out
+            pat = (Pack(tt.TgVarT(tv), TgVar(x), nameful_synth(scrut, env)),)
+            if _only_in_patterns(body, pat, (x,)) and _only_in_patterns(body, pat, (tv,), TVAR):
+                return _replace_pattern(body, x, pat, scrut)
     return None
 
 
@@ -657,16 +660,13 @@ def _scrut_key(scrut, env_order: dict[str, int]):
 
 def _rw_let_swap(t, env, mode):
     # Order adjacent independent lets by their scrutinee variables:
-    # outermost-bound scrutinee first, free atoms alphabetically.
+    # outermost-bound scrutinee first, free atoms alphabetically.  Only a
+    # variable scrutinee moves out (the key orders every other one last),
+    # and a variable holds no type atom, so the inner let is independent
+    # unless its scrutinee is one of the outer let's term atoms.
     if _is_let(t) and _is_let(t.body):
         outer, inner = t, t.body
-        outer_atoms = set(_binder_atoms(outer))
-        inner_uses = {
-            a for a in outer_atoms if nameful_occurs(inner.scrut, a)
-        }
-        if isinstance(outer, LetPack) and nameful_tvar_occurs(inner.scrut, outer.hint_t):
-            inner_uses.add(outer.hint_t)
-        if not inner_uses:
+        if not any(nameful_occurs(inner.scrut, a) for a in _binder_atoms(outer)):
             order = {a: i for i, a in enumerate(env)}
             if _scrut_key(inner.scrut, order) < _scrut_key(outer.scrut, order):
                 return _remake_let(

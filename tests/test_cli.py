@@ -328,6 +328,32 @@ def test_type_errors_print_surface_syntax(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["typecheck", "cps"])
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (r"/\X. \x:X. x x", "application of a non-arrow type X"),
+        (r"/\X. \f:X -> X. \y:forall Y. Y. f y", "argument type ⊥ does not match domain X"),
+        (r"/\X. \x:X. x [X]", "type application of a non-forall type X"),
+        (r"/\X. /\Y. \y:Y. mu a:X. [a] y", "named term has type Y but name a expects X"),
+    ],
+    ids=["non-arrow", "argument", "non-forall", "named-term"],
+)
+def test_type_atom_messages_do_not_depend_on_fresh_counter(capsys, monkeypatch, command, term, message):
+    # A type under a type abstraction is shown with its binder's name,
+    # not the walk's fresh atom, so the bytes do not depend on how many
+    # atoms the process drew before.
+    import itertools
+
+    from mu2forge import mu_terms as tm
+
+    seen = []
+    for start in (1, 10**6):
+        monkeypatch.setattr(tm, "_fresh_counter", itertools.count(start))
+        seen.append(run(capsys, command, term))
+    assert seen == [(2, "", f"error: {message}\n")] * 2
+
+
 LET_PAIR, LET_PACK = "let <x, y> = k in x y", "let <X, y> = k in y"
 
 

@@ -1,0 +1,79 @@
+"""The engine's free-atom memos against a computation from scratch.
+
+`rewrite` keeps, per nameful node object, its free term atoms and its
+free type atoms, filled from one function per node class, and a type
+substitution hands each node it rebuilds the term atoms of the node it
+replaces.  Here every memo on the result of each phase is compared with
+the free atoms of the node closed back to locally nameless form, which
+shares no code with the memos.
+"""
+
+import pytest
+
+from mu2forge import rewrite
+from mu2forge import target_terms as tg
+from mu2forge import target_types as tt
+from mu2forge.target_typing import PARAMETRIC, PLAIN
+from test_search_resume import catalog_images, generated_images, numeral_images
+
+
+def scratch(node):
+    """The free term and type atoms of a nameful node: what stays free
+    once its binders are closed."""
+    closed = tg.close_binders(node)
+    return tg.free_vars(closed), tg.free_tvars(closed)
+
+
+def nodes(t):
+    todo, seen = [t], set()
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            todo.extend(tg.children(node))
+
+
+def check_memos(t) -> int:
+    checked = 0
+    for node in nodes(t):
+        memo = node.__dict__
+        if "_free_atoms" in memo or "_free_tatoms" in memo:
+            atoms, tatoms = scratch(node)
+            assert memo.get("_free_atoms", atoms) == atoms, node
+            assert memo.get("_free_tatoms", tatoms) == tatoms, node
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("images", [catalog_images, numeral_images, generated_images])
+@pytest.mark.parametrize("mode", [PLAIN, PARAMETRIC])
+def test_memos_match_a_computation_from_scratch(images, mode):
+    checked = 0
+    for label, term, env in images():
+        t = rewrite.to_nameful(term)
+        steps = []
+        for phase, groups in enumerate(rewrite._phases(mode), 1):
+            t = rewrite._run(t, env, mode, groups, steps)
+            try:
+                checked += check_memos(t)
+            except AssertionError as failure:
+                raise AssertionError(f"{label}, phase {phase}: {failure}") from None
+    assert checked > 100
+
+
+def test_type_substitution_keeps_term_atom_memos():
+    # let <p, q> = x in (\k:X. p k) q, as the body of a let that binds X:
+    # each node that subst_tatom rebuilds for X := s keeps the term-atom
+    # memo of the node it replaces, and every memo stays right.
+    s = tt.TgVarT("s")
+    body = tg.LetPair("p", "q", tg.TgVar("x"),
+                      tg.TgApp(tg.TgLam("k", tt.TgVarT("X"), tg.TgApp(tg.TgVar("p"), tg.TgVar("k"))),
+                               tg.TgVar("q")))
+    assert rewrite.free_atoms(body) == {"x"} and rewrite.free_tatoms(body) == {"X"}
+    out = rewrite.subst_tatom(body, "X", s)
+    assert out is not body and out.body is not body.body and out.scrut is body.scrut
+    for old, new in ((body, out), (body.body, out.body), (body.body.fn, out.body.fn)):
+        assert new.__dict__["_free_atoms"] is old.__dict__["_free_atoms"]
+    assert check_memos(out) == 8
+    assert rewrite.free_tatoms(out) == {"s"}
