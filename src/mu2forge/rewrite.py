@@ -3,11 +3,15 @@
 Rules are instances of the six beta/eta axiom schemas, the terminality
 rewrite of parametric mode (any term of type exists X. X equals Star),
 plus derived rules (hoisting, deduplication and the starred eta
-patterns) that compose primitive schemas.  Not every derived step is
-two primitive steps: eta-pair and eta-pack replace every occurrence of
-their pattern at once, dedup-* redirect a whole inner let, and
-let-expand and expand draw fresh binders; each derived rule's comment
-documents its decomposition.
+patterns) that compose primitive schemas.  The let rules come in
+families: beta, eta, dead-let and dedup are each one rule body, built
+once per let kind as <family>-pair and <family>-pack from the binder
+table (the let's binders, its introduction form and the intro's
+components), and the six hoist-* rules are one rule per child slot.
+Each family's comment documents its decomposition.  Not every derived
+step is two primitive steps: the eta family replaces every occurrence
+of its pattern at once, dedup redirects a whole inner let, and
+let-expand and expand draw fresh binders.
 
 The engine works on a "nameful" image of the term: every binder is
 opened with a globally unique atom kept in the hint slot, so moving a
@@ -47,8 +51,8 @@ from operator import itemgetter
 from . import target_types as tt
 from . import target_terms as tg
 from .mu_terms import base_name
-from .record import record
-from .syntax import TVAR, VAR
+from .record import fields, record
+from .syntax import TVAR, VAR, field_getter
 from .target_terms import (
     LetPack,
     LetPair,
@@ -314,14 +318,12 @@ def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
     return _replace_where(t, x, occurrence)
 
 
-def nameful_occurs(t: TargetTerm, x: str) -> bool:
-    # Binder atoms are unique, so an occurrence of x anywhere is free.
-    return x in free_atoms(t)
+_ATOMS_OF = (free_atoms, free_tatoms)  # per namespace: VAR, TVAR
 
 
-def nameful_tvar_occurs(t: TargetTerm, tv: str) -> bool:
-    # As for term atoms: binder atoms are unique, so any occurrence is free.
-    return tv in free_tatoms(t)
+def nameful_occurs(t: TargetTerm, atom: str, ns: int = VAR) -> bool:
+    # Binder atoms are unique, so an occurrence of the atom anywhere is free.
+    return atom in _ATOMS_OF[ns](t)
 
 
 def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
@@ -345,11 +347,7 @@ def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
             out.__dict__[_ATOMS] = atoms
         return out
 
-    return _rebuild(t, tv, free_tatoms, _no_replacement, build)
-
-
-def _no_replacement(t: TargetTerm) -> None:
-    return None
+    return _rebuild(t, tv, free_tatoms, lambda s: None, build)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +369,10 @@ def nameful_synth(t: TargetTerm, env: dict[str, tt.TargetType]) -> tt.TargetType
             return tt.R
         case Pair(left, right):
             return tt.Conj(nameful_synth(left, env), nameful_synth(right, env))
-        case LetPair(x, y, scrut, body):
-            sty = nameful_synth(scrut, env)
-            assert isinstance(sty, tt.Conj), sty
-            return nameful_synth(body, {**env, x: sty.left, y: sty.right})
         case Pack(_, _, ex):
             return ex
-        case LetPack(tv, x, scrut, body):
-            sty = nameful_synth(scrut, env)
-            assert isinstance(sty, tt.Exists), sty
-            return nameful_synth(body, {**env, x: tt.inst_tvar(sty.body, tt.TgVarT(tv))})
+        case LetPair() | LetPack():
+            return nameful_synth(t.body, _env_through(t, 1, env))
     raise TypeError(t)
 
 
@@ -413,35 +405,113 @@ def _rw_beta_fun(t, env, mode):
     return None
 
 
-def _rw_beta_pair(t, env, mode):
-    match t:
-        case LetPair(x, y, Pair(left, right), body):
-            return subst_refresh(subst_refresh(body, x, left), y, right)
-    return None
-
-
-def _rw_beta_pack(t, env, mode):
-    match t:
-        case LetPack(tv, x, Pack(w, payload, _), body):
-            return subst_refresh(subst_tatom(body, tv, w), x, payload)
-    return None
-
-
 def _rw_eta_fun(t, env, mode):
+    # No check that the head g is not x: lam x:A. x x is ill typed (x
+    # applied to itself needs A = not A), and every input to the engine
+    # is typechecked first.
     match t:
-        case TgLam(x, _, TgApp(TgVar(g), TgVar(x2))) if x2 == x and g != x:
+        case TgLam(x, _, TgApp(TgVar(g), TgVar(x2))) if x2 == x:
             return TgVar(g)
     return None
 
 
 def _rw_star_eta(t, env, mode):
-    # lam u : exists X. X. f Star  =  lam u. f u  =  f   (terminality + eta)
+    # lam u : exists X. X. f Star  =  lam u. f u  =  f   (terminality + eta).
+    # No check that the head f is not u: u Star with u : exists X. X
+    # applies a non-negation, which the typechecker refuses first.
     if mode != PARAMETRIC:
         return None
     match t:
-        case TgLam(x, ann, TgApp(TgVar(g), Star())) if ann == tt.TOP and g != x:
+        case TgLam(_, ann, TgApp(TgVar(g), Star())) if ann == tt.TOP:
             return TgVar(g)
     return None
+
+
+class _Kind:
+    """A let kind, read from the binder table.  A let eliminates one
+    introduction form (LetPair a Pair, LetPack a Pack), whose components
+    match the let's binders in table order: a pack's witness is what the
+    type atom stands for.  Each let family is one rule body, built once
+    per kind with these fields bound."""
+
+    def __init__(self, let: type, intro: type):
+        binders = tg.BINDERS[let]
+        names = tuple(f.name for f in fields(intro))
+        self.let, self.intro = let, intro
+        self.atoms = field_getter(tuple(f for f, _, _ in binders))  # a let's binder atoms, in table order
+        self.nss = tuple(ns for _, ns, _ in binders)  # their namespaces
+        # Per namespace the let binds, term atoms first: (ns, getter of its atoms).
+        of_ns = lambda ns: field_getter(tuple(f for f, n, _ in binders if n == ns))
+        self.by_ns = tuple((ns, of_ns(ns)) for ns in (VAR, TVAR) if ns in self.nss)
+        self.parts = field_getter(names[: len(binders)])  # an intro's components
+        self.typed = len(names) > len(binders)  # the intro ends with its own type (Pack.ex_ann)
+
+
+_KINDS = (_Kind(LetPair, Pair), _Kind(LetPack, Pack))
+_LETS = tuple(k.let for k in _KINDS)
+_BINDER_ATOMS = {k.let: k.atoms for k in _KINDS}
+
+
+def _remake_let(t, scrut, body):
+    return with_children(t, (scrut, body))
+
+
+def _intro_of_binders(k: _Kind, t, env):
+    """I(p): the intro of let t's own binder atoms, at its scrutinee's type."""
+    parts = [tt.TgVarT(a) if ns == TVAR else TgVar(a) for a, ns in zip(k.atoms(t), k.nss)]
+    if k.typed:
+        parts.append(nameful_synth(t.scrut, env))
+    return k.intro(*parts)
+
+
+def _family(stem: str, make):
+    """One rule make(kind) per let kind, named <stem>-pair or <stem>-pack and headed by its let."""
+    return tuple((f"{stem}-{k.intro.__name__.lower()}", _at(make(k), k.let)) for k in _KINDS)
+
+
+def _beta_let(k: _Kind):
+    # let p = I(c1, c2) in B  =  B[c1, c2 / p]: the let-beta axiom.  Each
+    # binder takes its component in table order, by subst_refresh for a
+    # term atom and subst_tatom for the type atom.
+    let, intro, atoms, parts = k.let, k.intro, k.atoms, k.parts
+    substs = tuple(subst_tatom if ns == TVAR else subst_refresh for ns in k.nss)
+
+    def rule(t, env, mode):
+        if t.__class__ is let and t.scrut.__class__ is intro:
+            body = t.body
+            for subst, atom, part in zip(substs, atoms(t), parts(t.scrut)):
+                body = subst(body, atom, part)
+            return body
+        return None
+
+    return rule
+
+
+def _eta_let(k: _Kind):
+    # let p = s in C[I(p)]  =  C[s]  when p's atoms occur in C only inside
+    # the pattern I(p): a let-eta instance (s = let p = s in I(p)) at each
+    # occurrence, one step for all of them, after which the let is dead.
+    # In parametric mode the pair pattern also matches <x, Star> when the
+    # second component is at exists X. X: terminality rewrites Star back
+    # to y, after which this is the literal pair-eta axiom.
+    let, by_ns = k.let, k.by_ns
+    term_atoms = by_ns[0][1]
+    star = let is LetPair
+
+    def rule(t, env, mode):
+        if t.__class__ is not let:
+            return None
+        scrut, body = t.scrut, t.body
+        pats = (_intro_of_binders(k, t, env),)
+        if star and mode == PARAMETRIC and nameful_synth(scrut, env).right == tt.TOP:
+            pats += (Pair(pats[0].left, STAR),)
+        for ns, atoms_in in by_ns:
+            if not _only_in_patterns(body, pats, atoms_in(t), ns):
+                return None
+        # Every pattern holds the first term atom; each takes a copy of s.
+        return _replace_where(body, term_atoms(t)[0], lambda s: uniquify(scrut) if s in pats else None)
+
+    return rule
 
 
 def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...], ns: int = VAR) -> bool:
@@ -449,7 +519,7 @@ def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...]
     atoms, of namespace ns, lies inside one: a read-only walk over the
     subtrees that hold one of them.  Each pattern holds one of the atoms,
     so the walk meets every pattern."""
-    atoms_of = free_atoms if ns == VAR else free_tatoms
+    atoms_of = _ATOMS_OF[ns]
     found = False
     todo = [body]
     while todo:
@@ -469,42 +539,42 @@ def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...]
     return found
 
 
-def _replace_pattern(t, atom: str, pats: tuple[TargetTerm, ...], rep: TargetTerm):
-    """Replace every occurrence of any pattern by a copy of rep.  Every
-    pattern holds the atom free."""
-    return _replace_where(t, atom, lambda node: uniquify(rep) if node in pats else None)
+def _dead_let(k: _Kind):
+    # let p = s in B  =  B  when no atom of p occurs in B: the eta
+    # family's instance C[s] = let p = s in C[I(p)] for a C without the
+    # pattern.  The type atom must be dead too: it may occur in
+    # annotations.  Term atoms are tested first, their memo is cheaper.
+    let, by_ns = k.let, k.by_ns
+
+    def rule(t, env, mode):
+        if t.__class__ is let:
+            body = t.body
+            if not any(nameful_occurs(body, atom, ns) for ns, atoms_in in by_ns for atom in atoms_in(t)):
+                return body
+        return None
+
+    return rule
 
 
-def _rw_eta_pair(t, env, mode):
-    # In parametric mode the pattern also matches  <x, Star>  when the
-    # second component is at exists X. X: terminality rewrites Star back
-    # to y, after which this is the literal pair-eta axiom.
-    match t:
-        case LetPair(x, y, scrut, body):
-            pats: tuple[TargetTerm, ...] = (Pair(TgVar(x), TgVar(y)),)
-            if mode == PARAMETRIC:
-                sty = nameful_synth(scrut, env)
-                if isinstance(sty, tt.Conj) and sty.right == tt.TOP:
-                    pats = pats + (Pair(TgVar(x), STAR),)
-            if _only_in_patterns(body, pats, (x, y)):
-                return _replace_pattern(body, x, pats, scrut)
-    return None
+def _dedup(k: _Kind):
+    # let p = a in B  =  let p = a in B[I(p)/a]  (let-eta at one occurrence
+    # of a); redirecting the first inner let of the same kind that
+    # re-destructures a onto I(p) lets beta contract it.
+    let = k.let
 
+    def rule(t, env, mode):
+        if t.__class__ is let and t.scrut.__class__ is TgVar and t.scrut.name in free_atoms(t.body):
+            out = _replace_first_scrut(t.body, t.scrut.name, let, _intro_of_binders(k, t, env))
+            if out is not None:
+                return _remake_let(t, t.scrut, out)
+        return None
 
-def _rw_eta_pack(t, env, mode):
-    match t:
-        case LetPack(tv, x, scrut, body):
-            pat = (Pack(tt.TgVarT(tv), TgVar(x), nameful_synth(scrut, env)),)
-            if _only_in_patterns(body, pat, (x,)) and _only_in_patterns(body, pat, (tv,), TVAR):
-                return _replace_pattern(body, x, pat, scrut)
-    return None
+    return rule
 
 
 def _replace_first_scrut(body, atom: str, kind, rep):
     """Rebuild body with the first same-kind let scrutinising atom
     redirected, or None if there is none."""
-    if atom not in free_atoms(body):
-        return None
     scrut = TgVar(atom)
     found = False
 
@@ -524,44 +594,6 @@ def _replace_first_scrut(body, atom: str, kind, rep):
     return out if found else None
 
 
-def _rw_dedup_pair(t, env, mode):
-    # let <x,y> = a in B  =  let <x,y> = a in B[<x,y>/a]  (pair eta at one
-    # occurrence); redirecting an inner re-destructuring of a onto the
-    # outer binders lets beta contract it.
-    match t:
-        case LetPair(x, y, TgVar(a), body):
-            out = _replace_first_scrut(body, a, LetPair, Pair(TgVar(x), TgVar(y)))
-            if out is not None:
-                return LetPair(x, y, TgVar(a), out)
-    return None
-
-
-def _rw_dedup_pack(t, env, mode):
-    match t:
-        case LetPack(tv, x, TgVar(a), body):
-            rep = Pack(tt.TgVarT(tv), TgVar(x), nameful_synth(TgVar(a), env))
-            out = _replace_first_scrut(body, a, LetPack, rep)
-            if out is not None:
-                return LetPack(tv, x, TgVar(a), out)
-    return None
-
-
-def _rw_dead_let_pair(t, env, mode):
-    match t:
-        case LetPair(x, y, _, body):
-            if not nameful_occurs(body, x) and not nameful_occurs(body, y):
-                return body
-    return None
-
-
-def _rw_dead_let_pack(t, env, mode):
-    match t:
-        case LetPack(tv, x, _, body):
-            if not nameful_occurs(body, x) and not nameful_tvar_occurs(body, tv):
-                return body
-    return None
-
-
 # The hoist-* rules below are commuting conversions: each one is the
 # composite of a let-eta instance read right-to-left (abstract the let's
 # scrutinee at the moved position) and the corresponding let-beta
@@ -569,86 +601,31 @@ def _rw_dead_let_pack(t, env, mode):
 # steps.  let-swap is two such conversions back to back.
 
 
-def _is_let(t) -> bool:
-    return isinstance(t, (LetPair, LetPack))
+def _hoist(slot: int, *heads: type, moves=None):
+    """C[let p = s in A]  =  let p = s in C[A] for a let in child slot
+    `slot` of a node of a head class, if moves(node, let) holds."""
 
+    def rule(t, env, mode):
+        if t.__class__ in heads:
+            kids = children(t)
+            let = kids[slot]
+            if let.__class__ in _LETS and (moves is None or moves(t, let)):
+                kids = kids[:slot] + (let.body,) + kids[slot + 1:]
+                return _remake_let(let, let.scrut, with_children(t, kids))
+        return None
 
-def _remake_let(t, scrut, body):
-    if isinstance(t, LetPair):
-        return LetPair(t.hint_x, t.hint_y, scrut, body)
-    return LetPack(t.hint_t, t.hint_x, scrut, body)
-
-
-def _rw_hoist_app_fn(t, env, mode):
-    match t:
-        case TgApp(fn, arg) if _is_let(fn):
-            return _remake_let(fn, fn.scrut, TgApp(fn.body, arg))
-    return None
-
-
-def _rw_hoist_app_arg(t, env, mode):
-    match t:
-        case TgApp(fn, arg) if _is_let(arg):
-            return _remake_let(arg, arg.scrut, TgApp(fn, arg.body))
-    return None
-
-
-def _rw_hoist_pair_left(t, env, mode):
-    match t:
-        case Pair(left, right) if _is_let(left):
-            return _remake_let(left, left.scrut, Pair(left.body, right))
-    return None
-
-
-def _rw_hoist_pair_right(t, env, mode):
-    match t:
-        case Pair(left, right) if _is_let(right):
-            return _remake_let(right, right.scrut, Pair(left, right.body))
-    return None
-
-
-def _rw_hoist_pack(t, env, mode):
-    match t:
-        case Pack(w, payload, ex) if _is_let(payload):
-            return _remake_let(payload, payload.scrut, Pack(w, payload.body, ex))
-    return None
-
-
-def _rw_hoist_scrut(t, env, mode):
-    if _is_let(t) and _is_let(t.scrut):
-        inner = t.scrut
-        return _remake_let(inner, inner.scrut, _remake_let(t, inner.body, t.body))
-    return None
-
-
-def _rw_hoist_lam(t, env, mode):
-    # lam x. let p = s in A  =  let p = s in lam x. A   (x not in s);
-    # the engine blocks this at the root so the outermost Program keeps
-    # its  lam k. A  shape.
-    match t:
-        case TgLam(x, ann, body) if _is_let(body):
-            if not nameful_occurs(body.scrut, x):
-                return _remake_let(body, body.scrut, TgLam(x, ann, body.body))
-    return None
+    return _at(rule, *heads)
 
 
 def _rw_let_expand(t, env, mode):
     # A let of negation type is eta-expanded so the binding can live in
     # the answer layer of the canonical grammar.
-    if _is_let(t):
+    if t.__class__ in _LETS:
         ty = nameful_synth(t, env)
         if isinstance(ty, tt.Neg):
             k = fresh("k")
             return TgLam(k, ty.body, _remake_let(t, t.scrut, TgApp(t.body, TgVar(k))))
     return None
-
-
-def _binder_atoms(t) -> tuple[str, ...]:
-    if isinstance(t, LetPair):
-        return (t.hint_x, t.hint_y)
-    if isinstance(t, LetPack):
-        return (t.hint_t, t.hint_x)
-    return ()
 
 
 def _scrut_key(scrut, env_order: dict[str, int]):
@@ -664,9 +641,9 @@ def _rw_let_swap(t, env, mode):
     # variable scrutinee moves out (the key orders every other one last),
     # and a variable holds no type atom, so the inner let is independent
     # unless its scrutinee is one of the outer let's term atoms.
-    if _is_let(t) and _is_let(t.body):
+    if t.__class__ in _LETS and t.body.__class__ in _LETS:
         outer, inner = t, t.body
-        if not any(nameful_occurs(inner.scrut, a) for a in _binder_atoms(outer)):
+        if not any(nameful_occurs(inner.scrut, a) for a in _BINDER_ATOMS[outer.__class__](outer)):
             order = {a: i for i, a in enumerate(env)}
             if _scrut_key(inner.scrut, order) < _scrut_key(outer.scrut, order):
                 return _remake_let(
@@ -688,51 +665,37 @@ def _rw_star(t, env, mode):
 #    expand-pair is the pair-eta instance  let <a,b> = k in <a,b>  =  k.
 
 
-def _is_image_neg(ty) -> bool:
-    return isinstance(ty, tt.Neg) and tt.is_image(ty.body)
-
-
-def _expand_value(child, env, mode):
-    if not isinstance(child, TgVar):
-        return None
-    ty = nameful_synth(child, env)
+def _expand_value(child, ty, mode):
     if isinstance(ty, tt.Conj):
         a, b = fresh("a"), fresh("b")
         return LetPair(a, b, child, Pair(TgVar(a), TgVar(b)))
     return None
 
 
-def _expand_program(child, env, mode):
-    if not isinstance(child, TgVar):
-        return None
-    ty = nameful_synth(child, env)
+def _expand_program(child, ty, mode):
     # In parametric mode a program at ¬(∃X.X) is already long: its k would
     # become ⋆ (star) and star-eta would contract the expansion back.
-    if _is_image_neg(ty) and not (mode == PARAMETRIC and ty.body == tt.TOP):
+    if isinstance(ty, tt.Neg) and tt.is_image(ty.body) and not (mode == PARAMETRIC and ty.body == tt.TOP):
         k = fresh("k")
         return TgLam(k, ty.body, TgApp(child, TgVar(k)))
     return None
 
 
+# Per head class: the child slots that may expand, each with its expansion.
+_EXPAND_SLOTS = {
+    TgApp: ((1, _expand_value),), Pair: ((0, _expand_program), (1, _expand_value)),
+    Pack: ((0, _expand_value),), LetPair: ((1, _expand_value),), LetPack: ((1, _expand_value),),
+}
+
+
 def _rw_expand(t, env, mode):
-    slots: list[tuple[int, bool]] = []
-    match t:
-        case TgApp(_, _):
-            slots = [(1, False)]
-        case Pair(_, _):
-            slots = [(0, True), (1, False)]
-        case Pack(_, _, _):
-            slots = [(0, False)]
-        case LetPair(_, _, _, _) | LetPack(_, _, _, _):
-            slots = [(1, False)]
-    kids = list(children(t))
-    for i, programish in slots:
+    kids = children(t)
+    for i, expand in _EXPAND_SLOTS.get(t.__class__, ()):
         child = kids[i]
-        cenv = _env_through(t, i, env)
-        out = _expand_program(child, cenv, mode) if programish else _expand_value(child, cenv, mode)
-        if out is not None:
-            kids[i] = out
-            return with_children(t, tuple(kids))
+        if child.__class__ is TgVar:
+            out = expand(child, nameful_synth(child, _env_through(t, i, env)), mode)
+            if out is not None:
+                return with_children(t, kids[:i] + (out,) + kids[i + 1:])
     return None
 
 
@@ -743,34 +706,28 @@ def _at(rule, *heads: type):
     return rule
 
 
-_LETS = (LetPair, LetPack)
-
 # Rule groups in priority order; within a group, scanning is preorder
 # (leftmost-outermost) and the listed order breaks ties at a node.  Each
 # rule names its heads beside its name; star has none among TgLam, TgApp
 # and Pair, whose types are not t, R and t /\ t.
-BETA_RULES = (
-    ("beta-fun", _at(_rw_beta_fun, TgApp)),
-    ("beta-pair", _at(_rw_beta_pair, LetPair)),
-    ("beta-pack", _at(_rw_beta_pack, LetPack)),
-)
+BETA_RULES = (("beta-fun", _at(_rw_beta_fun, TgApp)), *_family("beta", _beta_let))
 ETA_RULES = (
     ("eta-fun", _at(_rw_eta_fun, TgLam)),
-    ("eta-pair", _at(_rw_eta_pair, LetPair)),
-    ("eta-pack", _at(_rw_eta_pack, LetPack)),
-    ("dead-let-pair", _at(_rw_dead_let_pair, LetPair)),
-    ("dead-let-pack", _at(_rw_dead_let_pack, LetPack)),
-    ("dedup-pair", _at(_rw_dedup_pair, LetPair)),
-    ("dedup-pack", _at(_rw_dedup_pack, LetPack)),
+    *_family("eta", _eta_let),
+    *_family("dead-let", _dead_let),
+    *_family("dedup", _dedup),
 )
 HOIST_RULES = (
-    ("hoist-app-fn", _at(_rw_hoist_app_fn, TgApp)),
-    ("hoist-app-arg", _at(_rw_hoist_app_arg, TgApp)),
-    ("hoist-pair-left", _at(_rw_hoist_pair_left, Pair)),
-    ("hoist-pair-right", _at(_rw_hoist_pair_right, Pair)),
-    ("hoist-pack", _at(_rw_hoist_pack, Pack)),
-    ("hoist-scrut", _at(_rw_hoist_scrut, *_LETS)),
-    ("hoist-lam", _at(_rw_hoist_lam, TgLam)),
+    ("hoist-app-fn", _hoist(0, TgApp)),
+    ("hoist-app-arg", _hoist(1, TgApp)),
+    ("hoist-pair-left", _hoist(0, Pair)),
+    ("hoist-pair-right", _hoist(1, Pair)),
+    ("hoist-pack", _hoist(0, Pack)),
+    ("hoist-scrut", _hoist(0, *_LETS)),
+    # lam x. let p = s in A  =  let p = s in lam x. A  (x not in s); the
+    # engine blocks this at the root so the outermost Program keeps its
+    # lam k. A  shape.
+    ("hoist-lam", _hoist(0, TgLam, moves=lambda lam, let: not nameful_occurs(let.scrut, lam.hint))),
     ("let-expand", _at(_rw_let_expand, *_LETS)),
     ("let-swap", _at(_rw_let_swap, *_LETS)),
 )
@@ -778,13 +735,8 @@ STAR_RULES = (
     ("star", _at(_rw_star, TgVar, LetPair, Pack, LetPack)),
     ("star-eta", _at(_rw_star_eta, TgLam)),
 )
-EXPAND_RULES = (("expand", _at(_rw_expand, TgApp, Pair, Pack, *_LETS)),)
-SHARE_RULES = (
-    ("dead-let-pair", _rw_dead_let_pair),
-    ("dead-let-pack", _rw_dead_let_pack),
-    ("dedup-pair", _rw_dedup_pair),
-    ("dedup-pack", _rw_dedup_pack),
-)
+EXPAND_RULES = (("expand", _at(_rw_expand, *_EXPAND_SLOTS)),)
+SHARE_RULES = ETA_RULES[3:]  # the dead-let and dedup families
 
 ALL_RULES = dict(BETA_RULES + ETA_RULES + HOIST_RULES + STAR_RULES + EXPAND_RULES)
 
@@ -1013,23 +965,16 @@ def normalize_nameful(
 
 
 def normalize(
-    term: TargetTerm, context: TgContext = (), mode: str = PLAIN, *, beta_only: bool = False
+    term: TargetTerm, context: TgContext = (), mode: str = PLAIN
 ) -> tuple[TargetTerm, list[RewriteStep]]:
     """Normalise a locally closed target term; returns (result, trace)."""
-    env = dict(context)
-    t = to_nameful(term)
-    if beta_only:
-        steps: list[RewriteStep] = []
-        t = _run(t, env, mode, [_BETA], steps)
-    else:
-        t, steps = normalize_nameful(t, env, mode)
+    t, steps = normalize_nameful(to_nameful(term), dict(context), mode)
     return from_nameful(t), steps
 
 
 def beta_normalize(term: TargetTerm, context: TgContext = ()) -> TargetTerm:
     """Contract all beta redexes (function, pair-let, pack-let)."""
-    out, _ = normalize(term, context, PLAIN, beta_only=True)
-    return out
+    return from_nameful(_run(to_nameful(term), dict(context), PLAIN, [_BETA], []))
 
 
 # ---------------------------------------------------------------------------
@@ -1068,13 +1013,9 @@ def _alpha_equal(a: TargetTerm, b: TargetTerm) -> bool:
             todo.append((a.body, b.body))
         elif cls is Pair:
             todo += ((a.right, b.right), (a.left, b.left))
-        elif cls is LetPair:
-            atoms[a.hint_x] = b.hint_x
-            atoms[a.hint_y] = b.hint_y
-            todo += ((a.body, b.body), (a.scrut, b.scrut))
-        elif cls is LetPack:
-            tatoms[a.hint_t] = b.hint_t
-            atoms[a.hint_x] = b.hint_x
+        elif cls is LetPair or cls is LetPack:
+            for name, ns, _ in tg.BINDERS[cls]:
+                (atoms, tatoms)[ns][getattr(a, name)] = getattr(b, name)
             todo += ((a.body, b.body), (a.scrut, b.scrut))
         elif cls is Pack:
             if not (_alpha_type(a.witness, b.witness, tatoms) and _alpha_type(a.ex_ann, b.ex_ann, tatoms)):
@@ -1194,9 +1135,8 @@ def replay(
     apply there, or ReplayError is raised.  Replay trusts where the steps
     came from: it shares the engine's rules, so it is not a checker of
     them.  Primitive rules are literal axiom instances; derived rules
-    (hoist-*, let-*, dedup-*, star-eta, the eta-pair and eta-pack
-    patterns) compose axiom instances as documented on their
-    implementations, some in more than two steps.
+    compose axiom instances as documented on their families, some in
+    more than two steps.
     """
     z = _Zipper(to_nameful(term), dict(context))
     _follow(z, steps, mode)

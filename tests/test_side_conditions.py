@@ -5,6 +5,10 @@ id matches its pattern at the root, and only the side condition stops
 it.  Without that condition the rule would fire and leave a bound atom
 free: eta-pair would keep y after deleting its binder, eta-pack and
 dead-let-pack would keep the type atom X after deleting its binder.
+
+eta-fun and star-eta have no side condition on their head: the input
+that one would have to stop, a head that is the bound variable itself,
+is ill typed, and the CLI refuses it before any rewrite.
 """
 
 import pytest
@@ -77,3 +81,23 @@ def test_let_swap_keeps_a_scrutinee_that_uses_the_outer_type_atom(mode):
     out, steps = rewrite.normalize(term, ctx, mode)
     assert rewrite.RewriteStep("let-swap", ()) not in steps
     assert typecheck_target(ctx, out, mode) == ty
+
+
+#: The one input shape each rule would have to refuse without its typing
+#: premise, and the typechecker's message for it.
+ILL_TYPED = {
+    # x applied to itself needs x : A and x : not A, that is A = not A.
+    "eta-fun": (r"\x:not a. x x", "argument type ¬a does not match expected a"),
+    # x : exists X. X is not a negation, so x Star applies a non-function.
+    "star-eta": (r"\x:exists X. X. x *", "application of non-negation type ∃X. X"),
+}
+
+
+@pytest.mark.parametrize("mode", ["plain", "parametric"])
+@pytest.mark.parametrize("rule", list(ILL_TYPED))
+def test_head_that_is_the_bound_variable_is_ill_typed(capsys, rule, mode):
+    text, message = ILL_TYPED[rule]
+    code = main(["normalize", "--target", "--mode", mode, text])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [f"error: {message}"]
