@@ -509,7 +509,7 @@ def _eta_let(k: _Kind):
             if not _only_in_patterns(body, pats, atoms_in(t), ns):
                 return None
         # Every pattern holds the first term atom; each takes a copy of s.
-        return _replace_where(body, term_atoms(t)[0], lambda s: uniquify(scrut) if s in pats else None)
+        return _replace_where(body, term_atoms(t)[0], lambda sub: uniquify(scrut) if sub in pats else None)
 
     return rule
 
