@@ -34,6 +34,7 @@ from .target_terms import (
     TgVar,
     fresh,
 )
+from .mu_terms import base_name
 
 PLAIN = "plain"
 PARAMETRIC = "parametric"
@@ -86,6 +87,8 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
     var_types: list[TargetType] = []  # innermost binder last
     tvar_atoms: list[str] = []
     read = lambda ty: SYNTAX.open_all(TVAR, ty, tvar_atoms)
+    # A type in a message names each type atom of the walk by its binder's hint.
+    display = lambda ty: show(SYNTAX.subst(TVAR, ty, {a: TgVarT(base_name(a)) for a in tvar_atoms}))
     types: list[TargetType] = []  # the types of the finished subterms
     todo: list = [term]  # terms to type, and (node, step) to go on with
     while todo:
@@ -98,18 +101,18 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
             if cls is TgLam:
                 var_types.pop()
                 if not isinstance(ty, RType):
-                    raise NonAnswerBody(f"abstraction body has type {show(ty)}, not R")
+                    raise NonAnswerBody(f"abstraction body has type {display(ty)}, not R")
                 ty = Neg(step)
             elif cls is TgApp:
                 if step is None:  # the function is typed: its argument
                     if not isinstance(ty, Neg):
-                        raise TargetTypeMismatch(f"application of non-negation type {show(ty)}")
+                        raise TargetTypeMismatch(f"application of non-negation type {display(ty)}")
                     todo.append((term, ty))
                     todo.append(term.arg)
                     continue
                 if ty != step.body:
                     raise TargetTypeMismatch(
-                        f"argument type {show(ty)} does not match expected {show(step.body)}"
+                        f"argument type {display(ty)} does not match expected {display(step.body)}"
                     )
                 ty = R
             elif cls is Pair:
@@ -118,18 +121,18 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
                 want = inst_tvar(step.body, read(term.witness))
                 if ty != want:
                     raise TargetTypeMismatch(
-                        f"pack payload has type {show(ty)}, expected {show(want)}"
+                        f"pack payload has type {display(ty)}, expected {display(want)}"
                     )
                 ty = step
             elif step is None:  # a let's scrutinee is typed: its body
                 if cls is LetPair:
                     if not isinstance(ty, Conj):
-                        raise TargetTypeMismatch(f"let-pair scrutinee has type {show(ty)}")
+                        raise TargetTypeMismatch(f"let-pair scrutinee has type {display(ty)}")
                     var_types.extend((ty.left, ty.right))
                     todo.append((term, ty))
                 else:
                     if not isinstance(ty, Exists):
-                        raise TargetTypeMismatch(f"let-pack scrutinee has type {show(ty)}")
+                        raise TargetTypeMismatch(f"let-pack scrutinee has type {display(ty)}")
                     # the type binder is named: the escape check's message names it
                     tv = fresh(term.hint_t or "X")
                     tvar_atoms.append(tv)
@@ -141,11 +144,11 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
                 del var_types[-2:]
             else:
                 var_types.pop()
-                tvar_atoms.pop()
                 if step in ftv(ty):
                     raise EscapeCheckFailed(
-                        f"type variable {step} escapes through the let-pack result {show(ty)}"
+                        f"type variable {base_name(step)} escapes through the let-pack result {display(ty)}"
                     )
+                tvar_atoms.pop()
             types.append(ty)
         elif cls is TgVar:
             ty = _lookup(context, term.name)
@@ -173,7 +176,7 @@ def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) ->
         elif cls is Pack:
             ex_ann = term.ex_ann
             if not isinstance(ex_ann, Exists):  # None: a pack left unresolved
-                shown = ex_ann if ex_ann is None else show(read(ex_ann))
+                shown = ex_ann if ex_ann is None else display(read(ex_ann))
                 raise TargetTypeMismatch(f"pack annotated with non-existential {shown}")
             todo.append((term, read(ex_ann)))
             todo.append(term.payload)

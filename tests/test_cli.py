@@ -354,6 +354,32 @@ def test_type_atom_messages_do_not_depend_on_fresh_counter(capsys, monkeypatch, 
     assert seen == [(2, "", f"error: {message}\n")] * 2
 
 
+@pytest.mark.parametrize("command", ["typecheck", "normalize"])
+@pytest.mark.parametrize(
+    "ctx, term, message",
+    [
+        ("v:exists X. X", "let <X, x> = v in x", "type variable X escapes through the let-pack result X"),
+        ("v:exists X. X", "let <Y, x> = v in let <Z, y> = v in <x, y>",
+         "type variable Z escapes through the let-pack result Y ∧ Z"),
+        ("v:exists X. X, f:not s", "let <X, x> = v in f x", "argument type X does not match expected s"),
+    ],
+    ids=["escape", "escape-nested", "argument"],
+)
+def test_target_type_atom_messages_do_not_depend_on_fresh_counter(capsys, monkeypatch, command, ctx,
+                                                                    term, message):
+    # As above for target input: a let-pack's type atom is shown by its
+    # binder's name.
+    import itertools
+
+    from mu2forge import mu_terms as tm
+
+    seen = []
+    for start in (1, 10**6):
+        monkeypatch.setattr(tm, "_fresh_counter", itertools.count(start))
+        seen.append(run(capsys, command, "--target", "--ctx", ctx, term))
+    assert seen == [(2, "", f"error: {message}\n")] * 2
+
+
 LET_PAIR, LET_PACK = "let <x, y> = k in x y", "let <X, y> = k in y"
 
 

@@ -319,9 +319,16 @@ def _ref_uniquify(t):
     return go(t, {}, {})
 
 
-def _ref_typecheck(context, term, mode=PLAIN):
-    from mu2forge.printer import print_target_type as show
+def _ref_typecheck(context, term, mode=PLAIN, atoms=()):
+    """atoms: the let-pack type atoms in scope, which a message shows by
+    their binders' hints."""
+    from mu2forge.mu_terms import base_name
+    from mu2forge.printer import print_target_type
+    from mu2forge.syntax import TVAR
     from mu2forge.target_typing import TargetTypeError
+
+    def show(ty):
+        return print_target_type(tt.SYNTAX.subst(TVAR, ty, {a: tt.TgVarT(base_name(a)) for a in atoms}))
 
     match term:
         case tg.TgVar(n):
@@ -337,49 +344,51 @@ def _ref_typecheck(context, term, mode=PLAIN):
             return tt.TOP
         case tg.TgLam(hint, ann, body):
             x = tg.fresh(hint or "x")
-            body_ty = _ref_typecheck(context + ((x, ann),), tg.open_var(body, x), mode)
+            body_ty = _ref_typecheck(context + ((x, ann),), tg.open_var(body, x), mode, atoms)
             if not isinstance(body_ty, tt.RType):
                 raise NonAnswerBody(f"abstraction body has type {show(body_ty)}, not R")
             return tt.Neg(ann)
         case tg.TgApp(fn, arg):
-            fn_ty = _ref_typecheck(context, fn, mode)
+            fn_ty = _ref_typecheck(context, fn, mode, atoms)
             if not isinstance(fn_ty, tt.Neg):
                 raise TargetTypeMismatch(f"application of non-negation type {show(fn_ty)}")
-            arg_ty = _ref_typecheck(context, arg, mode)
+            arg_ty = _ref_typecheck(context, arg, mode, atoms)
             if arg_ty != fn_ty.body:
                 raise TargetTypeMismatch(
                     f"argument type {show(arg_ty)} does not match expected {show(fn_ty.body)}"
                 )
             return tt.R
         case tg.Pair(left, right):
-            return tt.Conj(_ref_typecheck(context, left, mode), _ref_typecheck(context, right, mode))
+            left, right = (_ref_typecheck(context, kid, mode, atoms) for kid in (left, right))
+            return tt.Conj(left, right)
         case tg.LetPair(hx, hy, scrut, body):
-            scrut_ty = _ref_typecheck(context, scrut, mode)
+            scrut_ty = _ref_typecheck(context, scrut, mode, atoms)
             if not isinstance(scrut_ty, tt.Conj):
                 raise TargetTypeMismatch(f"let-pair scrutinee has type {show(scrut_ty)}")
             x, y = tg.fresh(hx or "x"), tg.fresh(hy or "y")
             opened = tg.open_var(tg.open_var(body, y), x, 1)
             ctx2 = context + ((x, scrut_ty.left), (y, scrut_ty.right))
-            return _ref_typecheck(ctx2, opened, mode)
+            return _ref_typecheck(ctx2, opened, mode, atoms)
         case tg.Pack(witness, payload, ex_ann):
             if not isinstance(ex_ann, tt.Exists):
                 raise TargetTypeMismatch(f"pack annotated with non-existential {ex_ann if ex_ann is None else show(ex_ann)}")
-            payload_ty = _ref_typecheck(context, payload, mode)
+            payload_ty = _ref_typecheck(context, payload, mode, atoms)
             want = tt.inst_tvar(ex_ann.body, witness)
             if payload_ty != want:
                 raise TargetTypeMismatch(f"pack payload has type {show(payload_ty)}, expected {show(want)}")
             return ex_ann
         case tg.LetPack(ht, hx, scrut, body):
-            scrut_ty = _ref_typecheck(context, scrut, mode)
+            scrut_ty = _ref_typecheck(context, scrut, mode, atoms)
             if not isinstance(scrut_ty, tt.Exists):
                 raise TargetTypeMismatch(f"let-pack scrutinee has type {show(scrut_ty)}")
             tv, x = tg.fresh(ht or "X"), tg.fresh(hx or "x")
             opened = tg.open_var(tg.open_tvar_term(body, tv), x)
             ctx2 = context + ((x, tt.inst_tvar(scrut_ty.body, tt.TgVarT(tv))),)
-            result = _ref_typecheck(ctx2, opened, mode)
+            atoms += (tv,)  # in scope in the body and in the escape check's message
+            result = _ref_typecheck(ctx2, opened, mode, atoms)
             if tv in tt.ftv(result):
                 raise EscapeCheckFailed(
-                    f"type variable {tv} escapes through the let-pack result {show(result)}"
+                    f"type variable {base_name(tv)} escapes through the let-pack result {show(result)}"
                 )
             return result
     raise TypeError(term)
