@@ -725,7 +725,7 @@ HOIST_RULES = (
     ("hoist-pack", _hoist(0, Pack)),
     ("hoist-scrut", _hoist(0, *_LETS)),
     # lam x. let p = s in A  =  let p = s in lam x. A  (x not in s); the
-    # engine blocks this at the root so the outermost Program keeps its
+    # root's table (_by_head) lacks it, so the outermost Program keeps its
     # lam k. A  shape.
     ("hoist-lam", _hoist(0, TgLam, moves=lambda lam, let: not nameful_occurs(let.scrut, lam.hint))),
     ("let-expand", _at(_rw_let_expand, *_LETS)),
@@ -743,9 +743,11 @@ ALL_RULES = dict(BETA_RULES + ETA_RULES + HOIST_RULES + STAR_RULES + EXPAND_RULE
 
 def _by_head(group, threads_env: bool = True):
     """A group as the search uses it: per node class, the rules whose head
-    it is, in listed order; and whether the search must keep env current."""
+    it is, in listed order; whether the search must keep env current; and
+    the same table for the root, which lacks hoist-lam."""
     rules = {cls: tuple((n, r) for n, r in group if cls in r.heads) for cls in tg.SYNTAX.children}
-    return rules, threads_env
+    root = {cls: tuple(nr for nr in kids if nr[0] != "hoist-lam") for cls, kids in rules.items()}
+    return rules, threads_env, root
 
 
 _BETA = _by_head(BETA_RULES, threads_env=False)  # no beta rule reads env
@@ -851,13 +853,11 @@ class _Zipper:
         return self.node
 
 
-def _test(z: _Zipper, rules, mode: str):
+def _test(z: _Zipper, group, mode: str):
     """The first rule of a group that applies at the focus, as (name,
     contractum), or None."""
     node = z.node
-    for name, rule in rules[node.__class__]:
-        if name == "hoist-lam" and not z.stack:
-            continue  # the outermost Program keeps its  lam k. A  shape
+    for name, rule in (group[0] if z.stack else group[2])[node.__class__]:
         out = rule(node, z.env, mode)
         if out is not None:
             return name, out
@@ -868,9 +868,9 @@ def _scan(z: _Zipper, group, mode: str):
     """Search the focus's subtree and then every subtree right of it, in
     preorder.  On a hit the focus is on the redex; otherwise None, with
     the focus on the root."""
-    rules, threads_env = group
+    threads_env = group[1]
     while True:
-        hit = _test(z, rules, mode)
+        hit = _test(z, group, mode)
         if hit is not None:
             return hit
         if not z.down(0, threads_env) and not z.right(threads_env):
@@ -881,12 +881,11 @@ def _search_beta(z: _Zipper, mode: str):
     """The beta group resumes at the focus.  A beta rule reads only its
     node and the class of a child, so a step can make a beta redex only
     in the contractum or at its parent; the parent is re-tested alone."""
-    rules = _BETA[0]
     stack = z.stack
-    if stack and rules[stack[-1][0].__class__]:
+    if stack and _BETA[0][stack[-1][0].__class__]:
         slot = stack[-1][1]
         z.up()
-        hit = _test(z, rules, mode)
+        hit = _test(z, _BETA, mode)
         if hit is not None:
             return hit
         z.down(slot, False)
@@ -896,10 +895,10 @@ def _search_beta(z: _Zipper, mode: str):
 def _search(z: _Zipper, group, resume: tuple[int, ...], mode: str):
     """Any other group resumes at its path: it re-tests the ancestors of
     the path from the root down, then scans from the path."""
-    rules, threads_env = group
+    threads_env = group[1]
     z.unwind()
     for i in resume:
-        hit = _test(z, rules, mode)
+        hit = _test(z, group, mode)
         if hit is not None:
             return hit
         z.down(i, threads_env)

@@ -32,7 +32,7 @@ GENERATED_SEEDS = (
 def reference_find(t, group, env, mode, path=()):
     """The first redex of group in t in preorder, searched from the root:
     (rule name, path, contractum) or None."""
-    rules, threads_env = group
+    rules, threads_env = group[:2]  # the table below the root, and its env flag
     for name, rule in rules[t.__class__]:
         if name == "hoist-lam" and path == ():
             continue
