@@ -48,7 +48,8 @@ class CliError(Exception):
     pass
 
 
-def _parse_bindings(spec: str | None):
+def _parse_bindings(spec: str | None, parse):
+    """name:type bindings, each type read by parse."""
     out = []
     if not spec:
         return tuple(out)
@@ -59,7 +60,7 @@ def _parse_bindings(spec: str | None):
         name, _, ty = chunk.partition(":")
         if not ty:
             raise CliError(f"binding {chunk!r} is not of the form name:type")
-        out.append((name.strip(), parse_mu_type(ty.strip())))
+        out.append((name.strip(), parse(ty.strip())))
     return tuple(out)
 
 
@@ -90,8 +91,8 @@ def _resolve_catalog_names(term: tm.MuTerm, bound: set[str]) -> tm.MuTerm:
 
 
 def _load_mu(args, text: str) -> tuple[tm.MuTerm, tuple, tuple]:
-    gamma = _parse_bindings(getattr(args, "ctx", None))
-    delta = _parse_bindings(getattr(args, "names", None))
+    gamma = _parse_bindings(getattr(args, "ctx", None), parse_mu_type)
+    delta = _parse_bindings(getattr(args, "names", None), parse_mu_type)
     term = parse_mu_term(text)
     term = _resolve_catalog_names(term, {n for n, _ in gamma} | {n for n, _ in delta})
     return term, gamma, delta
@@ -100,7 +101,7 @@ def _load_mu(args, text: str) -> tuple[tm.MuTerm, tuple, tuple]:
 def cmd_typecheck(args) -> int:
     if args.target:
         term = parse_target_term(args.expr)
-        tctx = tuple((n, parse_target_type(t)) for n, t in _split_raw(args.ctx))
+        tctx = _parse_bindings(args.ctx, parse_target_type)
         term = resolve_packs(term, tctx, args.mode)
         ty = typecheck_target(tctx, term, args.mode)
         print(print_target_type(ty))
@@ -109,19 +110,6 @@ def cmd_typecheck(args) -> int:
     ty = typecheck_mu(gamma, delta, term)
     print(print_mu_type(ty))
     return 0
-
-
-def _split_raw(spec: str | None):
-    if not spec:
-        return []
-    out = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, ty = chunk.partition(":")
-        out.append((name.strip(), ty.strip()))
-    return out
 
 
 def cmd_cps(args) -> int:
@@ -151,7 +139,7 @@ def cmd_normalize(args) -> int:
 
     mode = PARAMETRIC if args.mode == "parametric" else PLAIN
     if args.target:
-        tctx = tuple((n, parse_target_type(t)) for n, t in _split_raw(args.ctx))
+        tctx = _parse_bindings(args.ctx, parse_target_type)
         term = resolve_packs(parse_target_term(args.expr), tctx, mode)
     else:
         source, gamma, delta = _load_mu(args, args.expr)
@@ -174,8 +162,8 @@ def cmd_uncps(args) -> int:
     from .cps import cps_context
     from .inverse import invert_term
 
-    gamma = _parse_bindings(args.ctx)
-    delta = _parse_bindings(args.names)
+    gamma = _parse_bindings(args.ctx, parse_mu_type)
+    delta = _parse_bindings(args.names, parse_mu_type)
     tctx = cps_context(gamma, delta)
     term = resolve_packs(parse_target_term(args.expr), tctx, PLAIN)
     try:
@@ -196,7 +184,7 @@ def cmd_eq(args) -> int:
 
     theory = BETA_ETA if args.theory == "beta-eta" else LAMBDA_MU_2P
     if args.target:
-        tctx = tuple((n, parse_target_type(t)) for n, t in _split_raw(args.ctx))
+        tctx = _parse_bindings(args.ctx, parse_target_type)
         mode = PARAMETRIC if theory == LAMBDA_MU_2P else PLAIN
         left = resolve_packs(parse_target_term(args.left), tctx, mode)
         right = resolve_packs(parse_target_term(args.right), tctx, mode)

@@ -30,6 +30,13 @@ def test_input_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", [[], ["--target"]], ids=["source", "target"])
+def test_binding_without_a_type_exit_2(capsys, target):
+    # Both calculi read --ctx the same way; only the type parser differs.
+    code, out, err = run(capsys, "typecheck", *target, "--ctx", "x", "x")
+    assert (code, out, err) == (2, "", "error: binding 'x' is not of the form name:type\n")
+
+
 def test_eq_catalog_example(capsys):
     code, out, _ = run(
         capsys,
