@@ -29,10 +29,9 @@ from .surface import (
     parse_mu_type,
     parse_target_term,
     parse_target_type,
-    resolve_packs,
 )
 from .target_types import NotInImageType
-from .target_typing import PARAMETRIC, PLAIN, TargetTypeError, typecheck_target
+from .target_typing import PARAMETRIC, PLAIN, TargetTypeError, resolve_packs
 
 # A cold call imports only the parse/print/typing core above; each cmd_*
 # imports the layer it runs.  The printers stay imported here by name:
@@ -100,10 +99,8 @@ def _load_mu(args, text: str) -> tuple[tm.MuTerm, tuple, tuple]:
 
 def cmd_typecheck(args) -> int:
     if args.target:
-        term = parse_target_term(args.expr)
         tctx = _parse_bindings(args.ctx, parse_target_type)
-        term = resolve_packs(term, tctx, args.mode)
-        ty = typecheck_target(tctx, term, args.mode)
+        _, ty = resolve_packs(parse_target_term(args.expr), tctx, args.mode)
         print(print_target_type(ty))
         return 0
     term, gamma, delta = _load_mu(args, args.expr)
@@ -140,13 +137,13 @@ def cmd_normalize(args) -> int:
     mode = PARAMETRIC if args.mode == "parametric" else PLAIN
     if args.target:
         tctx = _parse_bindings(args.ctx, parse_target_type)
-        term = resolve_packs(parse_target_term(args.expr), tctx, mode)
+        term, type_ = resolve_packs(parse_target_term(args.expr), tctx, mode)
     else:
         source, gamma, delta = _load_mu(args, args.expr)
         term, _ = cps_term_typed(gamma, delta, source)
-        tctx = cps_context(gamma, delta)
+        tctx, type_ = cps_context(gamma, delta), None
     try:
-        form = canonicalize(term, None, mode, tctx)
+        form = canonicalize(term, type_, mode, tctx)
     except (NotCanonical, NotInImageType) as exc:
         raise _no_canonical_form(exc) from exc
     print(print_target_term(form.term))
@@ -165,9 +162,9 @@ def cmd_uncps(args) -> int:
     gamma = _parse_bindings(args.ctx, parse_mu_type)
     delta = _parse_bindings(args.names, parse_mu_type)
     tctx = cps_context(gamma, delta)
-    term = resolve_packs(parse_target_term(args.expr), tctx, PLAIN)
+    term, type_ = resolve_packs(parse_target_term(args.expr), tctx, PLAIN)
     try:
-        kind, result = invert_term(term, tctx)
+        kind, result = invert_term(term, type_, tctx)
     except (NotCanonical, NotInImageType) as exc:
         raise _no_canonical_form(exc) from exc
     continuation = kind == CONTINUATION
@@ -186,8 +183,8 @@ def cmd_eq(args) -> int:
     if args.target:
         tctx = _parse_bindings(args.ctx, parse_target_type)
         mode = PARAMETRIC if theory == LAMBDA_MU_2P else PLAIN
-        left = resolve_packs(parse_target_term(args.left), tctx, mode)
-        right = resolve_packs(parse_target_term(args.right), tctx, mode)
+        left, _ = resolve_packs(parse_target_term(args.left), tctx, mode)
+        right, _ = resolve_packs(parse_target_term(args.right), tctx, mode)
         verdict = eq_target(left, right, mode, tctx)
     else:
         left, gamma, delta = _load_mu(args, args.left)

@@ -3,7 +3,8 @@
 ASCII spellings:  \\x:t. M,  /\\X. M,  M N,  M [t],  mu a:t. [b] M,
 mu* a:t. M (bold mu),  [b] M (named term),  bot,  not t,  forall X. t,
 t -> t;  target adds  R,  t /\\ t,  exists X. t,  <M, N>,  <t | M>
-(pack, optionally <t | M : T> with its existential type),  let <x,y> =
+(pack, optionally <t | M : T> with its existential type, which
+target_typing.resolve_packs infers when it is left out),  let <x,y> =
 M in N,  let <X,x> = M in N (pack elimination when the first binder is
 capitalised),  * (Star).  The printers' UTF-8 spellings are accepted as
 synonyms, so parse(print(t)) = t.
@@ -380,9 +381,10 @@ def parse_target_type(text: str) -> tt.TargetType:
 
 
 # ---------------------------------------------------------------------------
-# Target terms.  Unannotated packs carry ex_ann=None until resolved
-# against a typing context (resolve_packs).  The reader builds the term
-# nameful (binders hold their source names) and closes it once.
+# Target terms.  An unannotated pack carries ex_ann=None until
+# target_typing.resolve_packs types the term and fills it in.  The reader
+# builds the term nameful (binders hold their source names) and closes it
+# once.
 
 
 def _tg_term(p: _Parser) -> tg.TargetTerm:
@@ -501,63 +503,3 @@ def parse_target_term(text: str) -> tg.TargetTerm:
     p.done()
     return tg.close_binders(term)
 
-
-def resolve_packs(term: tg.TargetTerm, context, mode: str = "plain") -> tg.TargetTerm:
-    """Fill missing pack annotations: the existential generalises every
-    occurrence of the witness in the payload's type (documented default;
-    use <t | M : T> when another existential is intended)."""
-    from . import target_typing as tgt
-    from .printer import print_target_type
-    from .rewrite import from_nameful, to_nameful
-
-    def synth(ctx, t: tg.TargetTerm) -> tt.TargetType:  # t is nameful
-        return tgt.typecheck_target(ctx, tg.close_binders(t), mode)
-
-    def scrut_type(ctx, scrut, cls, let: str) -> tt.TargetType:
-        ty = synth(ctx, scrut)
-        if not isinstance(ty, cls):  # worded as typecheck_target words it
-            raise tgt.TargetTypeMismatch(f"{let} scrutinee has type {print_target_type(ty)}")
-        return ty
-
-    def anti(ty: tt.TargetType, witness: tt.TargetType, depth: int = 0) -> tt.TargetType:
-        if ty == witness:
-            return tt.TgBoundT(depth)
-        match ty:
-            case tt.TgVarT(_) | tt.TgBoundT(_) | tt.RType():
-                return ty
-            case tt.Neg(body):
-                return tt.Neg(anti(body, witness, depth))
-            case tt.Conj(left, right):
-                return tt.Conj(anti(left, witness, depth), anti(right, witness, depth))
-            case tt.Exists(hint, body):
-                return tt.Exists(hint, anti(body, witness, depth + 1))
-        raise TypeError(ty)
-
-    def go(t: tg.TargetTerm, ctx) -> tg.TargetTerm:
-        match t:
-            case tg.Pack(w, payload, ex):
-                payload = go(payload, ctx)
-                if ex is None:
-                    pty = synth(ctx, payload)
-                    ex = tt.Exists("X", anti(pty, w))
-                return tg.Pack(w, payload, ex)
-            case tg.TgVar(_) | tg.Star():
-                return t
-            case tg.TgLam(x, ann, body):
-                return tg.TgLam(x, ann, go(body, ctx + ((x, ann),)))
-            case tg.TgApp(fn, arg):
-                return tg.TgApp(go(fn, ctx), go(arg, ctx))
-            case tg.Pair(left, right):
-                return tg.Pair(go(left, ctx), go(right, ctx))
-            case tg.LetPair(x, y, scrut, body):
-                scrut = go(scrut, ctx)
-                sty = scrut_type(ctx, scrut, tt.Conj, "let-pair")
-                return tg.LetPair(x, y, scrut, go(body, ctx + ((x, sty.left), (y, sty.right))))
-            case tg.LetPack(xv, x, scrut, body):
-                scrut = go(scrut, ctx)
-                sty = scrut_type(ctx, scrut, tt.Exists, "let-pack")
-                inner = go(body, ctx + ((x, tt.inst_tvar(sty.body, tt.TgVarT(xv))),))
-                return tg.LetPack(xv, x, scrut, inner)
-        raise TypeError(t)
-
-    return from_nameful(go(to_nameful(term), tuple(context)))

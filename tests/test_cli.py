@@ -244,6 +244,23 @@ def test_deep_numeral_normalize_exit_2():
     assert "Traceback" not in err
 
 
+def test_deep_target_input_typechecks():
+    # Target input is typed, and its packs resolved, in one pass on an
+    # explicit stack: the CPS image of Church 1000 and a let chain 3000
+    # deep in body position both typecheck at the default recursion limit.
+    from mu2forge.combinators import church
+    from mu2forge.cps import cps_term_typed
+    from mu2forge.printer import print_target_term
+
+    image, _ = cps_term_typed((), (), church(1000))
+    code, out, err = run_cold("typecheck", "--target", print_target_term(image))
+    assert (code, out, err) == (0, "¬(∃X. ¬X ∧ ¬(¬X ∧ X) ∧ X)\n", "")
+    lets = "".join(f"let <a{k}, b{k}> = <a{k + 1}, b{k + 1}> in " for k in range(2998, -1, -1))
+    chain = f"let <a2999, b2999> = p in {lets}f <s | a0>"
+    code, out, err = run_cold("typecheck", "--target", "--ctx", r"p:s /\ s, f:not exists X. X", chain)
+    assert (code, out, err) == (0, "R\n", "")
+
+
 def test_deep_numeral_400_equation_decided():
     # Every pass on the eq path runs on an explicit stack: Church 400,
     # which overflowed the CPS translation before, is decided.
@@ -369,8 +386,9 @@ def test_type_atom_messages_do_not_depend_on_fresh_counter(capsys, monkeypatch, 
         ("v:exists X. X", "let <Y, x> = v in let <Z, y> = v in <x, y>",
          "type variable Z escapes through the let-pack result Y ∧ Z"),
         ("v:exists X. X, f:not s", "let <X, x> = v in f x", "argument type X does not match expected s"),
+        ("v:exists X. not X", "let <X, x> = v in let <y, z> = x in y", "let-pair scrutinee has type ¬X"),
     ],
-    ids=["escape", "escape-nested", "argument"],
+    ids=["escape", "escape-nested", "argument", "scrutinee"],
 )
 def test_target_type_atom_messages_do_not_depend_on_fresh_counter(capsys, monkeypatch, command, ctx,
                                                                     term, message):
@@ -406,9 +424,9 @@ LET_PAIR, LET_PACK = "let <x, y> = k in x y", "let <X, y> = k in y"
          "normalize-pack", "eq-pair", "uncps-pair", "uncps-pack"],
 )
 def test_ill_typed_let_scrutinee_exit_2(capsys, argv, message):
-    # Filling in pack annotations types each let's scrutinee first; a
-    # scrutinee of the wrong shape is a typing error, worded as
-    # typecheck_target words it.
+    # A let's scrutinee is typed before its body, on every command that
+    # reads target input; a scrutinee of the wrong shape is a typing
+    # error, not a failure in a later pass.
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

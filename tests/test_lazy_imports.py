@@ -105,8 +105,9 @@ CORE = {"surface", "printer", "mu_typing", "target_typing", "mu_types", "mu_term
 
 
 # Exact sets: `typecheck` loads none of cps, canonical, rewrite, theory,
-# combinators, inverse, focality, relations or suite_runner; `cps` only
-# cps, whose translation runs mu_typing's walk; `eq` none of
+# combinators, inverse, focality, relations or suite_runner, with or
+# without --target (which types and resolves packs in target_typing);
+# `cps` only cps, whose translation runs mu_typing's walk; `eq` none of
 # inverse, focality, relations or suite_runner; `normalize` not inverse,
 # which only `uncps` adds; `free-theorem` none of rewrite, canonical or
 # focality.
@@ -114,13 +115,14 @@ CORE = {"surface", "printer", "mu_typing", "target_typing", "mu_types", "mu_term
     "argv, code, layer",
     [
         (["typecheck", r"\x:s. x"], 0, set()),
+        (["typecheck", "--target", "--ctx", "y:not s", r"<s | \x:s. y x>"], 0, set()),
         (["cps", r"\x:s. x"], 0, {"cps"}),
         (["eq", "--ctx", "x:s, y:s", "x", "y"], 1, {"cps", "canonical", "rewrite", "theory"}),
         (["normalize", "--ctx", "x:s", "x"], 0, {"cps", "canonical", "rewrite"}),
         (["uncps", "--ctx", "x:s -> s", "x"], 0, {"cps", "canonical", "rewrite", "inverse"}),
         (["free-theorem", "forall X. X"], 0, {"relations"}),
     ],
-    ids=["typecheck", "cps", "eq", "normalize", "uncps", "free-theorem"],
+    ids=["typecheck", "typecheck-target", "cps", "eq", "normalize", "uncps", "free-theorem"],
 )
 def test_cold_call_loads_only_its_layer(argv, code, layer):
     got, loaded = json.loads(run_fresh(COLD_CALL, *argv).splitlines()[-1])

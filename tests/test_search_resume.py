@@ -17,8 +17,8 @@ from mu2forge import target_types as tt
 from mu2forge.combinators import catalog, church_succ, church_zero
 from mu2forge.cps import cps_context, cps_term_typed
 from mu2forge.suite_runner import _entry_gamma
-from mu2forge.surface import parse_target_term, resolve_packs
-from mu2forge.target_typing import PARAMETRIC, PLAIN, typecheck_target
+from mu2forge.surface import parse_target_term
+from mu2forge.target_typing import PARAMETRIC, PLAIN, resolve_packs, typecheck_target
 from mu2forge.theory import gen_judgement
 
 #: theory.gen_judgement seeds (budget 6) that do not give up.
@@ -123,7 +123,7 @@ PARENT_TERMS = (
 
 def parent_images():
     for text in PARENT_TERMS:
-        term = resolve_packs(parse_target_term(text), PARENT_CONTEXT)
+        term, _ = resolve_packs(parse_target_term(text), PARENT_CONTEXT)
         typecheck_target(PARENT_CONTEXT, term)
         yield text, term, dict(PARENT_CONTEXT)
 

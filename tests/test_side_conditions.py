@@ -16,8 +16,8 @@ import pytest
 from mu2forge import rewrite
 from mu2forge import target_terms as tg
 from mu2forge.cli import main
-from mu2forge.surface import parse_target_term, parse_target_type, resolve_packs
-from mu2forge.target_typing import typecheck_target
+from mu2forge.surface import parse_target_term, parse_target_type
+from mu2forge.target_typing import resolve_packs, typecheck_target
 
 CASES = {
     # y occurs outside the pattern <x, y>.
@@ -44,7 +44,7 @@ def context(text):
 def test_side_condition_blocks_the_step(rule, mode):
     ctx_text, text = CASES[rule]
     ctx = context(ctx_text)
-    term = resolve_packs(parse_target_term(text), ctx, mode)
+    term, _ = resolve_packs(parse_target_term(text), ctx, mode)
     ty = typecheck_target(ctx, term, mode)
     nameful = rewrite.to_nameful(term)
     assert rewrite.ALL_RULES[rule](nameful, dict(ctx), mode) is None
@@ -75,7 +75,7 @@ def test_let_swap_keeps_a_scrutinee_that_uses_the_outer_type_atom(mode):
     ctx_text = r"s:exists Y. not Y, w:(not a) /\ a, f:not((not a) /\ (exists Y. not Y))"
     text = r"let <X, x> = s in let <p, q> = (let <c, d> = w in <<X | \v:X. c d : exists Y. not Y>, c>) in f <q, p>"
     ctx = context(ctx_text)
-    term = resolve_packs(parse_target_term(text), ctx, mode)
+    term, _ = resolve_packs(parse_target_term(text), ctx, mode)
     ty = typecheck_target(ctx, term, mode)
     assert rewrite.ALL_RULES["let-swap"](rewrite.to_nameful(term), dict(ctx), mode) is None
     out, steps = rewrite.normalize(term, ctx, mode)

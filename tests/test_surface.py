@@ -25,9 +25,8 @@ from mu2forge.surface import (
     parse_mu_type,
     parse_target_term,
     parse_target_type,
-    resolve_packs,
 )
-from mu2forge.target_typing import TargetTypeMismatch, typecheck_target
+from mu2forge.target_typing import TargetTypeMismatch, resolve_packs, typecheck_target
 from mu2forge.theory import GaveUp, gen_judgement
 
 A = mt.TVar("a")
@@ -111,8 +110,8 @@ def test_target_surface():
 
 def test_resolve_packs_default_annotation():
     packed = parse_target_term("<s | k>")
-    resolved = resolve_packs(packed, (("k", tt.TgVarT("s")),))
-    assert resolved == tg.Pack(tt.TgVarT("s"), tg.TgVar("k"), tt.TOP)
+    resolved, ty = resolve_packs(packed, (("k", tt.TgVarT("s")),))
+    assert (resolved, ty) == (tg.Pack(tt.TgVarT("s"), tg.TgVar("k"), tt.TOP), tt.TOP)
 
 
 def test_shadowing_binders_read_as_innermost():
@@ -155,7 +154,8 @@ def test_unannotated_pack_under_let_pack():
     ex = tt.exists("Y", tt.TgVarT("Y"))
     context = (("v", ex), ("f", tt.Neg(ex)))
     pack = tg.Pack(tt.TgBoundT(0), tg.TgBVar(0), tt.TOP)
-    assert resolve_packs(term, context) == tg.LetPack("X", "x", tg.TgVar("v"), tg.TgApp(tg.TgVar("f"), pack))
+    resolved, ty = resolve_packs(term, context)
+    assert (resolved, ty) == (tg.LetPack("X", "x", tg.TgVar("v"), tg.TgApp(tg.TgVar("f"), pack)), tt.R)
     with pytest.raises(TargetTypeMismatch, match="non-existential None"):
         typecheck_target(context, term)  # not resolved
 
@@ -167,11 +167,11 @@ def test_resolve_packs_types_subterms_with_binders():
     g, app, bv = tg.TgVar("g"), tg.TgApp, tg.TgBVar
     lam = tg.TgLam("k", s, app(g, bv(0)))
     context = (("g", tt.Neg(s)), ("f", tt.Neg(tt.exists("X", tt.Neg(x)))), ("w", s))
-    got = resolve_packs(parse_target_term(r"f <s | \k:s. g k>"), context)
+    got, _ = resolve_packs(parse_target_term(r"f <s | \k:s. g k>"), context)
     assert got == app(tg.TgVar("f"), tg.Pack(s, lam, tt.exists("X", tt.Neg(x))))
-    got = resolve_packs(parse_target_term(r"let <x, y> = <\k:s. g k, w> in y"), context)
+    got, _ = resolve_packs(parse_target_term(r"let <x, y> = <\k:s. g k, w> in y"), context)
     assert got == tg.LetPair("x", "y", tg.Pair(lam, tg.TgVar("w")), bv(0))
-    got = resolve_packs(parse_target_term(r"let <x, y> = <\k:s. g k, w> in f <s | x>"), context)
+    got, _ = resolve_packs(parse_target_term(r"let <x, y> = <\k:s. g k, w> in f <s | x>"), context)
     pack = tg.Pack(s, bv(1), tt.exists("X", tt.Neg(x)))
     assert got == tg.LetPair("x", "y", tg.Pair(lam, tg.TgVar("w")), app(tg.TgVar("f"), pack))
 
