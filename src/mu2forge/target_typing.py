@@ -117,14 +117,14 @@ def _generalise(ty: TargetType, witness: TargetType, depth: int = 0) -> TargetTy
 
 def _synth(
     context: TgContext, term: TargetTerm, mode: str, rebuild: bool
-) -> tuple[TargetTerm | None, TargetType]:
-    """The term rebuilt from its rebuilt children, each unannotated pack
-    resolved (None without rebuild, where such a pack is an error), and
-    its type, in one pass over an explicit stack: a bound variable's type
-    is read off a stack of binder types, and an annotation is opened
-    against the type atoms when read.  Each node is checked in the order
-    a recursive reading checks it: a function before its argument is
-    typed, a pack's annotation before its payload."""
+) -> tuple[TargetTerm | bool, TargetType]:
+    """The term rebuilt from its rebuilt children with each unannotated
+    pack resolved (meaningless without rebuild, where such a pack is an
+    error), and its type, in one pass over an explicit stack: a bound
+    variable's type is read off a stack of binder types, and an
+    annotation is opened against the type atoms when read.  Each node is
+    checked in the order a recursive reading checks it: a function before
+    its argument is typed, a pack's annotation before its payload."""
     var_types: list[TargetType] = []  # innermost binder last
     tvar_atoms: list[str] = []
     levels: dict[str, int] = {}  # each atom's index in tvar_atoms

@@ -161,8 +161,8 @@ def test_unannotated_pack_under_let_pack():
 
 
 def test_resolve_packs_types_subterms_with_binders():
-    """A pack payload or a let scrutinee that holds a binder is typed
-    closed, so its own bound variables do not look like free ones."""
+    """A pack payload or a let scrutinee that holds a binder resolves:
+    its own bound variables are not taken for free ones."""
     s, x = tt.TgVarT("s"), tt.TgVarT("X")
     g, app, bv = tg.TgVar("g"), tg.TgApp, tg.TgBVar
     lam = tg.TgLam("k", s, app(g, bv(0)))
