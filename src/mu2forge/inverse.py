@@ -3,10 +3,10 @@
 `invert` runs `canonical`'s walk of the grammar with a builder that
 reads each clause back: Programs invert to terms, Continuations to
 one-hole contexts with a typed hole, Answers to terms of the falsity
-type.  `invert_term` normalises a term of a given type and runs that walk on
-its normal form, once.  Hole filling is capture-permitting: the let clauses bind the
-variables and names of the filled term, so contexts are represented as
-closures that construct the binders around the hole.
+type.  `invert_term` normalises a term of a given type and runs that
+walk on its normal form, once.  Hole filling is capture-permitting: the
+let clauses bind the variables and names of the filled term, so contexts
+are represented as closures that construct the binders around the hole.
 """
 
 from __future__ import annotations
