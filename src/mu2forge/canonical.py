@@ -13,6 +13,9 @@ In parametric mode Star is additionally a Continuation at exists X. X.
 One walk checks the grammar, each clause once, and hands what each
 clause found to an optional builder: `classify` runs it with none, and
 `inverse.invert` with one that reads each clause back as a mu-term.
+It runs on the rewrite engine's nameful form, where each binder's atom
+is its hint and unique, so one environment serves every scope, and it
+types answer heads and let scrutinees with `rewrite.nameful_synth`.
 
 Equality is alpha-identity of canonical forms.  An Equal verdict is
 sound as far as every rule of the rewrite engine is an instance, or a
@@ -22,11 +25,11 @@ engine's own rules.  Distinct verdicts are advisory.
 
 `eq_target` normalises its two sides in lockstep with
 `rewrite.normalize_pair`.  Most equations asked are Equal, and their
-sides are alpha-equal after the first contraction phase or earlier;
-from there the right side applies the left side's steps to its own
-term instead of searching for them.  A phase's steps depend only on the
-alpha-class of its input, so both normal forms and both traces are the
-ones two `normalize` calls give.
+sides are alpha-equal (`tg.equal` of their closed forms) after the
+first contraction phase or earlier; from there the right side applies
+the left side's steps to its own term instead of searching for them.
+A phase's steps depend only on the alpha-class of its input, so both
+normal forms and both traces are the ones two `normalize` calls give.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from . import target_types as tt
 from . import target_terms as tg
 from .printer import print_target_term, print_target_type as show
 from .record import field, record
-from .rewrite import RewriteStep, normalize, normalize_pair
+from .rewrite import RewriteStep, from_nameful, nameful_synth, normalize, normalize_pair, to_nameful
 from .target_types import NotInImageType, is_image
 from .target_typing import (
     PARAMETRIC,
     PLAIN,
     TargetTypeMismatch,
     TgContext,
+    UnboundTargetVariable,
     typecheck_target,
 )
 
@@ -105,14 +109,18 @@ def classify(
 def _walk(term, type_, mode, context, build=None):
     """Check term against the grammar at type_, each clause once, and
     return its kind and what build made of its clauses, bottom up (None
-    without a builder)."""
-    env = dict(context)
+    without a builder).  A free variable of term that context lacks
+    raises what typecheck_target raises for it."""
+    t, env = to_nameful(term), dict(context)
+    free = [x for x in tg.free_vars(term) if x not in env]
+    if free:
+        raise UnboundTargetVariable(min(free))
     if type_ == tt.R:
-        return ANSWER, _answer(term, env, mode, build)
+        return ANSWER, _answer(t, env, mode, build)
     if isinstance(type_, tt.Neg) and is_image(type_.body):
-        return PROGRAM, _program(term, type_.body, env, mode, build)
+        return PROGRAM, _program(t, type_.body, env, mode, build)
     if is_image(type_):
-        return CONTINUATION, _continuation(term, type_, env, mode, build)
+        return CONTINUATION, _continuation(t, type_, env, mode, build)
     raise NotInImageType(type_)
 
 
@@ -120,19 +128,19 @@ def _program(t, sdeg, env, mode, build):
     match t:
         case tg.TgVar(x):
             return build and build.var(x)
-        case tg.TgLam(hint, ann, body):
+        case tg.TgLam(k, ann, body):
             if ann != sdeg:
                 raise NotCanonical(
                     f"program abstraction annotated {show(ann)}, expected {show(sdeg)}"
                 )
-            k = tg.fresh(hint or "k")
-            answer = _answer(tg.open_var(body, k), {**env, k: ann}, mode, build)
+            env[k] = ann
+            answer = _answer(body, env, mode, build)
             return build and build.bold_mu(k, sdeg, answer)
-    raise NotCanonical(f"not a Program form: {print_target_term(t)}")
+    raise NotCanonical(f"not a Program form: {print_target_term(from_nameful(t))}")
 
 
 def _continuation(t, sdeg, env, mode, build):
-    t, env, lets = _lets(t, env, mode, build)
+    t, lets = _lets(t, env, mode, build)
     match t:
         case tg.TgVar(k):
             out = build and build.named(k, sdeg)
@@ -152,15 +160,15 @@ def _continuation(t, sdeg, env, mode, build):
             rest = _continuation(payload, tt.inst_tvar(sdeg.body, w), env, mode, build)
             out = build and build.pack(sdeg, w, rest)
         case _:
-            raise NotCanonical(f"not a Continuation form: {print_target_term(t)}")
+            raise NotCanonical(f"not a Continuation form: {print_target_term(from_nameful(t))}")
     return build.let(lets, out) if lets and build else out
 
 
 def _answer(t, env, mode, build):
-    t, env, lets = _lets(t, env, mode, build)
+    t, lets = _lets(t, env, mode, build)
     if not isinstance(t, tg.TgApp):
-        raise NotCanonical(f"not an Answer form: {print_target_term(t)}")
-    fn_ty = _synth(t.fn, env, mode)
+        raise NotCanonical(f"not an Answer form: {print_target_term(from_nameful(t))}")
+    fn_ty = nameful_synth(t.fn, env)
     if not (isinstance(fn_ty, tt.Neg) and is_image(fn_ty.body)):
         raise NotCanonical(f"answer head at type {show(fn_ty)}")
     program = _program(t.fn, fn_ty.body, env, mode, build)
@@ -170,30 +178,25 @@ def _answer(t, env, mode, build):
 
 
 def _lets(t, env, mode, build):
-    """Check the lets that t starts with, in one loop: the term under them,
-    its environment, and per let what a builder closes over that term."""
+    """Check the lets that t starts with, in one loop, entering their atoms
+    in env: the term under them, and per let what a builder closes over it."""
     lets = []
     while isinstance(t, (tg.LetPair, tg.LetPack)):
         pair = isinstance(t, tg.LetPair)
-        sty = _synth(t.scrut, env, mode)
+        sty = nameful_synth(t.scrut, env)
         if not (isinstance(sty, tt.Conj if pair else tt.Exists) and is_image(sty)):
             raise NotCanonical(f"let-{'pair' if pair else 'pack'} scrutinee at {show(sty)}")
         scrut = _continuation(t.scrut, sty, env, mode, build)
         if pair:
-            x, k = tg.fresh(t.hint_x or "x"), tg.fresh(t.hint_y or "k")
-            body = tg.open_var(tg.open_var(t.body, k), x, 1)
-            env = {**env, x: sty.left, k: sty.right}
+            x, k = t.hint_x, t.hint_y
+            env[x], env[k] = sty.left, sty.right
         else:
-            x, k = tg.fresh(t.hint_t or "X"), tg.fresh(t.hint_x or "k")
-            body = tg.open_var(tg.open_tvar_term(t.body, x), k)
-            env = {**env, k: tt.inst_tvar(sty.body, tt.TgVarT(x))}
+            x, k = t.hint_t, t.hint_x
+            env[k] = tt.inst_tvar(sty.body, tt.TgVarT(x))
         lets.append((t, x, k, env, scrut))
-        t = body
-    return t, env, lets
+        t = t.body
+    return t, lets
 
-
-def _synth(t, env: dict, mode: str) -> tt.TargetType:
-    return typecheck_target(tuple(env.items()), t, mode)
 
 
 def eq_target(

@@ -17,7 +17,8 @@ The engine works on a "nameful" image of the term: every binder is
 opened with a globally unique atom kept in the hint slot, so moving a
 subterm across binders (let hoisting) can never capture.  Duplication
 re-freshens binder atoms.  Public inputs and outputs stay locally
-nameless.
+nameless; `canonical`'s grammar walk runs on the nameful form too, and
+types its heads and scrutinees with `nameful_synth`.
 
 Rule groups are tried in priority order: each step applies the first
 group that has a redex, at that group's first redex in preorder
@@ -39,9 +40,11 @@ shares the engine's rules, so it does not check them.
 A phase's steps are a function of the alpha-class of its input: no rule
 reads an atom's name, and let-swap's name tiebreak only separates
 atoms of equal binding order, which are the same atom.  So once the
-right side is alpha-equal to the left, it stops searching and follows
-the left side's steps on its own term.  Its binder names, normal form
-and trace are exactly those of its own search.
+right side is alpha-equal to the left (`tg.equal` of their closed
+forms, each phase output being closed at most once), it stops
+searching and follows the left side's steps on its own term.  Its
+binder names, normal form and trace are exactly those of its own
+search.
 """
 
 from __future__ import annotations
@@ -980,74 +983,6 @@ def beta_normalize(term: TargetTerm, context: TgContext = ()) -> TargetTerm:
 # Following a trace, and the lockstep pair
 
 
-def _alpha_equal(a: TargetTerm, b: TargetTerm) -> bool:
-    """Whether nameful terms a and b are alpha-equal, in one walk over an
-    explicit stack that builds no term.
-
-    Each side's binder atoms are unique and occur only in their binder's
-    scope, so a binder of a is matched with b's when the walk meets it,
-    and the match holds wherever the atom occurs.  A free atom must be
-    the same on both sides.  Annotations compare under the match of
-    LetPack-bound type atoms.  A subtree both sides share holds no binder
-    atom of either, since each side's binders are its own fresh atoms."""
-    atoms: dict[str, str] = {}
-    tatoms: dict[str, str] = {}
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        cls = a.__class__
-        if cls is not b.__class__:
-            return False
-        if cls is TgVar:
-            if atoms.get(a.name, a.name) != b.name:
-                return False
-        elif cls is TgApp:
-            todo += ((a.arg, b.arg), (a.fn, b.fn))
-        elif cls is TgLam:
-            atoms[a.hint] = b.hint
-            if not _alpha_type(a.ann, b.ann, tatoms):
-                return False
-            todo.append((a.body, b.body))
-        elif cls is Pair:
-            todo += ((a.right, b.right), (a.left, b.left))
-        elif cls is LetPair or cls is LetPack:
-            for name, ns, _ in tg.BINDERS[cls]:
-                (atoms, tatoms)[ns][getattr(a, name)] = getattr(b, name)
-            todo += ((a.body, b.body), (a.scrut, b.scrut))
-        elif cls is Pack:
-            if not (_alpha_type(a.witness, b.witness, tatoms) and _alpha_type(a.ex_ann, b.ex_ann, tatoms)):
-                return False
-            todo.append((a.payload, b.payload))
-    return True
-
-
-def _alpha_type(a: tt.TargetType, b: tt.TargetType, tatoms: dict[str, str]) -> bool:
-    """Whether annotation a, read through the type-atom match, is b."""
-    if not tatoms:
-        return a == b
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        cls = a.__class__
-        if cls is not b.__class__:
-            return False
-        if cls is tt.TgVarT:
-            if tatoms.get(a.name, a.name) != b.name:
-                return False
-        elif cls is tt.TgBoundT:
-            if a.index != b.index:
-                return False
-        elif cls is tt.Conj:
-            todo += ((a.left, b.left), (a.right, b.right))
-        elif cls is not tt.RType:  # Neg, Exists
-            todo.append((a.body, b.body))
-    return True
-
-
 def _goto(z: _Zipper, path: tuple[int, ...]) -> bool:
     """Move the focus to path, keeping env current, up only as far as
     the common prefix with the focus's own path; False if path does not
@@ -1085,11 +1020,12 @@ def normalize_pair(
     trace, where they met).
 
     Both sides run the phases of `normalize_nameful`, the left first.
-    The sides are compared at three points: the closed inputs before any
-    phase ("inputs"); the right side's input to a phase against the left
-    side's output of it ("ahead n": the right side is already a normal
-    form of the phase and takes no step in it); and the two outputs of a
-    phase ("outputs n").  From the point where they meet, the right side
+    The sides are compared closed, with `tg.equal`, at three points: the
+    inputs before any phase ("inputs"); the right side's input to a
+    phase against the left side's output of it ("ahead n": the right
+    side is already a normal form of the phase and takes no step in it);
+    and the two outputs of a phase ("outputs n").  Each phase output is
+    closed at most once, and the last closed forms are the results.  From the point where they meet, the right side
     stops searching and follows the left side's later steps on its own
     term.  Since the steps of a phase depend only on the alpha-class of
     its input, the right side's result and trace are exactly those of
@@ -1098,6 +1034,7 @@ def normalize_pair(
     """
     env = dict(context)
     lt, rt = to_nameful(left), to_nameful(right)
+    lc, rc = None, right  # the closed forms of lt and rt while they are current
     lsteps: list[RewriteStep] = []
     rsteps: list[RewriteStep] = []
     met = "inputs" if tg.equal(left, right) else None
@@ -1112,13 +1049,17 @@ def normalize_pair(
                 raise RewriteError(f"the right side cannot follow the left: {exc}") from exc
             rt = z.unwind()
             rsteps += lsteps[start:]
-        elif _alpha_equal(lt, rt):
+            lc = rc = None
+            continue
+        lc = from_nameful(lt)
+        if tg.equal(lc, rc):
             met = f"ahead {phase}"
         else:
             rt = _run(rt, env, mode, groups, rsteps)
-            if _alpha_equal(lt, rt):
+            rc = from_nameful(rt)
+            if tg.equal(lc, rc):
                 met = f"outputs {phase}"
-    return from_nameful(lt), lsteps, from_nameful(rt), rsteps, met
+    return lc or from_nameful(lt), lsteps, rc or from_nameful(rt), rsteps, met
 
 
 def replay(

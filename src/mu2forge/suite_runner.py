@@ -73,7 +73,7 @@ from .theory import (
 GOLDEN_DIR = Path(__file__).resolve().parents[2] / "tests" / "golden"
 
 
-def golden_dir(override: str | None = None) -> Path:
+def golden_dir(override: Path | str | None = None) -> Path:
     if override:
         return Path(override)
     env = os.environ.get("MU2FORGE_GOLDEN")
@@ -554,7 +554,7 @@ def golden_theorem_types():
 
 def criterion_12_free_theorems(golden: Path | str | None = None) -> CriterionResult:
     bad = []
-    gdir = Path(golden) if golden else golden_dir()
+    gdir = golden_dir(golden)
     for fname, ty in golden_theorem_types():
         text = print_formula(free_theorem(ty)) + "\n"
         path = gdir / fname

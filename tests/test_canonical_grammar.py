@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from mu2forge import mu_terms as tm
+from mu2forge import target_typing
 from mu2forge import mu_types as mt
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
@@ -34,7 +35,7 @@ from mu2forge.mu_typing import typecheck_mu
 from mu2forge.printer import sexpr_mu_term
 from mu2forge.suite_runner import _entry_gamma
 from mu2forge.target_types import NotInImageType
-from mu2forge.target_typing import PARAMETRIC, PLAIN, typecheck_target
+from mu2forge.target_typing import PARAMETRIC, PLAIN, UnboundTargetVariable, typecheck_target
 from mu2forge.theory import GaveUp, gen_judgement
 
 A, B = mt.TVar("a"), mt.TVar("b")
@@ -151,6 +152,31 @@ def test_invert_raises_the_classify_messages(term, type_, tctx, message):
     assert str(info.value) == message
 
 
+# A free variable as an answer head or in a let scrutinee: the error that
+# typecheck_target raises for it, naming the variable.
+FREE_VARIABLE = [
+    (tg.TgApp(V("f"), K("k")), (("k", SA),), "f"),
+    (tg.close_binders(tg.LetPair("y", "k", K("c"), tg.TgApp(V("y"), K("k")))), (), "c"),
+    (tg.close_binders(tg.LetPair("y", "k", tg.Pair(V("p"), K("c")), tg.TgApp(V("y"), K("k")))),
+     (("c", SA),), "p"),
+]
+
+
+@pytest.mark.parametrize("term, tctx, name", FREE_VARIABLE,
+                         ids=["answer-head", "let-scrutinee", "pair-scrutinee"])
+def test_classify_reports_a_free_variable_as_unbound(term, tctx, name):
+    with pytest.raises(UnboundTargetVariable) as info:
+        classify(term, tt.R, PLAIN, tctx)
+    assert str(info.value) == name
+
+
+def test_classify_reports_a_free_variable_anywhere():
+    """The walk checks every free variable before it starts: one in a
+    continuation's place, which no head or scrutinee holds, too."""
+    with pytest.raises(UnboundTargetVariable, match="^k$"):
+        classify(tg.TgApp(V("f"), K("k")), tt.R, PLAIN, (("f", tt.Neg(SA)),))
+
+
 def test_classify_rejects_an_untranslated_type():
     with pytest.raises(NotInImageType) as info:
         classify(V("x"), tt.Neg(tt.R), PLAIN, (("x", tt.Neg(tt.Neg(tt.R))),))
@@ -223,3 +249,13 @@ def test_church_300_classifies_and_inverts_at_the_default_limit():
     form = canonicalize(cps_term_typed((), (), church(300))[0], None, PLAIN)
     assert form.kind == PROGRAM
     assert typecheck_mu((), (), invert(form)) == typecheck_mu((), (), church(300))
+
+
+def test_classify_runs_no_target_typing_walk(monkeypatch):
+    """Each head's and scrutinee's type is read off the nameful form: a
+    typing walk per head, over the whole head, made classify quadratic."""
+    form = canonicalize(cps_term_typed((), (), church(300))[0], None, PLAIN)
+    real, calls = target_typing._synth, []
+    monkeypatch.setattr(target_typing, "_synth", lambda *args: calls.append(args) or real(*args))
+    assert classify(form.term, form.type, PLAIN) == PROGRAM
+    assert len(calls) == 0

@@ -9,6 +9,7 @@ from mu2forge import inverse, rewrite, theory
 from mu2forge import canonical
 from mu2forge import mu_terms as tm
 from mu2forge import target_terms as tg
+from mu2forge import target_types as tt
 from mu2forge.combinators import church, church_succ, church_zero, identity
 from mu2forge.cps import cps_context, cps_term_typed
 from mu2forge.printer import print_target_term, sexpr_target_term
@@ -158,6 +159,27 @@ def test_meeting_points_pinned(equations):
         "numerals": Counter({"outputs 1": 10, "inputs": 2, None: 12}),
         "generated": Counter({"outputs 1": 24, "ahead 1": 20, "inputs": 4}),
     }
+
+
+def test_sides_meet_up_to_a_let_pack_type_atom_in_an_annotation():
+    """After phase 1 the sides differ only in the atom each opened for
+    X, which the pack's witness names: they meet there, and each side
+    is still the one two normalize calls give."""
+    X, ALL = tt.TgVarT("X"), tt.exists("Y", tt.TgVarT("Y"))
+    context = (("c", tt.exists("X", tt.Conj(X, tt.Neg(X)))), ("g", tt.Neg(ALL)))
+
+    def term(head):
+        g = tg.TgApp(head, tg.Pack(X, tg.TgVar("x"), ALL))
+        return tg.close_binders(tg.LetPack("X", "p", tg.TgVar("c"), tg.LetPair("x", "f", tg.TgVar("p"), g)))
+
+    normal = term(tg.TgVar("g"))
+    redex = term(tg.TgLam("q", ALL, tg.TgApp(tg.TgVar("g"), tg.TgVar("q"))))
+    for left, right, met in ((redex, normal, "ahead 1"), (normal, redex, "outputs 1")):
+        lnorm, lsteps, rnorm, rsteps, where = normalize_pair(left, right, context, PLAIN)
+        assert where == met
+        assert (lnorm, lsteps) == normalize(left, context, PLAIN)
+        assert (rnorm, rsteps) == normalize(right, context, PLAIN)
+        assert canonical.eq_target(left, right, PLAIN, context).equal
 
 
 def _variant(term: tg.TargetTerm) -> tg.TargetTerm:
