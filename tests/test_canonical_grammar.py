@@ -15,10 +15,10 @@ import sys
 import pytest
 
 from mu2forge import mu_terms as tm
-from mu2forge import target_typing
 from mu2forge import mu_types as mt
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
+from mu2forge import target_typing
 from mu2forge.canonical import (
     ANSWER,
     CONTINUATION,
