@@ -23,8 +23,11 @@ composite of instances, of the equational theory; nothing on the
 verdict path re-checks the trace, and `rewrite.replay` re-runs the
 engine's own rules.  Distinct verdicts are advisory.
 
-`eq_target` normalises its two sides in lockstep with
-`rewrite.normalize_pair`.  Most equations asked are Equal, and their
+`eq_target` typechecks its two sides, the only check of the CPS
+translation's output on the `eq_mu` path, and normalises them in
+lockstep with `rewrite.normalize_pair`.  `theory.eq_mu` passes each
+CPS image's nameful form beside the closed one, so the lockstep opens
+neither image again.  Most equations asked are Equal, and their
 sides are alpha-equal (`tg.equal` of their closed forms) after the
 first contraction phase or earlier; from there the right side applies
 the left side's steps to its own term instead of searching for them.
@@ -204,18 +207,22 @@ def eq_target(
     right: tg.TargetTerm,
     mode: str = PLAIN,
     context: TgContext = (),
+    nameful: tuple[tg.TargetTerm, tg.TargetTerm] | None = None,
 ) -> EqVerdict:
     """Decide provable equality by comparing canonical representatives.
 
-    Both sides are normalised in lockstep (`rewrite.normalize_pair`):
-    once the right side is alpha-equal to the left, it replays the left
-    side's remaining steps instead of searching.  That is exact, because
-    no rule reads an atom's name, so the normal forms, binder names
-    included, and the traces are those of `normalize` on each side.
+    Both sides are typechecked, then normalised in lockstep
+    (`rewrite.normalize_pair`): once the right side is alpha-equal to
+    the left, it replays the left side's remaining steps instead of
+    searching.  That is exact, because no rule reads an atom's name, so
+    the normal forms, binder names included, and the traces are those
+    of `normalize` on each side.  nameful, when given, is each side's
+    nameful form (`cps.translate` returns it beside the closed image),
+    and the lockstep starts from it instead of opening the closed side.
     """
     lty = typecheck_target(context, left, mode)
     rty = typecheck_target(context, right, mode)
     if lty != rty:
         raise TargetTypeMismatch(f"eq_target across types {show(lty)} vs {show(rty)}")
-    lnorm, lsteps, rnorm, rsteps, _ = normalize_pair(left, right, context, mode)
+    lnorm, lsteps, rnorm, rsteps, _ = normalize_pair(left, right, context, mode, nameful)
     return EqVerdict(tg.equal(lnorm, rnorm), lnorm, rnorm, tuple(lsteps), tuple(rsteps))

@@ -9,8 +9,12 @@ Terms:   a subject M : sigma translates to [[M]] : not sigmadeg, with
 The translation is defined on typing derivations, so it is a builder
 over mu_typing's walk: `_Image` gives the image of each typing clause,
 the walk checks the clause and draws its binders' atoms, and the
-nameful image is closed once at the end.  An ill-typed subject raises
-the typechecker's own errors.
+nameful image is closed once at the end.  `translate` returns the
+nameful image beside the closed one: its binder atoms are unique and
+their base names are the closed image's hints, so it is the rewrite
+engine's nameful form of that image, and `theory.eq_mu` hands it to
+the lockstep instead of opening the closed image again.  An ill-typed
+subject raises the typechecker's own errors.
 """
 
 from __future__ import annotations
@@ -49,18 +53,21 @@ def cps_context(gamma: Context, delta: Context) -> TgContext:
 
 
 def cps_term(judgement: MuJudgement) -> tg.TargetTerm:
-    term, _ = _translate(judgement.gamma, judgement.delta, judgement.subject)
-    return term
+    return translate(judgement.gamma, judgement.delta, judgement.subject)[0]
 
 
 def cps_term_typed(gamma: Context, delta: Context, subject: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
-    return _translate(gamma, delta, subject)
+    closed, _, ty = translate(gamma, delta, subject)
+    return closed, ty
 
 
-def _translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
+def translate(
+    gamma: Context, delta: Context, term: tm.MuTerm
+) -> tuple[tg.TargetTerm, tg.TargetTerm, mt.MuType]:
+    """The closed image of term, its nameful image and term's type."""
     check_contexts(gamma, delta)
     image, ty = _synth(gamma, delta, term, _Image())
-    return tg.close_binders(image), ty
+    return tg.close_binders(image), image, ty
 
 
 class _Image:
@@ -154,9 +161,9 @@ def check_subst_term_in_term(
 ) -> SubstLemmaReport:
     """[[M[N/x]]] == [[M]][[[N]]/x], syntactically (up to alpha)."""
     gamma_no_x = tuple((v, s) for v, s in gamma if v != x)
-    left, _ = _translate(gamma_no_x, delta, tm.subst_term(m, x, n))
-    tm_m, _ = _translate(gamma, delta, m)
-    tm_n, _ = _translate(gamma_no_x, delta, n)
+    left = translate(gamma_no_x, delta, tm.subst_term(m, x, n))[0]
+    tm_m = translate(gamma, delta, m)[0]
+    tm_n = translate(gamma_no_x, delta, n)[0]
     right = tg.subst_var(tm_m, x, tm_n)
     return SubstLemmaReport("term-in-term", left == right, left, right)
 
@@ -167,7 +174,7 @@ def check_subst_type_in_term(
     """[[M[sigma/X]]] == [[M]][sigmadeg/X], syntactically (up to alpha)."""
     gamma_s = tuple((v, mt.subst_tvar(s, x, sigma)) for v, s in gamma)
     delta_s = tuple((a, mt.subst_tvar(s, x, sigma)) for a, s in delta)
-    left, _ = _translate(gamma_s, delta_s, tm.subst_type(m, x, sigma))
-    tm_m, _ = _translate(gamma, delta, m)
+    left = translate(gamma_s, delta_s, tm.subst_type(m, x, sigma))[0]
+    tm_m = translate(gamma, delta, m)[0]
     right = tg.subst_tvar_term(tm_m, x, cps_type(sigma))
     return SubstLemmaReport("type-in-term", left == right, left, right)

@@ -17,8 +17,10 @@ The engine works on a "nameful" image of the term: every binder is
 opened with a globally unique atom kept in the hint slot, so moving a
 subterm across binders (let hoisting) can never capture.  Duplication
 re-freshens binder atoms.  Public inputs and outputs stay locally
-nameless; `canonical`'s grammar walk runs on the nameful form too, and
-types its heads and scrutinees with `nameful_synth`.
+nameless, except that `normalize_pair` also takes the nameful forms of
+its inputs when the caller built them (`cps.translate` does), so that
+it need not open them; `canonical`'s grammar walk runs on the nameful
+form too, and types its heads and scrutinees with `nameful_synth`.
 
 Rule groups are tried in priority order: each step applies the first
 group that has a redex, at that group's first redex in preorder
@@ -1013,11 +1015,21 @@ def _follow(z: _Zipper, steps, mode: str) -> None:
 
 
 def normalize_pair(
-    left: TargetTerm, right: TargetTerm, context: TgContext = (), mode: str = PLAIN
+    left: TargetTerm,
+    right: TargetTerm,
+    context: TgContext = (),
+    mode: str = PLAIN,
+    nameful: tuple[TargetTerm, TargetTerm] | None = None,
 ) -> tuple[TargetTerm, list[RewriteStep], TargetTerm, list[RewriteStep], str | None]:
     """Normalise two locally closed terms, each as `normalize` does, in
     lockstep; returns (left result, left trace, right result, right
     trace, where they met).
+
+    nameful, when given, is the nameful form of each side (unique binder
+    atoms whose base names are the closed side's hints, as
+    `cps.translate` builds them), and the sides start from it; without
+    it each side is opened with `to_nameful`.  Both give the same
+    results, since no rule reads an atom's name.
 
     Both sides run the phases of `normalize_nameful`, the left first.
     The sides are compared closed, with `tg.equal`, at three points: the
@@ -1025,15 +1037,16 @@ def normalize_pair(
     phase against the left side's output of it ("ahead n": the right
     side is already a normal form of the phase and takes no step in it);
     and the two outputs of a phase ("outputs n").  Each phase output is
-    closed at most once, and the last closed forms are the results.  From the point where they meet, the right side
-    stops searching and follows the left side's later steps on its own
-    term.  Since the steps of a phase depend only on the alpha-class of
-    its input, the right side's result and trace are exactly those of
-    its own search; a followed step that does not apply is a bug and
-    raises RewriteError.
+    closed at most once, and the last closed forms are the results.
+    From the point where they meet, the right side stops searching and
+    follows the left side's later steps on its own term.  Since the
+    steps of a phase depend only on the alpha-class of its input, the
+    right side's result and trace are exactly those of its own search;
+    a followed step that does not apply is a bug and raises
+    RewriteError.
     """
     env = dict(context)
-    lt, rt = to_nameful(left), to_nameful(right)
+    lt, rt = nameful or (to_nameful(left), to_nameful(right))
     lc, rc = None, right  # the closed forms of lt and rt while they are current
     lsteps: list[RewriteStep] = []
     rsteps: list[RewriteStep] = []

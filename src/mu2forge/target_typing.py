@@ -77,13 +77,6 @@ def tg_ctx(*pairs: tuple[str, TargetType]) -> TgContext:
     return tuple(pairs)
 
 
-def _lookup(context: TgContext, name: str) -> TargetType | None:
-    for n, ty in context:
-        if n == name:
-            return ty
-    return None
-
-
 def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) -> TargetType:
     """The type of term under context.  Every pack must carry its
     existential; resolve_packs fills in the ones the reader left out."""
@@ -124,7 +117,14 @@ def _synth(
     variable's type is read off a stack of binder types, and an
     annotation is opened against the type atoms when read.  Each node is
     checked in the order a recursive reading checks it: a function before
-    its argument is typed, a pack's annotation before its payload."""
+    its argument is typed, a pack's annotation before its payload.  A
+    name bound twice in context is an error: the rewrite engine reads a
+    context as a dict, so it would take the last binding."""
+    types: dict[str, TargetType] = {}
+    for name, ty in context:
+        if name in types:
+            raise TargetTypeError(f"duplicate variable {name!r}")
+        types[name] = ty
     var_types: list[TargetType] = []  # innermost binder last
     tvar_atoms: list[str] = []
     levels: dict[str, int] = {}  # each atom's index in tvar_atoms
@@ -207,7 +207,7 @@ def _synth(
                 made = rebuild and LetPack(term.hint_t, term.hint_x, scrut, made)
             out.append((made, ty))
         elif cls is TgVar:
-            ty = _lookup(context, term.name)
+            ty = types.get(term.name)
             if ty is None:
                 raise UnboundTargetVariable(term.name)
             out.append((term, ty))

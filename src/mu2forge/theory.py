@@ -14,7 +14,7 @@ import random
 from . import mu_types as mt
 from . import mu_terms as tm
 from .canonical import EqVerdict, eq_target
-from .cps import cps_context, cps_term_typed
+from .cps import cps_context, translate
 from .mu_typing import Context, TypeMismatch, ctx, typecheck_mu
 from .printer import print_mu_type as show
 from .record import record
@@ -33,13 +33,15 @@ def eq_mu(
     gamma: Context = (),
     delta: Context = (),
 ) -> EqVerdict:
-    """Decide a lambda-mu equation by canonicalising both CPS images."""
+    """Decide a lambda-mu equation by canonicalising both CPS images.
+    eq_target gets each image's nameful form too, which the lockstep
+    normalises instead of opening the closed image again."""
     mode = _MODE[theory]
-    lt, lty = cps_term_typed(gamma, delta, left)
-    rt, rty = cps_term_typed(gamma, delta, right)
+    lt, lnameful, lty = translate(gamma, delta, left)
+    rt, rnameful, rty = translate(gamma, delta, right)
     if lty != rty:
         raise TypeMismatch(f"equation across types {show(lty)} vs {show(rty)}")
-    return eq_target(lt, rt, mode, cps_context(gamma, delta))
+    return eq_target(lt, rt, mode, cps_context(gamma, delta), (lnameful, rnameful))
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,23 @@ def test_ill_formed_context_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("x", ["typecheck", "--target", "--ctx", "x:a, x:b", "x"]),
+        ("k", ["eq", "--target", "--theory", "p", "--ctx", "k:a, k:exists X. X, f:not a", "f k", "f k"]),
+        ("k", ["normalize", "--target", "--mode", "parametric", "--ctx",
+               "k:exists X. X, k:a, f:not (exists X. X)", "f k"]),
+    ],
+    ids=["typecheck", "eq", "normalize"],
+)
+def test_target_context_binding_a_name_twice_exit_2(capsys, name, argv):
+    # The typechecker would read the first binding and the rewrite engine
+    # the last, so a repeated name is rejected before either runs.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: duplicate variable {name!r}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["normalize", "S (S O)"], ["eq", "S (S O)", "S (S O)"], ["eq", "--theory", "p", "S O", "S (S O)"]],
     ids=["normalize", "eq", "eq-p"],

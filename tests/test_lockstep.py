@@ -90,23 +90,31 @@ def _input_sets():
 
 
 @pytest.fixture(scope="module")
-def equations():
-    """Per input set, the (left, right, mode, context) of every eq_target
-    call it makes."""
+def recorded():
+    """Per input set, the (left, right, mode, context, nameful) of every
+    eq_target call it makes; nameful is the pair of CPS nameful images
+    that eq_mu passes, None elsewhere."""
     real = canonical.eq_target
     out = {}
     with pytest.MonkeyPatch.context() as patch:
         for name, ask in _input_sets().items():
             calls = out[name] = []
 
-            def capture(left, right, mode=PLAIN, context=(), calls=calls):
-                calls.append((left, right, mode, context))
-                return real(left, right, mode, context)
+            def capture(left, right, mode=PLAIN, context=(), nameful=None, calls=calls):
+                calls.append((left, right, mode, context, nameful))
+                return real(left, right, mode, context, nameful)
 
             for module in (canonical, theory, inverse):
                 patch.setattr(module, "eq_target", capture)
             ask()
     return out
+
+
+@pytest.fixture(scope="module")
+def equations(recorded):
+    """Per input set, the (left, right, mode, context) of every eq_target
+    call it makes."""
+    return {name: [call[:4] for call in calls] for name, calls in recorded.items()}
 
 
 def test_input_sets_sizes(equations):
@@ -159,6 +167,51 @@ def test_meeting_points_pinned(equations):
         "numerals": Counter({"outputs 1": 10, "inputs": 2, None: 12}),
         "generated": Counter({"outputs 1": 24, "ahead 1": 20, "inputs": 4}),
     }
+
+
+def test_nameful_images_give_what_opening_gives(recorded):
+    """eq_target started from the CPS nameful images that eq_mu hands it,
+    and from the closed images alone: the same verdict, traces, normal
+    forms (printed and as s-expressions) and meeting point."""
+    checked = 0
+    for calls in recorded.values():
+        for left, right, mode, context, nameful in calls:
+            if nameful is None:
+                continue
+            with_images = canonical.eq_target(left, right, mode, context, nameful)
+            opened = canonical.eq_target(left, right, mode, context)
+            assert with_images.equal == opened.equal
+            assert with_images.left_trace == opened.left_trace
+            assert with_images.right_trace == opened.right_trace
+            for got, want in ((with_images.left, opened.left), (with_images.right, opened.right)):
+                assert print_target_term(got) == print_target_term(want)
+                assert sexpr_target_term(got) == sexpr_target_term(want)
+            met = normalize_pair(left, right, context, mode, nameful)[4]
+            assert met == normalize_pair(left, right, context, mode)[4]
+            checked += 1
+    assert checked > 100
+
+
+def test_eq_mu_opens_no_cps_image(monkeypatch):
+    """eq_mu hands eq_target each CPS image's nameful form, so the
+    lockstep opens neither closed image with to_nameful."""
+    images, opened = [], []
+    real_eq_target, real_to_nameful = canonical.eq_target, rewrite.to_nameful
+
+    def capture(left, right, *rest):
+        images.extend((left, right))
+        return real_eq_target(left, right, *rest)
+
+    def to_nameful(t):
+        opened.append(t)
+        return real_to_nameful(t)
+
+    monkeypatch.setattr(theory, "eq_target", capture)
+    for module in (rewrite, canonical):
+        monkeypatch.setattr(module, "to_nameful", to_nameful)
+    assert eq_mu(succ_power(6), church(6), BETA_ETA).equal
+    assert len(images) == 2
+    assert not [t for t in opened for image in images if tg.equal(t, image)]
 
 
 def test_sides_meet_up_to_a_let_pack_type_atom_in_an_annotation():
