@@ -455,8 +455,9 @@ def test_ill_formed_context_exit_2(capsys, argv):
         ("k", ["eq", "--target", "--theory", "p", "--ctx", "k:a, k:exists X. X, f:not a", "f k", "f k"]),
         ("k", ["normalize", "--target", "--mode", "parametric", "--ctx",
                "k:exists X. X, k:a, f:not (exists X. X)", "f k"]),
+        ("k", ["uncps", "--names", "k:a, k:b", "k"]),
     ],
-    ids=["typecheck", "eq", "normalize"],
+    ids=["typecheck", "eq", "normalize", "uncps"],
 )
 def test_target_context_binding_a_name_twice_exit_2(capsys, name, argv):
     # The typechecker would read the first binding and the rewrite engine

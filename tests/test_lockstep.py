@@ -207,8 +207,7 @@ def test_eq_mu_opens_no_cps_image(monkeypatch):
         return real_to_nameful(t)
 
     monkeypatch.setattr(theory, "eq_target", capture)
-    for module in (rewrite, canonical):
-        monkeypatch.setattr(module, "to_nameful", to_nameful)
+    monkeypatch.setattr(rewrite, "to_nameful", to_nameful)
     assert eq_mu(succ_power(6), church(6), BETA_ETA).equal
     assert len(images) == 2
     assert not [t for t in opened for image in images if tg.equal(t, image)]
