@@ -53,7 +53,7 @@ _EXPORTS = {
         "cps_type",
     ),
     "inverse": ("invert", "roundtrip"),
-    "theory": ("BETA_ETA", "LAMBDA_MU_2P", "check_additional_axioms", "eq_mu", "gen_typed_term"),
+    "theory": ("BETA_ETA", "LAMBDA_MU_2P", "eq_mu", "gen_typed_term"),
     "combinators": ("TypeScheme", "catalog", "church", "functorial_action", "mk_combinator"),
     "focality": (
         "FocalityCertificate",

@@ -13,9 +13,11 @@ In parametric mode Star is additionally a Continuation at exists X. X.
 One walk checks the grammar, each clause once, and hands what each
 clause found to an optional builder: `classify` runs it with none, and
 `inverse.invert` with one that reads each clause back as a mu-term.
-It runs on the rewrite engine's nameful form, where each binder's atom
-is its hint and unique, so one environment serves every scope, and it
-types answer heads and let scrutinees with `rewrite.nameful_synth`.
+It runs on the nameful form (see `target_terms`), where each binder's
+atom is its hint and unique, so one environment serves every scope, and
+it types answer heads and let scrutinees with `rewrite.nameful_synth`.
+`canonicalize` opens its input, normalises and walks it, and closes the
+normal form: one conversion each way.
 
 Equality is alpha-identity of canonical forms.  An Equal verdict is
 sound as far as every rule of the rewrite engine is an instance, or a
@@ -23,12 +25,12 @@ composite of instances, of the equational theory; nothing on the
 verdict path re-checks the trace, and `rewrite.replay` re-runs the
 engine's own rules.  Distinct verdicts are advisory.
 
-`eq_target` typechecks its two sides, the only check of the CPS
-translation's output on the `eq_mu` path, and normalises them in
-lockstep with `rewrite.normalize_pair`.  `theory.eq_mu` passes each
-CPS image's nameful form beside the closed one, so the lockstep opens
-neither image again.  Most equations asked are Equal, and their
-sides are alpha-equal (`tg.equal` of their closed forms) after the
+`eq_nameful` typechecks its two nameful sides, the only check of the
+CPS translation's output on the `eq_mu` path, and normalises them in
+lockstep with `rewrite.normalize_pair`.  `theory.eq_mu` hands it the
+CPS images as the translation builds them; `eq_target` opens two
+locally closed sides and calls it.  Most equations asked are Equal, and
+their sides are alpha-equal (`tg.equal` of their closed forms) after the
 first contraction phase or earlier; from there the right side applies
 the left side's steps to its own term instead of searching for them.
 A phase's steps depend only on the alpha-class of its input, so both
@@ -41,7 +43,7 @@ from . import target_types as tt
 from . import target_terms as tg
 from .printer import print_target_term, print_target_type as show
 from .record import field, record
-from .rewrite import RewriteStep, from_nameful, nameful_synth, normalize, normalize_pair, to_nameful
+from .rewrite import RewriteStep, free_atoms, from_nameful, nameful_synth, normalize_nameful, normalize_pair
 from .target_types import NotInImageType, is_image
 from .target_typing import (
     PARAMETRIC,
@@ -49,7 +51,7 @@ from .target_typing import (
     TargetTypeMismatch,
     TgContext,
     UnboundTargetVariable,
-    typecheck_target,
+    typecheck_nameful,
 )
 
 
@@ -96,26 +98,27 @@ def canonicalize(
     context: TgContext = (),
 ) -> CanonicalForm:
     """Normalise and classify a term at a translated type (or R)."""
+    t = tg.to_nameful(term)
     if type_ is None:
-        type_ = typecheck_target(context, term, mode)
-    normal, steps = normalize(term, context, mode)
-    kind = classify(normal, type_, mode, context)
-    return CanonicalForm(kind, normal, type_, mode, tuple(steps))
+        type_ = typecheck_nameful(context, t, mode)
+    normal, steps = normalize_nameful(t, dict(context), mode)
+    kind = _walk(normal, type_, mode, context)[0]
+    return CanonicalForm(kind, from_nameful(normal), type_, mode, tuple(steps))
 
 
 def classify(
     term: tg.TargetTerm, type_: tt.TargetType, mode: str, context: TgContext = ()
 ) -> str:
-    return _walk(term, type_, mode, context)[0]
+    return _walk(tg.to_nameful(term), type_, mode, context)[0]
 
 
-def _walk(term, type_, mode, context, build=None):
-    """Check term against the grammar at type_, each clause once, and
-    return its kind and what build made of its clauses, bottom up (None
-    without a builder).  A free variable of term that context lacks
+def _walk(t, type_, mode, context, build=None):
+    """Check nameful t against the grammar at type_, each clause once,
+    and return its kind and what build made of its clauses, bottom up
+    (None without a builder).  A free variable of t that context lacks
     raises what typecheck_target raises for it."""
-    t, env = to_nameful(term), dict(context)
-    free = [x for x in tg.free_vars(term) if x not in env]
+    env = dict(context)
+    free = [x for x in free_atoms(t) if x not in env]
     if free:
         raise UnboundTargetVariable(min(free))
     if type_ == tt.R:
@@ -203,26 +206,28 @@ def _lets(t, env, mode, build):
 
 
 def eq_target(
-    left: tg.TargetTerm,
-    right: tg.TargetTerm,
-    mode: str = PLAIN,
-    context: TgContext = (),
-    nameful: tuple[tg.TargetTerm, tg.TargetTerm] | None = None,
+    left: tg.TargetTerm, right: tg.TargetTerm, mode: str = PLAIN, context: TgContext = ()
 ) -> EqVerdict:
-    """Decide provable equality by comparing canonical representatives.
+    """eq_nameful of two locally closed terms, each opened once."""
+    return eq_nameful(tg.to_nameful(left), tg.to_nameful(right), mode, context)
+
+
+def eq_nameful(
+    left: tg.TargetTerm, right: tg.TargetTerm, mode: str = PLAIN, context: TgContext = ()
+) -> EqVerdict:
+    """Decide provable equality of two nameful terms by comparing
+    canonical representatives.
 
     Both sides are typechecked, then normalised in lockstep
     (`rewrite.normalize_pair`): once the right side is alpha-equal to
     the left, it replays the left side's remaining steps instead of
     searching.  That is exact, because no rule reads an atom's name, so
     the normal forms, binder names included, and the traces are those
-    of `normalize` on each side.  nameful, when given, is each side's
-    nameful form (`cps.translate` returns it beside the closed image),
-    and the lockstep starts from it instead of opening the closed side.
+    of `normalize` on each side.
     """
-    lty = typecheck_target(context, left, mode)
-    rty = typecheck_target(context, right, mode)
+    lty = typecheck_nameful(context, left, mode)
+    rty = typecheck_nameful(context, right, mode)
     if lty != rty:
         raise TargetTypeMismatch(f"eq_target across types {show(lty)} vs {show(rty)}")
-    lnorm, lsteps, rnorm, rsteps, _ = normalize_pair(left, right, context, mode, nameful)
+    lnorm, lsteps, rnorm, rsteps, _ = normalize_pair(left, right, context, mode)
     return EqVerdict(tg.equal(lnorm, rnorm), lnorm, rnorm, tuple(lsteps), tuple(rsteps))

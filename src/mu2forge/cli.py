@@ -14,7 +14,7 @@ import sys
 
 from . import mu_terms as tm
 from . import mu_types as mt
-from .mu_typing import MuTypeError, typecheck_mu
+from .mu_typing import MuTypeError, check_contexts, typecheck_mu
 from .printer import (
     print_mu_term,
     print_mu_type,
@@ -161,6 +161,7 @@ def cmd_uncps(args) -> int:
 
     gamma = _parse_bindings(args.ctx, parse_mu_type)
     delta = _parse_bindings(args.names, parse_mu_type)
+    check_contexts(gamma, delta)
     tctx = cps_context(gamma, delta)
     term, type_ = resolve_packs(parse_target_term(args.expr), tctx, PLAIN)
     try:

@@ -8,12 +8,11 @@ Terms:   a subject M : sigma translates to [[M]] : not sigmadeg, with
 
 The translation is defined on typing derivations, so it is a builder
 over mu_typing's walk: `_Image` gives the image of each typing clause,
-the walk checks the clause and draws its binders' atoms, and the
-nameful image is closed once at the end.  `translate` returns the
-nameful image beside the closed one: its binder atoms are unique and
-their base names are the closed image's hints, so it is the rewrite
-engine's nameful form of that image, and `theory.eq_mu` hands it to
-the lockstep instead of opening the closed image again.  An ill-typed
+and the walk checks the clause and draws its binders' atoms.
+`translate` returns the image in the kernel's nameful form (see
+`target_terms`): its binder atoms are unique, and `theory.eq_mu` hands
+it straight to the equality decision.  `cps_term_typed` and `cps_term`
+close it once, for callers that print or compare it.  An ill-typed
 subject raises the typechecker's own errors.
 """
 
@@ -25,7 +24,7 @@ from . import target_types as tt
 from . import target_terms as tg
 from .mu_typing import Context, MuJudgement, _synth, check_contexts
 from .record import record
-from .target_typing import TgContext, typecheck_target
+from .target_typing import TgContext, typecheck_nameful
 
 
 class SoundnessViolation(Exception):
@@ -53,21 +52,22 @@ def cps_context(gamma: Context, delta: Context) -> TgContext:
 
 
 def cps_term(judgement: MuJudgement) -> tg.TargetTerm:
-    return translate(judgement.gamma, judgement.delta, judgement.subject)[0]
+    return _closed(judgement.gamma, judgement.delta, judgement.subject)
 
 
 def cps_term_typed(gamma: Context, delta: Context, subject: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
-    closed, _, ty = translate(gamma, delta, subject)
-    return closed, ty
+    image, ty = translate(gamma, delta, subject)
+    return tg.close_binders(image), ty
 
 
-def translate(
-    gamma: Context, delta: Context, term: tm.MuTerm
-) -> tuple[tg.TargetTerm, tg.TargetTerm, mt.MuType]:
-    """The closed image of term, its nameful image and term's type."""
+def translate(gamma: Context, delta: Context, term: tm.MuTerm) -> tuple[tg.TargetTerm, mt.MuType]:
+    """The nameful image of term and term's type."""
     check_contexts(gamma, delta)
-    image, ty = _synth(gamma, delta, term, _Image())
-    return tg.close_binders(image), image, ty
+    return _synth(gamma, delta, term, _Image())
+
+
+def _closed(gamma: Context, delta: Context, term: tm.MuTerm) -> tg.TargetTerm:
+    return tg.close_binders(translate(gamma, delta, term)[0])
 
 
 class _Image:
@@ -130,15 +130,15 @@ class SoundnessReport:
 def check_type_soundness(judgement: MuJudgement) -> SoundnessReport:
     """Re-derive the translated judgement with the target typechecker."""
     source_type = judgement.check()
-    target_term = cps_term(judgement)
+    image, _ = translate(judgement.gamma, judgement.delta, judgement.subject)
     tctx = cps_context(judgement.gamma, judgement.delta)
-    target_type = typecheck_target(tctx, target_term)
+    target_type = typecheck_nameful(tctx, image)
     expected = tt.Neg(cps_type(source_type))
     if target_type != expected:
         raise SoundnessViolation(
             f"translation of {judgement.subject} has type {target_type}, expected {expected}"
         )
-    return SoundnessReport(judgement, source_type, target_term, target_type)
+    return SoundnessReport(judgement, source_type, tg.close_binders(image), target_type)
 
 
 @record
@@ -161,9 +161,9 @@ def check_subst_term_in_term(
 ) -> SubstLemmaReport:
     """[[M[N/x]]] == [[M]][[[N]]/x], syntactically (up to alpha)."""
     gamma_no_x = tuple((v, s) for v, s in gamma if v != x)
-    left = translate(gamma_no_x, delta, tm.subst_term(m, x, n))[0]
-    tm_m = translate(gamma, delta, m)[0]
-    tm_n = translate(gamma_no_x, delta, n)[0]
+    left = _closed(gamma_no_x, delta, tm.subst_term(m, x, n))
+    tm_m = _closed(gamma, delta, m)
+    tm_n = _closed(gamma_no_x, delta, n)
     right = tg.subst_var(tm_m, x, tm_n)
     return SubstLemmaReport("term-in-term", left == right, left, right)
 
@@ -174,7 +174,7 @@ def check_subst_type_in_term(
     """[[M[sigma/X]]] == [[M]][sigmadeg/X], syntactically (up to alpha)."""
     gamma_s = tuple((v, mt.subst_tvar(s, x, sigma)) for v, s in gamma)
     delta_s = tuple((a, mt.subst_tvar(s, x, sigma)) for a, s in delta)
-    left = translate(gamma_s, delta_s, tm.subst_type(m, x, sigma))[0]
-    tm_m = translate(gamma, delta, m)[0]
+    left = _closed(gamma_s, delta_s, tm.subst_type(m, x, sigma))
+    tm_m = _closed(gamma, delta, m)
     right = tg.subst_tvar_term(tm_m, x, cps_type(sigma))
     return SubstLemmaReport("type-in-term", left == right, left, right)

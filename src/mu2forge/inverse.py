@@ -3,10 +3,11 @@
 `invert` runs `canonical`'s walk of the grammar with a builder that
 reads each clause back: Programs invert to terms, Continuations to
 one-hole contexts with a typed hole, Answers to terms of the falsity
-type.  `invert_term` normalises a term of a given type and runs that
-walk on its normal form, once.  Hole filling is capture-permitting: the
-let clauses bind the variables and names of the filled term, so contexts
-are represented as closures that construct the binders around the hole.
+type.  `invert_term` opens a term of a given type once, normalises it
+and runs that walk on its nameful normal form, once.  Hole filling is
+capture-permitting: the let clauses bind the variables and names of the
+filled term, so contexts are represented as closures that construct the
+binders around the hole.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
-from .canonical import PROGRAM, CanonicalForm, NotCanonical, _walk, eq_target
-from .cps import cps_term_typed
+from .canonical import PROGRAM, CanonicalForm, NotCanonical, _walk, eq_nameful
+from .cps import translate
 from .mu_typing import Context
 from .printer import print_target_type as show
 from .record import record
-from .rewrite import normalize
+from .rewrite import normalize_nameful
 from .target_types import uncps_type
 from .target_typing import PLAIN, TgContext
 
@@ -56,7 +57,7 @@ def invert(form: CanonicalForm, context: TgContext = ()):
     """Invert a canonical form: term, context, or falsity term by kind."""
     if form.mode != PLAIN:
         raise NotCanonical("inversion is defined on plain-mode canonical forms")
-    kind, out = _walk(form.term, form.type, PLAIN, context, _Inverse())
+    kind, out = _walk(tg.to_nameful(form.term), form.type, PLAIN, context, _Inverse())
     if kind != form.kind:
         raise NotCanonical(f"a {form.kind} at {show(form.type)}, the type of a {kind}")
     return out
@@ -65,7 +66,7 @@ def invert(form: CanonicalForm, context: TgContext = ()):
 def invert_term(term: tg.TargetTerm, type_: tt.TargetType, context: TgContext = ()):
     """Normalise a term of type type_ in plain mode and invert its
     canonical form, in one walk of the grammar: its kind and its inverse."""
-    normal, _ = normalize(term, context, PLAIN)
+    normal, _ = normalize_nameful(tg.to_nameful(term), dict(context), PLAIN)
     return _walk(normal, type_, PLAIN, context, _Inverse())
 
 
@@ -114,5 +115,5 @@ def roundtrip(form: CanonicalForm, context: TgContext = ()):
         raise NotCanonical("round trips are defined on Programs")
     inverted = invert(form, context)
     gamma, delta = split_context(context)
-    back, _ = cps_term_typed(gamma, delta, inverted)
-    return eq_target(back, form.term, PLAIN, context)
+    back, _ = translate(gamma, delta, inverted)
+    return eq_nameful(back, tg.to_nameful(form.term), PLAIN, context)

@@ -13,14 +13,14 @@ step is two primitive steps: the eta family replaces every occurrence
 of its pattern at once, dedup redirects a whole inner let, and
 let-expand and expand draw fresh binders.
 
-The engine works on a "nameful" image of the term: every binder is
-opened with a globally unique atom kept in the hint slot, so moving a
-subterm across binders (let hoisting) can never capture.  Duplication
-re-freshens binder atoms.  Public inputs and outputs stay locally
-nameless, except that `normalize_pair` also takes the nameful forms of
-its inputs when the caller built them (`cps.translate` does), so that
-it need not open them; `canonical`'s grammar walk runs on the nameful
-form too, and types its heads and scrutinees with `nameful_synth`.
+The engine works on the kernel's nameful form of a term
+(`target_terms.to_nameful`): every binder holds a globally unique atom
+in its hint slot, so moving a subterm across binders (let hoisting) can
+never capture.  Duplication re-freshens binder atoms.
+`normalize_nameful` and `normalize_pair` take nameful terms, as the
+rest of the kernel hands them over; `normalize` opens a locally closed
+term and closes its normal form.  `canonical`'s grammar walk types its
+heads and scrutinees with `nameful_synth`.
 
 Rule groups are tried in priority order: each step applies the first
 group that has a redex, at that group's first redex in preorder
@@ -67,11 +67,11 @@ from .target_terms import (
     STAR,
     TargetTerm,
     TgApp,
-    TgBVar,
     TgLam,
     TgVar,
     children,
     fresh,
+    to_nameful,
     with_children,
 )
 from .target_typing import PARAMETRIC, PLAIN, TgContext
@@ -107,60 +107,7 @@ class RewriteStep:
 
 
 # ---------------------------------------------------------------------------
-# Nameful round trip
-
-
-def to_nameful(t: TargetTerm) -> TargetTerm:
-    """Open every binder of t with a fresh atom, in one preorder pass over
-    an explicit stack that keeps the atoms of the enclosing binders on
-    one stack per namespace."""
-    atoms: tuple[list, list] = ([], [])  # VAR, TVAR: innermost last
-    ty = lambda a: tt.SYNTAX.open_all(TVAR, a, atoms[TVAR])
-    out: list[TargetTerm] = []
-    todo: list = [t]  # nodes to visit, [node, atoms] to enter its binders, (node, atoms) to finish
-    while todo:
-        t = todo.pop()
-        cls = t.__class__
-        if cls is tuple:
-            t, bound = t
-            cls = t.__class__
-            if bound is None:
-                right = out.pop()
-                if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
-                    ex = t.ex_ann
-                    out.append(Pack(ty(t.witness), right, None if ex is None else ty(ex)))
-                else:
-                    out[-1] = cls(out[-1], right)
-                continue
-            for _, ns, _ in tg.BINDERS[cls]:
-                atoms[ns].pop()
-            body = out.pop()
-            outer = ty(t.ann) if cls is TgLam else out.pop()
-            out.append(cls(*bound, outer, body))
-        elif cls is TgBVar:
-            if not 0 <= t.index < len(atoms[VAR]):
-                raise RewriteError(f"dangling bound variable {t.index}")
-            out.append(TgVar(atoms[VAR][-1 - t.index]))
-        elif cls is TgApp:
-            todo += ((t, None), t.arg, t.fn)
-        elif cls is TgLam:  # enter its binder now: the annotation is read when it is done
-            x = fresh(t.hint or "x")
-            atoms[VAR].append(x)
-            todo += ((t, (x,)), t.body)
-        elif cls is list:  # enter the binders
-            t, bound = t
-            for (_, ns, _), atom in zip(tg.BINDERS[t.__class__], bound):
-                atoms[ns].append(atom)
-        elif cls is Pair:
-            todo += ((t, None), t.right, t.left)
-        elif cls is TgVar or cls is Star:
-            out.append(t)
-        elif cls is Pack:
-            todo += ((t, None), t.payload)
-        else:
-            bound = [fresh(getattr(t, field_name) or base) for field_name, _, base in tg.BINDERS[cls]]
-            todo += ((t, bound), t.body, [t, bound], t.scrut)
-    return out[0]
+# Nameful round trip: target_terms.to_nameful opens, from_nameful closes.
 
 
 def from_nameful(t: TargetTerm) -> TargetTerm:
@@ -1019,17 +966,10 @@ def normalize_pair(
     right: TargetTerm,
     context: TgContext = (),
     mode: str = PLAIN,
-    nameful: tuple[TargetTerm, TargetTerm] | None = None,
 ) -> tuple[TargetTerm, list[RewriteStep], TargetTerm, list[RewriteStep], str | None]:
-    """Normalise two locally closed terms, each as `normalize` does, in
+    """Normalise two nameful terms, each as `normalize_nameful` does, in
     lockstep; returns (left result, left trace, right result, right
-    trace, where they met).
-
-    nameful, when given, is the nameful form of each side (unique binder
-    atoms whose base names are the closed side's hints, as
-    `cps.translate` builds them), and the sides start from it; without
-    it each side is opened with `to_nameful`.  Both give the same
-    results, since no rule reads an atom's name.
+    trace, where they met), the results closed.
 
     Both sides run the phases of `normalize_nameful`, the left first.
     The sides are compared closed, with `tg.equal`, at three points: the
@@ -1046,11 +986,11 @@ def normalize_pair(
     RewriteError.
     """
     env = dict(context)
-    lt, rt = nameful or (to_nameful(left), to_nameful(right))
-    lc, rc = None, right  # the closed forms of lt and rt while they are current
+    lt, rt = left, right
+    lc, rc = None, from_nameful(right)  # the closed forms of lt and rt while they are current
     lsteps: list[RewriteStep] = []
     rsteps: list[RewriteStep] = []
-    met = "inputs" if tg.equal(left, right) else None
+    met = "inputs" if tg.equal(from_nameful(left), rc) else None
     for phase, groups in enumerate(_phases(mode), 1):
         start = len(lsteps)
         lt = _run(lt, env, mode, groups, lsteps)

@@ -5,6 +5,12 @@ by let-bindings.  LetPair binds two term variables (index 1 = first,
 index 0 = second component); LetPack binds one type and one term
 variable.  Pack nodes carry their full existential type: the pack rule
 cannot synthesise it from the payload alone.
+
+Callers pass, and the kernel prints and compares, locally closed terms.
+Inside the kernel a term is nameful: each binder holds a globally unique
+atom in its hint slot, and its occurrences are that atom.  `to_nameful`
+opens a closed term and `close_binders` closes a nameful one, each in
+one pass; typing, rewriting and the canonical walk run nameful.
 """
 
 from __future__ import annotations
@@ -20,11 +26,15 @@ from .target_types import TargetType
 __all__ = [
     "TargetTerm", "TgVar", "TgBVar", "TgLam", "TgApp", "Pair", "LetPair",
     "Pack", "LetPack", "Star", "STAR", "fresh",
-    "close_binders",
+    "close_binders", "to_nameful", "TargetTypeError",
     "open_var", "close_var", "inst_var", "open_tvar_term", "close_tvar_term",
     "inst_tvar_term", "subst_var", "subst_tvar_term", "free_vars", "free_tvars",
     "subterm_at", "replace_at", "equal",
 ]
+
+
+class TargetTypeError(Exception):
+    pass
 
 
 class TargetTerm:
@@ -241,4 +251,57 @@ def close_binders(t: TargetTerm, hint=str) -> TargetTerm:
         else:
             undo: list = []
             todo += ((t, undo), t.body, [t, undo], t.scrut)
+    return out[0]
+
+
+def to_nameful(t: TargetTerm) -> TargetTerm:
+    """Open every binder of t with a fresh atom, in one preorder pass over
+    an explicit stack that keeps the atoms of the enclosing binders on
+    one stack per namespace.  A dangling index is a typing error."""
+    atoms: tuple[list, list] = ([], [])  # VAR, TVAR: innermost last
+    ty = lambda a: target_types.SYNTAX.open_all(TVAR, a, atoms[TVAR])
+    out: list[TargetTerm] = []
+    todo: list = [t]  # nodes to visit, [node, atoms] to enter its binders, (node, atoms) to finish
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is tuple:
+            t, bound = t
+            cls = t.__class__
+            if bound is None:
+                right = out.pop()
+                if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
+                    ex = t.ex_ann
+                    out.append(Pack(ty(t.witness), right, None if ex is None else ty(ex)))
+                else:
+                    out[-1] = cls(out[-1], right)
+                continue
+            for _, ns, _ in BINDERS[cls]:
+                atoms[ns].pop()
+            body = out.pop()
+            outer = ty(t.ann) if cls is TgLam else out.pop()
+            out.append(cls(*bound, outer, body))
+        elif cls is TgBVar:
+            if not 0 <= t.index < len(atoms[VAR]):
+                raise TargetTypeError(f"dangling bound variable {t.index}")
+            out.append(TgVar(atoms[VAR][-1 - t.index]))
+        elif cls is TgApp:
+            todo += ((t, None), t.arg, t.fn)
+        elif cls is TgLam:  # enter its binder now: the annotation is read when it is done
+            x = fresh(t.hint or "x")
+            atoms[VAR].append(x)
+            todo += ((t, (x,)), t.body)
+        elif cls is list:  # enter the binders
+            t, bound = t
+            for (_, ns, _), atom in zip(BINDERS[t.__class__], bound):
+                atoms[ns].append(atom)
+        elif cls is Pair:
+            todo += ((t, None), t.right, t.left)
+        elif cls is TgVar or cls is Star:
+            out.append(t)
+        elif cls is Pack:
+            todo += ((t, None), t.payload)
+        else:
+            bound = [fresh(getattr(t, field_name) or base) for field_name, _, base in BINDERS[cls]]
+            todo += ((t, bound), t.body, [t, bound], t.scrut)
     return out[0]

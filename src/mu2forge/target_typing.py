@@ -3,8 +3,10 @@
 Modes: "plain" is the pure syntax; "parametric" additionally admits the
 constant Star at type exists X. X.
 
-One walk types a term, `_synth`: `typecheck_target` runs it alone, and
-`resolve_packs` runs it rebuilding each node from its rebuilt children,
+One walk types a nameful term (see `target_terms`), `_synth`:
+`typecheck_nameful` runs it alone, `typecheck_target` opens a locally
+closed term first, and `resolve_packs` opens a term, runs the walk
+rebuilding each node from its rebuilt children and closes the result,
 so that target input whose packs the reader left unannotated is typed
 and resolved in one linear pass on an explicit stack.
 """
@@ -34,20 +36,17 @@ from .target_terms import (
     Pair,
     Star,
     TargetTerm,
+    TargetTypeError,  # re-exported: every typing error is one, to_nameful's included
     TgApp,
-    TgBVar,
     TgLam,
     TgVar,
-    fresh,
+    close_binders,
+    to_nameful,
 )
 from .mu_terms import base_name
 
 PLAIN = "plain"
 PARAMETRIC = "parametric"
-
-
-class TargetTypeError(Exception):
-    pass
 
 
 class UnboundTargetVariable(TargetTypeError):
@@ -78,8 +77,13 @@ def tg_ctx(*pairs: tuple[str, TargetType]) -> TgContext:
 
 
 def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) -> TargetType:
-    """The type of term under context.  Every pack must carry its
-    existential; resolve_packs fills in the ones the reader left out."""
+    """The type of a locally closed term under context.  Every pack must
+    carry its existential; resolve_packs fills in those the reader left out."""
+    return _synth(context, to_nameful(term), mode, False)[1]
+
+
+def typecheck_nameful(context: TgContext, term: TargetTerm, mode: str = PLAIN) -> TargetType:
+    """typecheck_target of a term already in nameful form."""
     return _synth(context, term, mode, False)[1]
 
 
@@ -90,7 +94,8 @@ def resolve_packs(
     The existential of  <t | M>  generalises every occurrence of t in the
     type of M (the documented default; write  <t | M : T>  when another
     existential is meant)."""
-    return _synth(context, term, mode, True)
+    made, ty = _synth(context, to_nameful(term), mode, True)
+    return close_binders(made, base_name), ty
 
 
 def _generalise(ty: TargetType, witness: TargetType, depth: int = 0) -> TargetType:
@@ -111,26 +116,23 @@ def _generalise(ty: TargetType, witness: TargetType, depth: int = 0) -> TargetTy
 def _synth(
     context: TgContext, term: TargetTerm, mode: str, rebuild: bool
 ) -> tuple[TargetTerm | bool, TargetType]:
-    """The term rebuilt from its rebuilt children with each unannotated
-    pack resolved (meaningless without rebuild, where such a pack is an
-    error), and its type, in one pass over an explicit stack: a bound
-    variable's type is read off a stack of binder types, and an
-    annotation is opened against the type atoms when read.  Each node is
-    checked in the order a recursive reading checks it: a function before
-    its argument is typed, a pack's annotation before its payload.  A
-    name bound twice in context is an error: the rewrite engine reads a
+    """The nameful term rebuilt from its rebuilt children with each
+    unannotated pack resolved (meaningless without rebuild, where such a
+    pack is an error), and its type, in one pass over an explicit stack.
+    Binder atoms are unique, so a binder enters its atoms' types in the
+    one dict of the walk and never takes them out.  Each node is checked
+    in the order a recursive reading checks it: a function before its
+    argument is typed, a pack's annotation before its payload.  A name
+    bound twice in context is an error: the rewrite engine reads a
     context as a dict, so it would take the last binding."""
     types: dict[str, TargetType] = {}
     for name, ty in context:
         if name in types:
             raise TargetTypeError(f"duplicate variable {name!r}")
         types[name] = ty
-    var_types: list[TargetType] = []  # innermost binder last
-    tvar_atoms: list[str] = []
-    levels: dict[str, int] = {}  # each atom's index in tvar_atoms
-    read = lambda ty: SYNTAX.open_all(TVAR, ty, tvar_atoms)
+    tvars: set[str] = set()  # the let-pack type atoms of the walk
     # A type in a message names each type atom of the walk by its binder's hint.
-    display = lambda ty: show(SYNTAX.subst(TVAR, ty, {a: TgVarT(base_name(a)) for a in tvar_atoms}))
+    display = lambda ty: show(SYNTAX.subst(TVAR, ty, {a: TgVarT(base_name(a)) for a in tvars}))
     out: list[tuple[TargetTerm | None, TargetType]] = []  # (rebuilt, type) of the finished subterms
     todo: list = [term]  # terms to type, and (node, step) to go on with
     while todo:
@@ -141,10 +143,9 @@ def _synth(
             cls = term.__class__
             made, ty = out.pop()
             if cls is TgLam:
-                var_types.pop()
                 if not isinstance(ty, RType):
                     raise NonAnswerBody(f"abstraction body has type {display(ty)}, not R")
-                ty = Neg(step)
+                ty = Neg(term.ann)
                 made = rebuild and TgLam(term.hint, term.ann, made)
             elif cls is TgApp:
                 if step is None:  # the function is typed: its argument
@@ -165,65 +166,49 @@ def _synth(
                 ty = Conj(left_ty, ty)
                 made = rebuild and Pair(left, made)
             elif cls is Pack:
-                witness = read(term.witness)
-                ex_ann = term.ex_ann
-                if step is None:  # resolved: closed over the enclosing let-packs' atoms
-                    step = Exists("X", _generalise(ty, witness))
-                    ex_ann = SYNTAX.close_all(TVAR, step, levels, len(tvar_atoms))
-                elif ty != (want := inst_tvar(step.body, witness)):
+                if step is None:  # resolved
+                    step = Exists("X", _generalise(ty, term.witness))
+                elif ty != (want := inst_tvar(step.body, term.witness)):
                     raise TargetTypeMismatch(
                         f"pack payload has type {display(ty)}, expected {display(want)}"
                     )
                 ty = step
-                made = rebuild and Pack(term.witness, made, ex_ann)
+                made = rebuild and Pack(term.witness, made, step)
             elif step is None:  # a let's scrutinee is typed: its body
                 if cls is LetPair:
                     if not isinstance(ty, Conj):
                         raise TargetTypeMismatch(f"let-pair scrutinee has type {display(ty)}")
-                    var_types.extend((ty.left, ty.right))
-                    todo.append((term, (made, None)))
+                    types[term.hint_x], types[term.hint_y] = ty.left, ty.right
                 else:
                     if not isinstance(ty, Exists):
                         raise TargetTypeMismatch(f"let-pack scrutinee has type {display(ty)}")
-                    # the type binder is named: the escape check's message names it
-                    tv = fresh(term.hint_t or "X")
-                    levels[tv] = len(tvar_atoms)
-                    tvar_atoms.append(tv)
-                    var_types.append(inst_tvar(ty.body, TgVarT(tv)))
-                    todo.append((term, (made, tv)))
+                    tvars.add(term.hint_t)
+                    types[term.hint_x] = inst_tvar(ty.body, TgVarT(term.hint_t))
+                todo.append((term, (made,)))
                 todo.append(term.body)
                 continue
             elif cls is LetPair:
-                del var_types[-2:]
                 made = rebuild and LetPair(term.hint_x, term.hint_y, step[0], made)
             else:
-                scrut, tv = step
-                var_types.pop()
+                tv = term.hint_t
                 if tv in ftv(ty):
                     raise EscapeCheckFailed(
                         f"type variable {base_name(tv)} escapes through the let-pack result {display(ty)}"
                     )
-                del levels[tvar_atoms.pop()]
-                made = rebuild and LetPack(term.hint_t, term.hint_x, scrut, made)
+                made = rebuild and LetPack(tv, term.hint_x, step[0], made)
             out.append((made, ty))
         elif cls is TgVar:
             ty = types.get(term.name)
             if ty is None:
                 raise UnboundTargetVariable(term.name)
             out.append((term, ty))
-        elif cls is TgBVar:
-            k = term.index
-            if not 0 <= k < len(var_types):
-                raise TargetTypeError(f"dangling bound variable {k}")
-            out.append((term, var_types[-1 - k]))
         elif cls is Star:
             if mode != PARAMETRIC:
                 raise StarInPlainMode("Star is legal only in parametric mode")
             out.append((term, TOP))
         elif cls is TgLam:
-            ann = read(term.ann)
-            var_types.append(ann)
-            todo.append((term, ann))
+            types[term.hint] = term.ann
+            todo.append((term, None))
             todo.append(term.body)
         elif cls is Pair:
             todo.append((term, None))
@@ -232,11 +217,11 @@ def _synth(
         elif cls is Pack:
             ex_ann = term.ex_ann
             if isinstance(ex_ann, Exists):
-                todo.append((term, read(ex_ann)))
+                todo.append((term, ex_ann))
             elif ex_ann is None and rebuild:  # resolved once its payload is typed
                 todo.append((term, None))
             else:
-                shown = ex_ann if ex_ann is None else display(read(ex_ann))
+                shown = ex_ann if ex_ann is None else display(ex_ann)
                 raise TargetTypeMismatch(f"pack annotated with non-existential {shown}")
             todo.append(term.payload)
         elif cls is TgApp or cls is LetPair or cls is LetPack:

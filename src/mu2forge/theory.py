@@ -1,7 +1,8 @@
 """The lambda-mu-2 equality oracle and axiom-schema suites.
 
 Equality of source terms is decided exclusively through the CPS image:
-translate both sides and compare canonical forms in the target theory.
+translate both sides and compare canonical forms in the target theory,
+handing the images on in the nameful form that the translation builds.
 Theory BetaEta uses the plain target; LambdaMu2P adds the terminality
 of exists X. X (parametric mode).  Equal is sound for the respective
 theory; Distinct is advisory.
@@ -13,7 +14,7 @@ import random
 
 from . import mu_types as mt
 from . import mu_terms as tm
-from .canonical import EqVerdict, eq_target
+from .canonical import EqVerdict, eq_nameful
 from .cps import cps_context, translate
 from .mu_typing import Context, TypeMismatch, ctx, typecheck_mu
 from .printer import print_mu_type as show
@@ -33,15 +34,14 @@ def eq_mu(
     gamma: Context = (),
     delta: Context = (),
 ) -> EqVerdict:
-    """Decide a lambda-mu equation by canonicalising both CPS images.
-    eq_target gets each image's nameful form too, which the lockstep
-    normalises instead of opening the closed image again."""
+    """Decide a lambda-mu equation by canonicalising both CPS images,
+    handed to eq_nameful in the nameful form the translation builds."""
     mode = _MODE[theory]
-    lt, lnameful, lty = translate(gamma, delta, left)
-    rt, rnameful, rty = translate(gamma, delta, right)
+    lt, lty = translate(gamma, delta, left)
+    rt, rty = translate(gamma, delta, right)
     if lty != rty:
         raise TypeMismatch(f"equation across types {show(lty)} vs {show(rty)}")
-    return eq_target(lt, rt, mode, cps_context(gamma, delta), (lnameful, rnameful))
+    return eq_nameful(lt, rt, mode, cps_context(gamma, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +296,6 @@ def additional_axiom_instances() -> dict[str, list[SchemaInstance]]:
 
 def check_schema(inst: SchemaInstance, theory: str) -> EqVerdict:
     return eq_mu(inst.left, inst.right, theory, inst.gamma, inst.delta)
-
-
-@record
-class AdditionalAxiomReport:
-    presentation: str
-    instance: str
-    parametric_equal: bool
-    plain_equal: bool
-
-
-def check_additional_axioms() -> list[AdditionalAxiomReport]:
-    """All three presentations hold in LambdaMu2P and fail under BetaEta.
-
-    Since every presentation's instances are Equal in the same theory,
-    the presentations are pairwise inter-derivable at these instances.
-    """
-    reports = []
-    for presentation, instances in additional_axiom_instances().items():
-        for inst in instances:
-            p = check_schema(inst, LAMBDA_MU_2P)
-            q = check_schema(inst, BETA_ETA)
-            reports.append(
-                AdditionalAxiomReport(presentation, inst.name, p.equal, q.equal)
-            )
-    return reports
 
 
 # ---------------------------------------------------------------------------

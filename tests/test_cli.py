@@ -120,8 +120,8 @@ def test_uncps_continuation_prints_context(capsys):
 @pytest.mark.parametrize("argv", [["--ctx", "x:s -> s", r"\k:not s /\ s. let <y, j> = k in x <y, j>"],
                                   ["--names", "k:s", "k"]], ids=["program", "continuation"])
 def test_uncps_walks_the_grammar_once(capsys, monkeypatch, argv):
-    """One uncps call normalizes once and walks the canonical grammar
-    once, with the inverting builder."""
+    """One uncps call normalizes once, on the nameful form, and walks the
+    canonical grammar once, with the inverting builder."""
     from mu2forge import canonical, inverse, rewrite
 
     calls = []
@@ -132,14 +132,14 @@ def test_uncps_walks_the_grammar_once(capsys, monkeypatch, argv):
             return real(*args, **kwargs)
         return wrapper
 
-    walk, normalize = counted(canonical._walk), counted(rewrite.normalize)
+    walk, normalize = counted(canonical._walk), counted(rewrite.normalize_nameful)
     for module in (canonical, inverse):
         monkeypatch.setattr(module, "_walk", walk)
     for module in (rewrite, canonical, inverse):
-        monkeypatch.setattr(module, "normalize", normalize, raising=False)
+        monkeypatch.setattr(module, "normalize_nameful", normalize, raising=False)
     code, out, _ = run(capsys, "uncps", *argv)
     assert code == 0 and out
-    assert sorted(calls) == ["_walk", "normalize"]
+    assert sorted(calls) == ["_walk", "normalize_nameful"]
 
 
 def test_focal_check_certificate(capsys):
@@ -438,8 +438,9 @@ def test_ill_typed_let_scrutinee_exit_2(capsys, argv, message):
         ["cps", "--ctx", "x:s, x:t", "x"],
         ["eq", "--ctx", "x:s, x:t", "x", "x"],
         ["normalize", "--ctx", "x:s, x:t", "x"],
+        ["uncps", "--ctx", "x:s, x:t", "x"],
     ],
-    ids=["typecheck", "cps", "eq", "normalize"],
+    ids=["typecheck", "cps", "eq", "normalize", "uncps"],
 )
 def test_ill_formed_context_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -449,21 +450,23 @@ def test_ill_formed_context_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "name, argv",
+    "message, argv",
     [
-        ("x", ["typecheck", "--target", "--ctx", "x:a, x:b", "x"]),
-        ("k", ["eq", "--target", "--theory", "p", "--ctx", "k:a, k:exists X. X, f:not a", "f k", "f k"]),
-        ("k", ["normalize", "--target", "--mode", "parametric", "--ctx",
-               "k:exists X. X, k:a, f:not (exists X. X)", "f k"]),
-        ("k", ["uncps", "--names", "k:a, k:b", "k"]),
+        ("duplicate variable 'x'", ["typecheck", "--target", "--ctx", "x:a, x:b", "x"]),
+        ("duplicate variable 'k'",
+         ["eq", "--target", "--theory", "p", "--ctx", "k:a, k:exists X. X, f:not a", "f k", "f k"]),
+        ("duplicate variable 'k'", ["normalize", "--target", "--mode", "parametric", "--ctx",
+                                    "k:exists X. X, k:a, f:not (exists X. X)", "f k"]),
+        # uncps reads a source context, checked as the other source commands check it
+        ("duplicate name 'k'", ["uncps", "--names", "k:a, k:b", "k"]),
     ],
     ids=["typecheck", "eq", "normalize", "uncps"],
 )
-def test_target_context_binding_a_name_twice_exit_2(capsys, name, argv):
+def test_target_context_binding_a_name_twice_exit_2(capsys, message, argv):
     # The typechecker would read the first binding and the rewrite engine
     # the last, so a repeated name is rejected before either runs.
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"error: duplicate variable {name!r}\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

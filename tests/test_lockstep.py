@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from mu2forge import inverse, rewrite, theory
+from mu2forge import inverse, rewrite, target_typing, theory
 from mu2forge import canonical
 from mu2forge import mu_terms as tm
 from mu2forge import target_terms as tg
@@ -13,7 +13,7 @@ from mu2forge import target_types as tt
 from mu2forge.combinators import church, church_succ, church_zero, identity
 from mu2forge.cps import cps_context, cps_term_typed
 from mu2forge.printer import print_target_term, sexpr_target_term
-from mu2forge.rewrite import normalize, normalize_pair
+from mu2forge.rewrite import from_nameful, normalize, normalize_pair, to_nameful
 from mu2forge.target_typing import PARAMETRIC, PLAIN
 from mu2forge.theory import (
     BETA_ETA,
@@ -91,30 +91,38 @@ def _input_sets():
 
 @pytest.fixture(scope="module")
 def recorded():
-    """Per input set, the (left, right, mode, context, nameful) of every
-    eq_target call it makes; nameful is the pair of CPS nameful images
-    that eq_mu passes, None elsewhere."""
-    real = canonical.eq_target
+    """Per input set, the nameful (left, right, mode, context) of every
+    eq_nameful call it makes: eq_mu and the round trips call it
+    directly, eq_target through to_nameful."""
+    real = canonical.eq_nameful
     out = {}
     with pytest.MonkeyPatch.context() as patch:
         for name, ask in _input_sets().items():
             calls = out[name] = []
 
-            def capture(left, right, mode=PLAIN, context=(), nameful=None, calls=calls):
-                calls.append((left, right, mode, context, nameful))
-                return real(left, right, mode, context, nameful)
+            def capture(left, right, mode=PLAIN, context=(), calls=calls):
+                calls.append((left, right, mode, context))
+                return real(left, right, mode, context)
 
             for module in (canonical, theory, inverse):
-                patch.setattr(module, "eq_target", capture)
+                patch.setattr(module, "eq_nameful", capture)
             ask()
     return out
 
 
 @pytest.fixture(scope="module")
 def equations(recorded):
-    """Per input set, the (left, right, mode, context) of every eq_target
-    call it makes."""
-    return {name: [call[:4] for call in calls] for name, calls in recorded.items()}
+    """Per input set, the closed (left, right, mode, context) of every
+    equation it asks."""
+    return {
+        name: [(from_nameful(left), from_nameful(right), mode, context) for left, right, mode, context in calls]
+        for name, calls in recorded.items()
+    }
+
+
+def _pair(left, right, context, mode):
+    """normalize_pair of two locally closed sides."""
+    return normalize_pair(to_nameful(left), to_nameful(right), context, mode)
 
 
 def test_input_sets_sizes(equations):
@@ -140,12 +148,12 @@ def test_eq_target_matches_two_normalize_calls(equations, monkeypatch):
     for calls in equations.values():
         for left, right, mode, context in calls:
             with monkeypatch.context() as patch:
-                patch.setattr(canonical, "normalize", refuse)
+                patch.setattr(rewrite, "normalize", refuse)
                 verdict = canonical.eq_target(left, right, mode, context)
             lnorm, lsteps = normalize(left, context, mode)
             rnorm, rsteps = normalize(right, context, mode)
             assert verdict.equal == tg.equal(lnorm, rnorm)
-            assert verdict.equal == (normalize_pair(left, right, context, mode)[4] is not None)
+            assert verdict.equal == (_pair(left, right, context, mode)[4] is not None)
             assert verdict.left_trace == tuple(lsteps)
             assert verdict.right_trace == tuple(rsteps)
             for got, want in ((verdict.left, lnorm), (verdict.right, rnorm)):
@@ -157,7 +165,7 @@ def test_meeting_points_pinned(equations):
     """Where the two sides of each equation meet.  A change that stops
     them meeting shifts these counts instead of only running slower."""
     met = {
-        name: Counter(normalize_pair(left, right, context, mode)[4] for left, right, mode, context in calls)
+        name: Counter(_pair(left, right, context, mode)[4] for left, right, mode, context in calls)
         for name, calls in equations.items()
     }
     assert met == {
@@ -170,44 +178,44 @@ def test_meeting_points_pinned(equations):
 
 
 def test_nameful_images_give_what_opening_gives(recorded):
-    """eq_target started from the CPS nameful images that eq_mu hands it,
-    and from the closed images alone: the same verdict, traces, normal
-    forms (printed and as s-expressions) and meeting point."""
+    """eq_nameful on the nameful sides that eq_mu and the round trips
+    hand it, and eq_target on their closed forms: the same verdict,
+    traces, normal forms (printed and as s-expressions) and meeting
+    point."""
     checked = 0
     for calls in recorded.values():
-        for left, right, mode, context, nameful in calls:
-            if nameful is None:
-                continue
-            with_images = canonical.eq_target(left, right, mode, context, nameful)
-            opened = canonical.eq_target(left, right, mode, context)
-            assert with_images.equal == opened.equal
-            assert with_images.left_trace == opened.left_trace
-            assert with_images.right_trace == opened.right_trace
-            for got, want in ((with_images.left, opened.left), (with_images.right, opened.right)):
+        for left, right, mode, context in calls:
+            closed = from_nameful(left), from_nameful(right)
+            nameful = canonical.eq_nameful(left, right, mode, context)
+            opened = canonical.eq_target(*closed, mode, context)
+            assert nameful.equal == opened.equal
+            assert nameful.left_trace == opened.left_trace
+            assert nameful.right_trace == opened.right_trace
+            for got, want in ((nameful.left, opened.left), (nameful.right, opened.right)):
                 assert print_target_term(got) == print_target_term(want)
                 assert sexpr_target_term(got) == sexpr_target_term(want)
-            met = normalize_pair(left, right, context, mode, nameful)[4]
-            assert met == normalize_pair(left, right, context, mode)[4]
+            assert normalize_pair(left, right, context, mode)[4] == _pair(*closed, context, mode)[4]
             checked += 1
     assert checked > 100
 
 
 def test_eq_mu_opens_no_cps_image(monkeypatch):
-    """eq_mu hands eq_target each CPS image's nameful form, so the
-    lockstep opens neither closed image with to_nameful."""
+    """eq_mu hands eq_nameful each CPS image as the translation builds
+    it, so nothing opens a closed image with to_nameful."""
     images, opened = [], []
-    real_eq_target, real_to_nameful = canonical.eq_target, rewrite.to_nameful
+    real_eq_nameful, real_to_nameful = canonical.eq_nameful, tg.to_nameful
 
     def capture(left, right, *rest):
-        images.extend((left, right))
-        return real_eq_target(left, right, *rest)
+        images.extend((from_nameful(left), from_nameful(right)))
+        return real_eq_nameful(left, right, *rest)
 
-    def to_nameful(t):
+    def counted(t):
         opened.append(t)
         return real_to_nameful(t)
 
-    monkeypatch.setattr(theory, "eq_target", capture)
-    monkeypatch.setattr(rewrite, "to_nameful", to_nameful)
+    monkeypatch.setattr(theory, "eq_nameful", capture)
+    for module in (tg, target_typing, rewrite):
+        monkeypatch.setattr(module, "to_nameful", counted)
     assert eq_mu(succ_power(6), church(6), BETA_ETA).equal
     assert len(images) == 2
     assert not [t for t in opened for image in images if tg.equal(t, image)]
@@ -227,7 +235,7 @@ def test_sides_meet_up_to_a_let_pack_type_atom_in_an_annotation():
     normal = term(tg.TgVar("g"))
     redex = term(tg.TgLam("q", ALL, tg.TgApp(tg.TgVar("g"), tg.TgVar("q"))))
     for left, right, met in ((redex, normal, "ahead 1"), (normal, redex, "outputs 1")):
-        lnorm, lsteps, rnorm, rsteps, where = normalize_pair(left, right, context, PLAIN)
+        lnorm, lsteps, rnorm, rsteps, where = _pair(left, right, context, PLAIN)
         assert where == met
         assert (lnorm, lsteps) == normalize(left, context, PLAIN)
         assert (rnorm, rsteps) == normalize(right, context, PLAIN)
@@ -272,4 +280,4 @@ def test_followed_step_that_fails_is_a_bug():
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(rewrite.ALL_RULES, "beta-fun", lambda t, env, mode: None)
         with pytest.raises(rewrite.RewriteError, match="cannot follow"):
-            normalize_pair(image, image, (), PLAIN)
+            _pair(image, image, (), PLAIN)

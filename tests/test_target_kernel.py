@@ -2,13 +2,14 @@ import pytest
 
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
-from mu2forge.rewrite import RewriteError, normalize
+from mu2forge.rewrite import normalize
 from mu2forge.target_typing import (
     EscapeCheckFailed,
     NonAnswerBody,
     PARAMETRIC,
     PLAIN,
     StarInPlainMode,
+    TargetTypeError,
     TargetTypeMismatch,
     UnboundTargetVariable,
     tg_ctx,
@@ -242,7 +243,7 @@ def _ref_to_nameful(t):
         case tg.TgVar(_) | tg.Star():
             return t
         case tg.TgBVar(k):
-            raise RewriteError(f"dangling bound variable {k}")
+            raise TargetTypeError(f"dangling bound variable {k}")
         case tg.TgLam(hint, ann, body):
             x = tg.fresh(hint or "x")
             return tg.TgLam(x, ann, _ref_to_nameful(tg.open_var(body, x)))
@@ -496,8 +497,8 @@ def test_binder_passes_match_per_binder_reference(monkeypatch):
                 mutants += want[0] != "type"
             try:
                 want = repr(at(7000, _ref_to_nameful, bad))
-            except RewriteError as exc:
-                with pytest.raises(RewriteError, match=f"^{exc}$"):
+            except TargetTypeError as exc:
+                with pytest.raises(TargetTypeError, match=f"^{exc}$"):
                     at(7000, rewrite.to_nameful, bad)
             else:
                 assert repr(at(7000, rewrite.to_nameful, bad)) == want
