@@ -30,11 +30,13 @@ CPS translation's output on the `eq_mu` path, and normalises them in
 lockstep with `rewrite.normalize_pair`.  `theory.eq_mu` hands it the
 CPS images as the translation builds them; `eq_target` opens two
 locally closed sides and calls it.  Most equations asked are Equal, and
-their sides are alpha-equal (`tg.equal` of their closed forms) after the
-first contraction phase or earlier; from there the right side applies
-the left side's steps to its own term instead of searching for them.
-A phase's steps depend only on the alpha-class of its input, so both
-normal forms and both traces are the ones two `normalize` calls give.
+their sides are alpha-equal (`tg.nameful_equal`, on the nameful sides
+in place) after the first contraction phase or earlier; from there the
+right side applies the left side's steps to its own term instead of
+searching for them.  A phase's steps depend only on the alpha-class of
+its input, so both normal forms and both traces are the ones two
+`normalize` calls give, and the verdict is Equal exactly when the sides
+met.  Only the two normal forms are closed.
 """
 
 from __future__ import annotations
@@ -223,11 +225,12 @@ def eq_nameful(
     the left, it replays the left side's remaining steps instead of
     searching.  That is exact, because no rule reads an atom's name, so
     the normal forms, binder names included, and the traces are those
-    of `normalize` on each side.
+    of `normalize` on each side; and the sides are Equal exactly when
+    they met.
     """
     lty = typecheck_nameful(context, left, mode)
     rty = typecheck_nameful(context, right, mode)
     if lty != rty:
         raise TargetTypeMismatch(f"eq_target across types {show(lty)} vs {show(rty)}")
-    lnorm, lsteps, rnorm, rsteps, _ = normalize_pair(left, right, context, mode)
-    return EqVerdict(tg.equal(lnorm, rnorm), lnorm, rnorm, tuple(lsteps), tuple(rsteps))
+    lnorm, lsteps, rnorm, rsteps, met = normalize_pair(left, right, context, mode)
+    return EqVerdict(met is not None, lnorm, rnorm, tuple(lsteps), tuple(rsteps))

@@ -55,9 +55,14 @@ def split_context(context: TgContext) -> tuple[Context, Context]:
 
 def invert(form: CanonicalForm, context: TgContext = ()):
     """Invert a canonical form: term, context, or falsity term by kind."""
+    return _invert(form, tg.to_nameful(form.term), context)
+
+
+def _invert(form: CanonicalForm, term: tg.TargetTerm, context: TgContext):
+    """invert with form.term already opened to the nameful term."""
     if form.mode != PLAIN:
         raise NotCanonical("inversion is defined on plain-mode canonical forms")
-    kind, out = _walk(tg.to_nameful(form.term), form.type, PLAIN, context, _Inverse())
+    kind, out = _walk(term, form.type, PLAIN, context, _Inverse())
     if kind != form.kind:
         raise NotCanonical(f"a {form.kind} at {show(form.type)}, the type of a {kind}")
     return out
@@ -113,7 +118,8 @@ def roundtrip(form: CanonicalForm, context: TgContext = ()):
     """eq_target([[invert(P)]], P, plain): the fullness round trip."""
     if form.kind != PROGRAM:
         raise NotCanonical("round trips are defined on Programs")
-    inverted = invert(form, context)
+    term = tg.to_nameful(form.term)  # one opening, for the walk and the equation
+    inverted = _invert(form, term, context)
     gamma, delta = split_context(context)
     back, _ = translate(gamma, delta, inverted)
-    return eq_nameful(back, tg.to_nameful(form.term), PLAIN, context)
+    return eq_nameful(back, term, PLAIN, context)

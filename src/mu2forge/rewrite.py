@@ -42,11 +42,11 @@ shares the engine's rules, so it does not check them.
 A phase's steps are a function of the alpha-class of its input: no rule
 reads an atom's name, and let-swap's name tiebreak only separates
 atoms of equal binding order, which are the same atom.  So once the
-right side is alpha-equal to the left (`tg.equal` of their closed
-forms, each phase output being closed at most once), it stops
-searching and follows the left side's steps on its own term.  Its
-binder names, normal form and trace are exactly those of its own
-search.
+right side is alpha-equal to the left (`tg.nameful_equal`, which
+compares the nameful sides in place), it stops searching and follows
+the left side's steps on its own term.  Its binder names, normal form
+and trace are exactly those of its own search.  Only the two results
+are closed.
 """
 
 from __future__ import annotations
@@ -972,25 +972,23 @@ def normalize_pair(
     trace, where they met), the results closed.
 
     Both sides run the phases of `normalize_nameful`, the left first.
-    The sides are compared closed, with `tg.equal`, at three points: the
-    inputs before any phase ("inputs"); the right side's input to a
-    phase against the left side's output of it ("ahead n": the right
-    side is already a normal form of the phase and takes no step in it);
-    and the two outputs of a phase ("outputs n").  Each phase output is
-    closed at most once, and the last closed forms are the results.
-    From the point where they meet, the right side stops searching and
-    follows the left side's later steps on its own term.  Since the
-    steps of a phase depend only on the alpha-class of its input, the
-    right side's result and trace are exactly those of its own search;
-    a followed step that does not apply is a bug and raises
-    RewriteError.
+    The sides are compared nameful, with `tg.nameful_equal`, at three
+    points: the inputs before any phase ("inputs"); the right side's
+    input to a phase against the left side's output of it ("ahead n":
+    the right side is already a normal form of the phase and takes no
+    step in it); and the two outputs of a phase ("outputs n").  Only the
+    two results are closed.  From the point where they meet, the right
+    side stops searching and follows the left side's later steps on its
+    own term.  Since the steps of a phase depend only on the alpha-class
+    of its input, the right side's result and trace are exactly those of
+    its own search; a followed step that does not apply is a bug and
+    raises RewriteError.
     """
     env = dict(context)
     lt, rt = left, right
-    lc, rc = None, from_nameful(right)  # the closed forms of lt and rt while they are current
     lsteps: list[RewriteStep] = []
     rsteps: list[RewriteStep] = []
-    met = "inputs" if tg.equal(from_nameful(left), rc) else None
+    met = "inputs" if tg.nameful_equal(lt, rt) else None
     for phase, groups in enumerate(_phases(mode), 1):
         start = len(lsteps)
         lt = _run(lt, env, mode, groups, lsteps)
@@ -1002,17 +1000,13 @@ def normalize_pair(
                 raise RewriteError(f"the right side cannot follow the left: {exc}") from exc
             rt = z.unwind()
             rsteps += lsteps[start:]
-            lc = rc = None
-            continue
-        lc = from_nameful(lt)
-        if tg.equal(lc, rc):
+        elif tg.nameful_equal(lt, rt):
             met = f"ahead {phase}"
         else:
             rt = _run(rt, env, mode, groups, rsteps)
-            rc = from_nameful(rt)
-            if tg.equal(lc, rc):
+            if tg.nameful_equal(lt, rt):
                 met = f"outputs {phase}"
-    return lc or from_nameful(lt), lsteps, rc or from_nameful(rt), rsteps, met
+    return from_nameful(lt), lsteps, from_nameful(rt), rsteps, met
 
 
 def replay(

@@ -126,7 +126,8 @@ class Syntax:
         #: node class -> getter of its term children, in path-slot order
         self.children: dict[type, object] = {}
         self._rebuild: dict[type, tuple] = {}
-        self._compare: dict[type, tuple] = {}
+        #: node class -> getters of its compared fields: values, subtrees
+        self.compared: dict[type, tuple] = {}
         for cls, specs in table.items():
             fields = record_fields(cls)
             names = tuple(f.name for f in fields)
@@ -136,7 +137,7 @@ class Syntax:
             self.children[cls] = field_getter(tuple(names[i] for i in kids))
             self._rebuild[cls] = (field_getter(names), kids)
             compared = [(f.name, isinstance(s, Child)) for f, s in zip(fields, specs) if f.compare]
-            self._compare[cls] = (
+            self.compared[cls] = (
                 field_getter(tuple(n for n, sub in compared if not sub)),
                 field_getter(tuple(n for n, sub in compared if sub)),
             )
@@ -174,7 +175,7 @@ class Syntax:
                 continue
             if a.__class__ is not b.__class__:
                 return False
-            values, subtrees = self._compare[a.__class__]
+            values, subtrees = self.compared[a.__class__]
             if values(a) != values(b):
                 return False
             stack.extend(zip(subtrees(a), subtrees(b)))

@@ -6,11 +6,12 @@ index 0 = second component); LetPack binds one type and one term
 variable.  Pack nodes carry their full existential type: the pack rule
 cannot synthesise it from the payload alone.
 
-Callers pass, and the kernel prints and compares, locally closed terms.
-Inside the kernel a term is nameful: each binder holds a globally unique
-atom in its hint slot, and its occurrences are that atom.  `to_nameful`
-opens a closed term and `close_binders` closes a nameful one, each in
-one pass; typing, rewriting and the canonical walk run nameful.
+Callers pass, and the kernel prints, locally closed terms.  Inside the
+kernel a term is nameful: each binder holds a globally unique atom in
+its hint slot, and its occurrences are that atom.  `to_nameful` opens a
+closed term and `close_binders` closes a nameful one, each in one pass;
+typing, rewriting, the canonical walk and the alpha-equality of the
+lockstep (`nameful_equal`) run nameful.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .target_types import TargetType
 __all__ = [
     "TargetTerm", "TgVar", "TgBVar", "TgLam", "TgApp", "Pair", "LetPair",
     "Pack", "LetPack", "Star", "STAR", "fresh",
-    "close_binders", "to_nameful", "TargetTypeError",
+    "close_binders", "to_nameful", "nameful_equal", "TargetTypeError",
     "open_var", "close_var", "inst_var", "open_tvar_term", "close_tvar_term",
     "inst_tvar_term", "subst_var", "subst_tvar_term", "free_vars", "free_tvars",
     "subterm_at", "replace_at", "equal",
@@ -305,3 +306,42 @@ def to_nameful(t: TargetTerm) -> TargetTerm:
             bound = [fresh(getattr(t, field_name) or base) for field_name, _, base in BINDERS[cls]]
             todo += ((t, bound), t.body, [t, bound], t.scrut)
     return out[0]
+
+
+#: Per class of a free occurrence, its namespace: TgVar VAR, TgVarT TVAR.
+_ATOM_NS = {cls: ns for ns, cls in SYNTAX.free_leaf.items()}
+
+
+def nameful_equal(a: TargetTerm, b: TargetTerm) -> bool:
+    """Are two nameful terms alpha-equal, that is, are their closed forms
+    `equal`?  One parallel walk over an explicit stack that builds
+    nothing and stops at the first difference.  Binder atoms are paired
+    as they are met, per namespace, both ways (left to right and right
+    to left); an occurrence matches if its two atoms are paired with each
+    other, or are both unpaired and the same free atom.  That is exact
+    when, as in every nameful term the kernel makes, no binder's atom is
+    free in its side or bound again inside its own scope; a shared
+    subterm object may repeat its binders elsewhere."""
+    pairs = (({}, {}), ({}, {}))  # VAR, TVAR: left atom -> right atom, right -> left
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        ns = _ATOM_NS.get(cls)
+        if ns is not None:
+            there, back = pairs[ns]
+            x, y = a.name, b.name
+            if there.get(x, x) != y or back.get(y, y) != x:
+                return False
+            continue
+        values, subtrees = SYNTAX.compared[cls]
+        if values(a) != values(b):
+            return False
+        for field_name, ns, _ in BINDERS.get(cls, ()):
+            x, y = getattr(a, field_name), getattr(b, field_name)
+            pairs[ns][0][x] = y
+            pairs[ns][1][y] = x
+        todo += zip(subtrees(a), subtrees(b))
+    return True

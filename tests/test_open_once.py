@@ -40,3 +40,13 @@ def test_canonicalize_and_invert_term_open_their_input_once(opened):
     kind, _ = invert_term(form.term, form.type)
     assert kind == PROGRAM
     assert len(opened) == 1 and opened[0] is form.term
+
+
+def test_roundtrip_opens_the_form_once(opened):
+    """The round trip's walk and its equation share one opening of
+    form.term."""
+    image, _ = cps_term_typed((), (), church(300))
+    form = canonicalize(image, None, PLAIN)
+    opened.clear()
+    assert inverse.roundtrip(form).equal
+    assert len(opened) == 1 and opened[0] is form.term
