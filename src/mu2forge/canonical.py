@@ -29,14 +29,16 @@ engine's own rules.  Distinct verdicts are advisory.
 CPS translation's output on the `eq_mu` path, and normalises them in
 lockstep with `rewrite.normalize_pair`.  `theory.eq_mu` hands it the
 CPS images as the translation builds them; `eq_target` opens two
-locally closed sides and calls it.  Most equations asked are Equal, and
-their sides are alpha-equal (`tg.nameful_equal`, on the nameful sides
-in place) after the first contraction phase or earlier; from there the
-right side applies the left side's steps to its own term instead of
-searching for them.  A phase's steps depend only on the alpha-class of
-its input, so both normal forms and both traces are the ones two
-`normalize` calls give, and the verdict is Equal exactly when the sides
-met.  Only the two normal forms are closed.
+locally closed sides and calls it.  `eq_typed` is the decision after
+the typing: `eq --target` hands it each side as
+`target_typing.resolve_nameful` typed it.  Most equations asked are
+Equal, and their sides are alpha-equal (`tg.nameful_equal`, on the
+nameful sides in place) after the first contraction phase or earlier;
+from there the right side applies the left side's steps to its own
+term instead of searching for them.  A phase's steps depend only on
+the alpha-class of its input, so both normal forms and both traces are
+the ones two `normalize` calls give, and the verdict is Equal exactly
+when the sides met.  Only the two normal forms are closed.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def _lets(t, env, mode, build):
             env[x], env[k] = sty.left, sty.right
         else:
             x, k = t.hint_t, t.hint_x
-            env[k] = tt.inst_tvar(sty.body, tt.TgVarT(x))
+            env[k] = tt.open_exists(sty, x)
         lets.append((t, x, k, env, scrut))
         t = t.body
     return t, lets
@@ -230,6 +232,19 @@ def eq_nameful(
     """
     lty = typecheck_nameful(context, left, mode)
     rty = typecheck_nameful(context, right, mode)
+    return eq_typed(left, lty, right, rty, mode, context)
+
+
+def eq_typed(
+    left: tg.TargetTerm,
+    lty: tt.TargetType,
+    right: tg.TargetTerm,
+    rty: tt.TargetType,
+    mode: str = PLAIN,
+    context: TgContext = (),
+) -> EqVerdict:
+    """eq_nameful of two nameful sides already typed under context, at
+    lty and rty (as `target_typing.resolve_nameful` returns them)."""
     if lty != rty:
         raise TargetTypeMismatch(f"eq_target across types {show(lty)} vs {show(rty)}")
     lnorm, lsteps, rnorm, rsteps, met = normalize_pair(left, right, context, mode)

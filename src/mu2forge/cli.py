@@ -31,7 +31,14 @@ from .surface import (
     parse_target_type,
 )
 from .target_types import NotInImageType
-from .target_typing import PARAMETRIC, PLAIN, TargetTypeError, resolve_packs
+from .target_typing import (
+    PARAMETRIC,
+    PLAIN,
+    TargetTypeError,
+    UnboundTargetVariable,
+    resolve_nameful,
+    resolve_packs,
+)
 
 # A cold call imports only the parse/print/typing core above; each cmd_*
 # imports the layer it runs.  The printers stay imported here by name:
@@ -177,16 +184,17 @@ def cmd_uncps(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    from .canonical import eq_target
+    from .canonical import eq_typed
     from .theory import BETA_ETA, LAMBDA_MU_2P, eq_mu
 
     theory = BETA_ETA if args.theory == "beta-eta" else LAMBDA_MU_2P
     if args.target:
         tctx = _parse_bindings(args.ctx, parse_target_type)
         mode = PARAMETRIC if theory == LAMBDA_MU_2P else PLAIN
-        left, _ = resolve_packs(parse_target_term(args.left), tctx, mode)
-        right, _ = resolve_packs(parse_target_term(args.right), tctx, mode)
-        verdict = eq_target(left, right, mode, tctx)
+        # Each side is typed once, by the walk that resolves its packs.
+        left, lty = resolve_nameful(parse_target_term(args.left), tctx, mode)
+        right, rty = resolve_nameful(parse_target_term(args.right), tctx, mode)
+        verdict = eq_typed(left, lty, right, rty, mode, tctx)
     else:
         left, gamma, delta = _load_mu(args, args.left)
         right = parse_mu_term(args.right)
@@ -357,7 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (MuParseError, MuTypeError, TargetTypeError, CliError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # The exception holds the bare name; the source side words it the same way.
+        message = f"unbound variable {exc}" if isinstance(exc, UnboundTargetVariable) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except RecursionError:
         # Exit 1 means Distinct or NoCertificate; too deep an input is an input error.

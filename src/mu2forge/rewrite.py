@@ -29,9 +29,14 @@ step.  A step at path p leaves every subtree left of p the same object
 under the same typing environment, so each group resumes where its last
 search left off, or at p if that is earlier; the beta group, first in
 every phase, resumes at the contractum and re-tests only its parent.
+A phase's output has no redex of any of its rules, so the next phase
+does not search a group whose rules are all among them until its first
+step lands: phase 2 starts with expand alone, phase 3 with eta alone.
 The focus is a zipper over the term, and the path to the root is
 rebuilt once, when the zipper unwinds.  `_run` states the invariant;
-the test suite checks every step against a search from the root.
+the test suite checks every step against a search from the root.  Type
+facts are computed once per immutable type object (`tt.ftv_memo`,
+`tt.open_exists`), so they hold under every context.
 
 Every applied step is logged as ``rule path``.  `_follow` applies a
 logged step list on the zipper by rule name and path, with these same
@@ -121,7 +126,8 @@ def from_nameful(t: TargetTerm) -> TargetTerm:
 # instance dict beside the record fields; ``==``, ``hash`` and
 # ``repr`` read only the fields.  A rewrite step rebuilds the path to the
 # redex and what the rule builds, so only those nodes lack a set
-# afterwards.
+# afterwards; subst_tatom gives the nodes it rebuilds both sets.  An
+# annotation's type atoms are memoised on the type object.
 
 _ATOMS = "_free_atoms"
 _TATOMS = "_free_tatoms"
@@ -156,12 +162,12 @@ _OWN_ATOMS = {
 _OWN_TATOMS = {
     TgVar: lambda t: _NO_ATOMS,
     Star: lambda t: _NO_ATOMS,
-    TgLam: lambda t: _union(t.body.__dict__[_TATOMS], tt.ftv(t.ann)),
+    TgLam: lambda t: _union(t.body.__dict__[_TATOMS], tt.ftv_memo(t.ann)),
     TgApp: lambda t: _union(t.fn.__dict__[_TATOMS], t.arg.__dict__[_TATOMS]),
     Pair: lambda t: _union(t.left.__dict__[_TATOMS], t.right.__dict__[_TATOMS]),
     LetPair: lambda t: _union(t.scrut.__dict__[_TATOMS], t.body.__dict__[_TATOMS]),
     Pack: lambda t: _union(
-        t.payload.__dict__[_TATOMS], _union(tt.ftv(t.witness), tt.ftv(t.ex_ann))
+        t.payload.__dict__[_TATOMS], _union(tt.ftv_memo(t.witness), tt.ftv_memo(t.ex_ann))
     ),
     LetPack: lambda t: _union(t.scrut.__dict__[_TATOMS], _minus(t.body.__dict__[_TATOMS], t.hint_t)),
 }
@@ -282,21 +288,33 @@ def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
     """Nameful substitution of the type w for the type atom tv.  Only
     nodes whose free type atoms hold tv are rebuilt; every other subtree
     is returned as the same object.  A rebuilt node keeps the term-atom
-    memo of the node it replaces: a type changes no term atom."""
+    memo of the node it replaces, since a type changes no term atom, and
+    gets its type atoms, (old - {tv}) | ftv(w).  Each distinct annotation
+    object that holds tv is substituted once per call."""
     if tv not in free_tatoms(t):
         return t
+    w_atoms, images = tt.ftv_memo(w), {}  # images: id of an annotation -> its image
+
+    def sub(ann: tt.TargetType) -> tt.TargetType:
+        if tv not in tt.ftv_memo(ann):
+            return ann
+        out = images.get(id(ann))
+        if out is None:
+            out = images[id(ann)] = tt.subst_tvar(ann, tv, w)
+        return out
 
     def build(s: TargetTerm, kids: list) -> TargetTerm:
         cls = s.__class__
         if cls is TgLam:
-            out = TgLam(s.hint, tt.subst_tvar(s.ann, tv, w), kids[0])
+            out = TgLam(s.hint, sub(s.ann), kids[0])
         elif cls is Pack:
-            out = Pack(tt.subst_tvar(s.witness, tv, w), kids[0], tt.subst_tvar(s.ex_ann, tv, w))
+            out = Pack(sub(s.witness), kids[0], sub(s.ex_ann))
         else:
             out = with_children(s, kids)
-        atoms = s.__dict__.get(_ATOMS)
-        if atoms is not None:
-            out.__dict__[_ATOMS] = atoms
+        memo, old = out.__dict__, s.__dict__
+        if _ATOMS in old:
+            memo[_ATOMS] = old[_ATOMS]
+        memo[_TATOMS] = _union(_minus(old[_TATOMS], tv), w_atoms)
         return out
 
     return _rebuild(t, tv, free_tatoms, lambda s: None, build)
@@ -340,7 +358,7 @@ def _env_through(t: TargetTerm, i: int, env: dict[str, tt.TargetType]) -> dict[s
         case LetPack(tv, x, scrut, _) if i == 1:
             sty = nameful_synth(scrut, env)
             assert isinstance(sty, tt.Exists), sty
-            return {**env, x: tt.inst_tvar(sty.body, tt.TgVarT(tv))}
+            return {**env, x: tt.open_exists(sty, tv)}
         case _:
             return env
 
@@ -485,7 +503,7 @@ def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...]
                 return False  # an atom outside the patterns, or a body that is one variable
         elif cls is TgLam or cls is Pack:  # a type atom occurs in annotations
             anns = (s.ann,) if cls is TgLam else (s.witness, s.ex_ann)
-            if any(not tt.ftv(a).isdisjoint(atoms) for a in anns):
+            if any(not tt.ftv_memo(a).isdisjoint(atoms) for a in anns):
                 return False
         todo += [kid for kid in children(s) if not atoms_of(kid).isdisjoint(atoms)]
     return found
@@ -695,11 +713,11 @@ ALL_RULES = dict(BETA_RULES + ETA_RULES + HOIST_RULES + STAR_RULES + EXPAND_RULE
 
 def _by_head(group, threads_env: bool = True):
     """A group as the search uses it: per node class, the rules whose head
-    it is, in listed order; whether the search must keep env current; and
-    the same table for the root, which lacks hoist-lam."""
+    it is, in listed order; whether the search must keep env current; the
+    same table for the root, which lacks hoist-lam; and its rule names."""
     rules = {cls: tuple((n, r) for n, r in group if cls in r.heads) for cls in tg.SYNTAX.children}
     root = {cls: tuple(nr for nr in kids if nr[0] != "hoist-lam") for cls, kids in rules.items()}
-    return rules, threads_env, root
+    return rules, threads_env, root, frozenset(n for n, _ in group)
 
 
 _BETA = _by_head(BETA_RULES, threads_env=False)  # no beta rule reads env
@@ -857,10 +875,11 @@ def _search(z: _Zipper, group, resume: tuple[int, ...], mode: str):
     return _scan(z, group, mode)
 
 
-def _run(t, env, mode, groups, steps):
+def _run(t, env, mode, groups, steps, normal=frozenset()):
     """Rewrite t to a normal form of the groups, which are in priority
     order with the beta group first: each step applies the first group
-    that has a redex, at its first redex in preorder.
+    that has a redex, at its first redex in preorder.  No rule named in
+    normal has a redex in t.
 
     Every group but beta keeps a resume path r with the invariant: no
     node before r in preorder, other than an ancestor of r, is a redex of
@@ -872,11 +891,17 @@ def _run(t, env, mode, groups, steps):
     which found nothing before p, resumes at p, and every other group at
     min(r, p), a group whose search has just found nothing counting as
     r = infinity.  For beta, first in every phase, that minimum is always
-    p, where the focus is after the step."""
+    p, where the focus is after the step.  A group whose rules are all in
+    normal has no redex anywhere, so the invariant holds for any r: it
+    starts at r = infinity (None) and is not searched until a step lands.
+    Beta's own resume point stands for its focus, so it is only tested
+    against None."""
     z = _Zipper(t, env)
-    resume: list = [()] * len(groups)  # resume[0] is unused: see above
+    resume: list = [None if group[3] <= normal else () for group in groups]
     for _ in range(MAX_STEPS):
         for g, group in enumerate(groups):
+            if resume[g] is None:
+                continue
             hit = _search_beta(z, mode) if g == 0 else _search(z, group, resume[g], mode)
             if hit is not None:
                 break
@@ -899,6 +924,11 @@ def _phases(mode: str):
     return _contract_groups(mode), _expand_groups(mode), _contract_groups(mode)
 
 
+def _covered(groups) -> frozenset:
+    """The rule names of the groups: none has a redex in a phase's output."""
+    return frozenset().union(*(group[3] for group in groups))
+
+
 def normalize_nameful(
     t: TargetTerm, env: dict[str, tt.TargetType], mode: str
 ) -> tuple[TargetTerm, list[RewriteStep]]:
@@ -910,8 +940,10 @@ def normalize_nameful(
     canonical representative for provably equal inputs.
     """
     steps: list[RewriteStep] = []
+    normal = frozenset()
     for groups in _phases(mode):
-        t = _run(t, env, mode, groups, steps)
+        t = _run(t, env, mode, groups, steps, normal)
+        normal = _covered(groups)
     return t, steps
 
 
@@ -989,9 +1021,10 @@ def normalize_pair(
     lsteps: list[RewriteStep] = []
     rsteps: list[RewriteStep] = []
     met = "inputs" if tg.nameful_equal(lt, rt) else None
+    normal = frozenset()  # both sides are normal for these rules
     for phase, groups in enumerate(_phases(mode), 1):
         start = len(lsteps)
-        lt = _run(lt, env, mode, groups, lsteps)
+        lt = _run(lt, env, mode, groups, lsteps, normal)
         if met is not None:
             z = _Zipper(rt, env)
             try:
@@ -1003,9 +1036,10 @@ def normalize_pair(
         elif tg.nameful_equal(lt, rt):
             met = f"ahead {phase}"
         else:
-            rt = _run(rt, env, mode, groups, rsteps)
+            rt = _run(rt, env, mode, groups, rsteps, normal)
             if tg.nameful_equal(lt, rt):
                 met = f"outputs {phase}"
+        normal = _covered(groups)
     return from_nameful(lt), lsteps, from_nameful(rt), rsteps, met
 
 

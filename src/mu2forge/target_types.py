@@ -83,6 +83,31 @@ def subst_tvar(ty: TargetType, name: str, rep: TargetType) -> TargetType:
     return SYNTAX.subst(TVAR, ty, {name: rep})
 
 
+# Memos of pure functions of a type object, kept in its instance dict
+# beside the record fields (``==``, ``hash`` and ``repr`` read only the
+# fields).  A type is immutable, so a memo never goes stale, whatever
+# context the type is later read under.
+
+
+def ftv_memo(ty: TargetType) -> frozenset[str]:
+    """ftv(ty), computed once per type object."""
+    memo = ty.__dict__
+    atoms = memo.get("_ftv")
+    if atoms is None:
+        atoms = memo["_ftv"] = ftv(ty)
+    return atoms
+
+
+def open_exists(ex: Exists, atom: str) -> TargetType:
+    """The body of ex opened at the type atom, inst_tvar(ex.body,
+    TgVarT(atom)), computed once per (Exists object, atom)."""
+    opened = ex.__dict__.setdefault("_opened", {})
+    body = opened.get(atom)
+    if body is None:
+        body = opened[atom] = inst_tvar(ex.body, TgVarT(atom))
+    return body
+
+
 # ---------------------------------------------------------------------------
 # The image of the type translation.  sigma-degree types are
 #   X | not a /\ b | exists X. a      (a, b again in the image)

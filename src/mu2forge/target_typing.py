@@ -5,10 +5,10 @@ constant Star at type exists X. X.
 
 One walk types a nameful term (see `target_terms`), `_synth`:
 `typecheck_nameful` runs it alone, `typecheck_target` opens a locally
-closed term first, and `resolve_packs` opens a term, runs the walk
-rebuilding each node from its rebuilt children and closes the result,
-so that target input whose packs the reader left unannotated is typed
-and resolved in one linear pass on an explicit stack.
+closed term first, and `resolve_nameful` opens a term and runs the walk
+rebuilding each node from its rebuilt children, so that target input
+whose packs the reader left unannotated is typed and resolved in one
+linear pass on an explicit stack; `resolve_packs` closes its result.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .target_types import (
     TgVarT,
     ftv,
     inst_tvar,
+    open_exists,
 )
 from .target_terms import (
     LetPack,
@@ -94,8 +95,16 @@ def resolve_packs(
     The existential of  <t | M>  generalises every occurrence of t in the
     type of M (the documented default; write  <t | M : T>  when another
     existential is meant)."""
-    made, ty = _synth(context, to_nameful(term), mode, True)
+    made, ty = resolve_nameful(term, context, mode)
     return close_binders(made, base_name), ty
+
+
+def resolve_nameful(
+    term: TargetTerm, context: TgContext, mode: str = PLAIN
+) -> tuple[TargetTerm, TargetType]:
+    """resolve_packs without the final close: the resolved term in
+    nameful form, ready for the kernel, and its type."""
+    return _synth(context, to_nameful(term), mode, True)
 
 
 def _generalise(ty: TargetType, witness: TargetType, depth: int = 0) -> TargetType:
@@ -183,7 +192,7 @@ def _synth(
                     if not isinstance(ty, Exists):
                         raise TargetTypeMismatch(f"let-pack scrutinee has type {display(ty)}")
                     tvars.add(term.hint_t)
-                    types[term.hint_x] = inst_tvar(ty.body, TgVarT(term.hint_t))
+                    types[term.hint_x] = open_exists(ty, term.hint_t)
                 todo.append((term, (made,)))
                 todo.append(term.body)
                 continue

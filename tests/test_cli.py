@@ -342,10 +342,16 @@ def test_no_canonical_form_exit_2(argv, message):
         (["cps", "--ctx", "x:s", "--names", "b:t", "[b] x"], "named term has type s but name b expects t"),
         (["typecheck", "--ctx", "x:s", "mu a:t. [a] x"], "named term has type s but name a expects t"),
         (["eq", "--ctx", "x:s, y:t", "x", "y"], "equation across types s vs t"),
+        (["eq", "--target", "--ctx", "x:s, y:t", "x", "y"], "eq_target across types s vs t"),
         (["focal-check", "--source", "s", "--to", "t", r"\x:s. x"], "subject has type s → s, expected s → t"),
+        (["typecheck", "--target", "x"], "unbound variable x"),
+        (["normalize", "--target", "x"], "unbound variable x"),
+        (["eq", "--target", "--ctx", "k:R", "k", "y"], "unbound variable y"),
+        (["uncps", "--ctx", "x:s", "y"], "unbound variable y"),
     ],
     ids=["target_typing", "mu_typing", "cps", "cps-unbound-variable", "cps-unbound-name", "cps-non-arrow",
-         "cps-non-forall", "cps-named-term", "mu-bound-name", "theory", "focality"],
+         "cps-non-forall", "cps-named-term", "mu-bound-name", "theory", "canonical", "focality",
+         "typecheck-target-unbound", "normalize-target-unbound", "eq-target-unbound", "uncps-unbound"],
 )
 def test_type_errors_print_surface_syntax(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -3,10 +3,16 @@
 `rewrite` keeps, per nameful node object, its free term atoms and its
 free type atoms, filled from one function per node class, and a type
 substitution hands each node it rebuilds the term atoms of the node it
-replaces.  Here every memo on the result of each phase is compared with
-the free atoms of the node closed back to locally nameless form, which
-shares no code with the memos.
+replaces and the type atoms (old - {tv}) | ftv(w).  Here every memo on
+the result of each phase, and on the contractum of each beta-pack step,
+is compared with the free atoms of the node closed back to locally
+nameless form, which shares no code with the memos.  The memos that
+`target_types` keeps on type objects (free type atoms, and the opened
+body of an existential per atom) are compared with `tt.ftv` and
+`tt.inst_tvar`.
 """
+
+from itertools import chain
 
 import pytest
 
@@ -77,3 +83,78 @@ def test_type_substitution_keeps_term_atom_memos():
         assert new.__dict__["_free_atoms"] is old.__dict__["_free_atoms"]
     assert check_memos(out) == 8
     assert rewrite.free_tatoms(out) == {"s"}
+
+
+def type_objects(types):
+    """Every type object in types and below them, each once."""
+    todo, seen = list(types), set()
+    while todo:
+        ty = todo.pop()
+        if id(ty) not in seen:
+            seen.add(id(ty))
+            yield ty
+            todo.extend(v for v in vars(ty).values() if isinstance(v, tt.TargetType))
+            todo.extend(vars(ty).get("_opened", {}).values())
+
+
+def annotations(t):
+    for node in nodes(t):
+        if isinstance(node, tg.TgLam):
+            yield node.ann
+        elif isinstance(node, tg.Pack):
+            yield from (node.witness, node.ex_ann)
+
+
+def check_type_memos(types) -> tuple[int, int]:
+    """Check every type memo below types; returns how many ftv and
+    opened-body memos were checked."""
+    atoms = opened = 0
+    for ty in type_objects(types):
+        memo = vars(ty)
+        if "_ftv" in memo:
+            assert memo["_ftv"] == tt.ftv(ty), ty
+            atoms += 1
+        for atom, body in memo.get("_opened", {}).items():
+            # repr shows the hints of existentials, which == skips
+            assert repr(body) == repr(tt.inst_tvar(ty.body, tt.TgVarT(atom))), (ty, atom)
+            opened += 1
+    return atoms, opened
+
+
+@pytest.mark.parametrize("mode", [PLAIN, PARAMETRIC])
+def test_type_memos_match_a_computation_from_scratch(mode):
+    atoms = opened = 0
+    for label, term, env in chain(catalog_images(), numeral_images(), generated_images()):
+        t = rewrite.to_nameful(term)
+        types = [*annotations(t), *env.values()]
+        normal, _ = rewrite.normalize_nameful(t, env, mode)
+        try:
+            a, o = check_type_memos([*types, *annotations(normal)])
+        except AssertionError as failure:
+            raise AssertionError(f"{label}: {failure}") from None
+        atoms, opened = atoms + a, opened + o
+    assert atoms > 100 and opened > 10
+
+
+@pytest.mark.parametrize("mode", [PLAIN, PARAMETRIC])
+def test_beta_pack_contractum_memos(monkeypatch, mode):
+    """Replay each image's trace, checking every memo on the contractum
+    of each beta-pack step: the nodes that subst_tatom rebuilt carry
+    their type atoms from the start."""
+    real, rebuilt = rewrite.ALL_RULES["beta-pack"], [0]
+
+    def checked(t, env, mode):
+        out = real(t, env, mode)
+        before = {id(node) for node in nodes(t)}
+        rebuilt[0] += sum("_free_tatoms" in vars(node) for node in nodes(out) if id(node) not in before)
+        check_memos(out)
+        return out
+
+    monkeypatch.setitem(rewrite.ALL_RULES, "beta-pack", checked)
+    for label, term, env in chain(catalog_images(), numeral_images()):
+        _, steps = rewrite.normalize(term, tuple(env.items()), mode)
+        try:
+            rewrite.replay(term, steps, tuple(env.items()), mode)
+        except AssertionError as failure:
+            raise AssertionError(f"{label}: {failure}") from None
+    assert rebuilt[0] > 10

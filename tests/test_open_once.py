@@ -9,9 +9,11 @@ import pytest
 from mu2forge import canonical, inverse, rewrite, target_typing
 from mu2forge import target_terms as tg
 from mu2forge.canonical import PROGRAM, canonicalize
+from mu2forge.cli import main
 from mu2forge.combinators import church
 from mu2forge.cps import cps_term_typed
 from mu2forge.inverse import invert_term
+from mu2forge.printer import print_target_term
 from mu2forge.target_typing import PLAIN
 
 
@@ -50,3 +52,20 @@ def test_roundtrip_opens_the_form_once(opened):
     opened.clear()
     assert inverse.roundtrip(form).equal
     assert len(opened) == 1 and opened[0] is form.term
+
+
+def test_eq_target_types_each_side_once(opened, monkeypatch, capsys):
+    """`eq --target` hands each side's pack-resolving walk, its nameful
+    rebuild and its type, on to the decision: one opening and one typing
+    walk per side."""
+    real, walks = target_typing._synth, []
+
+    def counted(*args):
+        walks.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(target_typing, "_synth", counted)
+    image = print_target_term(cps_term_typed((), (), church(300))[0])
+    assert main(["eq", "--target", image, image]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Equal"
+    assert len(walks) == 2 and len(opened) == 2
