@@ -16,8 +16,10 @@ clause found to an optional builder: `classify` runs it with none, and
 It runs on the nameful form (see `target_terms`), where each binder's
 atom is its hint and unique, so one environment serves every scope, and
 it types answer heads and let scrutinees with `rewrite.nameful_synth`.
-`canonicalize` opens its input, normalises and walks it, and closes the
-normal form: one conversion each way.
+One pipeline, `_canonical`, types a nameful term unless its type is
+given, normalises it and walks the normal form: `canonicalize_nameful`
+closes only that normal form, `inverse.invert_nameful` closes nothing,
+and `canonicalize` opens a locally closed input once.
 
 Equality is alpha-identity of canonical forms.  An Equal verdict is
 sound as far as every rule of the rewrite engine is an instance, or a
@@ -96,18 +98,30 @@ class EqVerdict:
 
 
 def canonicalize(
-    term: tg.TargetTerm,
-    type_: tt.TargetType | None = None,
-    mode: str = PLAIN,
-    context: TgContext = (),
+    term: tg.TargetTerm, type_: tt.TargetType | None = None, mode: str = PLAIN, context: TgContext = ()
 ) -> CanonicalForm:
-    """Normalise and classify a term at a translated type (or R)."""
-    t = tg.to_nameful(term)
+    """canonicalize_nameful of a locally closed term, opened once."""
+    return canonicalize_nameful(tg.to_nameful(term), type_, mode, context)
+
+
+def canonicalize_nameful(
+    t: tg.TargetTerm, type_: tt.TargetType | None = None, mode: str = PLAIN, context: TgContext = ()
+) -> CanonicalForm:
+    """Normalise and classify a nameful term at a translated type (or R);
+    the form holds its normal form closed."""
+    normal, steps, type_, kind, _ = _canonical(t, type_, mode, context)
+    return CanonicalForm(kind, from_nameful(normal), type_, mode, tuple(steps))
+
+
+def _canonical(t, type_, mode, context, build=None):
+    """Type nameful t unless type_ is given, normalise it and walk its
+    normal form once with build: the nameful normal form, its steps, its
+    type, its kind and what build made of it."""
     if type_ is None:
         type_ = typecheck_nameful(context, t, mode)
     normal, steps = normalize_nameful(t, dict(context), mode)
-    kind = _walk(normal, type_, mode, context)[0]
-    return CanonicalForm(kind, from_nameful(normal), type_, mode, tuple(steps))
+    kind, out = _walk(normal, type_, mode, context, build)
+    return normal, steps, type_, kind, out
 
 
 def classify(

@@ -37,7 +37,6 @@ from .target_typing import (
     TargetTypeError,
     UnboundTargetVariable,
     resolve_nameful,
-    resolve_packs,
 )
 
 # A cold call imports only the parse/print/typing core above; each cmd_*
@@ -107,7 +106,7 @@ def _load_mu(args, text: str) -> tuple[tm.MuTerm, tuple, tuple]:
 def cmd_typecheck(args) -> int:
     if args.target:
         tctx = _parse_bindings(args.ctx, parse_target_type)
-        _, ty = resolve_packs(parse_target_term(args.expr), tctx, args.mode)
+        _, ty = resolve_nameful(parse_target_term(args.expr), tctx, args.mode)
         print(print_target_type(ty))
         return 0
     term, gamma, delta = _load_mu(args, args.expr)
@@ -138,19 +137,19 @@ def _no_canonical_form(exc: Exception) -> CliError:
 
 
 def cmd_normalize(args) -> int:
-    from .canonical import NotCanonical, canonicalize
-    from .cps import cps_context, cps_term_typed
+    from .canonical import NotCanonical, canonicalize_nameful
+    from .cps import cps_context, translate
 
     mode = PARAMETRIC if args.mode == "parametric" else PLAIN
     if args.target:
         tctx = _parse_bindings(args.ctx, parse_target_type)
-        term, type_ = resolve_packs(parse_target_term(args.expr), tctx, mode)
+        term, type_ = resolve_nameful(parse_target_term(args.expr), tctx, mode)
     else:
         source, gamma, delta = _load_mu(args, args.expr)
-        term, _ = cps_term_typed(gamma, delta, source)
+        term, _ = translate(gamma, delta, source)
         tctx, type_ = cps_context(gamma, delta), None
     try:
-        form = canonicalize(term, type_, mode, tctx)
+        form = canonicalize_nameful(term, type_, mode, tctx)
     except (NotCanonical, NotInImageType) as exc:
         raise _no_canonical_form(exc) from exc
     print(print_target_term(form.term))
@@ -164,15 +163,15 @@ def cmd_normalize(args) -> int:
 def cmd_uncps(args) -> int:
     from .canonical import CONTINUATION, NotCanonical
     from .cps import cps_context
-    from .inverse import invert_term
+    from .inverse import invert_nameful
 
     gamma = _parse_bindings(args.ctx, parse_mu_type)
     delta = _parse_bindings(args.names, parse_mu_type)
     check_contexts(gamma, delta)
     tctx = cps_context(gamma, delta)
-    term, type_ = resolve_packs(parse_target_term(args.expr), tctx, PLAIN)
+    term, type_ = resolve_nameful(parse_target_term(args.expr), tctx, PLAIN)
     try:
-        kind, result = invert_term(term, type_, tctx)
+        kind, result = invert_nameful(term, type_, tctx)
     except (NotCanonical, NotInImageType) as exc:
         raise _no_canonical_form(exc) from exc
     continuation = kind == CONTINUATION
@@ -197,10 +196,7 @@ def cmd_eq(args) -> int:
         verdict = eq_typed(left, lty, right, rty, mode, tctx)
     else:
         left, gamma, delta = _load_mu(args, args.left)
-        right = parse_mu_term(args.right)
-        right = _resolve_catalog_names(
-            right, {n for n, _ in gamma} | {n for n, _ in delta}
-        )
+        right = _load_mu(args, args.right)[0]
         verdict = eq_mu(left, right, theory, gamma, delta)
     if args.trace:
         for step in verdict.left_trace:

@@ -128,9 +128,10 @@ class SoundnessReport:
 
 
 def check_type_soundness(judgement: MuJudgement) -> SoundnessReport:
-    """Re-derive the translated judgement with the target typechecker."""
-    source_type = judgement.check()
-    image, _ = translate(judgement.gamma, judgement.delta, judgement.subject)
+    """Re-derive the translated judgement with the target typechecker;
+    the translation's walk is the one typing of the subject."""
+    image, source_type = translate(judgement.gamma, judgement.delta, judgement.subject)
+    judgement.agree(source_type)
     tctx = cps_context(judgement.gamma, judgement.delta)
     target_type = typecheck_nameful(tctx, image)
     expected = tt.Neg(cps_type(source_type))

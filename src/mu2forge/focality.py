@@ -11,6 +11,9 @@ The extractor is deliberately conservative: a transformer that uses k
 non-linearly or buries it inside a program component is rejected even
 though such factorisations exist (the Peirce combinator produces one),
 so NoCertificate is inconclusive rather than a disproof.
+
+`check_focal` hands the nameful image of f x to
+`canonicalize_nameful` and closes only its canonical form.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ from . import mu_types as mt
 from . import mu_terms as tm
 from . import target_terms as tg
 from . import target_types as tt
-from .canonical import EqVerdict, canonicalize
+from .canonical import EqVerdict, canonicalize_nameful
 from .combinators import abort, compose, dne, peirce
-from .cps import cps_context, cps_term_typed
-from .mu_typing import Context, MuTypeError
+from .cps import cps_context, cps_type, translate
+from .mu_typing import Context, MuTypeError, typecheck_mu
 from .record import field, record
 from .rewrite import RewriteStep
-from .target_typing import PLAIN
+from .target_typing import PLAIN, typecheck_target
 from .theory import LAMBDA_MU_2P, eq_mu
 
 
@@ -57,7 +60,7 @@ def check_focal(
     delta: Context = (),
 ) -> FocalityCertificate | NoCertificate:
     """Try to extract a continuation transformer certifying focality."""
-    _, fty = cps_term_typed(gamma, delta, f)
+    fty = typecheck_mu(gamma, delta, f)
     if fty != mt.Arrow(s1, s2):
         # imported where used, as in certificate_to_dict: perfbench's tracer wraps
         # a module-level name, which would add this module's printing to its counts
@@ -66,8 +69,8 @@ def check_focal(
         want = print_mu_type(mt.Arrow(s1, s2))
         raise MuTypeError(f"subject has type {print_mu_type(fty)}, expected {want}")
     x = tm.fresh("x")
-    target, _ = cps_term_typed(gamma + ((x, s1),), delta, tm.App(f, tm.Var(x)))
-    form = canonicalize(target, None, PLAIN, cps_context(gamma + ((x, s1),), delta))
+    image, _ = translate(gamma + ((x, s1),), delta, tm.App(f, tm.Var(x)))
+    form = canonicalize_nameful(image, None, PLAIN, cps_context(gamma + ((x, s1),), delta))
     term = form.term
     k = tm.fresh("k")
     if term == tg.TgVar(x):
@@ -104,9 +107,6 @@ def validate_certificate(
     The evidence must check at not s2deg with the subject's argument at
     not s1deg in context, and its body must be exactly the argument
     applied to the transformer.  Failures raise (bug sentinel)."""
-    from .cps import cps_type
-    from .target_typing import typecheck_target
-
     ev = cert.evidence
     if argument is None:
         bound = {n for n, _ in gamma} | {n for n, _ in delta}
@@ -132,7 +132,9 @@ def validate_certificate(
 
 
 def _linear_spine(g: tg.TargetTerm, k: str) -> bool:
-    """k occurs exactly once, threaded through continuation positions only."""
+    """k occurs exactly once, threaded through continuation positions
+    only.  k is a free atom, so a let's body is read unopened: its
+    dangling indices are never k."""
     if g == tg.TgVar(k):
         return True
     match g:
@@ -140,23 +142,10 @@ def _linear_spine(g: tg.TargetTerm, k: str) -> bool:
             return k not in tg.free_vars(left) and _linear_spine(right, k)
         case tg.Pack(_, payload, _):
             return _linear_spine(payload, k)
-        case tg.LetPair(_, _, scrut, body):
-            if k in tg.free_vars(scrut):
-                return False
-            return _linear_spine_body(body, k, nvars=2)
-        case tg.LetPack(_, _, scrut, body):
-            if k in tg.free_vars(scrut):
-                return False
-            return _linear_spine_body(body, k, nvars=1)
+        case tg.LetPair(_, _, scrut, body) | tg.LetPack(_, _, scrut, body):
+            return k not in tg.free_vars(scrut) and _linear_spine(body, k)
         case _:
             return False
-
-
-def _linear_spine_body(body: tg.TargetTerm, k: str, nvars: int) -> bool:
-    opened = body
-    for _ in range(nvars):
-        opened = tg.open_var(opened, tm.fresh("v"))
-    return _linear_spine(opened, k)
 
 
 def certified_equal(cert: FocalityCertificate, other: FocalityCertificate) -> bool:

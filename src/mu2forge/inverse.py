@@ -3,8 +3,8 @@
 `invert` runs `canonical`'s walk of the grammar with a builder that
 reads each clause back: Programs invert to terms, Continuations to
 one-hole contexts with a typed hole, Answers to terms of the falsity
-type.  `invert_term` opens a term of a given type once, normalises it
-and runs that walk on its nameful normal form, once.  Hole filling is
+type.  `invert_nameful` runs `canonical`'s pipeline with that builder
+on a nameful term, and `invert_term` opens a closed one first.  Hole filling is
 capture-permitting: the let clauses bind the variables and names of the
 filled term, so contexts are represented as closures that construct the
 binders around the hole.
@@ -18,12 +18,11 @@ from . import mu_terms as tm
 from . import mu_types as mt
 from . import target_terms as tg
 from . import target_types as tt
-from .canonical import PROGRAM, CanonicalForm, NotCanonical, _walk, eq_nameful
+from .canonical import PROGRAM, CanonicalForm, NotCanonical, _canonical, _walk, eq_nameful
 from .cps import translate
 from .mu_typing import Context
 from .printer import print_target_type as show
 from .record import record
-from .rewrite import normalize_nameful
 from .target_types import uncps_type
 from .target_typing import PLAIN, TgContext
 
@@ -69,10 +68,14 @@ def _invert(form: CanonicalForm, term: tg.TargetTerm, context: TgContext):
 
 
 def invert_term(term: tg.TargetTerm, type_: tt.TargetType, context: TgContext = ()):
-    """Normalise a term of type type_ in plain mode and invert its
+    """invert_nameful of a locally closed term, opened once."""
+    return invert_nameful(tg.to_nameful(term), type_, context)
+
+
+def invert_nameful(t: tg.TargetTerm, type_: tt.TargetType, context: TgContext = ()):
+    """Normalise a nameful term of type type_ in plain mode and invert its
     canonical form, in one walk of the grammar: its kind and its inverse."""
-    normal, _ = normalize_nameful(tg.to_nameful(term), dict(context), PLAIN)
-    return _walk(normal, type_, PLAIN, context, _Inverse())
+    return _canonical(t, type_, PLAIN, context, _Inverse())[3:]
 
 
 class _Inverse:

@@ -83,7 +83,10 @@ class MuJudgement:
     type: MuType = field(default=None)  # type: ignore[assignment]
 
     def check(self) -> MuType:
-        got = typecheck_mu(self.gamma, self.delta, self.subject)
+        return self.agree(typecheck_mu(self.gamma, self.delta, self.subject))
+
+    def agree(self, got: MuType) -> MuType:
+        """got, the subject's synthesised type, checked against the annotation."""
         if self.type is not None and got != self.type:
             raise TypeMismatch(f"judgement annotated {show(self.type)} but synthesised {show(got)}")
         return got

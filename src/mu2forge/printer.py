@@ -286,38 +286,64 @@ def _atom(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _free_under(t, out: dict) -> frozenset:
-    """The free atoms (namespace, atom) of t, in one bottom-up pass; out
-    maps the id of each binding node to those of its children under it."""
-    _, leaf, get, hints, kids = _PLANS[t.__class__]
-    if leaf is not None:
-        return _NO_ATOMS if leaf.bound else frozenset(((leaf.ns, t.name),))
-    acc = under = _NO_ATOMS
-    for (inside, _), v in zip(kids, get(t)[len(hints):]):
-        if atoms := _free_under(v, out):
-            acc |= atoms
-            if inside:
-                under |= atoms
-    if hints:
-        out[id(t)] = under
-    return acc
+def _free_under(node, out: dict) -> frozenset:
+    """The free atoms (namespace, atom) of node, in one bottom-up pass on
+    an explicit stack; out maps the id of each binding node to those of
+    its children under it."""
+    done: list[frozenset] = []  # the free atoms of each finished subtree
+    todo: list = [(node, False)]
+    while todo:
+        t, children_done = todo.pop()
+        _, leaf, get, hints, kids = _PLANS[t.__class__]
+        if leaf is not None:
+            done.append(_NO_ATOMS if leaf.bound else frozenset(((leaf.ns, t.name),)))
+        elif not children_done:
+            todo.append((t, True))
+            todo.extend((v, False) for v in reversed(get(t)[len(hints):]))
+        else:
+            start = len(done) - len(kids)
+            acc = under = _NO_ATOMS
+            for (inside, _), atoms in zip(kids, done[start:]):
+                if atoms:
+                    acc |= atoms
+                    if inside:
+                        under |= atoms
+            del done[start:]
+            if hints:
+                out[id(t)] = under
+            done.append(acc)
+    return done[0]
 
 
 def sexpr(node) -> str:
-    """The s-expression of a type or term of either calculus.  A binder
-    takes the first display name that no binder of its namespace in scope
-    holds and no free atom of that namespace under it uses."""
+    """The s-expression of a type or term of either calculus, written on
+    an explicit stack.  A binder takes the first display name that no
+    binder of its namespace in scope holds and no free atom of that
+    namespace under it uses."""
     under: dict[int, frozenset] = {}
     _free_under(node, under)
     names = (Names(), Names(), Names())  # per namespace
     out: list[str] = []
-
-    def go(t):
-        tag, leaf, get, hints, kids = _PLANS[t.__class__]
+    todo: list = [node]  # nodes, text, and (hold, picked) around a child under binders
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is str:
+            out.append(t)
+            continue
+        if cls is tuple:
+            hold, picked = t
+            for ns, p in picked:
+                if hold:
+                    names[ns].hold(*p)
+                else:
+                    names[ns].release()
+            continue
+        tag, leaf, get, hints, kids = _PLANS[cls]
         if leaf is not None:
             atom = _atom(names[leaf.ns].scope[-1 - t.index][0] if leaf.bound else t.name)
             out.append(atom if tag is None else f"({tag} {atom})")
-            return
+            continue
         vals = get(t)
         picked = []  # per hint: its namespace and (base, name, start)
         for i, ns, base in hints:  # a later hint avoids the earlier ones
@@ -325,18 +351,9 @@ def sexpr(node) -> str:
             picked.append((ns, names[ns].pick(vals[i], base, avoid)))
         out.append(f"({tag}")
         out.extend(f" {_atom(p[1])}" for _, p in picked)
-        for (inside, _), v in zip(kids, vals[len(hints):]):
-            out.append(" ")
-            if inside:
-                for ns, p in picked:
-                    names[ns].hold(*p)
-            go(v)
-            if inside:
-                for ns, _ in picked:
-                    names[ns].release()
-        out.append(")")
-
-    go(node)
+        todo.append(")")
+        for (inside, _), v in reversed(tuple(zip(kids, vals[len(hints):]))):
+            todo.extend(((False, picked), v, (True, picked), " ") if inside else (v, " "))
     return "".join(out)
 
 

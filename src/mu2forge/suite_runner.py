@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import mu_terms as tm
 from . import mu_types as mt
-from .canonical import canonicalize
+from .canonical import canonicalize_nameful
 from .combinators import (
     TypeScheme,
     abort,
@@ -44,7 +44,7 @@ from .cps import (
     check_subst_type_in_type,
     check_type_soundness,
     cps_context,
-    cps_term_typed,
+    translate,
 )
 from .focality import (
     NoCertificate,
@@ -53,7 +53,7 @@ from .focality import (
     check_repeatable,
 )
 from .inverse import roundtrip
-from .mu_typing import MuJudgement, ctx, judge
+from .mu_typing import MuJudgement, ctx
 from .record import record
 from .relations import free_theorem, instantiate_graph, open_obligations, print_formula
 from .target_typing import PLAIN
@@ -107,12 +107,12 @@ def criterion_1_type_soundness(seed: int = 20240, generated: int = 1000) -> Crit
     s = seed
     while count < generated:
         try:
-            gamma, delta, term, _ = gen_judgement(s, budget=6)
+            gamma, delta, term, ty = gen_judgement(s, budget=6)
         except GaveUp:
             s += 1
             continue
         try:
-            check_type_soundness(judge(gamma, delta, term))
+            check_type_soundness(MuJudgement(gamma, delta, term, ty))
         except Exception as exc:  # noqa: BLE001
             failures.append(f"seed {s}: {exc}")
         count += 1
@@ -163,8 +163,8 @@ def criterion_3_fullness() -> CriterionResult:
     for entry in catalog():
         gamma = _entry_gamma(entry)
         tctx = cps_context(gamma, ())
-        target, _ = cps_term_typed(gamma, (), entry.term)
-        form = canonicalize(target, None, PLAIN, tctx)
+        image, _ = translate(gamma, (), entry.term)
+        form = canonicalize_nameful(image, None, PLAIN, tctx)
         if not roundtrip(form, tctx).equal:
             bad.append(entry.name)
     return CriterionResult(

@@ -4,7 +4,7 @@ ASCII spellings:  \\x:t. M,  /\\X. M,  M N,  M [t],  mu a:t. [b] M,
 mu* a:t. M (bold mu),  [b] M (named term),  bot,  not t,  forall X. t,
 t -> t;  target adds  R,  t /\\ t,  exists X. t,  <M, N>,  <t | M>
 (pack, optionally <t | M : T> with its existential type, which
-target_typing.resolve_packs infers when it is left out),  let <x,y> =
+target_typing.resolve_nameful infers when it is left out),  let <x,y> =
 M in N,  let <X,x> = M in N (pack elimination when the first binder is
 capitalised),  * (Star).  The printers' UTF-8 spellings are accepted as
 synonyms, so parse(print(t)) = t.
@@ -382,9 +382,10 @@ def parse_target_type(text: str) -> tt.TargetType:
 
 # ---------------------------------------------------------------------------
 # Target terms.  An unannotated pack carries ex_ann=None until
-# target_typing.resolve_packs types the term and fills it in.  The reader
+# target_typing.resolve_nameful types the term and fills it in.  The reader
 # builds the term nameful (binders hold their source names) and closes it
-# once.
+# once, which resolves each occurrence of a shadowed name to its innermost
+# binder; resolve_nameful then opens it to unique atoms for the kernel.
 
 
 def _tg_term(p: _Parser) -> tg.TargetTerm:

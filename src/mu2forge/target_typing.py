@@ -8,7 +8,8 @@ One walk types a nameful term (see `target_terms`), `_synth`:
 closed term first, and `resolve_nameful` opens a term and runs the walk
 rebuilding each node from its rebuilt children, so that target input
 whose packs the reader left unannotated is typed and resolved in one
-linear pass on an explicit stack; `resolve_packs` closes its result.
+linear pass on an explicit stack.  The rebuild stays nameful: the
+commands hand it to the kernel as it is, and close only what they print.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .target_terms import (
     TgApp,
     TgLam,
     TgVar,
-    close_binders,
     to_nameful,
 )
 from .mu_terms import base_name
@@ -79,7 +79,7 @@ def tg_ctx(*pairs: tuple[str, TargetType]) -> TgContext:
 
 def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) -> TargetType:
     """The type of a locally closed term under context.  Every pack must
-    carry its existential; resolve_packs fills in those the reader left out."""
+    carry its existential; resolve_nameful fills in those the reader left out."""
     return _synth(context, to_nameful(term), mode, False)[1]
 
 
@@ -88,22 +88,13 @@ def typecheck_nameful(context: TgContext, term: TargetTerm, mode: str = PLAIN) -
     return _synth(context, term, mode, False)[1]
 
 
-def resolve_packs(
-    term: TargetTerm, context: TgContext, mode: str = PLAIN
-) -> tuple[TargetTerm, TargetType]:
-    """term with each missing pack annotation filled in, and its type.
-    The existential of  <t | M>  generalises every occurrence of t in the
-    type of M (the documented default; write  <t | M : T>  when another
-    existential is meant)."""
-    made, ty = resolve_nameful(term, context, mode)
-    return close_binders(made, base_name), ty
-
-
 def resolve_nameful(
     term: TargetTerm, context: TgContext, mode: str = PLAIN
 ) -> tuple[TargetTerm, TargetType]:
-    """resolve_packs without the final close: the resolved term in
-    nameful form, ready for the kernel, and its type."""
+    """The locally closed term opened to the nameful form with each missing
+    pack annotation filled in, and its type.  The existential of  <t | M>
+    generalises every occurrence of t in the type of M (the documented
+    default; write  <t | M : T>  when another existential is meant)."""
     return _synth(context, to_nameful(term), mode, True)
 
 

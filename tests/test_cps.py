@@ -6,7 +6,8 @@ from mu2forge import mu_terms as tm
 from mu2forge import mu_types as mt
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
-from mu2forge.combinators import dne
+from mu2forge import cps, mu_typing
+from mu2forge.combinators import catalog, dne
 from mu2forge.cps import (
     check_subst_term_in_term,
     check_subst_type_in_term,
@@ -15,7 +16,9 @@ from mu2forge.cps import (
     cps_term_typed,
     cps_type,
 )
-from mu2forge.mu_typing import TypeMismatch, ctx, judge
+from mu2forge.mu_typing import MuJudgement, TypeMismatch, ctx, judge
+from mu2forge.printer import print_mu_type
+from mu2forge.suite_runner import _entry_gamma
 from mu2forge.theory import GaveUp, gen_type, gen_typed_term
 
 A, B = mt.TVar("a"), mt.TVar("b")
@@ -52,6 +55,38 @@ def test_type_soundness_examples():
     check_type_soundness(
         judge(ctx(("m", B)), ctx(("b", B)), tm.mu("a", A, "b", tm.Var("m")))
     )
+
+
+def test_soundness_types_the_subject_once(monkeypatch):
+    """The translation's walk is the one typing of the subject."""
+    entry = catalog()[0]
+    judgement = MuJudgement(_entry_gamma(entry), (), entry.term, entry.type)
+    real, walks = mu_typing._synth, []
+
+    def counted(*args):
+        walks.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(mu_typing, "_synth", counted)
+    monkeypatch.setattr(cps, "_synth", counted)
+    report = check_type_soundness(judgement)
+    assert report.source_type == entry.type
+    assert walks == [entry.term]
+
+
+def test_soundness_refuses_a_wrong_annotation():
+    """A catalog entry annotated with another type fails as the
+    judgement's own check fails, with the same message."""
+    entry = catalog()[0]
+    wrong = mt.Arrow(entry.type, A)
+    judgement = MuJudgement(_entry_gamma(entry), (), entry.term, wrong)
+    message = f"judgement annotated {print_mu_type(wrong)} but synthesised {print_mu_type(entry.type)}"
+    with pytest.raises(TypeMismatch) as checked:
+        judgement.check()
+    assert str(checked.value) == message
+    with pytest.raises(TypeMismatch) as translated:
+        check_type_soundness(judgement)
+    assert str(translated.value) == message
 
 
 def test_ill_typed_propagates():

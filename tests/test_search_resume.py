@@ -22,7 +22,7 @@ from mu2forge.combinators import catalog, church_succ, church_zero
 from mu2forge.cps import cps_context, cps_term_typed
 from mu2forge.suite_runner import _entry_gamma
 from mu2forge.surface import parse_target_term
-from mu2forge.target_typing import PARAMETRIC, PLAIN, resolve_packs, typecheck_target
+from mu2forge.target_typing import PARAMETRIC, PLAIN, resolve_nameful, typecheck_target
 from mu2forge.theory import gen_judgement
 
 #: theory.gen_judgement seeds (budget 6) that do not give up.
@@ -31,6 +31,12 @@ GENERATED_SEEDS = (
     160017, 160018, 160023, 160025, 160026, 160030, 160031, 160032, 160033, 160035,
     160036, 160037, 160038, 160039, 160042, 160043, 160044, 160046, 160047, 160049,
 )
+
+
+def resolve_packs(term, context, mode=PLAIN):
+    """resolve_nameful's rebuild, closed, and its type."""
+    made, ty = resolve_nameful(term, context, mode)
+    return rewrite.from_nameful(made), ty
 
 
 def reference_find(t, group, env, mode, path=()):

@@ -17,7 +17,7 @@ from mu2forge import rewrite
 from mu2forge import target_terms as tg
 from mu2forge.cli import main
 from mu2forge.surface import parse_target_term, parse_target_type
-from mu2forge.target_typing import resolve_packs, typecheck_target
+from mu2forge.target_typing import PLAIN, resolve_nameful, typecheck_target
 
 CASES = {
     # y occurs outside the pattern <x, y>.
@@ -33,6 +33,12 @@ CASES = {
         r"let <X, x> = s in f <X | \z:X. h u : exists Y. not Y>",
     ),
 }
+
+
+def resolve_packs(term, context, mode=PLAIN):
+    """resolve_nameful's rebuild, closed, and its type."""
+    made, ty = resolve_nameful(term, context, mode)
+    return rewrite.from_nameful(made), ty
 
 
 def context(text):

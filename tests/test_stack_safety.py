@@ -1,10 +1,13 @@
-"""Every per-term pass on the eq path runs on an explicit stack.
+"""Every per-term pass on the eq path, and the s-expression writer, runs
+on an explicit stack.
 
 Each pass runs in process, at the default recursion limit, on a term
 three times as deep as that limit; then Church 1000 goes through
 typecheck, CPS, eq, print and parse, in process and as a cold
-``mu2forge eq N N``.  Classification, inversion and deep types still
-take frames per level and are not covered here.
+``mu2forge eq N N``, and its CPS image through a cold
+``mu2forge cps --ast``.  Classification, inversion, the s-expression
+reader and deep types still take frames per level and are not covered
+here.
 """
 
 import subprocess
@@ -19,7 +22,7 @@ from mu2forge import target_types as tt
 from mu2forge.combinators import church, church_type
 from mu2forge.cps import cps_context, cps_term_typed, cps_type
 from mu2forge.mu_typing import typecheck_mu
-from mu2forge.printer import print_mu_term, print_target_term
+from mu2forge.printer import print_mu_term, print_target_term, sexpr, sexpr_mu_term, sexpr_target_term
 from mu2forge.surface import parse_mu_term, parse_target_term
 from mu2forge.target_typing import typecheck_target
 from mu2forge.theory import eq_mu
@@ -83,6 +86,24 @@ def test_cps_typing_and_nameful_round_trip_deep():
     assert tg.equal(parse_target_term(print_target_term(image)), image)
 
 
+def test_sexpr_writer_deep():
+    # A binder at the bottom avoids the free atom under it: _free_under
+    # and the writer both reach it.
+    bottom = tg.TgLam("g", S, tg.TgApp(tg.TgVar("g"), tg.TgBVar(0)))
+    text = sexpr_target_term(spine(DEEP, bottom))
+    head, tail = '(app (var "g") (pair ', ' (var "a")))'
+    assert text == head * DEEP + '(lam "g1" (tvar "s") (app (var "g") (var "g1")))' + tail * DEEP
+    n = church(DEEP)
+    head = '(tylam "X" (lam "x" (tvar "X") (lam "f" (arrow (tvar "X") (tvar "X")) '
+    assert sexpr_mu_term(n) == head + '(app (var "f") ' * DEEP + '(var "x")' + ")" * (DEEP + 3)
+    image, _ = cps_term_typed((), (), n)
+    assert sexpr_target_term(image).startswith("(lam ")
+    ty = tt.TgVarT("a")
+    for _ in range(DEEP):
+        ty = tt.Neg(ty)
+    assert sexpr(ty) == "(neg " * DEEP + '(tvar "a")' + ")" * DEEP
+
+
 def test_engine_substitutions_deep():
     # _replace_where, through subst_refresh: the occurrence is at the bottom.
     t = spine(DEEP, tg.TgVar("x"))
@@ -128,4 +149,19 @@ def test_church_1000_cold_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "Equal"
+    assert "Traceback" not in proc.stderr
+
+
+def test_church_1000_cold_cps_ast():
+    numeral = print_mu_term(church(1000))
+    src = str(Path(mu2forge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "mu2forge.cli", "cps", "--ast", numeral],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("(lam ") and proc.stdout.count("(") == proc.stdout.count(")")
     assert "Traceback" not in proc.stderr

@@ -26,10 +26,17 @@ from mu2forge.surface import (
     parse_target_term,
     parse_target_type,
 )
-from mu2forge.target_typing import TargetTypeMismatch, resolve_packs, typecheck_target
+from mu2forge.rewrite import from_nameful
+from mu2forge.target_typing import PLAIN, TargetTypeMismatch, resolve_nameful, typecheck_target
 from mu2forge.theory import GaveUp, gen_judgement
 
 A = mt.TVar("a")
+
+
+def resolve_packs(term, context, mode=PLAIN):
+    """resolve_nameful's rebuild, closed, and its type."""
+    made, ty = resolve_nameful(term, context, mode)
+    return from_nameful(made), ty
 
 
 def test_ascii_spellings():
