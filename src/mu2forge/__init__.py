@@ -42,7 +42,7 @@ _EXPORTS = {
     "mu_typing": ("MuJudgement", "ctx", "judge", "typecheck_mu"),
     "target_typing": ("PARAMETRIC", "PLAIN", "typecheck_target"),
     "canonical": ("CanonicalForm", "EqVerdict", "canonicalize", "eq_target"),
-    "rewrite": ("beta_normalize", "normalize", "replay"),
+    "rewrite": ("normalize", "replay"),
     "cps": (
         "check_subst_term_in_term",
         "check_subst_type_in_term",

@@ -123,7 +123,6 @@ class _Image:
 class SoundnessReport:
     judgement: MuJudgement
     source_type: mt.MuType
-    target_term: tg.TargetTerm
     target_type: tt.TargetType
 
 
@@ -139,7 +138,7 @@ def check_type_soundness(judgement: MuJudgement) -> SoundnessReport:
         raise SoundnessViolation(
             f"translation of {judgement.subject} has type {target_type}, expected {expected}"
         )
-    return SoundnessReport(judgement, source_type, tg.close_binders(image), target_type)
+    return SoundnessReport(judgement, source_type, target_type)
 
 
 @record

@@ -25,10 +25,14 @@ heads and scrutinees with `nameful_synth`.
 Rule groups are tried in priority order: each step applies the first
 group that has a redex, at that group's first redex in preorder
 (leftmost-outermost).  The search does not restart at the root after a
-step.  A step at path p leaves every subtree left of p the same object
-under the same typing environment, so each group resumes where its last
-search left off, or at p if that is earlier; the beta group, first in
-every phase, resumes at the contractum and re-tests only its parent.
+step.  A step at path p changes only p's subtree and p's ancestors:
+every other node is the same object under the same typing environment.
+So each group resumes where its last search left off, or at p if that
+is earlier, and it scans no further than the smallest subtree that
+holds every step since its last search found nothing: a group that
+found nothing re-tests p's ancestors and scans p's subtree alone.  The
+beta group, first in every phase, resumes at the contractum and
+re-tests only its parent.
 A phase's output has no redex of any of its rules, so the next phase
 does not search a group whose rules are all among them until its first
 step lands: phase 2 starts with expand alone, phase 3 with eta alone.
@@ -123,15 +127,18 @@ def from_nameful(t: TargetTerm) -> TargetTerm:
 # Free-atom memos.  The free term atoms of a nameful node, and its free
 # type atoms, are functions of the node alone, so each node object gets
 # each set once, built from its children's sets, and keeps it in its
-# instance dict beside the record fields; ``==``, ``hash`` and
-# ``repr`` read only the fields.  A rewrite step rebuilds the path to the
-# redex and what the rule builds, so only those nodes lack a set
-# afterwards; subst_tatom gives the nodes it rebuilds both sets.  An
-# annotation's type atoms are memoised on the type object.
+# instance dict under a key (_ATOMS, _TATOMS) beside the record fields;
+# ``==``, ``hash`` and ``repr`` read only the fields.  A rewrite step
+# rebuilds the path to the redex and what the rule builds, so only those
+# nodes lack a set afterwards; subst_tatom gives the nodes it rebuilds
+# both sets.  So most reads hit: `_rebuild` reads a child's set straight
+# from its dict and calls `_memo`, which fills the missing sets, only on
+# a miss.  An annotation's type atoms are memoised on the type object.
 
 _ATOMS = "_free_atoms"
 _TATOMS = "_free_tatoms"
 _NO_ATOMS: frozenset[str] = frozenset()
+_KIDS = tg.SYNTAX.children  # node class -> getter of its children, in slot order
 
 
 def _union(acc: frozenset[str], atoms: frozenset[str]) -> frozenset[str]:
@@ -176,22 +183,23 @@ _OWN_TATOMS = {
 def _memo(t: TargetTerm, key: str, own: dict) -> frozenset[str]:
     """The set own[class] computes from a node's children's sets, memoised
     under key per node object.  Unmemoised nodes are filled in post-order
-    from an explicit stack, so a deep term costs no Python frames here."""
+    from an explicit stack, so a deep term costs no Python frames here: a
+    node pushes its first child that lacks the key and is looked at again
+    once that child is filled, and it is filled when no child lacks the
+    key."""
     atoms = t.__dict__.get(key)
     if atoms is not None:
         return atoms
     stack = [t]
     while stack:
-        node = stack.pop()
-        memo = node.__dict__
-        if key in memo:
-            continue
-        missing = [kid for kid in children(node) if key not in kid.__dict__]
-        if missing:
-            stack.append(node)
-            stack += missing
+        node = stack[-1]
+        for kid in _KIDS[node.__class__](node):
+            if key not in kid.__dict__:
+                stack.append(kid)
+                break
         else:
-            memo[key] = own[node.__class__](node)
+            stack.pop()
+            node.__dict__[key] = own[node.__class__](node)
     return t.__dict__[key]
 
 
@@ -211,27 +219,31 @@ def uniquify(t: TargetTerm) -> TargetTerm:
     return to_nameful(from_nameful(t))
 
 
-def _rebuild(t: TargetTerm, atom: str, atoms_of, replace, build=with_children) -> TargetTerm:
+def _rebuild(t: TargetTerm, atom: str, key: str, own: dict, replace, build=with_children) -> TargetTerm:
     """Rebuild t bottom-up over an explicit stack, one entry per node on
-    the path from the root.  Only subtrees s that hold atom in
-    atoms_of(s) are visited; every other subtree is kept as the same
-    object.  In preorder, replace(s) takes the place of a visited s
-    unless it is None, and else s becomes build(s, its children as
-    rebuilt)."""
-    if atom not in atoms_of(t):
+    the path from the root.  Only subtrees s whose set under key (see
+    `_memo`) holds atom are visited; every other subtree is kept as the
+    same object.  A child's set is read from its instance dict, and
+    `_memo` fills it from own only if it is missing.  In preorder,
+    replace(s) takes the place of a visited s unless it is None, and
+    else s becomes build(s, its children as rebuilt)."""
+    if atom not in _memo(t, key, own):
         return t
     out = replace(t)
     if out is not None:
         return out
     stack = []  # per ancestor: its node, children left and children rebuilt
-    node, todo, done = t, iter(children(t)), []
+    node, todo, done = t, iter(_KIDS[t.__class__](t)), []
     while True:
         for kid in todo:
-            if atom in atoms_of(kid):
+            atoms = kid.__dict__.get(key)
+            if atoms is None:
+                atoms = _memo(kid, key, own)
+            if atom in atoms:
                 out = replace(kid)
                 if out is None:
                     stack.append((node, todo, done))
-                    node, todo, done = kid, iter(children(kid)), []
+                    node, todo, done = kid, iter(_KIDS[kid.__class__](kid)), []
                     break
                 kid = out
             done.append(kid)
@@ -247,7 +259,7 @@ def _replace_where(t: TargetTerm, atom: str, replace) -> TargetTerm:
     """Rebuild t with each outermost subtree s for which replace(s) is not
     None replaced by that value.  Only subtrees that hold atom free are
     visited, so every other subtree is returned as the same object."""
-    return _rebuild(t, atom, free_atoms, replace)
+    return _rebuild(t, atom, _ATOMS, _OWN_ATOMS, replace)
 
 
 def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
@@ -317,7 +329,7 @@ def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
         memo[_TATOMS] = _union(_minus(old[_TATOMS], tv), w_atoms)
         return out
 
-    return _rebuild(t, tv, free_tatoms, lambda s: None, build)
+    return _rebuild(t, tv, _TATOMS, _OWN_TATOMS, lambda s: None, build)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +572,7 @@ def _replace_first_scrut(body, atom: str, kind, rep):
     def build(s, kids):  # left of the let: kept
         return with_children(s, kids) if found else s
 
-    out = _rebuild(body, atom, free_atoms, replace, build)
+    out = _rebuild(body, atom, _ATOMS, _OWN_ATOMS, replace, build)
     return out if found else None
 
 
@@ -743,9 +755,10 @@ def _expand_groups(mode: str):
 
 # ---------------------------------------------------------------------------
 # The search.  It walks a zipper over the term and resumes each group's
-# leftmost-outermost search where that group's last search left off, so
-# a step costs the nodes it changes and the search the nodes it visits
-# anew, not a walk from the root.
+# leftmost-outermost search where that group's last search left off,
+# bounded to the subtree that the steps since its last search that
+# found nothing changed, so a step costs the nodes it changes and the
+# search the nodes it visits anew, not a walk from the root.
 
 
 _SLOT = itemgetter(1)  # a zipper frame's child slot
@@ -791,12 +804,14 @@ class _Zipper:
         else:
             self.node = parent
 
-    def right(self, threads_env: bool) -> bool:
-        """Move to the next subtree in preorder outside the focus: the
-        right sibling of the focus or of its nearest ancestor that has
-        one.  False, with the focus on the root, at the end of the term."""
+    def right(self, threads_env: bool, floor: int) -> bool:
+        """Move to the next subtree in preorder outside the focus but
+        inside the subtree at depth floor on its path: the right sibling
+        of the focus or of its nearest ancestor below that depth that has
+        one.  False, with the focus at depth floor, at the end of that
+        subtree."""
         stack = self.stack
-        while stack:
+        while len(stack) > floor:
             frame = stack[-1]
             i = frame[1] + 1
             kids = frame[3]
@@ -834,23 +849,25 @@ def _test(z: _Zipper, group, mode: str):
     return None
 
 
-def _scan(z: _Zipper, group, mode: str):
+def _scan(z: _Zipper, group, floor: int, mode: str):
     """Search the focus's subtree and then every subtree right of it, in
-    preorder.  On a hit the focus is on the redex; otherwise None, with
-    the focus on the root."""
+    preorder, up to the end of the subtree at depth floor on the focus's
+    path.  On a hit the focus is on the redex; otherwise None, with the
+    focus at depth floor."""
     threads_env = group[1]
     while True:
         hit = _test(z, group, mode)
         if hit is not None:
             return hit
-        if not z.down(0, threads_env) and not z.right(threads_env):
+        if not z.down(0, threads_env) and not z.right(threads_env, floor):
             return None
 
 
-def _search_beta(z: _Zipper, mode: str):
+def _search_beta(z: _Zipper, floor: int, mode: str):
     """The beta group resumes at the focus.  A beta rule reads only its
     node and the class of a child, so a step can make a beta redex only
-    in the contractum or at its parent; the parent is re-tested alone."""
+    in the contractum or at its parent; the parent is re-tested alone,
+    then `_scan` runs from the focus within floor."""
     stack = z.stack
     if stack and _BETA[0][stack[-1][0].__class__]:
         slot = stack[-1][1]
@@ -859,12 +876,13 @@ def _search_beta(z: _Zipper, mode: str):
         if hit is not None:
             return hit
         z.down(slot, False)
-    return _scan(z, _BETA, mode)
+    return _scan(z, _BETA, floor, mode)
 
 
-def _search(z: _Zipper, group, resume: tuple[int, ...], mode: str):
+def _search(z: _Zipper, group, resume: tuple[int, ...], floor: int, mode: str):
     """Any other group resumes at its path: it re-tests the ancestors of
-    the path from the root down, then scans from the path."""
+    the path from the root down, then `_scan` runs from the path within
+    floor."""
     threads_env = group[1]
     z.unwind()
     for i in resume:
@@ -872,7 +890,7 @@ def _search(z: _Zipper, group, resume: tuple[int, ...], mode: str):
         if hit is not None:
             return hit
         z.down(i, threads_env)
-    return _scan(z, group, mode)
+    return _scan(z, group, floor, mode)
 
 
 def _run(t, env, mode, groups, steps, normal=frozenset()):
@@ -881,28 +899,40 @@ def _run(t, env, mode, groups, steps, normal=frozenset()):
     that has a redex, at its first redex in preorder.  No rule named in
     normal has a redex in t.
 
-    Every group but beta keeps a resume path r with the invariant: no
-    node before r in preorder, other than an ancestor of r, is a redex of
-    the group (paths compare in preorder as tuples).  A search from r
-    re-tests r's ancestors, whose rules read the subtrees that hold r,
-    then scans from r, so it finds the group's first redex.  A step at
-    path p keeps every subtree left of p the same object under the same
-    env (the rules preserve types).  So afterwards the stepping group,
-    which found nothing before p, resumes at p, and every other group at
-    min(r, p), a group whose search has just found nothing counting as
-    r = infinity.  For beta, first in every phase, that minimum is always
-    p, where the focus is after the step.  A group whose rules are all in
-    normal has no redex anywhere, so the invariant holds for any r: it
-    starts at r = infinity (None) and is not searched until a step lands.
-    Beta's own resume point stands for its focus, so it is only tested
-    against None."""
+    Every group keeps a resume path r and a floor depth f <= len(r),
+    with the invariant: each redex of the group is an ancestor of r, or
+    lies at or after r in preorder inside the subtree at r[:f] (paths
+    compare in preorder as tuples).  A search tests r's ancestors, whose
+    rules read the subtrees that hold r, from the root down, then scans
+    from r in preorder to the end of the subtree at r[:f].  That search
+    is complete: r's ancestors come before every node of the scan in
+    preorder, and the invariant puts every other redex in the scan.  So
+    it finds the group's first redex, and if it finds none the group has
+    no redex anywhere: r is None.  A group starts at r = () and f = 0,
+    the whole term.  Beta tests only the parent of r, its focus: a beta
+    rule reads only its node and the class of a child, so no other
+    ancestor of a step can become a beta redex.
+
+    A step at path p replaces p's subtree and rebuilds p's ancestors;
+    every other node is the same object under the same env (the rules
+    preserve types), so it is a redex only if it was one before.  So
+    afterwards a group with r = None holds (p, len(p)): its next search
+    tests p's ancestors and scans p's subtree alone.  Any other group
+    adds p's subtree to its own: if p lies outside the subtree at
+    r[:f], the floor falls to the length of their common prefix
+    (`_meet`).  It resumes at min(r, p), or at p if it is the group that
+    stepped, which found no redex before p.  A group whose rules are all
+    in normal has no redex anywhere, so it starts at r = None and is not
+    searched until a step lands.  For beta, first in every phase, r is
+    always p, where the focus is after the step."""
     z = _Zipper(t, env)
     resume: list = [None if group[3] <= normal else () for group in groups]
+    floor = [0] * len(groups)
     for _ in range(MAX_STEPS):
         for g, group in enumerate(groups):
             if resume[g] is None:
                 continue
-            hit = _search_beta(z, mode) if g == 0 else _search(z, group, resume[g], mode)
+            hit = _search_beta(z, floor[g], mode) if g == 0 else _search(z, group, resume[g], floor[g], mode)
             if hit is not None:
                 break
             resume[g] = None
@@ -913,10 +943,24 @@ def _run(t, env, mode, groups, steps, normal=frozenset()):
         z.replace(out)
         steps.append(RewriteStep(name, path))
         for h, r in enumerate(resume):
-            if h == g or r is None or path < r:
+            if r is None:
+                resume[h], floor[h] = path, len(path)
+                continue
+            f = floor[h]
+            if path[:f] != r[:f]:
+                floor[h] = _meet(r, f, path)
+            if h == g or path < r:
                 resume[h] = path
-    what = "beta reduction" if len(groups) == 1 else "rewrite"
-    raise StepBudgetExceeded(f"{what} did not terminate within the step budget")
+    raise StepBudgetExceeded("rewrite did not terminate within the step budget")
+
+
+def _meet(r: tuple[int, ...], f: int, p: tuple[int, ...]) -> int:
+    """The length of the common prefix of r[:f] and a path p outside the
+    subtree at r[:f]."""
+    c, end = 0, min(f, len(p))
+    while c < end and r[c] == p[c]:
+        c += 1
+    return c
 
 
 def _phases(mode: str):
@@ -953,11 +997,6 @@ def normalize(
     """Normalise a locally closed target term; returns (result, trace)."""
     t, steps = normalize_nameful(to_nameful(term), dict(context), mode)
     return from_nameful(t), steps
-
-
-def beta_normalize(term: TargetTerm, context: TgContext = ()) -> TargetTerm:
-    """Contract all beta redexes (function, pair-let, pack-let)."""
-    return from_nameful(_run(to_nameful(term), dict(context), PLAIN, [_BETA], []))
 
 
 # ---------------------------------------------------------------------------

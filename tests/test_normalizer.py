@@ -14,11 +14,18 @@ from mu2forge.canonical import (
 from mu2forge.combinators import church, church_succ, church_zero, dne
 from mu2forge.cps import cps_context, cps_term_typed
 from mu2forge.mu_typing import ctx
-from mu2forge.rewrite import ReplayError, RewriteStep, beta_normalize, normalize, replay
+from mu2forge import rewrite
+from mu2forge.rewrite import ReplayError, RewriteStep, normalize, replay
 from mu2forge.target_types import NotInImageType
 from mu2forge.target_typing import PARAMETRIC, PLAIN, tg_ctx
 
 S = tt.TgVarT("s")
+
+
+def beta_normalize(term, context=()):
+    """Contract all beta redexes (function, pair-let, pack-let)."""
+    t = rewrite._run(rewrite.to_nameful(term), dict(context), PLAIN, [rewrite._BETA], [])
+    return rewrite.from_nameful(t)
 
 
 def test_beta_fun():

@@ -33,6 +33,12 @@ GENERATED_SEEDS = (
 )
 
 
+def beta_normalize(term, context=()):
+    """Contract all beta redexes (function, pair-let, pack-let)."""
+    t = rewrite._run(rewrite.to_nameful(term), dict(context), PLAIN, [rewrite._BETA], [])
+    return rewrite.from_nameful(t)
+
+
 def resolve_packs(term, context, mode=PLAIN):
     """resolve_nameful's rebuild, closed, and its type."""
     made, ty = resolve_nameful(term, context, mode)
@@ -164,7 +170,7 @@ def test_beta_only_matches_search_from_root():
         out = rewrite._run(rewrite.to_nameful(term), {}, PLAIN, [rewrite._BETA], steps)
         run = lambda t: (out, steps)
         assert assert_same_search(term, {}, PLAIN, ([rewrite._BETA],), run) > 0
-        assert tg.equal(rewrite.beta_normalize(term), rewrite.from_nameful(out))
+        assert tg.equal(beta_normalize(term), rewrite.from_nameful(out))
 
 
 GROUPS = {"beta": rewrite._BETA, "eta": rewrite._ETA, "hoist": rewrite._HOIST,
@@ -188,13 +194,13 @@ def searched(monkeypatch):
         if len(steps) == start:
             seen.append(name)
 
-    def search(z, group, resume, mode):
+    def search(z, group, *args):
         note(names[id(group)])
-        return real_search(z, group, resume, mode)
+        return real_search(z, group, *args)
 
-    def search_beta(z, mode):
+    def search_beta(*args):
         note("beta")
-        return real_beta(z, mode)
+        return real_beta(*args)
 
     monkeypatch.setattr(rewrite, "_run", run)
     monkeypatch.setattr(rewrite, "_search", search)
@@ -241,9 +247,10 @@ def test_lockstep_sides_carry_one_set(searched, mode):
 
 #: Rule tests (`rewrite._test` calls) of normalize_nameful over the images,
 #: per mode.  A search from the root at every phase made 8797 and 11146
-#: over the catalog, 3992 and 4930 over the numerals.
-TEST_COUNTS = {(catalog_images, PLAIN): 6919, (catalog_images, PARAMETRIC): 8748,
-               (numeral_images, PLAIN): 2914, (numeral_images, PARAMETRIC): 3536}
+#: over the catalog, 3992 and 4930 over the numerals; a search from a
+#: resume path to the end of the term 6919, 8748, 2914 and 3536.
+TEST_COUNTS = {(catalog_images, PLAIN): 6407, (catalog_images, PARAMETRIC): 8066,
+               (numeral_images, PLAIN): 2722, (numeral_images, PARAMETRIC): 3280}
 
 
 @pytest.mark.parametrize("images, mode", TEST_COUNTS, ids=lambda v: getattr(v, "__name__", v))
@@ -258,6 +265,48 @@ def test_rule_test_counts(monkeypatch, images, mode):
     for _, term, env in images():
         rewrite.normalize_nameful(rewrite.to_nameful(term), env, mode)
     assert count[0] == TEST_COUNTS[images, mode]
+
+
+@pytest.mark.parametrize("mode", [PLAIN, PARAMETRIC])
+def test_resumed_search_inputs_lower_a_floor(monkeypatch, mode):
+    """The inputs of test_resumed_search_matches_search_from_root take
+    steps outside the subtree that a group's search was bounded to, so
+    that test checks `_run`'s floor-lowering branch (`rewrite._meet`)."""
+    real, count = rewrite._meet, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "_meet", counted)
+    for images in (catalog_images, numeral_images, generated_images, parent_images):
+        for _, term, env in images():
+            rewrite.normalize_nameful(rewrite.to_nameful(term), env, mode)
+    assert count[0] > 0
+
+
+#: Own-set computations of the free-atom memos (calls of the entries of
+#: `rewrite._OWN_ATOMS` and `rewrite._OWN_TATOMS`) by normalize_nameful
+#: over the images, per mode: (term-atom sets, type-atom sets).
+FILL_COUNTS = {(catalog_images, PLAIN): (2262, 7), (catalog_images, PARAMETRIC): (2345, 7),
+               (numeral_images, PLAIN): (3453, 1602), (numeral_images, PARAMETRIC): (3453, 1602)}
+
+
+@pytest.mark.parametrize("images, mode", FILL_COUNTS, ids=lambda v: getattr(v, "__name__", v))
+def test_memo_fill_counts(monkeypatch, images, mode):
+    fills = {rewrite._ATOMS: 0, rewrite._TATOMS: 0}
+    for key, own in ((rewrite._ATOMS, rewrite._OWN_ATOMS), (rewrite._TATOMS, rewrite._OWN_TATOMS)):
+        # The one Star node is shared by every term: fill its set anew here.
+        monkeypatch.delitem(tg.STAR.__dict__, key, raising=False)
+        for cls, fill in list(own.items()):
+            def counted(t, fill=fill, key=key):
+                fills[key] += 1
+                return fill(t)
+
+            monkeypatch.setitem(own, cls, counted)
+    for _, term, env in images():
+        rewrite.normalize_nameful(rewrite.to_nameful(term), env, mode)
+    assert (fills[rewrite._ATOMS], fills[rewrite._TATOMS]) == FILL_COUNTS[images, mode]
 
 
 def test_replace_at_is_one_frame_deep():
