@@ -28,14 +28,14 @@ group that has a redex, at that group's first redex in preorder
 step.  A step at path p changes only p's subtree and p's ancestors:
 every other node is the same object under the same typing environment.
 So each group resumes where its last search left off, or at p if that
-is earlier, and it scans no further than the smallest subtree that
-holds every step since its last search found nothing: a group that
-found nothing re-tests p's ancestors and scans p's subtree alone.  The
-beta group, first in every phase, resumes at the contractum and
-re-tests only its parent.
-A phase's output has no redex of any of its rules, so the next phase
-does not search a group whose rules are all among them until its first
-step lands: phase 2 starts with expand alone, phase 3 with eta alone.
+is earlier.  Once a search of a group has found nothing, the group
+scans no further than the smallest subtree that holds every step
+since: after one step it re-tests p's ancestors and scans p's subtree
+alone.  The beta group, first in every phase, resumes at the
+contractum and re-tests only its parent.  A phase's output has no
+redex of any of its rules, so the next phase does not search a group
+whose rules are all among them until its first step lands: phase 2
+starts with expand alone, phase 3 with eta alone.
 The focus is a zipper over the term, and the path to the root is
 rebuilt once, when the zipper unwinds.  `_run` states the invariant;
 the test suite checks every step against a search from the root.  Type
@@ -756,9 +756,10 @@ def _expand_groups(mode: str):
 # ---------------------------------------------------------------------------
 # The search.  It walks a zipper over the term and resumes each group's
 # leftmost-outermost search where that group's last search left off,
-# bounded to the subtree that the steps since its last search that
-# found nothing changed, so a step costs the nodes it changes and the
-# search the nodes it visits anew, not a walk from the root.
+# and, once a search of the group has found nothing, no further than
+# the subtree that the steps since have changed.  So a step costs the
+# nodes it changes and the search the nodes it visits anew, not a walk
+# from the root.
 
 
 _SLOT = itemgetter(1)  # a zipper frame's child slot
@@ -932,7 +933,10 @@ def _run(t, env, mode, groups, steps, normal=frozenset()):
         for g, group in enumerate(groups):
             if resume[g] is None:
                 continue
-            hit = _search_beta(z, floor[g], mode) if g == 0 else _search(z, group, resume[g], floor[g], mode)
+            if g == 0:
+                hit = _search_beta(z, floor[g], mode)
+            else:
+                hit = _search(z, group, resume[g], floor[g], mode)
             if hit is not None:
                 break
             resume[g] = None

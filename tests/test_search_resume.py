@@ -285,6 +285,33 @@ def test_resumed_search_inputs_lower_a_floor(monkeypatch, mode):
     assert count[0] > 0
 
 
+def test_a_step_above_the_bounded_subtree_lowers_the_floor():
+    """Three toy groups after beta, each one rule on variable names: z
+    turns into a, which makes an A redex at the root; A's contractum puts
+    a W redex in the root's right child.  W found nothing before z's
+    step, so that step bounds W to z's subtree; A steps at the root, above
+    it, before W is searched again, and W must then scan the whole term."""
+    def rename(old, new):
+        return lambda t, env, mode: tg.TgVar(new) if t.name == old else None
+
+    def a_rule(t, env, mode):
+        arg = t.arg
+        if arg.__class__ is tg.TgApp and arg.arg.__class__ is tg.TgApp and arg.arg.arg == tg.TgVar("a"):
+            return tg.Pair(tg.TgVar("x"), tg.TgVar("w"))
+        return None
+
+    toys = (("A", a_rule, tg.TgApp), ("W", rename("w", "v"), tg.TgVar), ("Z", rename("z", "a"), tg.TgVar))
+    groups = [rewrite._BETA] + [rewrite._by_head(((name, rewrite._at(rule, head)),)) for name, rule, head in toys]
+    app, v = tg.TgApp, tg.TgVar
+    term = app(v("f"), app(v("g"), app(v("h"), v("z"))))
+    steps = []
+    out = rewrite._run(term, {}, PLAIN, groups, steps)
+    expected = [step for step, _ in reference_steps(term, {}, PLAIN, (groups,))]
+    assert [s.render() for s in expected] == ["Z 1.1.1", "A root", "W 1"]
+    assert steps == expected
+    assert out == tg.Pair(v("x"), v("v"))
+
+
 #: Own-set computations of the free-atom memos (calls of the entries of
 #: `rewrite._OWN_ATOMS` and `rewrite._OWN_TATOMS`) by normalize_nameful
 #: over the images, per mode: (term-atom sets, type-atom sets).
