@@ -42,6 +42,18 @@ the test suite checks every step against a search from the root.  Type
 facts are computed once per immutable type object (`tt.ftv_memo`,
 `tt.open_exists`), so they hold under every context.
 
+A beta-pack step whose witness is a type atom Y substitutes nothing:
+the let's atom X becomes an alias of Y in the run's state (`RunState`).
+Binder atoms are unique and X's binder is gone, so the alias holds for
+the rest of the run.  Renaming one type atom to another changes no
+type's head class, no comparison with tt.TOP (which has no free atom)
+and no tt.is_image answer, so only four places resolve aliases, those
+that read atoms: (a) eta-pack's pattern match; (b) whether a let-pack
+atom occurs (dead-let-pack, eta-pack's walk); (c) a copy, before it
+renames binders, as an alias's target may be bound inside it; (d) the
+end of a run or of a `_follow` caller, so no alias leaves a run.  Any
+other witness is substituted at once, for X and for X's aliases.
+
 Every applied step is logged as ``rule path``.  `_follow` applies a
 logged step list on the zipper by rule name and path, with these same
 rule functions; `replay` is that walk on a locally nameless term.  It
@@ -213,21 +225,22 @@ def free_tatoms(t: TargetTerm) -> frozenset[str]:
     return _memo(t, _TATOMS, _OWN_TATOMS)
 
 
-def uniquify(t: TargetTerm) -> TargetTerm:
+def uniquify(t: TargetTerm, run: RunState | None = None) -> TargetTerm:
     """Refresh every binder atom of a nameful term (used on duplication) by
-    closing and reopening it: fresh sees the same base names in preorder."""
-    return to_nameful(from_nameful(t))
+    closing and reopening it, the run's aliases resolved first: fresh sees
+    the same base names in preorder."""
+    return to_nameful(from_nameful(run.leave(t) if run else t))
 
 
-def _rebuild(t: TargetTerm, atom: str, key: str, own: dict, replace, build=with_children) -> TargetTerm:
+def _rebuild(t: TargetTerm, atoms, key: str, own: dict, replace, build=with_children) -> TargetTerm:
     """Rebuild t bottom-up over an explicit stack, one entry per node on
     the path from the root.  Only subtrees s whose set under key (see
-    `_memo`) holds atom are visited; every other subtree is kept as the
-    same object.  A child's set is read from its instance dict, and
+    `_memo`) meets the atoms are visited; every other subtree is kept as
+    the same object.  A child's set is read from its instance dict, and
     `_memo` fills it from own only if it is missing.  In preorder,
     replace(s) takes the place of a visited s unless it is None, and
     else s becomes build(s, its children as rebuilt)."""
-    if atom not in _memo(t, key, own):
+    if _memo(t, key, own).isdisjoint(atoms):
         return t
     out = replace(t)
     if out is not None:
@@ -236,10 +249,10 @@ def _rebuild(t: TargetTerm, atom: str, key: str, own: dict, replace, build=with_
     node, todo, done = t, iter(_KIDS[t.__class__](t)), []
     while True:
         for kid in todo:
-            atoms = kid.__dict__.get(key)
-            if atoms is None:
-                atoms = _memo(kid, key, own)
-            if atom in atoms:
+            held = kid.__dict__.get(key)
+            if held is None:
+                held = _memo(kid, key, own)
+            if not held.isdisjoint(atoms):
                 out = replace(kid)
                 if out is None:
                     stack.append((node, todo, done))
@@ -259,10 +272,10 @@ def _replace_where(t: TargetTerm, atom: str, replace) -> TargetTerm:
     """Rebuild t with each outermost subtree s for which replace(s) is not
     None replaced by that value.  Only subtrees that hold atom free are
     visited, so every other subtree is returned as the same object."""
-    return _rebuild(t, atom, _ATOMS, _OWN_ATOMS, replace)
+    return _rebuild(t, (atom,), _ATOMS, _OWN_ATOMS, replace)
 
 
-def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
+def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm, run: RunState | None = None) -> TargetTerm:
     """Nameful substitution of rep for the atom x.
 
     Only nodes whose free atoms hold x are rebuilt; every other subtree
@@ -283,36 +296,39 @@ def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm) -> TargetTerm:
         if first:
             first = False
             return rep
-        return uniquify(rep)
+        return uniquify(rep, run)
 
     return _replace_where(t, x, occurrence)
 
 
-_ATOMS_OF = (free_atoms, free_tatoms)  # per namespace: VAR, TVAR
+_MEMO_OF = ((_ATOMS, _OWN_ATOMS), (_TATOMS, _OWN_TATOMS))  # per namespace, VAR and TVAR: key and own sets
 
 
-def nameful_occurs(t: TargetTerm, atom: str, ns: int = VAR) -> bool:
+def nameful_occurs(t: TargetTerm, atom: str) -> bool:
     # Binder atoms are unique, so an occurrence of the atom anywhere is free.
-    return atom in _ATOMS_OF[ns](t)
+    return atom in free_atoms(t)
 
 
-def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
-    """Nameful substitution of the type w for the type atom tv.  Only
-    nodes whose free type atoms hold tv are rebuilt; every other subtree
-    is returned as the same object.  A rebuilt node keeps the term-atom
-    memo of the node it replaces, since a type changes no term atom, and
-    gets its type atoms, (old - {tv}) | ftv(w).  Each distinct annotation
-    object that holds tv is substituted once per call."""
-    if tv not in free_tatoms(t):
+def subst_tatom(t: TargetTerm, tv, w: tt.TargetType | None = None) -> TargetTerm:
+    """Nameful substitution of the type w for the type atom tv, or, given
+    a dict tv and no w, of tv[a] for each atom a, all in one pass.  Only
+    nodes whose free type atoms meet the atoms are rebuilt; every other
+    subtree is returned as the same object.  A rebuilt node keeps the
+    term-atom memo of the node it replaces, since a type changes no term
+    atom, and gets its type atoms from its children (`_OWN_TATOMS`): an
+    image's atom may be bound inside the node.  Each distinct annotation
+    object that holds one of the atoms is substituted once per call."""
+    reps = tv if w is None else {tv: w}
+    if free_tatoms(t).isdisjoint(reps):
         return t
-    w_atoms, images = tt.ftv_memo(w), {}  # images: id of an annotation -> its image
+    images = {}  # id of an annotation -> its image
 
     def sub(ann: tt.TargetType) -> tt.TargetType:
-        if tv not in tt.ftv_memo(ann):
+        if tt.ftv_memo(ann).isdisjoint(reps):
             return ann
         out = images.get(id(ann))
         if out is None:
-            out = images[id(ann)] = tt.subst_tvar(ann, tv, w)
+            out = images[id(ann)] = tt.SYNTAX.subst(TVAR, ann, reps)
         return out
 
     def build(s: TargetTerm, kids: list) -> TargetTerm:
@@ -326,10 +342,66 @@ def subst_tatom(t: TargetTerm, tv: str, w: tt.TargetType) -> TargetTerm:
         memo, old = out.__dict__, s.__dict__
         if _ATOMS in old:
             memo[_ATOMS] = old[_ATOMS]
-        memo[_TATOMS] = _union(_minus(old[_TATOMS], tv), w_atoms)
+        memo[_TATOMS] = _OWN_TATOMS[cls](out)
         return out
 
-    return _rebuild(t, tv, _TATOMS, _OWN_TATOMS, lambda s: None, build)
+    return _rebuild(t, reps, _TATOMS, _OWN_TATOMS, lambda s: None, build)
+
+
+# ---------------------------------------------------------------------------
+# Type-atom aliases (see the module docstring)
+
+
+class RunState:
+    """One run's state beside its term: the mode, and the alias map from
+    each aliased type atom to the atom it stands for."""
+
+    __slots__ = ("mode", "aliases")
+
+    def __init__(self, mode: str):
+        self.mode, self.aliases = mode, {}
+
+    def leave(self, t: TargetTerm) -> TargetTerm:
+        """t with every aliased type atom replaced by its target."""
+        return subst_tatom(t, _targets(self.aliases)) if self.aliases else t
+
+
+def _find(aliases: dict[str, str], atom: str) -> str:
+    """The target of an atom: the end of its alias chain, still bound."""
+    while atom in aliases:
+        atom = aliases[atom]
+    return atom
+
+
+def _targets(aliases: dict[str, str]) -> dict[str, tt.TargetType]:
+    return {a: tt.TgVarT(_find(aliases, a)) for a in aliases}
+
+
+def _read(s: TargetTerm, aliases: dict[str, str]) -> TargetTerm:
+    """s, or a pack s with the aliased type atoms of its witness and its
+    annotation read as their targets."""
+    if aliases and s.__class__ is Pack and (tt.ftv_memo(s.witness) | tt.ftv_memo(s.ex_ann)) & aliases.keys():
+        reps = _targets(aliases)
+        return Pack(tt.SYNTAX.subst(TVAR, s.witness, reps), s.payload, tt.SYNTAX.subst(TVAR, s.ex_ann, reps))
+    return s
+
+
+def _with_aliases(atoms: tuple[str, ...], aliases: dict[str, str]) -> tuple[str, ...]:
+    """The type atoms and every atom aliased to one of them."""
+    return (*atoms, *(a for a in aliases if _find(aliases, a) in atoms)) if aliases else atoms
+
+
+def _bind_tatom(body: TargetTerm, tv: str, w: tt.TargetType, run: RunState) -> TargetTerm:
+    """body with the let-pack atom tv bound to the witness w: tv becomes an
+    alias of an atom w; any other w replaces tv and tv's aliases at once."""
+    aliases = run.aliases
+    if w.__class__ is tt.TgVarT:
+        aliases[tv] = _find(aliases, w.name)
+        return body
+    tvs = _with_aliases((tv,), aliases)
+    for a in tvs[1:]:
+        del aliases[a]
+    return subst_tatom(body, dict.fromkeys(tvs, w))
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +448,19 @@ def _env_through(t: TargetTerm, i: int, env: dict[str, tt.TargetType]) -> dict[s
 
 
 # ---------------------------------------------------------------------------
-# Rules.  Each takes the nameful redex (plus env/mode when needed) and
-# returns the contractum or None when the pattern does not apply.
+# Rules.  Each takes the nameful redex, its env and the run's state
+# (`RunState`: the mode and the alias map) and returns the contractum or
+# None when the pattern does not apply.
 
 
-def _rw_beta_fun(t, env, mode):
+def _rw_beta_fun(t, env, run):
     match t:
         case TgApp(TgLam(x, _, body), arg):
-            return subst_refresh(body, x, arg)
+            return subst_refresh(body, x, arg, run)
     return None
 
 
-def _rw_eta_fun(t, env, mode):
+def _rw_eta_fun(t, env, run):
     # No check that the head g is not x: lam x:A. x x is ill typed (x
     # applied to itself needs A = not A), and every input to the engine
     # is typechecked first.
@@ -397,11 +470,11 @@ def _rw_eta_fun(t, env, mode):
     return None
 
 
-def _rw_star_eta(t, env, mode):
+def _rw_star_eta(t, env, run):
     # lam u : exists X. X. f Star  =  lam u. f u  =  f   (terminality + eta).
     # No check that the head f is not u: u Star with u : exists X. X
     # applies a non-negation, which the typechecker refuses first.
-    if mode != PARAMETRIC:
+    if run.mode != PARAMETRIC:
         return None
     match t:
         case TgLam(_, ann, TgApp(TgVar(g), Star())) if ann == tt.TOP:
@@ -454,15 +527,21 @@ def _family(stem: str, make):
 def _beta_let(k: _Kind):
     # let p = I(c1, c2) in B  =  B[c1, c2 / p]: the let-beta axiom.  Each
     # binder takes its component in table order, by subst_refresh for a
-    # term atom and subst_tatom for the type atom.
+    # term atom and `_bind_tatom` for the type atom X.  A witness that is
+    # a type atom Y is not substituted: X is an alias of Y until the run
+    # ends.  Renaming an atom changes no head class, no == tt.TOP and no
+    # tt.is_image, and the four readers of atoms resolve aliases: (a)
+    # eta-pack's pattern match (`_read`), (b) a let-pack atom's occurrence
+    # (`_with_aliases`), (c) a copy, before it renames binders
+    # (`uniquify`), and (d) the end of a run (`RunState.leave`).
     let, intro, atoms, parts = k.let, k.intro, k.atoms, k.parts
-    substs = tuple(subst_tatom if ns == TVAR else subst_refresh for ns in k.nss)
+    substs = tuple(_bind_tatom if ns == TVAR else subst_refresh for ns in k.nss)
 
-    def rule(t, env, mode):
+    def rule(t, env, run):
         if t.__class__ is let and t.scrut.__class__ is intro:
             body = t.body
             for subst, atom, part in zip(substs, atoms(t), parts(t.scrut)):
-                body = subst(body, atom, part)
+                body = subst(body, atom, part, run)
             return body
         return None
 
@@ -480,34 +559,37 @@ def _eta_let(k: _Kind):
     term_atoms = by_ns[0][1]
     star = let is LetPair
 
-    def rule(t, env, mode):
+    def rule(t, env, run):
         if t.__class__ is not let:
             return None
-        scrut, body = t.scrut, t.body
-        pats = (_intro_of_binders(k, t, env),)
-        if star and mode == PARAMETRIC and nameful_synth(scrut, env).right == tt.TOP:
+        scrut, body, aliases = t.scrut, t.body, run.aliases
+        pats = (_read(_intro_of_binders(k, t, env), aliases),)
+        if star and run.mode == PARAMETRIC and nameful_synth(scrut, env).right == tt.TOP:
             pats += (Pair(pats[0].left, STAR),)
         for ns, atoms_in in by_ns:
-            if not _only_in_patterns(body, pats, atoms_in(t), ns):
+            if not _only_in_patterns(body, pats, atoms_in(t), ns, aliases):
                 return None
         # Every pattern holds the first term atom; each takes a copy of s.
-        return _replace_where(body, term_atoms(t)[0], lambda sub: uniquify(scrut) if sub in pats else None)
+        copy = lambda sub: uniquify(scrut, run) if _read(sub, aliases) in pats else None
+        return _replace_where(body, term_atoms(t)[0], copy)
 
     return rule
 
 
-def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...], ns: int = VAR) -> bool:
+def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...], ns: int, aliases: dict) -> bool:
     """Whether some pattern occurs in body and every occurrence of the
     atoms, of namespace ns, lies inside one: a read-only walk over the
-    subtrees that hold one of them.  Each pattern holds one of the atoms,
-    so the walk meets every pattern."""
-    atoms_of = _ATOMS_OF[ns]
+    subtrees that hold one of them (or, for a type atom, an alias of it).
+    Each pattern holds one of the atoms, so the walk meets every pattern."""
+    key, own = _MEMO_OF[ns]
+    if ns == TVAR:
+        atoms = _with_aliases(atoms, aliases)
     found = False
     todo = [body]
     while todo:
         s = todo.pop()
         cls = s.__class__
-        if cls is pats[0].__class__ and s in pats:
+        if cls is pats[0].__class__ and _read(s, aliases) in pats:
             found = True
             continue
         if ns == VAR:
@@ -517,7 +599,12 @@ def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...]
             anns = (s.ann,) if cls is TgLam else (s.witness, s.ex_ann)
             if any(not tt.ftv_memo(a).isdisjoint(atoms) for a in anns):
                 return False
-        todo += [kid for kid in children(s) if not atoms_of(kid).isdisjoint(atoms)]
+        for kid in _KIDS[cls](s):
+            held = kid.__dict__.get(key)
+            if held is None:
+                held = _memo(kid, key, own)
+            if not held.isdisjoint(atoms):
+                todo.append(kid)
     return found
 
 
@@ -525,14 +612,18 @@ def _dead_let(k: _Kind):
     # let p = s in B  =  B  when no atom of p occurs in B: the eta
     # family's instance C[s] = let p = s in C[I(p)] for a C without the
     # pattern.  The type atom must be dead too: it may occur in
-    # annotations.  Term atoms are tested first, their memo is cheaper.
+    # annotations, itself or through an atom aliased to it.  Term atoms
+    # are tested first, their memo is cheaper.
     let, by_ns = k.let, k.by_ns
 
-    def rule(t, env, mode):
+    def rule(t, env, run):
         if t.__class__ is let:
             body = t.body
-            if not any(nameful_occurs(body, atom, ns) for ns, atoms_in in by_ns for atom in atoms_in(t)):
-                return body
+            for ns, atoms_in in by_ns:
+                atoms = _with_aliases(atoms_in(t), run.aliases) if ns == TVAR else atoms_in(t)
+                if not _memo(body, *_MEMO_OF[ns]).isdisjoint(atoms):
+                    return None
+            return body
         return None
 
     return rule
@@ -544,7 +635,7 @@ def _dedup(k: _Kind):
     # re-destructures a onto I(p) lets beta contract it.
     let = k.let
 
-    def rule(t, env, mode):
+    def rule(t, env, run):
         if t.__class__ is let and t.scrut.__class__ is TgVar and t.scrut.name in free_atoms(t.body):
             out = _replace_first_scrut(t.body, t.scrut.name, let, _intro_of_binders(k, t, env))
             if out is not None:
@@ -572,7 +663,7 @@ def _replace_first_scrut(body, atom: str, kind, rep):
     def build(s, kids):  # left of the let: kept
         return with_children(s, kids) if found else s
 
-    out = _rebuild(body, atom, _ATOMS, _OWN_ATOMS, replace, build)
+    out = _rebuild(body, (atom,), _ATOMS, _OWN_ATOMS, replace, build)
     return out if found else None
 
 
@@ -587,7 +678,7 @@ def _hoist(slot: int, *heads: type, moves=None):
     """C[let p = s in A]  =  let p = s in C[A] for a let in child slot
     `slot` of a node of a head class, if moves(node, let) holds."""
 
-    def rule(t, env, mode):
+    def rule(t, env, run):
         if t.__class__ in heads:
             kids = children(t)
             let = kids[slot]
@@ -599,7 +690,7 @@ def _hoist(slot: int, *heads: type, moves=None):
     return _at(rule, *heads)
 
 
-def _rw_let_expand(t, env, mode):
+def _rw_let_expand(t, env, run):
     # A let of negation type is eta-expanded so the binding can live in
     # the answer layer of the canonical grammar.
     if t.__class__ in _LETS:
@@ -617,7 +708,7 @@ def _scrut_key(scrut, env_order: dict[str, int]):
     return (1, 0, "")
 
 
-def _rw_let_swap(t, env, mode):
+def _rw_let_swap(t, env, run):
     # Order adjacent independent lets by their scrutinee variables:
     # outermost-bound scrutinee first, free atoms alphabetically.  Only a
     # variable scrutinee moves out (the key orders every other one last),
@@ -634,8 +725,8 @@ def _rw_let_swap(t, env, mode):
     return None
 
 
-def _rw_star(t, env, mode):
-    if mode != PARAMETRIC or isinstance(t, Star):
+def _rw_star(t, env, run):
+    if run.mode != PARAMETRIC or isinstance(t, Star):
         return None
     if nameful_synth(t, env) == tt.TOP:
         return STAR
@@ -670,12 +761,12 @@ _EXPAND_SLOTS = {
 }
 
 
-def _rw_expand(t, env, mode):
+def _rw_expand(t, env, run):
     kids = children(t)
     for i, expand in _EXPAND_SLOTS.get(t.__class__, ()):
         child = kids[i]
         if child.__class__ is TgVar:
-            out = expand(child, nameful_synth(child, _env_through(t, i, env)), mode)
+            out = expand(child, nameful_synth(child, _env_through(t, i, env)), run.mode)
             if out is not None:
                 return with_children(t, kids[:i] + (out,) + kids[i + 1:])
     return None
@@ -839,32 +930,32 @@ class _Zipper:
         return self.node
 
 
-def _test(z: _Zipper, group, mode: str):
+def _test(z: _Zipper, group, run: RunState):
     """The first rule of a group that applies at the focus, as (name,
     contractum), or None."""
     node = z.node
     for name, rule in (group[0] if z.stack else group[2])[node.__class__]:
-        out = rule(node, z.env, mode)
+        out = rule(node, z.env, run)
         if out is not None:
             return name, out
     return None
 
 
-def _scan(z: _Zipper, group, floor: int, mode: str):
+def _scan(z: _Zipper, group, floor: int, run: RunState):
     """Search the focus's subtree and then every subtree right of it, in
     preorder, up to the end of the subtree at depth floor on the focus's
     path.  On a hit the focus is on the redex; otherwise None, with the
     focus at depth floor."""
     threads_env = group[1]
     while True:
-        hit = _test(z, group, mode)
+        hit = _test(z, group, run)
         if hit is not None:
             return hit
         if not z.down(0, threads_env) and not z.right(threads_env, floor):
             return None
 
 
-def _search_beta(z: _Zipper, floor: int, mode: str):
+def _search_beta(z: _Zipper, floor: int, run: RunState):
     """The beta group resumes at the focus.  A beta rule reads only its
     node and the class of a child, so a step can make a beta redex only
     in the contractum or at its parent; the parent is re-tested alone,
@@ -873,25 +964,25 @@ def _search_beta(z: _Zipper, floor: int, mode: str):
     if stack and _BETA[0][stack[-1][0].__class__]:
         slot = stack[-1][1]
         z.up()
-        hit = _test(z, _BETA, mode)
+        hit = _test(z, _BETA, run)
         if hit is not None:
             return hit
         z.down(slot, False)
-    return _scan(z, _BETA, floor, mode)
+    return _scan(z, _BETA, floor, run)
 
 
-def _search(z: _Zipper, group, resume: tuple[int, ...], floor: int, mode: str):
+def _search(z: _Zipper, group, resume: tuple[int, ...], floor: int, run: RunState):
     """Any other group resumes at its path: it re-tests the ancestors of
     the path from the root down, then `_scan` runs from the path within
     floor."""
     threads_env = group[1]
     z.unwind()
     for i in resume:
-        hit = _test(z, group, mode)
+        hit = _test(z, group, run)
         if hit is not None:
             return hit
         z.down(i, threads_env)
-    return _scan(z, group, floor, mode)
+    return _scan(z, group, floor, run)
 
 
 def _run(t, env, mode, groups, steps, normal=frozenset()):
@@ -912,7 +1003,8 @@ def _run(t, env, mode, groups, steps, normal=frozenset()):
     no redex anywhere: r is None.  A group starts at r = () and f = 0,
     the whole term.  Beta tests only the parent of r, its focus: a beta
     rule reads only its node and the class of a child, so no other
-    ancestor of a step can become a beta redex.
+    ancestor of a step can become a beta redex.  The run's aliases
+    (`RunState`) are resolved in the normal form it returns.
 
     A step at path p replaces p's subtree and rebuilds p's ancestors;
     every other node is the same object under the same env (the rules
@@ -926,7 +1018,7 @@ def _run(t, env, mode, groups, steps, normal=frozenset()):
     in normal has no redex anywhere, so it starts at r = None and is not
     searched until a step lands.  For beta, first in every phase, r is
     always p, where the focus is after the step."""
-    z = _Zipper(t, env)
+    z, run = _Zipper(t, env), RunState(mode)
     resume: list = [None if group[3] <= normal else () for group in groups]
     floor = [0] * len(groups)
     for _ in range(MAX_STEPS):
@@ -934,14 +1026,14 @@ def _run(t, env, mode, groups, steps, normal=frozenset()):
             if resume[g] is None:
                 continue
             if g == 0:
-                hit = _search_beta(z, floor[g], mode)
+                hit = _search_beta(z, floor[g], run)
             else:
-                hit = _search(z, group, resume[g], floor[g], mode)
+                hit = _search(z, group, resume[g], floor[g], run)
             if hit is not None:
                 break
             resume[g] = None
         else:
-            return z.unwind()
+            return run.leave(z.unwind())
         name, out = hit
         path = z.path()
         z.replace(out)
@@ -1020,17 +1112,19 @@ def _goto(z: _Zipper, path: tuple[int, ...]) -> bool:
     return all(z.down(i, True) for i in path[common:])
 
 
-def _follow(z: _Zipper, steps, mode: str) -> None:
+def _follow(z: _Zipper, steps, run: RunState) -> None:
     """Apply logged steps to the zipper's term, each by rule name at its
-    path.  It trusts where the steps came from: it checks only that each
-    rule is known, each path exists and each rule applies there."""
+    path, under the run's state; the caller resolves its aliases
+    (`RunState.leave`).  It trusts where the steps came from: it checks
+    only that each rule is known, each path exists and each rule applies
+    there."""
     for step in steps:
         rule = ALL_RULES.get(step.rule)
         if rule is None:
             raise ReplayError(f"unknown rule {step.rule}")
         if not _goto(z, step.path):
             raise ReplayError(f"path {step.path} does not exist")
-        out = rule(z.node, z.env, mode)
+        out = rule(z.node, z.env, run)
         if out is None:
             raise ReplayError(f"rule {step.rule} does not apply at {step.path}")
         z.replace(out)
@@ -1069,12 +1163,12 @@ def normalize_pair(
         start = len(lsteps)
         lt = _run(lt, env, mode, groups, lsteps, normal)
         if met is not None:
-            z = _Zipper(rt, env)
+            z, run = _Zipper(rt, env), RunState(mode)
             try:
-                _follow(z, lsteps[start:], mode)
+                _follow(z, lsteps[start:], run)
             except ReplayError as exc:
                 raise RewriteError(f"the right side cannot follow the left: {exc}") from exc
-            rt = z.unwind()
+            rt = run.leave(z.unwind())
             rsteps += lsteps[start:]
         elif tg.nameful_equal(lt, rt):
             met = f"ahead {phase}"
@@ -1102,6 +1196,6 @@ def replay(
     compose axiom instances as documented on their families, some in
     more than two steps.
     """
-    z = _Zipper(to_nameful(term), dict(context))
-    _follow(z, steps, mode)
-    return from_nameful(z.unwind())
+    z, run = _Zipper(to_nameful(term), dict(context)), RunState(mode)
+    _follow(z, steps, run)
+    return from_nameful(run.leave(z.unwind()))

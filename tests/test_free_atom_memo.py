@@ -3,10 +3,13 @@
 `rewrite` keeps, per nameful node object, its free term atoms and its
 free type atoms, filled from one function per node class, and a type
 substitution hands each node it rebuilds the term atoms of the node it
-replaces and the type atoms (old - {tv}) | ftv(w).  Here every memo on
+replaces and type atoms filled from its children.  Here every memo on
 the result of each phase, and on the contractum of each beta-pack step,
 is compared with the free atoms of the node closed back to locally
-nameless form, which shares no code with the memos.  The memos that
+nameless form, which shares no code with the memos.  A beta-pack step
+at a witness that is a type atom substitutes nothing (the atom becomes
+an alias until the run ends), so `witness_images` adds inputs whose
+witnesses are not atoms.  The memos that
 `target_types` keeps on type objects (free type atoms, and the opened
 body of an existential per atom) are compared with `tt.ftv` and
 `tt.inst_tvar`.
@@ -16,11 +19,24 @@ from itertools import chain
 
 import pytest
 
+from mu2forge import mu_terms as tm
+from mu2forge import mu_types as mt
 from mu2forge import rewrite
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
+from mu2forge.combinators import church, church_type
+from mu2forge.cps import cps_term_typed
 from mu2forge.target_typing import PARAMETRIC, PLAIN
 from test_search_resume import catalog_images, generated_images, numeral_images
+
+
+def witness_images():
+    """Church n (n < 6) applied to types that are not atoms: each of
+    their beta-pack steps substitutes its witness at once."""
+    a = mt.TVar("a")
+    for n in range(6):
+        for ty in (mt.Arrow(a, a), church_type(), mt.Arrow(church_type(), a)):
+            yield f"{n} [{ty}]", cps_term_typed((), (), tm.TyApp(church(n), ty))[0], {}
 
 
 def scratch(node):
@@ -52,7 +68,7 @@ def check_memos(t) -> int:
     return checked
 
 
-@pytest.mark.parametrize("images", [catalog_images, numeral_images, generated_images])
+@pytest.mark.parametrize("images", [catalog_images, numeral_images, generated_images, witness_images])
 @pytest.mark.parametrize("mode", [PLAIN, PARAMETRIC])
 def test_memos_match_a_computation_from_scratch(images, mode):
     checked = 0
@@ -124,7 +140,7 @@ def check_type_memos(types) -> tuple[int, int]:
 @pytest.mark.parametrize("mode", [PLAIN, PARAMETRIC])
 def test_type_memos_match_a_computation_from_scratch(mode):
     atoms = opened = 0
-    for label, term, env in chain(catalog_images(), numeral_images(), generated_images()):
+    for label, term, env in chain(catalog_images(), numeral_images(), generated_images(), witness_images()):
         t = rewrite.to_nameful(term)
         types = [*annotations(t), *env.values()]
         normal, _ = rewrite.normalize_nameful(t, env, mode)
@@ -143,15 +159,15 @@ def test_beta_pack_contractum_memos(monkeypatch, mode):
     their type atoms from the start."""
     real, rebuilt = rewrite.ALL_RULES["beta-pack"], [0]
 
-    def checked(t, env, mode):
-        out = real(t, env, mode)
+    def checked(t, env, run):
+        out = real(t, env, run)
         before = {id(node) for node in nodes(t)}
         rebuilt[0] += sum("_free_tatoms" in vars(node) for node in nodes(out) if id(node) not in before)
         check_memos(out)
         return out
 
     monkeypatch.setitem(rewrite.ALL_RULES, "beta-pack", checked)
-    for label, term, env in chain(catalog_images(), numeral_images()):
+    for label, term, env in chain(catalog_images(), numeral_images(), witness_images()):
         _, steps = rewrite.normalize(term, tuple(env.items()), mode)
         try:
             rewrite.replay(term, steps, tuple(env.items()), mode)

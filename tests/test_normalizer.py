@@ -358,19 +358,20 @@ def assert_binders_scoped(t):
 
 def replay_steps(term, context, mode, normal, trace, seen):
     """Replay the engine's trace for term one step at a time with the
-    follower `replay` runs; seen(t) gets every nameful term in between.
+    follower `replay` runs, under one run's state; seen(t) gets every
+    nameful term in between, with the run's type-atom aliases resolved.
     Every step is observed once, and both this walk and `replay` end in
     the engine's own result."""
     from mu2forge import rewrite
 
-    z = rewrite._Zipper(rewrite.to_nameful(term), dict(context))
+    z, run = rewrite._Zipper(rewrite.to_nameful(term), dict(context)), rewrite.RunState(mode)
     observed = 0
     for step in trace:
-        rewrite._follow(z, [step], mode)
+        rewrite._follow(z, [step], run)
         observed += 1
-        seen(z.unwind())
+        seen(run.leave(z.unwind()))
     assert observed == len(trace)
-    assert tg.equal(rewrite.from_nameful(z.node), rewrite.from_nameful(normal))
+    assert tg.equal(rewrite.from_nameful(run.leave(z.node)), rewrite.from_nameful(normal))
     assert tg.equal(rewrite.replay(term, trace, context, mode), rewrite.from_nameful(normal))
     return observed
 
@@ -505,13 +506,13 @@ def test_rule_heads_sound():
             for mode in (PLAIN, PARAMETRIC):
                 for name, rule in rules.items():
                     visits += 1
-                    out = rule(node, env, mode)
+                    out = rule(node, env, rewrite.RunState(mode))
                     if node.__class__ not in rule.heads:
                         assert out is None, (name, node)
                     elif out is not None:
                         fired += 1
                         if name in beta:
-                            again = rule(node, None, mode)
+                            again = rule(node, None, rewrite.RunState(mode))
                             assert rewrite.from_nameful(again) == rewrite.from_nameful(out), name
     assert visits > 1_000_000 and fired > 5000
 

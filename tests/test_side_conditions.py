@@ -53,7 +53,7 @@ def test_side_condition_blocks_the_step(rule, mode):
     term, _ = resolve_packs(parse_target_term(text), ctx, mode)
     ty = typecheck_target(ctx, term, mode)
     nameful = rewrite.to_nameful(term)
-    assert rewrite.ALL_RULES[rule](nameful, dict(ctx), mode) is None
+    assert rewrite.ALL_RULES[rule](nameful, dict(ctx), rewrite.RunState(mode)) is None
     out, steps = rewrite.normalize(term, ctx, mode)
     assert steps == []
     assert tg.equal(out, term)
@@ -83,7 +83,7 @@ def test_let_swap_keeps_a_scrutinee_that_uses_the_outer_type_atom(mode):
     ctx = context(ctx_text)
     term, _ = resolve_packs(parse_target_term(text), ctx, mode)
     ty = typecheck_target(ctx, term, mode)
-    assert rewrite.ALL_RULES["let-swap"](rewrite.to_nameful(term), dict(ctx), mode) is None
+    assert rewrite.ALL_RULES["let-swap"](rewrite.to_nameful(term), dict(ctx), rewrite.RunState(mode)) is None
     out, steps = rewrite.normalize(term, ctx, mode)
     assert rewrite.RewriteStep("let-swap", ()) not in steps
     assert typecheck_target(ctx, out, mode) == ty

@@ -24,7 +24,7 @@ from mu2forge.cps import cps_context, cps_term_typed, cps_type
 from mu2forge.mu_typing import typecheck_mu
 from mu2forge.printer import print_mu_term, print_target_term, sexpr, sexpr_mu_term, sexpr_target_term
 from mu2forge.surface import parse_mu_term, parse_target_term
-from mu2forge.target_typing import typecheck_target
+from mu2forge.target_typing import PLAIN, typecheck_target
 from mu2forge.theory import eq_mu
 
 LIMIT = sys.getrecursionlimit()
@@ -122,6 +122,22 @@ def test_engine_substitutions_deep():
     out = rewrite._replace_first_scrut(t, "a", tg.LetPair, rep)
     assert tg.subterm_at(out, path).scrut == rep
     assert tg.subterm_at(out, path[:-1]).right is tg.subterm_at(t, path[:-1]).right
+
+
+def test_type_alias_passes_deep():
+    # subst_tatom of one type for several atoms, and the pass that
+    # resolves a run's type-atom aliases (T to U to s): the aliased atoms
+    # are in the innermost annotation.
+    lam = tg.TgLam("z%1", tt.Conj(tt.TgVarT("T"), tt.TgVarT("U")), tg.TgApp(tg.TgVar("g"), tg.TgVar("z%1")))
+    t = spine(DEEP, lam)
+    path = (1, 0) * DEEP
+    out = rewrite.subst_tatom(t, dict.fromkeys(("T", "U"), S))
+    assert tg.subterm_at(out, path).ann == tt.Conj(S, S)
+    run = rewrite.RunState(PLAIN)
+    run.aliases.update(T="U", U="s")
+    out = run.leave(t)
+    assert tg.subterm_at(out, path).ann == tt.Conj(S, S)
+    assert rewrite.free_tatoms(out) == {"s"} and out.fn is t.fn
 
 
 def test_church_1000_in_process():
