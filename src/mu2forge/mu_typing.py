@@ -65,13 +65,23 @@ def lookup(context: Context, name: str) -> MuType | None:
     return None
 
 
+def _locally_closed(ty: MuType) -> bool:
+    """locally_closed(ty), computed once per type object (a type is
+    immutable; the memo sits in its instance dict beside the fields)."""
+    memo = ty.__dict__
+    closed = memo.get("_locally_closed")
+    if closed is None:
+        closed = memo["_locally_closed"] = locally_closed(ty)
+    return closed
+
+
 def check_context(context: Context, zone: str) -> None:
     seen: set[str] = set()
     for n, ty in context:
         if n in seen:
             raise IllFormedContext(f"duplicate {zone} {n!r}")
         seen.add(n)
-        if not locally_closed(ty):
+        if not _locally_closed(ty):
             raise IllFormedContext(f"type of {zone} {n!r} has dangling bound variables")
 
 

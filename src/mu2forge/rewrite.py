@@ -144,75 +144,153 @@ def from_nameful(t: TargetTerm) -> TargetTerm:
 # rebuilds the path to the redex and what the rule builds, so only those
 # nodes lack a set afterwards; subst_tatom gives the nodes it rebuilds
 # both sets.  So most reads hit: `_rebuild` reads a child's set straight
-# from its dict and calls `_memo`, which fills the missing sets, only on
-# a miss.  An annotation's type atoms are memoised on the type object.
+# from its dict and calls `_memo` only on a miss.  `_memo` visits each
+# node that lacks the set once: it collects them in one preorder pass
+# and fills them in reverse, children first, each by one small function
+# of its class.  An annotation's type atoms are memoised on the type
+# object.
 
 _ATOMS = "_free_atoms"
 _TATOMS = "_free_tatoms"
 _NO_ATOMS: frozenset[str] = frozenset()
 _KIDS = tg.SYNTAX.children  # node class -> getter of its children, in slot order
+_REBUILD = tg.SYNTAX.rebuild  # node class -> rebuild(node, children in slot order)
+
+# Per node class, its set from its fields and its children's memoised
+# sets.  Each shares a child's set where the other operand adds nothing,
+# so most nodes hold a child's set, not a copy, and subtracts a binder's
+# atoms only where one occurs.
 
 
-def _union(acc: frozenset[str], atoms: frozenset[str]) -> frozenset[str]:
-    # Reuse one operand where the other adds nothing, so most nodes share
-    # a child's set instead of holding a copy.
-    if not atoms or atoms is acc:
-        return acc
-    return atoms if not acc else acc | atoms
+def _atoms_var(t):
+    return frozenset((t.name,))
 
 
-def _minus(atoms: frozenset[str], *bound: str) -> frozenset[str]:
-    return atoms.difference(bound) if not atoms.isdisjoint(bound) else atoms
+def _no_atoms(t):
+    return _NO_ATOMS
 
 
-# Per node class, its set from its fields and its children's memoised sets.
+def _atoms_lam(t):
+    body = t.body.__dict__[_ATOMS]
+    return body.difference((t.hint,)) if t.hint in body else body
+
+
+def _atoms_app(t):
+    fn, arg = t.fn.__dict__[_ATOMS], t.arg.__dict__[_ATOMS]
+    if not arg or arg is fn:
+        return fn
+    return fn | arg if fn else arg
+
+
+def _atoms_pair(t):
+    left, right = t.left.__dict__[_ATOMS], t.right.__dict__[_ATOMS]
+    if not right or right is left:
+        return left
+    return left | right if left else right
+
+
+def _atoms_let_pair(t):
+    scrut, body = t.scrut.__dict__[_ATOMS], t.body.__dict__[_ATOMS]
+    x, y = t.hint_x, t.hint_y
+    if x in body or y in body:
+        body = body.difference((x, y))
+    if not body or body is scrut:
+        return scrut
+    return scrut | body if scrut else body
+
+
+def _atoms_pack(t):
+    return t.payload.__dict__[_ATOMS]
+
+
+def _atoms_let_pack(t):
+    scrut, body = t.scrut.__dict__[_ATOMS], t.body.__dict__[_ATOMS]
+    if t.hint_x in body:
+        body = body.difference((t.hint_x,))
+    if not body or body is scrut:
+        return scrut
+    return scrut | body if scrut else body
+
+
+def _tatoms_lam(t):
+    body, ann = t.body.__dict__[_TATOMS], tt.ftv_memo(t.ann)
+    if not ann or ann is body:
+        return body
+    return body | ann if body else ann
+
+
+def _tatoms_app(t):
+    fn, arg = t.fn.__dict__[_TATOMS], t.arg.__dict__[_TATOMS]
+    if not arg or arg is fn:
+        return fn
+    return fn | arg if fn else arg
+
+
+def _tatoms_pair(t):
+    left, right = t.left.__dict__[_TATOMS], t.right.__dict__[_TATOMS]
+    if not right or right is left:
+        return left
+    return left | right if left else right
+
+
+def _tatoms_let_pair(t):
+    scrut, body = t.scrut.__dict__[_TATOMS], t.body.__dict__[_TATOMS]
+    if not body or body is scrut:
+        return scrut
+    return scrut | body if scrut else body
+
+
+def _tatoms_pack(t):
+    payload, witness, ex = t.payload.__dict__[_TATOMS], tt.ftv_memo(t.witness), tt.ftv_memo(t.ex_ann)
+    if ex and ex is not witness:
+        witness = witness | ex if witness else ex
+    if not witness or witness is payload:
+        return payload
+    return payload | witness if payload else witness
+
+
+def _tatoms_let_pack(t):
+    scrut, body = t.scrut.__dict__[_TATOMS], t.body.__dict__[_TATOMS]
+    if t.hint_t in body:
+        body = body.difference((t.hint_t,))
+    if not body or body is scrut:
+        return scrut
+    return scrut | body if scrut else body
+
+
 _OWN_ATOMS = {
-    TgVar: lambda t: frozenset((t.name,)),
-    Star: lambda t: _NO_ATOMS,
-    TgLam: lambda t: _minus(t.body.__dict__[_ATOMS], t.hint),
-    TgApp: lambda t: _union(t.fn.__dict__[_ATOMS], t.arg.__dict__[_ATOMS]),
-    Pair: lambda t: _union(t.left.__dict__[_ATOMS], t.right.__dict__[_ATOMS]),
-    LetPair: lambda t: _union(
-        t.scrut.__dict__[_ATOMS], _minus(t.body.__dict__[_ATOMS], t.hint_x, t.hint_y)
-    ),
-    Pack: lambda t: t.payload.__dict__[_ATOMS],
-    LetPack: lambda t: _union(t.scrut.__dict__[_ATOMS], _minus(t.body.__dict__[_ATOMS], t.hint_x)),
+    TgVar: _atoms_var, Star: _no_atoms, TgLam: _atoms_lam, TgApp: _atoms_app,
+    Pair: _atoms_pair, LetPair: _atoms_let_pair, Pack: _atoms_pack, LetPack: _atoms_let_pack,
 }
 _OWN_TATOMS = {
-    TgVar: lambda t: _NO_ATOMS,
-    Star: lambda t: _NO_ATOMS,
-    TgLam: lambda t: _union(t.body.__dict__[_TATOMS], tt.ftv_memo(t.ann)),
-    TgApp: lambda t: _union(t.fn.__dict__[_TATOMS], t.arg.__dict__[_TATOMS]),
-    Pair: lambda t: _union(t.left.__dict__[_TATOMS], t.right.__dict__[_TATOMS]),
-    LetPair: lambda t: _union(t.scrut.__dict__[_TATOMS], t.body.__dict__[_TATOMS]),
-    Pack: lambda t: _union(
-        t.payload.__dict__[_TATOMS], _union(tt.ftv_memo(t.witness), tt.ftv_memo(t.ex_ann))
-    ),
-    LetPack: lambda t: _union(t.scrut.__dict__[_TATOMS], _minus(t.body.__dict__[_TATOMS], t.hint_t)),
+    TgVar: _no_atoms, Star: _no_atoms, TgLam: _tatoms_lam, TgApp: _tatoms_app,
+    Pair: _tatoms_pair, LetPair: _tatoms_let_pair, Pack: _tatoms_pack, LetPack: _tatoms_let_pack,
 }
 
 
 def _memo(t: TargetTerm, key: str, own: dict) -> frozenset[str]:
     """The set own[class] computes from a node's children's sets, memoised
-    under key per node object.  Unmemoised nodes are filled in post-order
-    from an explicit stack, so a deep term costs no Python frames here: a
-    node pushes its first child that lacks the key and is looked at again
-    once that child is filled, and it is filled when no child lacks the
-    key."""
-    atoms = t.__dict__.get(key)
+    under key per node object.  The nodes that lack the key are collected
+    in one preorder pass over an explicit stack, so a deep term costs no
+    Python frames here, and filled in reverse order, where every node
+    comes after its children.  A subterm shared below two collected
+    nodes is collected twice and filled once."""
+    memo = t.__dict__
+    atoms = memo.get(key)
     if atoms is not None:
         return atoms
-    stack = [t]
-    while stack:
-        node = stack[-1]
+    todo, found = [t], []
+    while todo:
+        node = todo.pop()
+        found.append(node)
         for kid in _KIDS[node.__class__](node):
             if key not in kid.__dict__:
-                stack.append(kid)
-                break
-        else:
-            stack.pop()
-            node.__dict__[key] = own[node.__class__](node)
-    return t.__dict__[key]
+                todo.append(kid)
+    for node in reversed(found):
+        held = node.__dict__
+        if key not in held:
+            held[key] = own[node.__class__](node)
+    return memo[key]
 
 
 def free_atoms(t: TargetTerm) -> frozenset[str]:
@@ -232,14 +310,15 @@ def uniquify(t: TargetTerm, run: RunState | None = None) -> TargetTerm:
     return to_nameful(from_nameful(run.leave(t) if run else t))
 
 
-def _rebuild(t: TargetTerm, atoms, key: str, own: dict, replace, build=with_children) -> TargetTerm:
+def _rebuild(t: TargetTerm, atoms, key: str, own: dict, replace, build=None) -> TargetTerm:
     """Rebuild t bottom-up over an explicit stack, one entry per node on
     the path from the root.  Only subtrees s whose set under key (see
     `_memo`) meets the atoms are visited; every other subtree is kept as
     the same object.  A child's set is read from its instance dict, and
     `_memo` fills it from own only if it is missing.  In preorder,
     replace(s) takes the place of a visited s unless it is None, and
-    else s becomes build(s, its children as rebuilt)."""
+    else s becomes build(s, its children as rebuilt), by default s's
+    class's rebuilder (`_REBUILD`)."""
     if _memo(t, key, own).isdisjoint(atoms):
         return t
     out = replace(t)
@@ -261,7 +340,7 @@ def _rebuild(t: TargetTerm, atoms, key: str, own: dict, replace, build=with_chil
                 kid = out
             done.append(kid)
         else:
-            out = build(node, done)
+            out = _REBUILD[node.__class__](node, done) if build is None else build(node, done)
             if not stack:
                 return out
             node, todo, done = stack.pop()
@@ -338,7 +417,7 @@ def subst_tatom(t: TargetTerm, tv, w: tt.TargetType | None = None) -> TargetTerm
         elif cls is Pack:
             out = Pack(sub(s.witness), kids[0], sub(s.ex_ann))
         else:
-            out = with_children(s, kids)
+            out = _REBUILD[cls](s, kids)
         memo, old = out.__dict__, s.__dict__
         if _ATOMS in old:
             memo[_ATOMS] = old[_ATOMS]
@@ -430,21 +509,36 @@ def nameful_synth(t: TargetTerm, env: dict[str, tt.TargetType]) -> tt.TargetType
     raise TypeError(t)
 
 
+def _env_lam(t: TgLam, env: dict[str, tt.TargetType]) -> dict[str, tt.TargetType]:
+    return {**env, t.hint: t.ann}
+
+
+def _env_let_pair(t: LetPair, env: dict[str, tt.TargetType]) -> dict[str, tt.TargetType]:
+    sty = nameful_synth(t.scrut, env)
+    assert isinstance(sty, tt.Conj), sty
+    return {**env, t.hint_x: sty.left, t.hint_y: sty.right}
+
+
+def _env_let_pack(t: LetPack, env: dict[str, tt.TargetType]) -> dict[str, tt.TargetType]:
+    sty = nameful_synth(t.scrut, env)
+    assert isinstance(sty, tt.Exists), sty
+    return {**env, t.hint_x: tt.open_exists(sty, t.hint_t)}
+
+
+#: Per node class, per child slot: the rule that gives the slot's typing
+#: environment from the node's, or None where the slot binds nothing
+#: (the environment passes down as it is).  Only a lambda's body and a
+#: let's body sit under binders.
+_ENV_STEPS = {
+    TgVar: (), Star: (), TgLam: (_env_lam,), TgApp: (None, None), Pair: (None, None),
+    LetPair: (None, _env_let_pair), Pack: (None,), LetPack: (None, _env_let_pack),
+}
+
+
 def _env_through(t: TargetTerm, i: int, env: dict[str, tt.TargetType]) -> dict[str, tt.TargetType]:
     """Typing environment for child slot i of nameful node t."""
-    match t:
-        case TgLam(x, ann, _):
-            return {**env, x: ann}
-        case LetPair(x, y, scrut, _) if i == 1:
-            sty = nameful_synth(scrut, env)
-            assert isinstance(sty, tt.Conj), sty
-            return {**env, x: sty.left, y: sty.right}
-        case LetPack(tv, x, scrut, _) if i == 1:
-            sty = nameful_synth(scrut, env)
-            assert isinstance(sty, tt.Exists), sty
-            return {**env, x: tt.open_exists(sty, tv)}
-        case _:
-            return env
+    step = _ENV_STEPS[t.__class__][i]
+    return env if step is None else step(t, env)
 
 
 # ---------------------------------------------------------------------------
@@ -880,19 +974,25 @@ class _Zipper:
     def down(self, i: int, threads_env: bool) -> bool:
         """Move to child i; False, staying put, if the focus has none."""
         node = self.node
-        kids = children(node)
+        kids = _KIDS[node.__class__](node)
         if i >= len(kids):
             return False
-        self.stack.append([node, i, self.env, kids, False])
+        env = self.env
+        self.stack.append([node, i, env, kids, False])
         self.node = kids[i]
-        self.env = _env_through(node, i, self.env) if threads_env else None
+        if threads_env:
+            step = _ENV_STEPS[node.__class__][i]
+            if step is not None:
+                self.env = step(node, env)
+        else:
+            self.env = None
         return True
 
     def up(self) -> None:
         parent, _, env, kids, dirty = self.stack.pop()
         self.env = env
         if dirty:
-            self.replace(with_children(parent, kids))
+            self.replace(_REBUILD[parent.__class__](parent, kids))
         else:
             self.node = parent
 
@@ -910,7 +1010,11 @@ class _Zipper:
             if i < len(kids):
                 frame[1] = i
                 self.node = kids[i]
-                self.env = _env_through(frame[0], i, frame[2]) if threads_env else None
+                if threads_env:
+                    step = _ENV_STEPS[frame[0].__class__][i]
+                    self.env = frame[2] if step is None else step(frame[0], frame[2])
+                else:
+                    self.env = None
                 return True
             self.up()
         return False

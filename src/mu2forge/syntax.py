@@ -16,7 +16,8 @@ field is:
 
 :class:`Syntax` compiles a table into one plan per namespace and derives
 open, close, instantiate, substitute, free atoms, local closure and the
-child slots from it.  Every such operation of ``mu_types``, ``mu_terms``,
+child slots from it, and compiles one rebuilder per class with term
+children.  Every such operation of ``mu_types``, ``mu_terms``,
 ``target_types`` and ``target_terms`` is a one-line call into it.  The
 traversal, :func:`_map`, and structural equality, :meth:`Syntax.equal`,
 run on explicit stacks: the depth of a tree costs them no Python frames.
@@ -115,6 +116,10 @@ def _map(t, plan, free, bound, d):
                 args[i] = new
 
 
+def _same(t, kids):
+    return t
+
+
 class Syntax:
     """The traversals of one syntax, compiled from its binder table."""
 
@@ -125,7 +130,11 @@ class Syntax:
         self.bound_leaf: dict[int, type] = {}
         #: node class -> getter of its term children, in path-slot order
         self.children: dict[type, object] = {}
-        self._rebuild: dict[type, tuple] = {}
+        #: node class -> rebuild(t, kids): t with its term children
+        #: replaced by kids, in path-slot order (t itself if it has none)
+        self.rebuild: dict[type, object] = {}
+        built: list[type] = []  # the classes with term children
+        source = []  # their rebuilders, in that order
         #: node class -> getters of its compared fields: values, subtrees
         self.compared: dict[type, tuple] = {}
         for cls, specs in table.items():
@@ -135,7 +144,11 @@ class Syntax:
                 raise TypeError(f"binder table of {cls.__name__} has {len(specs)} fields")
             kids = tuple(i for i, s in enumerate(specs) if isinstance(s, Child) and s.sort == TERM)
             self.children[cls] = field_getter(tuple(names[i] for i in kids))
-            self._rebuild[cls] = (field_getter(names), kids)
+            self.rebuild[cls] = _same
+            if kids:
+                args = ", ".join(f"k[{kids.index(i)}]" if i in kids else f"t.{n}" for i, n in enumerate(names))
+                source.append(f"def r{len(built)}(t, k):\n    return c{len(built)}({args})\n")
+                built.append(cls)
             compared = [(f.name, isinstance(s, Child)) for f, s in zip(fields, specs) if f.compare]
             self.compared[cls] = (
                 field_getter(tuple(n for n, sub in compared if not sub)),
@@ -154,15 +167,19 @@ class Syntax:
                     if isinstance(s, Child) and ns in s.sort
                 )
                 plan[cls] = (cls, field_getter(names), slots) if slots else None
+        # The rebuilders are compiled in one exec, as `record` compiles
+        # its methods: each reads the node's other fields by name and
+        # calls the constructor once, as in cls(t.hint, t.ann, k[0]).
+        if built:
+            made: dict = {}
+            exec("".join(source), {f"c{i}": cls for i, cls in enumerate(built)}, made)
+            for i, cls in enumerate(built):
+                made[f"r{i}"].__qualname__ = f"rebuild_{cls.__name__}"
+                self.rebuild[cls] = made[f"r{i}"]
 
-    def with_children(self, t, kids: tuple):
-        fields, slots = self._rebuild[t.__class__]
-        if not slots:
-            return t
-        args = list(fields(t))
-        for i, kid in zip(slots, kids):
-            args[i] = kid
-        return t.__class__(*args)
+    def with_children(self, t, kids):
+        """t with its term children replaced by kids, in path-slot order."""
+        return self.rebuild[t.__class__](t, kids)
 
     def equal(self, a, b) -> bool:
         """The generated ``__eq__`` of the node classes, over the same

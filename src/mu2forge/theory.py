@@ -309,6 +309,31 @@ class GaveUp(Exception):
 _ATOM_POOL = tuple(mt.TVar(n) for n in ("a", "b", "c"))
 
 
+# Memos of pure functions of a type object, kept in its instance dict as
+# `target_types` keeps its own: a type is immutable, so they never go
+# stale, and the restarts of `_gen` and every pre-filter call that meet
+# the same type object share them.
+
+
+def _instances(ty: mt.Forall) -> tuple[mt.MuType, ...]:
+    """ty's body instantiated at each `_ATOM_POOL` atom, in pool order,
+    computed once per type object."""
+    memo = ty.__dict__
+    got = memo.get("_instances")
+    if got is None:
+        got = memo["_instances"] = tuple(mt.inst_tvar(ty.body, a) for a in _ATOM_POOL)
+    return got
+
+
+def _opened(ty: mt.Forall, atom: str) -> mt.MuType:
+    """ty's body opened at the type atom, computed once per (type object, atom)."""
+    opened = ty.__dict__.setdefault("_opened", {})
+    body = opened.get(atom)
+    if body is None:
+        body = opened[atom] = mt.open_tvar(ty.body, atom)
+    return body
+
+
 def gen_typed_term(
     seed: int,
     budget: int,
@@ -396,7 +421,7 @@ def _inhabited(budget, gamma_types, delta_types, goal) -> bool:
             reached, doms = set(), {}
             for ty in gam:
                 if isinstance(ty, mt.Forall):
-                    reached.update(mt.inst_tvar(ty.body, a) for a in _ATOM_POOL)
+                    reached.update(_instances(ty))
                 elif isinstance(ty, mt.Arrow):
                     doms.setdefault(ty.cod, []).append(ty.dom)
             got = offers[gam] = (reached, doms)
@@ -411,8 +436,7 @@ def _inhabited(budget, gamma_types, delta_types, goal) -> bool:
         if isinstance(goal, mt.Arrow) and inh(budget - 1, gam | {goal.dom}, dlt, goal.cod):
             return True  # lam
         if isinstance(goal, mt.Forall):
-            opened = mt.open_tvar(goal.body, f"#X{budget}")
-            if inh(budget - 1, gam, dlt, opened):
+            if inh(budget - 1, gam, dlt, _opened(goal, f"#X{budget}")):
                 return True  # tylam
         if mu(budget, gam, dlt | {goal}):
             return True  # mu
@@ -462,8 +486,8 @@ def _gen(rng, budget, gamma, delta, goal, depth) -> tm.MuTerm | None:
             if isinstance(ty, mt.Arrow) and ty.cod == goal:
                 candidates.append(("app-var", (v, ty)))
             if isinstance(ty, mt.Forall):
-                for inst_ty in _ATOM_POOL:
-                    if mt.inst_tvar(ty.body, inst_ty) == goal:
+                for inst_ty, inst in zip(_ATOM_POOL, _instances(ty)):
+                    if inst == goal:
                         candidates.append(("tyapp-var", (v, ty, inst_ty)))
     if budget >= 3:
         candidates.append(("app", None))
