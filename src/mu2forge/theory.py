@@ -383,7 +383,9 @@ def _inhabited(budget, gamma_types, delta_types, goal) -> bool:
     or app domains builds a term, so every restart of `_gen` returns None
     and `gen_typed_term` would raise GaveUp anyway.  Termination: every
     recursive call strictly lowers the budget (budget - 1, or budget // 2
-    at budget >= 3).  The memos live for this call only.
+    at budget >= 3).  The memos of answers live for this call only;
+    a forall's instantiations and opened bodies are kept on the type
+    object (`_instances`, `_opened`), which no context can change.
 
     The answer is a function of (budget, gamma, delta, goal) alone, so the
     order in which the rules are tried and what is shared between calls
