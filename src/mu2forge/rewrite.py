@@ -78,7 +78,7 @@ from . import target_types as tt
 from . import target_terms as tg
 from .mu_terms import base_name
 from .record import fields, record
-from .syntax import TVAR, VAR, field_getter
+from .syntax import TERM, TVAR, TYPE, VAR, Child, Leaf, field_getter
 from .target_terms import (
     LetPack,
     LetPair,
@@ -146,9 +146,9 @@ def from_nameful(t: TargetTerm) -> TargetTerm:
 # both sets.  So most reads hit: `_rebuild` reads a child's set straight
 # from its dict and calls `_memo` only on a miss.  `_memo` visits each
 # node that lacks the set once: it collects them in one preorder pass
-# and fills them in reverse, children first, each by one small function
-# of its class.  An annotation's type atoms are memoised on the type
-# object.
+# and fills them in reverse, children first, each by one function of its
+# class that `_compile` derives from the binder table.  An annotation's
+# type atoms are memoised on the type object.
 
 _ATOMS = "_free_atoms"
 _TATOMS = "_free_tatoms"
@@ -156,116 +156,69 @@ _NO_ATOMS: frozenset[str] = frozenset()
 _KIDS = tg.SYNTAX.children  # node class -> getter of its children, in slot order
 _REBUILD = tg.SYNTAX.rebuild  # node class -> rebuild(node, children in slot order)
 
-# Per node class, its set from its fields and its children's memoised
-# sets.  Each shares a child's set where the other operand adds nothing,
-# so most nodes hold a child's set, not a copy, and subtracts a binder's
-# atoms only where one occurs.
+
+def _own_set(cls: type, specs: tuple, ns: int, key: str) -> str:
+    """The body of cls's own-set function for namespace ns: the union of
+    its slots' sets, the term children's memoised under key first, then
+    the annotations' (`tt.ftv_memo`), each less the atoms of the node's
+    binders that scope over the slot.  It returns a child's set where the
+    other operand adds nothing, so most nodes hold a child's set, not a
+    copy, and subtracts binder atoms only where one occurs."""
+    if specs and isinstance(specs[0], Leaf):  # a free occurrence
+        return "return frozenset((t.name,))" if specs[0].ns == ns else "return E"
+    binders = [f for f, n, _ in tg.BINDERS.get(cls, ()) if n == ns]  # a later one innermost
+    slots = [(f.name, s) for f, s in zip(fields(cls), specs) if isinstance(s, Child) and ns in s.sort]
+    slots.sort(key=lambda slot: slot[1].sort != TERM)
+    lines = []  # s holds the union so far, o the next operand
+    for j, (name, s) in enumerate(slots):
+        v = "o" if j else "s"
+        lines.append(f"{v} = t.{name}.__dict__[{key!r}]" if s.sort == TERM else f"{v} = ftv(t.{name})")
+        under = binders[len(binders) - s[1 + ns]:]  # the innermost binders, as many as the slot sits under
+        if under:
+            test, atoms = " or ".join(f"t.{b} in {v}" for b in under), "".join(f"t.{b}, " for b in under)
+            lines.append(f"if {test}:\n        {v} = {v}.difference(({atoms}))")
+        if 0 < j < len(slots) - 1:
+            lines.append("if o and o is not s:\n        s = s | o if s else o")
+    if len(slots) == 1:
+        lines.append("return s")
+    elif slots:  # the last union is returned as it is made
+        lines.append("if not o or o is s:\n        return s\n    return s | o if s else o")
+    return "\n    ".join(lines) or "return E"
 
 
-def _atoms_var(t):
-    return frozenset((t.name,))
+def _compile() -> tuple[dict, dict, dict, dict]:
+    """Per term class of the binder table, bound leaves aside: its
+    own-set function for VAR and for TVAR (see `_own_set`), the getter of
+    its annotations (its Child(TYPE) fields), and retype(t, f, kids), t
+    with each annotation a replaced by f(a) and its term children by
+    kids.  All are compiled in one exec, as `Syntax.rebuild` is."""
+    stems = ("atoms", "tatoms", "annotations", "retype")
+    env, source, classes = {"E": _NO_ATOMS, "ftv": tt.ftv_memo}, [], []
+    for cls, specs in tg.TABLE.items():
+        if not issubclass(cls, TargetTerm) or cls in tg.SYNTAX.bound_leaf.values():
+            continue
+        name, field_names = cls.__name__, [f.name for f in fields(cls)]
+        kids = [i for i, s in enumerate(specs) if isinstance(s, Child) and s.sort == TERM]
+        anns = [n for n, s in zip(field_names, specs) if isinstance(s, Child) and s.sort == TYPE]
+        args = ", ".join(
+            f"k[{kids.index(i)}]" if i in kids else f"f(t.{n})" if n in anns else f"t.{n}"
+            for i, n in enumerate(field_names)
+        )
+        env[name] = cls
+        classes.append(cls)
+        source += (
+            f"def atoms_{name}(t):\n    {_own_set(cls, specs, VAR, _ATOMS)}\n",
+            f"def tatoms_{name}(t):\n    {_own_set(cls, specs, TVAR, _TATOMS)}\n",
+            f"def annotations_{name}(t):\n    return ({''.join(f't.{n}, ' for n in anns)})\n",
+            f"def retype_{name}(t, f, k):\n    return {f'{name}({args})' if kids or anns else 't'}\n",
+        )
+    made: dict = {}
+    exec("".join(source), env, made)
+    return tuple({cls: made[f"{stem}_{cls.__name__}"] for cls in classes} for stem in stems)
 
 
-def _no_atoms(t):
-    return _NO_ATOMS
-
-
-def _atoms_lam(t):
-    body = t.body.__dict__[_ATOMS]
-    return body.difference((t.hint,)) if t.hint in body else body
-
-
-def _atoms_app(t):
-    fn, arg = t.fn.__dict__[_ATOMS], t.arg.__dict__[_ATOMS]
-    if not arg or arg is fn:
-        return fn
-    return fn | arg if fn else arg
-
-
-def _atoms_pair(t):
-    left, right = t.left.__dict__[_ATOMS], t.right.__dict__[_ATOMS]
-    if not right or right is left:
-        return left
-    return left | right if left else right
-
-
-def _atoms_let_pair(t):
-    scrut, body = t.scrut.__dict__[_ATOMS], t.body.__dict__[_ATOMS]
-    x, y = t.hint_x, t.hint_y
-    if x in body or y in body:
-        body = body.difference((x, y))
-    if not body or body is scrut:
-        return scrut
-    return scrut | body if scrut else body
-
-
-def _atoms_pack(t):
-    return t.payload.__dict__[_ATOMS]
-
-
-def _atoms_let_pack(t):
-    scrut, body = t.scrut.__dict__[_ATOMS], t.body.__dict__[_ATOMS]
-    if t.hint_x in body:
-        body = body.difference((t.hint_x,))
-    if not body or body is scrut:
-        return scrut
-    return scrut | body if scrut else body
-
-
-def _tatoms_lam(t):
-    body, ann = t.body.__dict__[_TATOMS], tt.ftv_memo(t.ann)
-    if not ann or ann is body:
-        return body
-    return body | ann if body else ann
-
-
-def _tatoms_app(t):
-    fn, arg = t.fn.__dict__[_TATOMS], t.arg.__dict__[_TATOMS]
-    if not arg or arg is fn:
-        return fn
-    return fn | arg if fn else arg
-
-
-def _tatoms_pair(t):
-    left, right = t.left.__dict__[_TATOMS], t.right.__dict__[_TATOMS]
-    if not right or right is left:
-        return left
-    return left | right if left else right
-
-
-def _tatoms_let_pair(t):
-    scrut, body = t.scrut.__dict__[_TATOMS], t.body.__dict__[_TATOMS]
-    if not body or body is scrut:
-        return scrut
-    return scrut | body if scrut else body
-
-
-def _tatoms_pack(t):
-    payload, witness, ex = t.payload.__dict__[_TATOMS], tt.ftv_memo(t.witness), tt.ftv_memo(t.ex_ann)
-    if ex and ex is not witness:
-        witness = witness | ex if witness else ex
-    if not witness or witness is payload:
-        return payload
-    return payload | witness if payload else witness
-
-
-def _tatoms_let_pack(t):
-    scrut, body = t.scrut.__dict__[_TATOMS], t.body.__dict__[_TATOMS]
-    if t.hint_t in body:
-        body = body.difference((t.hint_t,))
-    if not body or body is scrut:
-        return scrut
-    return scrut | body if scrut else body
-
-
-_OWN_ATOMS = {
-    TgVar: _atoms_var, Star: _no_atoms, TgLam: _atoms_lam, TgApp: _atoms_app,
-    Pair: _atoms_pair, LetPair: _atoms_let_pair, Pack: _atoms_pack, LetPack: _atoms_let_pack,
-}
-_OWN_TATOMS = {
-    TgVar: _no_atoms, Star: _no_atoms, TgLam: _tatoms_lam, TgApp: _tatoms_app,
-    Pair: _tatoms_pair, LetPair: _tatoms_let_pair, Pack: _tatoms_pack, LetPack: _tatoms_let_pack,
-}
+_OWN_ATOMS, _OWN_TATOMS, _ANNOTATIONS, _RETYPE = _compile()
+_MEMO_OF = ((_ATOMS, _OWN_ATOMS), (_TATOMS, _OWN_TATOMS))  # per namespace, VAR and TVAR: key and own sets
 
 
 def _memo(t: TargetTerm, key: str, own: dict) -> frozenset[str]:
@@ -294,7 +247,8 @@ def _memo(t: TargetTerm, key: str, own: dict) -> frozenset[str]:
 
 
 def free_atoms(t: TargetTerm) -> frozenset[str]:
-    """The free term atoms of a nameful term, memoised per node object."""
+    """The free term atoms of a nameful term, memoised per node object.
+    Binder atoms are unique, so an atom that occurs anywhere in t is free."""
     return _memo(t, _ATOMS, _OWN_ATOMS)
 
 
@@ -380,14 +334,6 @@ def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm, run: RunState | None =
     return _replace_where(t, x, occurrence)
 
 
-_MEMO_OF = ((_ATOMS, _OWN_ATOMS), (_TATOMS, _OWN_TATOMS))  # per namespace, VAR and TVAR: key and own sets
-
-
-def nameful_occurs(t: TargetTerm, atom: str) -> bool:
-    # Binder atoms are unique, so an occurrence of the atom anywhere is free.
-    return atom in free_atoms(t)
-
-
 def subst_tatom(t: TargetTerm, tv, w: tt.TargetType | None = None) -> TargetTerm:
     """Nameful substitution of the type w for the type atom tv, or, given
     a dict tv and no w, of tv[a] for each atom a, all in one pass.  Only
@@ -412,12 +358,7 @@ def subst_tatom(t: TargetTerm, tv, w: tt.TargetType | None = None) -> TargetTerm
 
     def build(s: TargetTerm, kids: list) -> TargetTerm:
         cls = s.__class__
-        if cls is TgLam:
-            out = TgLam(s.hint, sub(s.ann), kids[0])
-        elif cls is Pack:
-            out = Pack(sub(s.witness), kids[0], sub(s.ex_ann))
-        else:
-            out = _REBUILD[cls](s, kids)
+        out = _RETYPE[cls](s, sub, kids)
         memo, old = out.__dict__, s.__dict__
         if _ATOMS in old:
             memo[_ATOMS] = old[_ATOMS]
@@ -457,11 +398,14 @@ def _targets(aliases: dict[str, str]) -> dict[str, tt.TargetType]:
 
 
 def _read(s: TargetTerm, aliases: dict[str, str]) -> TargetTerm:
-    """s, or a pack s with the aliased type atoms of its witness and its
-    annotation read as their targets."""
-    if aliases and s.__class__ is Pack and (tt.ftv_memo(s.witness) | tt.ftv_memo(s.ex_ann)) & aliases.keys():
-        reps = _targets(aliases)
-        return Pack(tt.SYNTAX.subst(TVAR, s.witness, reps), s.payload, tt.SYNTAX.subst(TVAR, s.ex_ann, reps))
+    """s, with the aliased type atoms of its annotations read as their
+    targets."""
+    if aliases:
+        cls = s.__class__
+        for ann in _ANNOTATIONS[cls](s):
+            if not tt.ftv_memo(ann).isdisjoint(aliases):
+                reps = _targets(aliases)
+                return _RETYPE[cls](s, lambda a: tt.SYNTAX.subst(TVAR, a, reps), _KIDS[cls](s))
     return s
 
 
@@ -649,7 +593,7 @@ def _eta_let(k: _Kind):
     # In parametric mode the pair pattern also matches <x, Star> when the
     # second component is at exists X. X: terminality rewrites Star back
     # to y, after which this is the literal pair-eta axiom.
-    let, by_ns = k.let, k.by_ns
+    let, intro, by_ns = k.let, k.intro, k.by_ns
     term_atoms = by_ns[0][1]
     star = let is LetPair
 
@@ -664,7 +608,7 @@ def _eta_let(k: _Kind):
             if not _only_in_patterns(body, pats, atoms_in(t), ns, aliases):
                 return None
         # Every pattern holds the first term atom; each takes a copy of s.
-        copy = lambda sub: uniquify(scrut, run) if _read(sub, aliases) in pats else None
+        copy = lambda sub: uniquify(scrut, run) if sub.__class__ is intro and _read(sub, aliases) in pats else None
         return _replace_where(body, term_atoms(t)[0], copy)
 
     return rule
@@ -689,10 +633,10 @@ def _only_in_patterns(body, pats: tuple[TargetTerm, ...], atoms: tuple[str, ...]
         if ns == VAR:
             if cls is TgVar:
                 return False  # an atom outside the patterns, or a body that is one variable
-        elif cls is TgLam or cls is Pack:  # a type atom occurs in annotations
-            anns = (s.ann,) if cls is TgLam else (s.witness, s.ex_ann)
-            if any(not tt.ftv_memo(a).isdisjoint(atoms) for a in anns):
-                return False
+        else:  # a type atom occurs in annotations
+            for ann in _ANNOTATIONS[cls](s):
+                if not tt.ftv_memo(ann).isdisjoint(atoms):
+                    return False
         for kid in _KIDS[cls](s):
             held = kid.__dict__.get(key)
             if held is None:
@@ -810,7 +754,7 @@ def _rw_let_swap(t, env, run):
     # unless its scrutinee is one of the outer let's term atoms.
     if t.__class__ in _LETS and t.body.__class__ in _LETS:
         outer, inner = t, t.body
-        if not any(nameful_occurs(inner.scrut, a) for a in _BINDER_ATOMS[outer.__class__](outer)):
+        if free_atoms(inner.scrut).isdisjoint(_BINDER_ATOMS[outer.__class__](outer)):
             order = {a: i for i, a in enumerate(env)}
             if _scrut_key(inner.scrut, order) < _scrut_key(outer.scrut, order):
                 return _remake_let(
@@ -894,7 +838,7 @@ HOIST_RULES = (
     # lam x. let p = s in A  =  let p = s in lam x. A  (x not in s); the
     # root's table (_by_head) lacks it, so the outermost Program keeps its
     # lam k. A  shape.
-    ("hoist-lam", _hoist(0, TgLam, moves=lambda lam, let: not nameful_occurs(let.scrut, lam.hint))),
+    ("hoist-lam", _hoist(0, TgLam, moves=lambda lam, let: lam.hint not in free_atoms(let.scrut))),
     ("let-expand", _at(_rw_let_expand, *_LETS)),
     ("let-swap", _at(_rw_let_swap, *_LETS)),
 )

@@ -2,6 +2,10 @@
 
 `syntax.Syntax` compiles one rebuilder per class with term children from
 the binder table; here each is compared with a rebuild field by field.
+`rewrite` compiles, per term class, its free-atom functions, the getter
+of its annotations and a rebuild that maps them; the last two are
+compared field by field too, and each own-set function is checked to
+share a child's set where the other operands add nothing.
 `rewrite._memo` collects the nodes that lack a free-atom set in one pass
 and fills each once, also a subterm shared below two of them.  The
 zipper steps a typing environment only at a slot under binders
@@ -24,21 +28,26 @@ from mu2forge import target_types as tt
 from mu2forge import theory
 from mu2forge.mu_typing import check_contexts, ctx
 from mu2forge.record import fields
-from mu2forge.syntax import TERM, Child
+from mu2forge.syntax import TERM, TVAR, TYPE, VAR, Child, Hint, Leaf
 from mu2forge.target_typing import PARAMETRIC, PLAIN
 from test_search_resume import catalog_images, numeral_images
 
 SYNTAXES = {"mu_types": mt, "mu_terms": tm, "target_types": tt, "target_terms": tg}
 
 
-def fieldwise(table, t, kids):
+def fieldwise(table, t, kids, retype=None):
     """t with its term children replaced by kids: every field read into a
-    list, the child slots patched, the class called on the list."""
+    list, the child slots patched, the class called on the list.  Given
+    retype, each Child(TYPE) field a is patched to retype(a) too."""
     specs = table[t.__class__]
     args = [getattr(t, f.name) for f in fields(t.__class__)]
     slots = [i for i, s in enumerate(specs) if isinstance(s, Child) and s.sort == TERM]
     for i, kid in zip(slots, kids):
         args[i] = kid
+    if retype is not None:
+        for i, s in enumerate(specs):
+            if isinstance(s, Child) and s.sort == TYPE:
+                args[i] = retype(args[i])
     return t.__class__(*args)
 
 
@@ -61,6 +70,93 @@ def test_compiled_rebuilders_match_a_fieldwise_rebuild(name):
             assert getattr(out, f.name) is getattr(want, f.name), (cls, f.name)
         rebuilt += 1
     assert rebuilt == {"mu_types": 0, "mu_terms": 5, "target_types": 0, "target_terms": 6}[name]
+
+
+TERM_CLASSES = {
+    cls for cls, specs in tg.TABLE.items()
+    if issubclass(cls, tg.TargetTerm) and not (specs and isinstance(specs[0], Leaf) and specs[0].bound)
+}
+
+
+def test_annotation_getter_and_retype_match_a_fieldwise_rebuild():
+    """Each term class's annotations are its Child(TYPE) fields in field
+    order, and its retype maps them and replaces its term children, as
+    a rebuild field by field does; a class with no child is returned as
+    it is."""
+    for table in (rewrite._OWN_ATOMS, rewrite._OWN_TATOMS, rewrite._ANNOTATIONS, rewrite._RETYPE):
+        assert table.keys() == TERM_CLASSES
+    typed = 0
+    for cls in TERM_CLASSES:
+        specs = tg.TABLE[cls]
+        t = cls(*(object() for _ in specs))  # a distinct object per field
+        anns = [getattr(t, f.name) for f, s in zip(fields(cls), specs) if isinstance(s, Child) and s.sort == TYPE]
+        got = rewrite._ANNOTATIONS[cls](t)
+        assert len(got) == len(anns) and all(a is b for a, b in zip(got, anns)), cls
+        images = {id(a): object() for a in anns}
+        kids = [object() for s in specs if isinstance(s, Child) and s.sort == TERM]
+        out = rewrite._RETYPE[cls](t, lambda a: images[id(a)], kids)
+        if not any(isinstance(s, Child) for s in specs):
+            assert out is t, cls
+            continue
+        want = fieldwise(tg.TABLE, t, kids, lambda a: images[id(a)])
+        assert out.__class__ is cls
+        for f in fields(cls):
+            assert getattr(out, f.name) is getattr(want, f.name), (cls, f.name)
+        typed += bool(anns)
+    assert typed == 2  # TgLam and Pack
+
+
+class NoDifference(frozenset):
+    """A memoised set whose difference must not be taken."""
+
+    def difference(self, *others):
+        raise AssertionError(f"difference taken of {set(self)} though no binder atom occurs")
+
+
+def with_sets(cls, ns: int, sets: list) -> tg.TargetTerm:
+    """A node of cls with a term atom in each hint, whose slots of
+    namespace ns hold the given sets in field order: a term child's
+    memo under the namespace's key, an annotation's free type atoms."""
+    key = (rewrite._ATOMS, rewrite._TATOMS)[ns]
+    sets, args = iter(sets), []
+    for i, s in enumerate(tg.TABLE[cls]):
+        if isinstance(s, Hint):
+            args.append(f"h{i}")
+        elif s.sort == TERM:
+            args.append(tg.TgVar(f"k{i}"))
+            args[-1].__dict__[key] = next(sets)
+        else:
+            args.append(tt.TgVarT(f"A{i}"))
+            if ns in s.sort:
+                args[-1].__dict__["_ftv"] = next(sets)
+    return cls(*args)
+
+
+@pytest.mark.parametrize("ns", (VAR, TVAR), ids=("atoms", "tatoms"))
+def test_own_sets_share_a_child_set(ns):
+    """A node's memo is a child's set object when every other operand is
+    empty or that same object, and no difference is taken unless a
+    binder atom occurs in the set it is taken of."""
+    shared = 0
+    for cls, own in (rewrite._OWN_ATOMS, rewrite._OWN_TATOMS)[ns].items():
+        specs = tg.TABLE[cls]
+        if specs and isinstance(specs[0], Leaf):
+            continue
+        n = sum(isinstance(s, Child) and ns in s.sort for s in specs)
+        if not n:
+            assert own(cls(*(f"h{i}" for i in range(len(specs))))) is rewrite._NO_ATOMS, cls
+            continue
+        for i in range(n):
+            held = NoDifference({"a"})
+            sets = [frozenset() for _ in range(n)]
+            sets[i] = held
+            assert own(with_sets(cls, ns, sets)) is held, (cls, i)
+        held = NoDifference({"a"})
+        assert own(with_sets(cls, ns, [held] * n)) is held, cls
+        apart = [NoDifference({f"a{i}"}) for i in range(n)]
+        assert own(with_sets(cls, ns, apart)) == {f"a{i}" for i in range(n)}, cls
+        shared += 1
+    assert shared == 6  # all but TgVar and Star
 
 
 def test_a_shared_subterm_is_filled_once(monkeypatch):
