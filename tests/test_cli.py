@@ -191,13 +191,11 @@ def test_suite_smoke_deterministic(capsys):
     assert out1.count("PASS") == 13
 
 
-def test_golden_dir_env_override(capsys, tmp_path, monkeypatch):
-    from mu2forge.suite_runner import criterion_12_free_theorems
-
-    monkeypatch.setenv("MU2FORGE_GOLDEN", str(tmp_path))
-    result = criterion_12_free_theorems()
-    assert not result.passed  # empty directory: goldens missing
-    monkeypatch.delenv("MU2FORGE_GOLDEN")
+def test_golden_dir_option(capsys, tmp_path):
+    code, out, _ = run(capsys, "suite", "--generated", "5", "--golden-dir", str(tmp_path))
+    assert code == 1  # empty directory: goldens missing
+    assert "FAIL criterion 12" in out
+    assert out.count("PASS") == 12
 
 
 def run_cold(*argv):

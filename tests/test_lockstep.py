@@ -48,11 +48,9 @@ def _generated():
 
 def _input_sets():
     """Per input set, a thunk that asks the kernel its equations."""
-    from mu2forge.suite_runner import (
-        criterion_3_fullness,
-        criterion_7_focal_decomposition,
-        criterion_10_l_monad,
-    )
+    from mu2forge.suite_runner import criteria, decide
+
+    gate = {criterion[0]: criterion for criterion in criteria()}
 
     def axioms():
         for inst in core_axiom_instances():
@@ -81,9 +79,9 @@ def _input_sets():
                 eq_mu(source, tm.App(identity(ty), source), th, gamma, delta)
 
     return {
-        "round trips": criterion_3_fullness,
+        "round trips": lambda: decide(*gate[3]),
         "axioms": axioms,
-        "L-monad and focal": lambda: (criterion_10_l_monad(), criterion_7_focal_decomposition()),
+        "L-monad and focal": lambda: (decide(*gate[10]), decide(*gate[7])),
         "numerals": numerals,
         "generated": generated,
     }

@@ -251,8 +251,9 @@ def test_eta_wrappers_equal_on_generated_terms():
 
 # ---------------------------------------------------------------------------
 # The seeded corpus the acceptance gate tests, pinned by printed form.  The
-# loops mirror suite_runner's criteria 1 and 4; a generator change that
-# alters which seeds give up or which term a seed yields changes a digest.
+# loops mirror suite_runner._judgements, which draws criterion 1's
+# judgements and criterion 4's instances; a generator change that alters
+# which seeds give up or which term a seed yields changes a digest.
 # The digests were taken from the generator before give-ups were decided
 # by the inhabitation pre-filter.
 

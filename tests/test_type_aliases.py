@@ -117,3 +117,19 @@ def test_no_type_atom_escapes_a_run(images, mode):
         assert met == "inputs"
         assert free_tatoms(left, env) <= free and free_tatoms(right, env) <= free, (label, "normalize_pair")
         assert free_tatoms(rewrite.replay(term, steps, tuple(env.items()), mode), env) <= free, (label, "replay")
+
+
+@pytest.mark.parametrize(
+    "rewrite_atom",
+    [lambda t: rewrite.subst_tatom(t, "a", tt.TgVarT("b")), lambda t: rewrite._read(t, {"a": "b"})],
+    ids=["subst_tatom", "read-through-alias"],
+)
+def test_a_pack_has_its_witness_and_existential_annotation_rewritten(rewrite_atom):
+    """A type substitution, and a read through an alias, rewrite both
+    annotations of a pack: its witness and its existential type."""
+    made, _ = resolve_nameful(parse_target_term(r"<a | h : exists Y. not a>"), context("h:not a"), PLAIN)
+    want, _ = resolve_nameful(parse_target_term(r"<b | h : exists Y. not b>"), context("h:not b"), PLAIN)
+    got = rewrite_atom(made)
+    assert got.witness == want.witness == tt.TgVarT("b")
+    assert got.ex_ann == want.ex_ann
+    assert tg.equal(rewrite.from_nameful(got), rewrite.from_nameful(want))
