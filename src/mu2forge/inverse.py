@@ -7,7 +7,8 @@ type.  `invert_nameful` runs `canonical`'s pipeline with that builder
 on a nameful term, and `invert_term` opens a closed one first.  Hole filling is
 capture-permitting: the let clauses bind the variables and names of the
 filled term, so contexts are represented as closures that construct the
-binders around the hole.
+binders around the hole.  The clauses build the mu-term nameful, with the
+atoms of the target's binders, and one pass closes it when it is done.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _invert(form: CanonicalForm, term: tg.TargetTerm, context: TgContext):
     kind, out = _walk(term, form.type, PLAIN, context, _Inverse())
     if kind != form.kind:
         raise NotCanonical(f"a {form.kind} at {show(form.type)}, the type of a {kind}")
-    return out
+    return _closed(out)
 
 
 def invert_term(term: tg.TargetTerm, type_: tt.TargetType, context: TgContext = ()):
@@ -75,22 +76,31 @@ def invert_term(term: tg.TargetTerm, type_: tt.TargetType, context: TgContext = 
 def invert_nameful(t: tg.TargetTerm, type_: tt.TargetType, context: TgContext = ()):
     """Normalise a nameful term of type type_ in plain mode and invert its
     canonical form, in one walk of the grammar: its kind and its inverse."""
-    return _canonical(t, type_, PLAIN, context, _Inverse())[3:]
+    kind, out = _canonical(t, type_, PLAIN, context, _Inverse())[3:]
+    return kind, _closed(out)
+
+
+def _closed(out):
+    """The nameful inverse closed, or for a context, closed when filled."""
+    if isinstance(out, MuContext):
+        return MuContext(out.hole_type, lambda h: tm.SYNTAX.close_binders(out.fill(h), tm.base_name))
+    return tm.SYNTAX.close_binders(out, tm.base_name)
 
 
 class _Inverse:
-    """The inverse of each clause of the grammar, given the inverses of
-    its parts.  A context is filled through `fill`, which spares a frame
-    per context over calling it."""
+    """The nameful inverse of each clause of the grammar, given the
+    inverses of its parts.  A context is filled through `fill`, which
+    spares a frame per context over calling it."""
 
     def var(self, x):
         return tm.Var(x)
 
-    def bold_mu(self, k, sdeg, answer):
-        return tm.bold_mu(k, uncps_type(sdeg), answer)
+    def bold_mu(self, k, sdeg, answer):  # mu* k. answer
+        ann = uncps_type(sdeg)
+        return tm.Mu(k, ann, tm.FName(k), tm.TyApp(answer, ann))
 
-    def named(self, k, sdeg):  # [k] -
-        return MuContext(uncps_type(sdeg), lambda h: tm.named(k, h))
+    def named(self, k, sdeg):  # [k] -, its binder's atom bound nowhere
+        return MuContext(uncps_type(sdeg), lambda h: tm.Mu(tm.fresh("_"), mt.BOT, tm.FName(k), h))
 
     def pair(self, sdeg, program, rest):  # C[- P]
         return MuContext(uncps_type(sdeg), lambda h: rest.fill(tm.App(h, program)))
@@ -108,11 +118,11 @@ class _Inverse:
         if isinstance(body, MuContext):
             return MuContext(body.hole_type, lambda h: self.let(lets, body.fill(h)))
         for t, x, k, env, scrut in reversed(lets):
-            body = tm.bold_mu(k, uncps_type(env[k]), body)
+            body = self.bold_mu(k, env[k], body)
             if isinstance(t, tg.LetPair):
-                body = tm.lam(x, uncps_type(env[x].body), body)
+                body = tm.Lam(x, uncps_type(env[x].body), body)
             else:
-                body = tm.tylam(x, body)
+                body = tm.TyLam(x, body)
             body = scrut.fill(body)
         return body
 

@@ -409,22 +409,16 @@ def _sym(node) -> str:
 
 
 def _read(node, calculus, sort):
-    """The node of sort read from a parsed s-expression of the calculus,
-    closed in the same pass: an occurrence of an atom that a binder around
-    it binds becomes the index of the innermost such binder."""
+    """The node of sort read from a parsed s-expression of the calculus.
+    It is built nameful, then closed by one `Syntax.close_binders` pass
+    at each root: a type's, whether it stands alone or in a term, and the
+    term's.  An occurrence of an atom that a binder around it binds
+    becomes the index of the innermost such binder."""
     types, syntax, tags = calculus
-    levels: tuple[dict, dict, dict] = ({}, {}, {})  # per namespace: atom -> level of its binder
-    depth = [0, 0, 0]  # per namespace: binders around the current node
-
-    def occurrence(ns, atom):
-        level = levels[ns].get(atom)
-        if level is None:
-            return syntax.free_leaf[ns](atom)
-        return syntax.bound_leaf[ns](depth[ns] - 1 - level)
 
     def go(node, sort):
         if sort is NAME_REF:
-            return occurrence(NAME, _sym(node))
+            return syntax.free_leaf[NAME](_sym(node))
         if not isinstance(node, list) or not node:
             raise SexprError(f"expected a tagged list, got {node}")
         tag = _sym(node[0])
@@ -435,23 +429,14 @@ def _read(node, calculus, sort):
         if len(node) != 1 + len(_TABLE[cls]):
             raise SexprError(f"({tag} ...) takes {len(_TABLE[cls])} fields, not {len(node) - 1}")
         if leaf is not None:
-            return occurrence(leaf.ns, _sym(node[1]))
-        bound = [(ns, _sym(node[1 + i])) for i, ns, _ in hints]
-        args = [atom for _, atom in bound]
-        for (inside, sort), x in zip(kids, node[1 + len(hints):]):
-            if inside:
-                saved = [levels[ns].get(atom) for ns, atom in bound]
-                for ns, atom in bound:
-                    levels[ns][atom] = depth[ns]
-                    depth[ns] += 1
-            args.append(go(x, sort))
-            if inside:
-                for (ns, atom), level in zip(reversed(bound), reversed(saved)):
-                    depth[ns] -= 1
-                    levels[ns][atom] = level
+            return cls(_sym(node[1]))
+        args = [_sym(node[1 + i]) for i, _, _ in hints]
+        for (_, sort), x in zip(kids, node[1 + len(hints):]):
+            made = go(x, sort)
+            args.append(syntax.close_binders(made) if sort is TYPE and cls not in types else made)
         return cls(*args)
 
-    return go(node, sort)
+    return syntax.close_binders(go(node, sort))
 
 
 def _calculus(types: dict, syntax, table: dict):

@@ -16,11 +16,12 @@ field is:
 
 :class:`Syntax` compiles a table into one plan per namespace and derives
 open, close, instantiate, substitute, free atoms, local closure and the
-child slots from it, and compiles one rebuilder per class with term
-children.  Every such operation of ``mu_types``, ``mu_terms``,
-``target_types`` and ``target_terms`` is a one-line call into it.  The
-traversal, :func:`_map`, and structural equality, :meth:`Syntax.equal`,
-run on explicit stacks: the depth of a tree costs them no Python frames.
+child slots from it; it compiles a rebuilder per class with term children
+and the two whole-tree binder passes, ``close_binders`` and
+``open_binders``.  Every such operation of the four syntax modules is a
+one-line call into it.  The traversal, :func:`_map`, the binder passes
+and :meth:`Syntax.equal` run on explicit stacks: the depth of a tree
+costs them no Python frames.
 """
 
 from __future__ import annotations
@@ -120,6 +121,109 @@ def _same(t, kids):
     return t
 
 
+#: The whole-tree binder passes.  ``close_binders(t, hint=str)`` abstracts
+#: every binder's atom of a nameful tree, its hint becoming hint(atom);
+#: ``open_binders(t, fresh, error)`` opens every binder of a locally closed
+#: one with fresh(hint or base), drawn in preorder, and raises error at a
+#: dangling occurrence outside an annotation.  Types stay locally nameless
+#: in a term: in an annotation a type's binders only shift the depth; at a
+#: type root they bind.  Per pass, as source text in the namespace {ns} and
+#: the hint's index {i}, field {f} and base {base}: on a free and a bound
+#: occurrence (classes F{ns}, B{ns}); per hint, on the visit (if drawn), on
+#: entering and leaving its binder, and as rebuilt; on an annotation a_{f}.
+_PASSES = {
+    "close_binders(t, hint=str)": dict(
+        head="L0, L1, L2 = {}, {}, {}  # per namespace: atom -> level of its innermost binder, or None\n"
+             "d0 = d1 = d2 = 0  # per namespace: the binders around the node\n"
+             "ty = lambda n, d, L=L1: n if (lv := L.get(n.name)) is None else B1(d - 1 - lv)",
+        free="lv = L{ns}.get(t.name)\nout.append(t if lv is None else B{ns}(d{ns} - 1 - lv))",
+        bound="out.append(t)",
+        enter="b{i} = L{ns}.get(t.{f})\nL{ns}[t.{f}] = d{ns}\nd{ns} += 1",
+        leave="d{ns} -= 1\nL{ns}[t.{f}] = b{i}",
+        hint="hint(t.{f})",
+        ann="a_{f} = t.{f} if t.{f} is None or not d1 else _map(t.{f}, P1, ty, None, d1)",
+    ),
+    "open_binders(t, fresh, error)": dict(
+        head="A0, A1, A2 = [], [], []  # per namespace: the atoms of the binders around, innermost last\n"
+             "ty = lambda b, d, A=A1: F1(A[d - b.index - 1]) if 0 <= b.index - d < len(A) else b",
+        free="out.append(t)",
+        bound="k = t.index\nif not 0 <= k < len(A{ns}):\n    raise error(f'dangling bound variable {{k}}')\n"
+              "out.append(F{ns}(A{ns}[-1 - k]))",
+        draw="b{i} = fresh(t.{f} or {base!r})",
+        enter="A{ns}.append(b{i})",
+        leave="A{ns}.pop()",
+        hint="b{i}",
+        ann="a_{f} = t.{f} if t.{f} is None or not A1 else _map(t.{f}, P1, None, ty, 0)",
+    ),
+}
+
+
+def _binder_pass(head: str, table: dict[type, tuple], name: dict[type, str], hints_of: dict[type, tuple]) -> str:
+    """The source of the pass ``_PASSES[head]`` for a binder table and its
+    hint slots, ``name`` naming each class, F{ns} and B{ns} its
+    occurrences: one loop over an explicit stack with one branch per class
+    on a visit, on entering its binders and on finishing it.  A slot
+    under binders sits under all of its node's hints, after every slot
+    outside them.  A TYPE slot of a term node (a node with a slot of
+    another sort) is an annotation: one `_map` over TVAR rewrites it, in
+    which its own binders only shift the depth; a None one is kept."""
+    op = _PASSES[head]
+    visit, enter, finish = [], [], []  # per class: its name and lines
+    # term classes first: a pass over a term meets type nodes only at a type root
+    for cls, specs in sorted(table.items(), key=lambda item: not any(
+        isinstance(s, Leaf) and s.ns != TVAR or isinstance(s, Child) and s.sort != TYPE for s in item[1]
+    )):
+        names = [f.name for f in record_fields(cls)]
+        hints = hints_of[cls]
+        counts = tuple(sum(ns == k for _, ns, _ in hints) for k in (VAR, TVAR, NAME))
+        term_node = any(isinstance(s, Child) and s.sort != TYPE for s in specs)
+        outside, inside, anns_out, anns_in = slots = ([], [], [], [])  # children, annotations: outside, under
+        for n, s in zip(names, specs):
+            if isinstance(s, Child):
+                under = s[1:] != (0, 0, 0)
+                if s[1:] != (counts if under else (0, 0, 0)) or not under and (inside or anns_in):
+                    raise TypeError(f"a slot of {cls.__name__} is not under all or none of its binders, in order")
+                slots[2 * (term_node and s.sort == TYPE) + under].append(n)
+        c, leaf = name[cls], specs[0] if specs and isinstance(specs[0], Leaf) else None
+        if leaf or not (hints or outside or inside):
+            visit.append((c, [op["bound" if leaf.bound else "free"].format(ns=leaf.ns) if leaf else "out.append(t)"]))
+            continue
+        each = lambda key: [op[key].format(i=i, f=n, ns=ns, base=base) for i, (n, ns, base) in enumerate(hints)]
+        held, main = "".join(f"b{i}, " for i in range(len(hints))), outside + inside
+        push = lambda marker, fields: f"todo += ({', '.join([marker, *(f't.{n}' for n in reversed(fields))])},)"
+        if hints:  # its binders are entered once the slots outside them are done
+            drawn = each("draw") if "draw" in op else []
+            visit.append((c, [*drawn, push(f"[t, ({held})]" if drawn else "[t, None]", outside)]))
+            enter.append((c, [*([f"{held}= saved"] if drawn else []), *each("enter"), push(f"(t, ({held}))", inside)]))
+        else:
+            visit.append((c, [push("(t, None)", main)]))
+        made = {n: op["hint"].format(i=i, f=n) for i, (n, _, _) in enumerate(hints)}
+        made.update({n: f"v_{n}" for n in main[1:]}, **{n: f"a_{n}" for n in anns_out + anns_in})
+        args = ", ".join(made.get(n, "out[-1]") for n in names)  # out[-1]: the first child
+        finish.append((c, [
+            *([f"{held}= saved"] if hints else []), *(op["ann"].format(f=n) for n in anns_in),
+            *reversed(each("leave")), *(op["ann"].format(f=n) for n in anns_out),
+            *(f"v_{n} = out.pop()" for n in reversed(main[1:])),
+            f"out[-1] = {c}({args})" if main else f"out.append({c}({args}))",
+        ]))
+
+    def chain(cases, indent, first="if"):
+        for k, (c, lines) in enumerate(cases):
+            code.append(f"{' ' * indent}{'elif' if k else first} cls is {c}:")
+            code.extend(f"{' ' * indent}    {line}" for line in "\n".join(lines).split("\n"))
+
+    code = [f"def {head}:", *(f"    {line}" for line in op["head"].split("\n")), "    out = []",
+            "    todo = [t]  # nodes, [node, atoms] to enter its binders, (node, binders) to finish it",
+            "    while todo:", "        t = todo.pop()", "        cls = t.__class__",
+            "        if cls is tuple:", "            t, saved = t", "            cls = t.__class__"]
+    chain(finish, 12)
+    chain(visit, 8, "elif")
+    code += ["        elif cls is list:", "            t, saved = t", "            cls = t.__class__"]
+    chain(enter, 12)
+    code += ["        else:", "            raise TypeError(f'not a node of this syntax: {t!r}')", "    return out[0]\n"]
+    return "\n".join(code)
+
+
 class Syntax:
     """The traversals of one syntax, compiled from its binder table."""
 
@@ -137,17 +241,21 @@ class Syntax:
         source = []  # their rebuilders, in that order
         #: node class -> getters of its compared fields: values, subtrees
         self.compared: dict[type, tuple] = {}
-        for cls, specs in table.items():
+        #: node class -> per hint slot, in field order: the field, the
+        #: namespace it binds and the base name of a fresh atom for it
+        self.hints: dict[type, tuple] = {}
+        for j, (cls, specs) in enumerate(table.items()):
             fields = record_fields(cls)
             names = tuple(f.name for f in fields)
             if len(names) != len(specs):
                 raise TypeError(f"binder table of {cls.__name__} has {len(specs)} fields")
+            self.hints[cls] = tuple((n, s.ns, s.base) for n, s in zip(names, specs) if isinstance(s, Hint))
             kids = tuple(i for i, s in enumerate(specs) if isinstance(s, Child) and s.sort == TERM)
             self.children[cls] = field_getter(tuple(names[i] for i in kids))
             self.rebuild[cls] = _same
             if kids:
                 args = ", ".join(f"k[{kids.index(i)}]" if i in kids else f"t.{n}" for i, n in enumerate(names))
-                source.append(f"def r{len(built)}(t, k):\n    return c{len(built)}({args})\n")
+                source.append(f"def r{len(built)}(t, k):\n    return c{j}({args})\n")
                 built.append(cls)
             compared = [(f.name, isinstance(s, Child)) for f, s in zip(fields, specs) if f.compare]
             self.compared[cls] = (
@@ -167,15 +275,28 @@ class Syntax:
                     if isinstance(s, Child) and ns in s.sort
                 )
                 plan[cls] = (cls, field_getter(names), slots) if slots else None
-        # The rebuilders are compiled in one exec, as `record` compiles
-        # its methods: each reads the node's other fields by name and
-        # calls the constructor once, as in cls(t.hint, t.ann, k[0]).
-        if built:
-            made: dict = {}
-            exec("".join(source), {f"c{i}": cls for i, cls in enumerate(built)}, made)
-            for i, cls in enumerate(built):
-                made[f"r{i}"].__qualname__ = f"rebuild_{cls.__name__}"
-                self.rebuild[cls] = made[f"r{i}"]
+        # The rebuilders are compiled in one exec, as `record` compiles its
+        # methods: each reads the node's other fields by name and calls the
+        # constructor once, as in cls(t.hint, t.ann, k[0]).
+        name = {cls: f"c{i}" for i, cls in enumerate(table)}
+        env = {c: cls for cls, c in name.items()}
+        env.update({f"F{ns}": cls for ns, cls in self.free_leaf.items()}, _map=_map, P1=self._plans[TVAR])
+        env.update({f"B{ns}": cls for ns, cls in self.bound_leaf.items()})
+        made: dict = {}
+        exec("".join(source), env, made)
+        for i, cls in enumerate(built):
+            made[f"r{i}"].__qualname__ = f"rebuild_{cls.__name__}"
+            self.rebuild[cls] = made[f"r{i}"]
+        self._source, self._env = (table, name, self.hints), env
+
+    def __getattr__(self, attr: str):
+        """A binder pass of `_PASSES`, compiled on its first use: a cold
+        start pays only for the passes it uses."""
+        head = next((head for head in _PASSES if head.startswith(attr + "(")), None)
+        if head is None:
+            raise AttributeError(attr)
+        exec(_binder_pass(head, *self._source), self._env, self.__dict__)
+        return self.__dict__[attr]
 
     def with_children(self, t, kids):
         """t with its term children replaced by kids, in path-slot order."""
@@ -217,13 +338,6 @@ class Syntax:
         mk, n = self.free_leaf[ns], len(atoms)
         bound = lambda b, d: mk(atoms[d - b.index - 1]) if 0 <= b.index - d < n else b
         return _map(t, self._plans[ns], None, bound, 0) if atoms else t
-
-    def close_all(self, ns: int, t, levels: dict[str, int], n: int):
-        """Close each free atom that levels maps to its binder's level, n
-        binders (the outermost at level 0) enclosing t."""
-        mk = self.bound_leaf[ns]
-        free = lambda a, d: a if (lv := levels.get(a.name)) is None else mk(d + n - 1 - lv)
-        return _map(t, self._plans[ns], free, None, 0) if levels else t
 
     def inst(self, ns: int, t, rep, depth: int = 0):
         """Replace the bound index at depth by the locally closed rep."""

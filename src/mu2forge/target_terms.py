@@ -9,9 +9,9 @@ cannot synthesise it from the payload alone.
 Callers pass, and the kernel prints, locally closed terms.  Inside the
 kernel a term is nameful: each binder holds a globally unique atom in
 its hint slot, and its occurrences are that atom.  `to_nameful` opens a
-closed term and `close_binders` closes a nameful one, each in one pass;
-typing, rewriting, the canonical walk and the alpha-equality of the
-lockstep (`nameful_equal`) run nameful.
+closed term and `close_binders` closes a nameful one, by the binder
+passes `syntax` derives from the table; typing, rewriting, the canonical
+walk and the alpha-equality of the lockstep (`nameful_equal`) run nameful.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import partial
 
 from . import target_types
 from .mu_terms import fresh  # noqa: F401 - shared fresh-atom supply, re-exported
-from .record import field, fields, record
+from .record import field, record
 from .syntax import TERM, TVAR, TYPE, VAR, Child, Hint, Leaf, Syntax
 from .target_types import TargetType
 
@@ -176,136 +176,23 @@ def subst_tvar_term(t: TargetTerm, x: str, rep: TargetType) -> TargetTerm:
 # Nameful terms: every TgLam, LetPair and LetPack carries the atoms it binds
 # in its hint slots.  Builders make nameful terms and close them once.
 
-#: Per binding node, its hint slots in field order, read from the binder
-#: table: the field, the namespace it binds and the base name of a fresh
-#: atom for it.  The body sits under all of them, a later slot innermost
-#: (LetPair: x is index 1, y index 0); the field between the hints and
-#: the body (TgLam.ann, a let's scrut) is outside them.
-BINDERS = {
-    cls: hints
-    for cls, specs in TABLE.items()
-    if issubclass(cls, TargetTerm)
-    and (hints := tuple(
-        (f.name, s.ns, s.base) for f, s in zip(fields(cls), specs) if isinstance(s, Hint)
-    ))
-}
+#: Per binding node, its hint slots in field order (`Syntax.hints`).  The
+#: body sits under all of them, a later slot innermost (LetPair: x is
+#: index 1, y index 0); the field between the hints and the body
+#: (TgLam.ann, a let's scrut) is outside them.
+BINDERS = {cls: hints for cls, hints in SYNTAX.hints.items() if hints and issubclass(cls, TargetTerm)}
 
 
 def close_binders(t: TargetTerm, hint=str) -> TargetTerm:
-    """Abstract every binder's atoms in one post-order pass over an
-    explicit stack: an atom's occurrences, in terms and annotations,
-    become the index of its innermost binder, whose hint becomes
-    hint(atom).  Each binder's level per atom and namespace is kept in
-    a map, and an inner binder of an atom shadows an outer one only
-    within its scope."""
-    levels: tuple[dict, dict] = ({}, {})  # VAR, TVAR: atom -> level of its binder
-    depth = [0, 0]  # VAR, TVAR: binders around the current node
-    ty = lambda a: target_types.SYNTAX.close_all(TVAR, a, levels[TVAR], depth[TVAR])
-    out: list[TargetTerm] = []
-    todo: list = [t]  # nodes to visit, [node, undo] to enter its binders, (node, undo) to finish
-    while todo:
-        t = todo.pop()
-        cls = t.__class__
-        if cls is tuple:
-            t, undo = t
-            cls = t.__class__
-            if undo is None:
-                right = out.pop()
-                if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
-                    ex = t.ex_ann
-                    out.append(Pack(ty(t.witness), right, None if ex is None else ty(ex)))
-                else:
-                    out[-1] = cls(out[-1], right)
-                continue
-            for ns, atom, level in reversed(undo):
-                depth[ns] -= 1
-                if level is None:
-                    del levels[ns][atom]
-                else:
-                    levels[ns][atom] = level
-            body = out.pop()
-            outer = ty(t.ann) if cls is TgLam else out.pop()
-            out.append(cls(*[hint(atom) for _, atom, _ in undo], outer, body))
-        elif cls is TgVar:
-            level = levels[VAR].get(t.name)
-            out.append(t if level is None else TgBVar(depth[VAR] - 1 - level))
-        elif cls is TgApp:
-            todo += ((t, None), t.arg, t.fn)
-        elif cls is TgLam:  # enter its binder now: the annotation is closed when it is done
-            atom = t.hint
-            todo += ((t, [(VAR, atom, levels[VAR].get(atom))]), t.body)
-            levels[VAR][atom] = depth[VAR]
-            depth[VAR] += 1
-        elif cls is list:  # enter the binders, noting what they shadow
-            t, undo = t
-            for field_name, ns, _ in BINDERS[t.__class__]:
-                atom = getattr(t, field_name)
-                undo.append((ns, atom, levels[ns].get(atom)))
-                levels[ns][atom] = depth[ns]
-                depth[ns] += 1
-        elif cls is Pair:
-            todo += ((t, None), t.right, t.left)
-        elif cls is TgBVar or cls is Star:
-            out.append(t)
-        elif cls is Pack:
-            todo += ((t, None), t.payload)
-        else:
-            undo: list = []
-            todo += ((t, undo), t.body, [t, undo], t.scrut)
-    return out[0]
+    """The locally closed form of a nameful term (see `Syntax.close_binders`)."""
+    return SYNTAX.close_binders(t, hint)
 
 
 def to_nameful(t: TargetTerm) -> TargetTerm:
-    """Open every binder of t with a fresh atom, in one preorder pass over
-    an explicit stack that keeps the atoms of the enclosing binders on
-    one stack per namespace.  A dangling index is a typing error."""
-    atoms: tuple[list, list] = ([], [])  # VAR, TVAR: innermost last
-    ty = lambda a: target_types.SYNTAX.open_all(TVAR, a, atoms[TVAR])
-    out: list[TargetTerm] = []
-    todo: list = [t]  # nodes to visit, [node, atoms] to enter its binders, (node, atoms) to finish
-    while todo:
-        t = todo.pop()
-        cls = t.__class__
-        if cls is tuple:
-            t, bound = t
-            cls = t.__class__
-            if bound is None:
-                right = out.pop()
-                if cls is Pack:  # the surface reader leaves ex_ann None to resolve later
-                    ex = t.ex_ann
-                    out.append(Pack(ty(t.witness), right, None if ex is None else ty(ex)))
-                else:
-                    out[-1] = cls(out[-1], right)
-                continue
-            for _, ns, _ in BINDERS[cls]:
-                atoms[ns].pop()
-            body = out.pop()
-            outer = ty(t.ann) if cls is TgLam else out.pop()
-            out.append(cls(*bound, outer, body))
-        elif cls is TgBVar:
-            if not 0 <= t.index < len(atoms[VAR]):
-                raise TargetTypeError(f"dangling bound variable {t.index}")
-            out.append(TgVar(atoms[VAR][-1 - t.index]))
-        elif cls is TgApp:
-            todo += ((t, None), t.arg, t.fn)
-        elif cls is TgLam:  # enter its binder now: the annotation is read when it is done
-            x = fresh(t.hint or "x")
-            atoms[VAR].append(x)
-            todo += ((t, (x,)), t.body)
-        elif cls is list:  # enter the binders
-            t, bound = t
-            for (_, ns, _), atom in zip(BINDERS[t.__class__], bound):
-                atoms[ns].append(atom)
-        elif cls is Pair:
-            todo += ((t, None), t.right, t.left)
-        elif cls is TgVar or cls is Star:
-            out.append(t)
-        elif cls is Pack:
-            todo += ((t, None), t.payload)
-        else:
-            bound = [fresh(getattr(t, field_name) or base) for field_name, _, base in BINDERS[cls]]
-            todo += ((t, bound), t.body, [t, bound], t.scrut)
-    return out[0]
+    """The nameful form of a locally closed term, each binder opened with
+    a fresh atom (see `Syntax.open_binders`); a dangling term index is a
+    typing error."""
+    return SYNTAX.open_binders(t, fresh, TargetTypeError)
 
 
 #: Per class of a free occurrence, its namespace: TgVar VAR, TgVarT TVAR.

@@ -4,10 +4,10 @@ from mu2forge import mu_terms as tm
 from mu2forge import mu_types as mt
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
-from mu2forge.canonical import CONTINUATION, NotCanonical, canonicalize
+from mu2forge.canonical import CONTINUATION, PROGRAM, NotCanonical, canonicalize
 from mu2forge.combinators import abort, church, dne, exotic_numeral, l_alpha, peirce
 from mu2forge.cps import cps_context, cps_term_typed
-from mu2forge.inverse import MuContext, invert, roundtrip, split_context
+from mu2forge.inverse import MuContext, invert, invert_term, roundtrip, split_context
 from mu2forge.mu_typing import ctx, typecheck_mu
 from mu2forge.target_typing import PLAIN, tg_ctx
 
@@ -120,3 +120,27 @@ def test_roundtrip_requires_program():
     form = canonicalize(tg.TgVar("k"), S, PLAIN, tctx)
     with pytest.raises(NotCanonical):
         roundtrip(form, tctx)
+
+
+def test_named_context_keeps_a_name_spelt_like_its_binder_hint():
+    """[_] - names the free continuation _: the named term's own binder,
+    hinted _, binds no atom of the filled term."""
+    tctx = tg_ctx(("_", S))
+    context = invert(canonicalize(tg.TgVar("_"), S, PLAIN, tctx), tctx)
+    filled = context(tm.Var("h"))
+    assert filled == tm.named("_", tm.Var("h")) and filled.hint == "_"
+
+
+def test_invert_closes_church_300_in_one_pass(monkeypatch):
+    """The inverse is built nameful and closed once: no closing pass per
+    binder, which made inverting Church n quadratic in n."""
+    form = canonicalize(cps_term_typed((), (), church(300))[0], None, PLAIN)
+    passes, per_binder = [], []
+    real = tm.SYNTAX.close_binders
+    monkeypatch.setattr(tm.SYNTAX, "close_binders", lambda t, hint=str: passes.append(t) or real(t, hint))
+    for name in ("close_var", "close_name", "close_tvar_term"):
+        one = getattr(tm, name)
+        monkeypatch.setattr(tm, name, lambda *args, one=one, name=name: per_binder.append(name) or one(*args))
+    kind, out = invert_term(form.term, form.type)
+    assert kind == PROGRAM and len(passes) == 1 and per_binder == []
+    assert typecheck_mu((), (), out) == typecheck_mu((), (), church(300))
