@@ -39,7 +39,7 @@ _EXPORTS = {
         "subst_type",
         "tylam",
     ),
-    "mu_typing": ("MuJudgement", "ctx", "judge", "typecheck_mu"),
+    "mu_typing": ("MuJudgement", "ctx", "typecheck_mu"),
     "target_typing": ("PARAMETRIC", "PLAIN", "typecheck_target"),
     "canonical": ("CanonicalForm", "EqVerdict", "canonicalize", "eq_target"),
     "rewrite": ("normalize", "replay"),
@@ -54,7 +54,7 @@ _EXPORTS = {
     ),
     "inverse": ("invert", "roundtrip"),
     "theory": ("BETA_ETA", "LAMBDA_MU_2P", "eq_mu", "gen_typed_term"),
-    "combinators": ("TypeScheme", "catalog", "church", "functorial_action", "mk_combinator"),
+    "combinators": ("TypeScheme", "catalog", "church", "functorial_action"),
     "focality": (
         "FocalityCertificate",
         "NoCertificate",

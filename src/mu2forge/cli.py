@@ -25,6 +25,7 @@ from .printer import (
 )
 from .surface import (
     MuParseError,
+    _Parser,
     parse_mu_term,
     parse_mu_type,
     parse_target_term,
@@ -54,7 +55,7 @@ class CliError(Exception):
 
 
 def _parse_bindings(spec: str | None, parse):
-    """name:type bindings, each type read by parse."""
+    """name:type bindings: each name an identifier, each type read by parse."""
     out = []
     if not spec:
         return tuple(out)
@@ -65,7 +66,13 @@ def _parse_bindings(spec: str | None, parse):
         name, _, ty = chunk.partition(":")
         if not ty:
             raise CliError(f"binding {chunk!r} is not of the form name:type")
-        out.append((name.strip(), parse(ty.strip())))
+        try:
+            p = _Parser(name)
+            ident = p.ident()
+            p.done()
+        except MuParseError:
+            raise CliError(f"binding {chunk!r}: {name.strip()!r} is not an identifier") from None
+        out.append((ident, parse(ty.strip())))
     return tuple(out)
 
 

@@ -358,40 +358,6 @@ class CatalogEntry:
     description: str
 
 
-def mk_combinator(name: str, *args) -> tm.MuTerm:
-    """Build a catalog combinator; args are types/terms as each entry needs."""
-    builders = {
-        "C": (dne, 1),
-        "Peirce": (peirce, 2),
-        "Abort": (abort, 1),
-        "identity": (identity, 1),
-        "L-eta": (l_eta, 1),
-        "L-mu": (l_mu, 1),
-        "L-map": (l_map, 3),
-        "L-alpha": (l_alpha, 1),
-        "sharp": (sharp, 3),
-        "flat": (flat, 2),
-        "in": (in_comb, 1),
-        "fold": (fold_comb, 2),
-        "in-sharp": (in_sharp, 1),
-        "O": (church_zero, 0),
-        "S": (church_succ, 0),
-        "phi": (phi, 3),
-        "g_o": (g_o, 2),
-        "g_s": (g_s, 2),
-        "fold_N": (fold_numeral, 2),
-        "exotic-numeral": (exotic_numeral, 0),
-        "church": (church, 1),
-    }
-    try:
-        builder, arity = builders[name]
-    except KeyError:
-        raise ArityMismatch(f"unknown combinator {name!r}") from None
-    if len(args) != arity:
-        raise ArityMismatch(f"{name} expects {arity} parameter(s), got {len(args)}")
-    return builder(*args)
-
-
 def catalog() -> list[CatalogEntry]:
     """The standard corpus; every entry's type is re-derived by the tests."""
     from .mu_typing import ctx, typecheck_mu

@@ -98,7 +98,7 @@ def check_focal(
 
 def validate_certificate(
     cert: FocalityCertificate,
-    argument: str | None = None,
+    argument: str,
     gamma: Context = (),
     delta: Context = (),
 ) -> None:
@@ -108,12 +108,6 @@ def validate_certificate(
     not s1deg in context, and its body must be exactly the argument
     applied to the transformer.  Failures raise (bug sentinel)."""
     ev = cert.evidence
-    if argument is None:
-        bound = {n for n, _ in gamma} | {n for n, _ in delta}
-        candidates = tg.free_vars(ev) - bound
-        if len(candidates) != 1:
-            raise MuTypeError(f"evidence has ambiguous argument variables {candidates}")
-        (argument,) = candidates
     tctx = cps_context(gamma + ((argument, cert.source),), delta)
     got = typecheck_target(tctx, ev)
     want = tt.Neg(cps_type(cert.target))
@@ -146,26 +140,6 @@ def _linear_spine(g: tg.TargetTerm, k: str) -> bool:
             return k not in tg.free_vars(scrut) and _linear_spine(body, k)
         case _:
             return False
-
-
-def certified_equal(cert: FocalityCertificate, other: FocalityCertificate) -> bool:
-    return (
-        tg.close_var(cert.transformer, cert.hole)
-        == tg.close_var(other.transformer, other.hole)
-    )
-
-
-def compose_certificates(
-    inner: FocalityCertificate,
-    outer: FocalityCertificate,
-    gamma: Context = (),
-    delta: Context = (),
-) -> FocalityCertificate | NoCertificate:
-    """Certificate for outer . inner; transformers compose in reverse."""
-    if outer.source != inner.target:
-        raise MuTypeError("certificates do not compose")
-    subject = compose(outer.subject, inner.subject, inner.source)
-    return check_focal(subject, inner.source, outer.target, gamma, delta)
 
 
 def check_discardable(

@@ -4,11 +4,11 @@
 reads each clause back: Programs invert to terms, Continuations to
 one-hole contexts with a typed hole, Answers to terms of the falsity
 type.  `invert_nameful` runs `canonical`'s pipeline with that builder
-on a nameful term, and `invert_term` opens a closed one first.  Hole filling is
-capture-permitting: the let clauses bind the variables and names of the
-filled term, so contexts are represented as closures that construct the
-binders around the hole.  The clauses build the mu-term nameful, with the
-atoms of the target's binders, and one pass closes it when it is done.
+on a nameful term.  Hole filling is capture-permitting: the let clauses
+bind the variables and names of the filled term, so contexts are
+represented as closures that construct the binders around the hole.
+The clauses build the mu-term nameful, with the atoms of the target's
+binders, and one pass closes it when it is done.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ def _invert(form: CanonicalForm, term: tg.TargetTerm, context: TgContext):
     if kind != form.kind:
         raise NotCanonical(f"a {form.kind} at {show(form.type)}, the type of a {kind}")
     return _closed(out)
-
-
-def invert_term(term: tg.TargetTerm, type_: tt.TargetType, context: TgContext = ()):
-    """invert_nameful of a locally closed term, opened once."""
-    return invert_nameful(tg.to_nameful(term), type_, context)
 
 
 def invert_nameful(t: tg.TargetTerm, type_: tt.TargetType, context: TgContext = ()):

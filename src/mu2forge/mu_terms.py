@@ -266,24 +266,3 @@ def mixed_subst(t: MuTerm, a: str, mode: MixedMode, b: str | None = None) -> MuT
             return Mu(hint, ann, target, body2)
     raise TypeError(t)
 
-
-def mixed_subst_naming(
-    target: NameRef, body: MuTerm, a: str, mode: MixedMode, b: str | None = None
-) -> tuple[NameRef, MuTerm]:
-    """Mixed substitution applied to a bare naming [target]body."""
-    if b is None:
-        b = mode.name if isinstance(mode, Rename) else fresh("b")
-    body2 = mixed_subst(body, a, mode, b)
-    if target == FName(a):
-        match mode:
-            case AppArg(arg):
-                return FName(b), App(body2, arg)
-            case TyArg(ty):
-                return FName(b), TyApp(body2, ty)
-            case Rename(_):
-                return FName(b), body2
-    return target, body2
-
-
-def locally_closed_term(t: MuTerm, vd: int = 0, td: int = 0, nd: int = 0) -> bool:
-    return all(SYNTAX.locally_closed(ns, t, d) for ns, d in ((VAR, vd), (TVAR, td), (NAME, nd)))

@@ -102,11 +102,6 @@ class MuJudgement:
         return got
 
 
-def judge(gamma: Context, delta: Context, subject: MuTerm) -> MuJudgement:
-    ty = typecheck_mu(gamma, delta, subject)
-    return MuJudgement(gamma, delta, subject, ty)
-
-
 def check_contexts(gamma: Context, delta: Context) -> None:
     """Both zones well formed, and no identifier in both."""
     check_context(gamma, "variable")

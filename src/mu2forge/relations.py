@@ -506,8 +506,6 @@ def open_obligations(run_oracle: bool = False) -> list[Obligation]:
     attempted and their verdicts recorded as notes; headline claims stay
     open either way.
     """
-    from .printer import print_mu_type
-
     a = mt.TVar("a")
     obligations = [
         Obligation(

@@ -334,16 +334,15 @@ def subst_refresh(t: TargetTerm, x: str, rep: TargetTerm, run: RunState | None =
     return _replace_where(t, x, occurrence)
 
 
-def subst_tatom(t: TargetTerm, tv, w: tt.TargetType | None = None) -> TargetTerm:
-    """Nameful substitution of the type w for the type atom tv, or, given
-    a dict tv and no w, of tv[a] for each atom a, all in one pass.  Only
-    nodes whose free type atoms meet the atoms are rebuilt; every other
-    subtree is returned as the same object.  A rebuilt node keeps the
-    term-atom memo of the node it replaces, since a type changes no term
-    atom, and gets its type atoms from its children (`_OWN_TATOMS`): an
-    image's atom may be bound inside the node.  Each distinct annotation
-    object that holds one of the atoms is substituted once per call."""
-    reps = tv if w is None else {tv: w}
+def subst_tatom(t: TargetTerm, reps: dict[str, tt.TargetType]) -> TargetTerm:
+    """Nameful substitution of reps[a] for each type atom a, in one pass.
+    Only nodes whose free type atoms meet the atoms are rebuilt; every
+    other subtree is returned as the same object.  A rebuilt node keeps
+    the term-atom memo of the node it replaces, since a type changes no
+    term atom, and gets its type atoms from its children (`_OWN_TATOMS`):
+    an image's atom may be bound inside the node.  Each distinct
+    annotation object that holds one of the atoms is substituted once
+    per call."""
     if free_tatoms(t).isdisjoint(reps):
         return t
     images = {}  # id of an annotation -> its image

@@ -278,27 +278,28 @@ def _mu_term(p: _Parser) -> tm.MuTerm:
 
 
 def _mu_binder(p: _Parser):
-    """Read a binder's header; the constructor that waits for its body."""
+    """Read a binder's header; the nameful constructor that waits for its
+    body.  The named term's binder is a fresh atom, bound nowhere."""
     tok = p.next()
     if tok.text == "[":
         b = p.ident()
         p.expect("]")
-        return partial(tm.named, b)
+        return partial(tm.Mu, tm.fresh("_"), mt.BOT, tm.FName(b))
     x = p.ident()
     if tok.text == "/\\":
         p.expect(".")
-        return partial(tm.tylam, x)
+        return partial(tm.TyLam, x)
     p.expect(":")
     ann = _mu_type(p)
     p.expect(".")
     if tok.text == "\\":
-        return partial(tm.lam, x, ann)
+        return partial(tm.Lam, x, ann)
     if tok.text == "mu*":
-        return partial(tm.bold_mu, x, ann)
+        return lambda body: tm.Mu(x, ann, tm.FName(x), tm.TyApp(body, ann))
     p.expect("[")
     b = p.ident()
     p.expect("]")
-    return partial(tm.mu, x, ann, b)
+    return partial(tm.Mu, x, ann, tm.FName(b))
 
 
 def _mu_app(p: _Parser, term: tm.MuTerm, waiting: list) -> tm.MuTerm | None:
@@ -332,7 +333,7 @@ def parse_mu_term(text: str) -> tm.MuTerm:
     p = _Parser(text)
     term = _mu_term(p)
     p.done()
-    return term
+    return tm.SYNTAX.close_binders(term, tm.base_name)
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,6 @@ class TargetTypeMismatch(TargetTypeError):
 TgContext = tuple[tuple[str, TargetType], ...]
 
 
-def tg_ctx(*pairs: tuple[str, TargetType]) -> TgContext:
-    return tuple(pairs)
-
-
 def typecheck_target(context: TgContext, term: TargetTerm, mode: str = PLAIN) -> TargetType:
     """The type of a locally closed term under context.  Every pack must
     carry its existential; resolve_nameful fills in those the reader left out."""

@@ -37,6 +37,23 @@ def test_binding_without_a_type_exit_2(capsys, target):
     assert (code, out, err) == (2, "", "error: binding 'x' is not of the form name:type\n")
 
 
+@pytest.mark.parametrize(
+    "option, binding, name",
+    [("--ctx", ":s", ""), ("--ctx", "x y:s", "x y"), ("--ctx", "x%1:s", "x%1"), ("--names", "mu:s", "mu")],
+    ids=["empty", "two-words", "fresh-atom-suffix", "keyword"],
+)
+def test_binding_name_must_be_an_identifier(capsys, option, binding, name):
+    # Names are read by the surface grammar's identifier rule, so a
+    # binding cannot name what no term can mention.
+    code, out, err = run(capsys, "typecheck", option, binding, r"\x:s. x")
+    assert (code, out, err) == (2, "", f"error: binding {binding!r}: {name!r} is not an identifier\n")
+
+
+def test_binding_name_may_be_primed(capsys):
+    code, out, _ = run(capsys, "typecheck", "--ctx", "b':s", "b'")
+    assert (code, out) == (0, "s\n")
+
+
 def test_eq_catalog_example(capsys):
     code, out, _ = run(
         capsys,

@@ -16,7 +16,7 @@ from mu2forge.cps import (
     cps_term_typed,
     cps_type,
 )
-from mu2forge.mu_typing import MuJudgement, TypeMismatch, ctx, judge
+from mu2forge.mu_typing import MuJudgement, TypeMismatch, ctx
 from mu2forge.printer import print_mu_type
 from mu2forge.suite_runner import _entry_gamma
 from mu2forge.theory import GaveUp, gen_type, gen_typed_term
@@ -50,10 +50,10 @@ def test_term_translation_clauses():
 
 
 def test_type_soundness_examples():
-    check_type_soundness(judge(ctx(), ctx(), dne(A)))
-    check_type_soundness(judge(ctx(), ctx(), tm.lam("x", A, tm.Var("x"))))
+    check_type_soundness(MuJudgement(ctx(), ctx(), dne(A), mt.Arrow(mt.neg(mt.neg(A)), A)))
+    check_type_soundness(MuJudgement(ctx(), ctx(), tm.lam("x", A, tm.Var("x")), mt.Arrow(A, A)))
     check_type_soundness(
-        judge(ctx(("m", B)), ctx(("b", B)), tm.mu("a", A, "b", tm.Var("m")))
+        MuJudgement(ctx(("m", B)), ctx(("b", B)), tm.mu("a", A, "b", tm.Var("m")), A)
     )
 
 

@@ -15,7 +15,6 @@ from mu2forge.combinators import (
     functorial_action,
     identity,
     l_eta,
-    mk_combinator,
     mu_fix_type,
     phi,
 )
@@ -47,15 +46,9 @@ def test_catalog_typechecks_everywhere():
         assert e.ref and e.description
 
 
-def test_mk_combinator_dispatch_and_arity():
-    assert mk_combinator("Abort", A) == abort(A)
-    assert typecheck_mu(ctx(), ctx(), mk_combinator("exotic-numeral")) is not None
+def test_church_rejects_a_negative_count():
     with pytest.raises(ArityMismatch):
-        mk_combinator("Abort")
-    with pytest.raises(ArityMismatch):
-        mk_combinator("no-such-combinator")
-    with pytest.raises(ArityMismatch):
-        mk_combinator("church", -1)
+        church(-1)
 
 
 def test_scheme_polarity():

@@ -4,18 +4,16 @@ from mu2forge import mu_terms as tm
 from mu2forge import mu_types as mt
 from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
-from mu2forge.combinators import abort, dne, identity, peirce
+from mu2forge.combinators import abort, compose, dne, identity, peirce
 from mu2forge.focality import (
     FocalityCertificate,
     NoCertificate,
     certificate_to_dict,
-    certified_equal,
     check_discardable,
     check_focal,
     check_fold_square,
     check_naturality_square,
     check_repeatable,
-    compose_certificates,
 )
 from mu2forge.mu_typing import MuTypeError, ctx
 from mu2forge.theory import BETA_ETA, LAMBDA_MU_2P
@@ -70,11 +68,10 @@ def test_certificate_composition():
     inner = check_focal(abort(mt.Arrow(A, B)), mt.BOT, mt.Arrow(A, B))
     outer_term = tm.lam("x", mt.Arrow(A, B), tm.App(tm.Var("x"), tm.Var("N")))
     outer = check_focal(outer_term, mt.Arrow(A, B), B, ctx(("N", A)))
-    comp = compose_certificates(inner, outer, ctx(("N", A)))
+    subject = compose(outer.subject, inner.subject, inner.source)
+    comp = check_focal(subject, inner.source, outer.target, ctx(("N", A)))
     assert isinstance(comp, FocalityCertificate)
     assert comp.source == mt.BOT and comp.target == B
-    with pytest.raises(MuTypeError):
-        compose_certificates(outer, inner)
 
 
 def test_certificate_implies_repeatable_and_discardable():
@@ -132,4 +129,5 @@ def test_certificate_serialization():
 def test_certified_equal_across_alpha():
     c1 = check_focal(identity(A), A, A)
     c2 = check_focal(identity(A), A, A)
-    assert certified_equal(c1, c2)
+    assert c1.hole != c2.hole
+    assert tg.close_var(c1.transformer, c1.hole) == tg.close_var(c2.transformer, c2.hole)

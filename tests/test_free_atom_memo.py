@@ -93,7 +93,7 @@ def test_type_substitution_keeps_term_atom_memos():
                       tg.TgApp(tg.TgLam("k", tt.TgVarT("X"), tg.TgApp(tg.TgVar("p"), tg.TgVar("k"))),
                                tg.TgVar("q")))
     assert rewrite.free_atoms(body) == {"x"} and rewrite.free_tatoms(body) == {"X"}
-    out = rewrite.subst_tatom(body, "X", s)
+    out = rewrite.subst_tatom(body, {"X": s})
     assert out is not body and out.body is not body.body and out.scrut is body.scrut
     for old, new in ((body, out), (body.body, out.body), (body.body.fn, out.body.fn)):
         assert new.__dict__["_free_atoms"] is old.__dict__["_free_atoms"]

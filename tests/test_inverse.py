@@ -7,9 +7,9 @@ from mu2forge import target_types as tt
 from mu2forge.canonical import CONTINUATION, PROGRAM, NotCanonical, canonicalize
 from mu2forge.combinators import abort, church, dne, exotic_numeral, l_alpha, peirce
 from mu2forge.cps import cps_context, cps_term_typed
-from mu2forge.inverse import MuContext, invert, invert_term, roundtrip, split_context
+from mu2forge.inverse import MuContext, invert, invert_nameful, roundtrip, split_context
 from mu2forge.mu_typing import ctx, typecheck_mu
-from mu2forge.target_typing import PLAIN, tg_ctx
+from mu2forge.target_typing import PLAIN
 
 A, B = mt.TVar("a"), mt.TVar("b")
 S = tt.TgVarT("a")
@@ -29,7 +29,7 @@ def test_variable_clause():
 def test_lambda_clause_produces_bold_mu():
     # (lam k:sdeg. A) inverts to a bold-mu abstraction
     term = tg.close_binders(tg.TgLam("k", S, tg.TgApp(tg.TgVar("x"), tg.TgVar("k"))))
-    tctx = tg_ctx(("x", tt.Neg(S)))
+    tctx = (("x", tt.Neg(S)),)
     form = canonicalize(term, tt.Neg(S), PLAIN, tctx)
     # canonicalization collapses this to the variable x, so build the
     # abstraction form directly to exercise the clause
@@ -44,7 +44,7 @@ def test_lambda_clause_produces_bold_mu():
 
 def test_continuation_clauses():
     # k inverts to the named-term context [k][-]
-    tctx = tg_ctx(("k", S))
+    tctx = (("k", S),)
     form = canonicalize(tg.TgVar("k"), S, PLAIN, tctx)
     assert form.kind == CONTINUATION
     context = invert(form, tctx)
@@ -54,7 +54,7 @@ def test_continuation_clauses():
     assert typecheck_mu(ctx(("h", A)), ctx(("k", A)), filled) == mt.BOT
     # <P, C> inverts to C[- P^{-1}]
     pairty = tt.Conj(tt.Neg(S), tt.TgVarT("b"))
-    tctx = tg_ctx(("p", tt.Neg(S)), ("k", tt.TgVarT("b")))
+    tctx = (("p", tt.Neg(S)), ("k", tt.TgVarT("b")))
     form = canonicalize(tg.Pair(tg.TgVar("p"), tg.TgVar("k")), pairty, PLAIN, tctx)
     context = invert(form, tctx)
     assert context.hole_type == mt.Arrow(A, B)
@@ -63,7 +63,7 @@ def test_continuation_clauses():
     assert got == mt.BOT
     # <sdeg, C> inverts to C[- s]
     ex = tt.exists("X", tt.TgVarT("X"))
-    tctx = tg_ctx(("k", S))
+    tctx = (("k", S),)
     form = canonicalize(tg.Pack(S, tg.TgVar("k"), ex), ex, PLAIN, tctx)
     context = invert(form, tctx)
     assert context.hole_type == mt.BOT
@@ -86,7 +86,7 @@ def test_kind_must_match_the_type():
         invert(CanonicalForm(PROGRAM, tg.TgVar("x"), tt.R, PLAIN), (("x", tt.R),))
     # k is a Continuation at a, not a Program
     with pytest.raises(NotCanonical, match="^a program at a, the type of a continuation$"):
-        invert(CanonicalForm(PROGRAM, tg.TgVar("k"), S, PLAIN), tg_ctx(("k", S)))
+        invert(CanonicalForm(PROGRAM, tg.TgVar("k"), S, PLAIN), (("k", S),))
 
 
 def test_inverse_typing_on_corpus():
@@ -116,7 +116,7 @@ def test_roundtrip_examples():
 
 
 def test_roundtrip_requires_program():
-    tctx = tg_ctx(("k", S))
+    tctx = (("k", S),)
     form = canonicalize(tg.TgVar("k"), S, PLAIN, tctx)
     with pytest.raises(NotCanonical):
         roundtrip(form, tctx)
@@ -125,7 +125,7 @@ def test_roundtrip_requires_program():
 def test_named_context_keeps_a_name_spelt_like_its_binder_hint():
     """[_] - names the free continuation _: the named term's own binder,
     hinted _, binds no atom of the filled term."""
-    tctx = tg_ctx(("_", S))
+    tctx = (("_", S),)
     context = invert(canonicalize(tg.TgVar("_"), S, PLAIN, tctx), tctx)
     filled = context(tm.Var("h"))
     assert filled == tm.named("_", tm.Var("h")) and filled.hint == "_"
@@ -141,6 +141,6 @@ def test_invert_closes_church_300_in_one_pass(monkeypatch):
     for name in ("close_var", "close_name", "close_tvar_term"):
         one = getattr(tm, name)
         monkeypatch.setattr(tm, name, lambda *args, one=one, name=name: per_binder.append(name) or one(*args))
-    kind, out = invert_term(form.term, form.type)
+    kind, out = invert_nameful(tg.to_nameful(form.term), form.type)
     assert kind == PROGRAM and len(passes) == 1 and per_binder == []
     assert typecheck_mu((), (), out) == typecheck_mu((), (), church(300))

@@ -6,11 +6,11 @@ from mu2forge import target_terms as tg
 from mu2forge import target_types as tt
 from mu2forge.mu_typing import (
     IllFormedContext,
+    MuJudgement,
     TypeMismatch,
     UnboundName,
     UnboundVariable,
     ctx,
-    judge,
     typecheck_mu,
 )
 from mu2forge.theory import BETA_ETA, GaveUp, eq_mu, gen_typed_term
@@ -100,9 +100,7 @@ def test_mixed_subst_examples():
 def test_mixed_subst_nested_matches_brute_force():
     inner = tm.mu("g", mt.TVar("t"), "a", tm.Var("y"))
     body = tm.App(tm.Var("f"), inner)
-    tgt, out = tm.mixed_subst_naming(
-        tm.FName("a"), body, "a", tm.AppArg(tm.Var("N")), b="b"
-    )
+    tgt, out = tm.match_named(tm.mixed_subst(tm.named("a", body), "a", tm.AppArg(tm.Var("N")), b="b"))
     want_inner = tm.mu("g", mt.TVar("t"), "b", tm.App(tm.Var("y"), tm.Var("N")))
     assert tgt == tm.FName("b")
     assert out == tm.App(tm.App(tm.Var("f"), want_inner), tm.Var("N"))
@@ -175,9 +173,10 @@ def test_type_preservation_of_substitution_generated():
 
 
 def test_judgement_check():
-    j = judge(ctx(("x", A)), ctx(), tm.Var("x"))
-    assert j.type == A
-    assert j.check() == A
+    assert MuJudgement(ctx(("x", A)), ctx(), tm.Var("x"), A).check() == A
+    assert MuJudgement(ctx(("x", A)), ctx(), tm.Var("x")).check() == A
+    with pytest.raises(TypeMismatch):
+        MuJudgement(ctx(("x", A)), ctx(), tm.Var("x"), B).check()
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +191,10 @@ TRAVERSAL_DIGEST = "fa96b6e94392f428a5c7b25a2cda5ec2380f48bfc5a0706fb9b46fdd733b
 
 def _atoms(s) -> str:
     return " ".join(sorted(s)) or "-"
+
+
+def _locally_closed(t) -> bool:
+    return all(tm.SYNTAX.locally_closed(ns, t, 0) for ns in (tm.VAR, tm.TVAR, tm.NAME))
 
 
 def _mu_type_lines(ty, tag, out):
@@ -243,7 +246,7 @@ def _mu_term_lines(t, tag, out):
     from mu2forge.printer import print_mu_term as p
 
     out += [p(t), _atoms(tm.fv(t)), _atoms(tm.fn(t)), _atoms(tm.ftv_term(t))]
-    out.append(str(tm.locally_closed_term(t)))
+    out.append(str(_locally_closed(t)))
     for x in sorted(tm.fv(t)):
         out.append(p(tm.subst_term(t, x, tm.App(tm.Var("q"), tm.Var("q")))))
     for a in sorted(tm.fn(t)):
@@ -261,7 +264,7 @@ def _mu_term_lines(t, tag, out):
             x = f"v{tag}"
             opened = tm.open_var(body, x)
             out += [
-                str(tm.locally_closed_term(body)),
+                str(_locally_closed(body)),
                 p(tm.inst_var(body, tm.App(tm.Var("w"), tm.Var("w")))),
                 p(tm.Lam(hint, ann, tm.close_var(opened, x))),
                 p(tm.close_var(opened, x, 3)),
@@ -272,7 +275,7 @@ def _mu_term_lines(t, tag, out):
             x = f"V{tag}"
             opened = tm.open_tvar_term(body, x)
             out += [
-                str(tm.locally_closed_term(body)),
+                str(_locally_closed(body)),
                 p(tm.inst_tvar_term(body, mt.Arrow(mt.TVar("P"), mt.TVar("Q")))),
                 p(tm.TyLam(hint, tm.close_tvar_term(opened, x))),
             ]
@@ -282,7 +285,7 @@ def _mu_term_lines(t, tag, out):
             opened = tm.open_name(body, a)
             out += [
                 str(tm.uses_bound_name(body, 0)),
-                str(tm.locally_closed_term(body)),
+                str(_locally_closed(body)),
                 p(tm.Mu(hint, ann, target, tm.close_name(opened, a))),
             ]
             _mu_type_lines(ann, tag + "t", out)

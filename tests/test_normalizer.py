@@ -17,7 +17,7 @@ from mu2forge.mu_typing import ctx
 from mu2forge import rewrite
 from mu2forge.rewrite import ReplayError, RewriteStep, normalize, replay
 from mu2forge.target_types import NotInImageType
-from mu2forge.target_typing import PARAMETRIC, PLAIN, tg_ctx
+from mu2forge.target_typing import PARAMETRIC, PLAIN
 
 S = tt.TgVarT("s")
 
@@ -33,7 +33,7 @@ def test_beta_fun():
     t = tg.TgApp(
         tg.close_binders(tg.TgLam("x", tt.Neg(S), tg.TgApp(tg.TgVar("x"), tg.TgVar("k")))), tg.TgVar("y")
     )
-    out = beta_normalize(t, tg_ctx(("k", S), ("y", tt.Neg(S))))
+    out = beta_normalize(t, (("k", S), ("y", tt.Neg(S))))
     assert out == tg.TgApp(tg.TgVar("y"), tg.TgVar("k"))
 
 
@@ -45,7 +45,7 @@ def test_beta_pair_let():
         tg.Pair(tg.TgVar("L"), tg.TgVar("M")),
         tg.TgApp(tg.TgVar("x"), tg.TgVar("y")),
     ))
-    out = beta_normalize(t, tg_ctx(("L", tt.Neg(S)), ("M", S)))
+    out = beta_normalize(t, (("L", tt.Neg(S)), ("M", S)))
     assert out == tg.TgApp(tg.TgVar("L"), tg.TgVar("M"))
 
 
@@ -64,13 +64,13 @@ def test_golden_dne_normal_form():
 
 
 def test_program_variable_classification():
-    form = canonicalize(tg.TgVar("x"), tt.Neg(S), PLAIN, tg_ctx(("x", tt.Neg(S))))
+    form = canonicalize(tg.TgVar("x"), tt.Neg(S), PLAIN, (("x", tt.Neg(S)),))
     assert form.kind == PROGRAM and form.term == tg.TgVar("x")
 
 
 def test_eta_collapse_to_program_variable():
     t = tg.close_binders(tg.TgLam("k", S, tg.TgApp(tg.TgVar("x"), tg.TgVar("k"))))
-    form = canonicalize(t, tt.Neg(S), PLAIN, tg_ctx(("x", tt.Neg(S))))
+    form = canonicalize(t, tt.Neg(S), PLAIN, (("x", tt.Neg(S)),))
     assert form.kind == PROGRAM and form.term == tg.TgVar("x")
 
 
@@ -99,11 +99,11 @@ def test_canonicalize_idempotent():
 
 def test_eq_reflexive_and_pair_eta():
     m = tg.TgVar("m")
-    assert eq_target(m, m, PLAIN, tg_ctx(("m", tt.Neg(S)))).equal
+    assert eq_target(m, m, PLAIN, (("m", tt.Neg(S)),)).equal
     # (let <x,y> = M in N[<x,y>/z], N[M/z])
     pairty = tt.Conj(tt.Neg(S), S)
     n_of = lambda z: tg.TgApp(tg.TgVar("g"), z)
-    context = tg_ctx(("M", pairty), ("g", tt.Neg(pairty)))
+    context = (("M", pairty), ("g", tt.Neg(pairty)))
     lhs = tg.close_binders(tg.LetPair(
         "x", "y", tg.TgVar("M"), n_of(tg.Pair(tg.TgVar("x"), tg.TgVar("y")))
     ))
@@ -126,7 +126,7 @@ def test_not_in_image_type():
             tg.Pair(tg.TgVar("a"), tg.TgVar("b")),
             tt.Conj(S, S),  # not of a translated shape: left is not negated
             PLAIN,
-            tg_ctx(("a", S), ("b", S)),
+            (("a", S), ("b", S)),
         )
 
 
@@ -134,7 +134,7 @@ def test_type_mismatch_rejected():
     from mu2forge.target_typing import TargetTypeMismatch
 
     with pytest.raises(TargetTypeMismatch):
-        eq_target(tg.TgVar("a"), tg.TgVar("b"), PLAIN, tg_ctx(("a", S), ("b", tt.Neg(S))))
+        eq_target(tg.TgVar("a"), tg.TgVar("b"), PLAIN, (("a", S), ("b", tt.Neg(S))))
 
 
 def test_trace_replay_roundtrip():
@@ -209,11 +209,11 @@ def test_classification_of_generated_images():
 
 def test_answer_and_continuation_classification():
     ans = tg.TgApp(tg.TgVar("x"), tg.TgVar("k"))
-    form = canonicalize(ans, None, PLAIN, tg_ctx(("x", tt.Neg(S)), ("k", S)))
+    form = canonicalize(ans, None, PLAIN, (("x", tt.Neg(S)), ("k", S)))
     assert form.kind == ANSWER
     cont = tg.Pair(tg.TgVar("x"), tg.TgVar("k"))
     form = canonicalize(
-        cont, None, PLAIN, tg_ctx(("x", tt.Neg(S)), ("k", S))
+        cont, None, PLAIN, (("x", tt.Neg(S)), ("k", S))
     )
     assert form.kind == CONTINUATION
 

@@ -17,7 +17,6 @@ from mu2forge import mu_types as mt
 from mu2forge.combinators import church
 from mu2forge.cps import cps_term_typed
 from mu2forge.focality import FocalityCertificate, check_focal
-from mu2forge.inverse import invert_term
 from mu2forge.printer import print_mu_term, print_target_term
 from mu2forge.target_typing import PLAIN
 
@@ -38,13 +37,15 @@ def opened(monkeypatch):
     return out
 
 
-def test_canonicalize_and_invert_term_open_their_input_once(opened):
+def test_canonicalize_and_invert_open_their_input_once(opened):
+    """canonicalize opens its input once; invert_nameful, handed the
+    opened term, opens nothing more."""
     image, _ = cps_term_typed((), (), church(300))
     form = canonicalize(image, None, PLAIN)
     assert form.kind == PROGRAM
     assert len(opened) == 1 and opened[0] is image  # deep terms: no repr in a message
     opened.clear()
-    kind, _ = invert_term(form.term, form.type)
+    kind, _ = inverse.invert_nameful(tg.to_nameful(form.term), form.type)
     assert kind == PROGRAM
     assert len(opened) == 1 and opened[0] is form.term
 

@@ -113,7 +113,7 @@ def test_engine_substitutions_deep():
     assert out.fn is t.fn
     # subst_tatom: the type atom is in the innermost annotation.
     lam = tg.TgLam("z%1", tt.TgVarT("T"), tg.TgApp(tg.TgVar("g"), tg.TgVar("z%1")))
-    out = rewrite.subst_tatom(spine(DEEP, lam), "T", S)
+    out = rewrite.subst_tatom(spine(DEEP, lam), {"T": S})
     assert tg.subterm_at(out, path).ann == S
     # _replace_first_scrut: the let that scrutinises a is at the bottom.
     let = tg.LetPair("p%1", "q%1", tg.TgVar("a"), tg.TgApp(tg.TgVar("p%1"), tg.TgVar("q%1")))

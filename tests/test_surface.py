@@ -56,6 +56,29 @@ def test_ascii_spellings():
     assert got == l_type(mt.TVar("s"))
 
 
+def test_mu_reader_closes_a_binder_chain_in_one_pass(monkeypatch):
+    """The λμ reader builds the term nameful and closes it once: no
+    closing pass per binder, which made reading a binder chain quadratic.
+    The named term's binder keeps the hint _, and an inner binder of the
+    same name shadows an outer one."""
+    s = mt.TVar("s")
+    want = tm.Var("x0")
+    for i in reversed(range(800)):
+        want = tm.lam(f"x{i}", s, want)
+    shadowed = tm.lam("x", s, tm.lam("x", A, tm.mu("a", s, "a", tm.named("a", tm.Var("x")))))
+    passes, per_binder = [], []
+    real = tm.SYNTAX.close_binders
+    monkeypatch.setattr(tm.SYNTAX, "close_binders", lambda t, hint=str: passes.append(t) or real(t, hint))
+    for name in ("close_var", "close_name", "close_tvar_term"):
+        one = getattr(tm, name)
+        monkeypatch.setattr(tm, name, lambda *args, one=one, name=name: per_binder.append(name) or one(*args))
+    got = parse_mu_term("".join(f"\\x{i}:s. " for i in range(800)) + "x0")
+    assert tm.SYNTAX.equal(got, want)  # deeper than __eq__ recurses
+    assert len(passes) == 1 and per_binder == []
+    assert parse_mu_term(r"\x:s. \x:a. mu a:s. [a] [a] x") == shadowed
+    assert parse_mu_term("[b] m").hint == "_"
+
+
 def test_positioned_errors():
     with pytest.raises(MuParseError) as err:
         parse_mu_term(r"\x:s.")

@@ -12,7 +12,6 @@ from mu2forge.target_typing import (
     TargetTypeError,
     TargetTypeMismatch,
     UnboundTargetVariable,
-    tg_ctx,
     typecheck_target,
 )
 
@@ -22,41 +21,41 @@ T = tt.TgVarT("t")
 
 def test_pairing_rule():
     term = tg.Pair(tg.TgVar("m"), tg.TgVar("n"))
-    got = typecheck_target(tg_ctx(("m", S), ("n", T)), term)
+    got = typecheck_target((("m", S), ("n", T)), term)
     assert got == tt.Conj(S, T)
 
 
 def test_pack_rule():
     ex = tt.exists("X", tt.Conj(tt.Neg(tt.TgVarT("X")), tt.TgVarT("X")))
     term = tg.Pack(S, tg.TgVar("k"), ex)
-    got = typecheck_target(tg_ctx(("k", tt.Conj(tt.Neg(S), S))), term)
+    got = typecheck_target((("k", tt.Conj(tt.Neg(S), S)),), term)
     assert got == ex
 
 
 def test_star_modes():
     with pytest.raises(StarInPlainMode):
-        typecheck_target(tg_ctx(), tg.STAR, PLAIN)
-    assert typecheck_target(tg_ctx(), tg.STAR, PARAMETRIC) == tt.TOP
+        typecheck_target((), tg.STAR, PLAIN)
+    assert typecheck_target((), tg.STAR, PARAMETRIC) == tt.TOP
 
 
 def test_non_answer_body_rejected():
     term = tg.close_binders(tg.TgLam("x", S, tg.TgVar("x")))
     with pytest.raises(NonAnswerBody):
-        typecheck_target(tg_ctx(), term)
+        typecheck_target((), term)
 
 
 def test_escape_check():
     bad = tg.close_binders(tg.LetPack("X", "x", tg.TgVar("v"), tg.TgVar("x")))
     with pytest.raises(EscapeCheckFailed):
-        typecheck_target(tg_ctx(("v", tt.TOP)), bad)
+        typecheck_target((("v", tt.TOP),), bad)
 
 
 def test_unbound_and_mismatch():
     with pytest.raises(UnboundTargetVariable):
-        typecheck_target(tg_ctx(), tg.TgVar("ghost"))
+        typecheck_target((), tg.TgVar("ghost"))
     with pytest.raises(TargetTypeMismatch):
         typecheck_target(
-            tg_ctx(("f", tt.Neg(S)), ("x", T)), tg.TgApp(tg.TgVar("f"), tg.TgVar("x"))
+            (("f", tt.Neg(S)), ("x", T)), tg.TgApp(tg.TgVar("f"), tg.TgVar("x"))
         )
 
 
@@ -112,7 +111,6 @@ def test_subject_reduction_for_each_axiom():
 def test_no_lam_body_off_answer_type():
     """Structural scan: every abstraction inside a well-typed translation
     has an answer-typed body (enforced by the typing rule itself)."""
-    from mu2forge import mu_types as mt
     from mu2forge.combinators import catalog
     from mu2forge.cps import cps_context, cps_term_typed
     from mu2forge.suite_runner import _entry_gamma

@@ -214,9 +214,8 @@ def test_structural_mu_axiom_on_generated_bodies():
             seed += 1
             continue
         lhs = tm.App(tm.mu("a", arr, "d", body), tm.Var("n"))
-        tgt, rewritten = tm.mixed_subst_naming(
-            tm.FName("d"), body, "a", tm.AppArg(tm.Var("n")), b="b"
-        )
+        naming = tm.mixed_subst(tm.named("d", body), "a", tm.AppArg(tm.Var("n")), b="b")
+        tgt, rewritten = tm.match_named(naming)
         assert isinstance(tgt, tm.FName)
         rhs = tm.mu("b", s2, tgt.name, rewritten)
         assert eq_mu(lhs, rhs, BETA_ETA, gamma, delta).equal, seed

@@ -121,7 +121,7 @@ def test_no_type_atom_escapes_a_run(images, mode):
 
 @pytest.mark.parametrize(
     "rewrite_atom",
-    [lambda t: rewrite.subst_tatom(t, "a", tt.TgVarT("b")), lambda t: rewrite._read(t, {"a": "b"})],
+    [lambda t: rewrite.subst_tatom(t, {"a": tt.TgVarT("b")}), lambda t: rewrite._read(t, {"a": "b"})],
     ids=["subst_tatom", "read-through-alias"],
 )
 def test_a_pack_has_its_witness_and_existential_annotation_rewritten(rewrite_atom):
