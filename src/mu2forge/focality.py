@@ -80,7 +80,9 @@ def check_focal(
         validate_certificate(cert, x, gamma, delta)
         return cert
     if not isinstance(term, tg.TgLam):
-        return NoCertificate(f, f"canonical image is not an abstraction: {term}")
+        from .printer import print_target_term
+
+        return NoCertificate(f, f"canonical image is not an abstraction: {print_target_term(term)}")
     body = tg.open_var(term.body, k)
     if not (isinstance(body, tg.TgApp) and body.fn == tg.TgVar(x)):
         return NoCertificate(f, "answer spine is not the subject's argument")

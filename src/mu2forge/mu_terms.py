@@ -176,7 +176,6 @@ close_var = partial(SYNTAX.close, VAR)
 open_var = partial(SYNTAX.open, VAR)
 inst_var = partial(SYNTAX.inst, VAR)
 close_name = partial(SYNTAX.close, NAME)
-open_name = partial(SYNTAX.open, NAME)
 close_tvar_term = partial(SYNTAX.close, TVAR)
 open_tvar_term = partial(SYNTAX.open, TVAR)
 inst_tvar_term = partial(SYNTAX.inst, TVAR)

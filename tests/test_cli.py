@@ -184,6 +184,12 @@ def test_focal_check_refusal_exit_1(capsys):
     assert data["certificate"] is None
 
 
+def test_focal_check_refusal_prints_the_image_in_surface_syntax(capsys):
+    code, out, _ = run(capsys, "focal-check", "--ctx", "y:s", "--source", "s", "--to", "s", r"\z:s. y")
+    assert code == 1
+    assert json.loads(out)["reason"] == "canonical image is not an abstraction: y"
+
+
 def test_free_theorem_golden_text(capsys):
     code, out, _ = run(capsys, "free-theorem", "forall X. X")
     assert code == 0

@@ -282,7 +282,7 @@ def _mu_term_lines(t, tag, out):
             _mu_term_lines(opened, tag + "b", out)
         case tm.Mu(hint, ann, target, body):
             a = f"n{tag}"
-            opened = tm.open_name(body, a)
+            opened = tm.SYNTAX.open(tm.NAME, body, a)
             out += [
                 str(tm.uses_bound_name(body, 0)),
                 str(_locally_closed(body)),

@@ -1,10 +1,15 @@
 """Every record class of the kernel behaves as a frozen dataclass built
 from its field list: the same repr, ==, hash, field order,
-__match_args__, defaults and frozenness."""
+__match_args__, defaults and frozenness.  Its fields are slots, as with
+slots=True, beside an instance dict for memos, and it copies and
+pickles."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
+import types
 
 import pytest
 
@@ -80,11 +85,13 @@ def test_record_matches_its_dataclass_twin(cls):
     assert names == list(vars(cls).get("__annotations__", {}))
     assert cls.__match_args__ == twin.__match_args__ == tuple(names)
     assert cls.__init__.__defaults__ == twin.__init__.__defaults__
-    for f in fields(cls):
-        assert vars(cls).get(f.name, MISSING) == vars(twin).get(f.name, MISSING)
+    # as with slots=True, each field is a slot and a default is no class attribute
+    assert cls.__slots__ == (*names, "__dict__")
+    assert all(isinstance(vars(cls)[n], types.MemberDescriptorType) for n in names)
 
     values = _values(cls, 0)
     rec, ref = cls(*values), twin(*values)
+    assert vars(rec) == {}
     assert repr(rec) == repr(ref)
     assert hash(rec) == hash(ref)
     assert [getattr(rec, n) for n in names] == values
@@ -133,6 +140,19 @@ def test_record_matches_its_dataclass_twin(cls):
             assert str(got.value) == str(want.value)
     assert repr(rec) == repr(ref)
 
+    # memos live in the instance dict, beside the slots: a key written there,
+    # even one spelled as a field, changes no field read, ==, hash or repr
+    memoised = cls(*values)
+    vars(memoised).update({"_memo": frozenset({"x"}), **{n: "memo" for n in names}})
+    assert [getattr(memoised, n) for n in names] == values
+    assert memoised == rec and hash(memoised) == hash(rec) == hash(ref)
+    assert repr(memoised) == repr(ref)
+
+    # copy, deepcopy and pickle rebuild through the constructor
+    for dup in (copy.copy(memoised), copy.deepcopy(memoised)):
+        assert dup.__class__ is cls and dup == rec and repr(dup) == repr(ref)
+        assert [getattr(dup, n) for n in names] == values
+
 
 def _as_twin(value):
     """value with every record in it replaced by its twin."""
@@ -161,3 +181,19 @@ def test_kernel_trees_match_their_twins():
         twin = _as_twin(value)
         assert repr(value) == repr(twin)
         assert hash(value) == hash(twin)
+
+
+def test_kernel_trees_pickle():
+    """A closed CPS image and a verdict come back equal from pickle, with
+    the memos of the original left behind."""
+    from mu2forge.combinators import church
+    from mu2forge.cps import cps_term_typed
+    from mu2forge.theory import eq_mu
+
+    image, image_type = cps_term_typed((), (), church(2))
+    verdict = eq_mu(church(2), church(2))
+    hash(image)
+    for value in (image, image_type, verdict):
+        back = pickle.loads(pickle.dumps(value))
+        assert vars(back) == {}
+        assert back == value and repr(back) == repr(value) and hash(back) == hash(value)

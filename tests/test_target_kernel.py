@@ -229,7 +229,7 @@ def _ref_translate(gamma, delta, term):
             return _ref_lam(k, cps_type(inst), tg.TgApp(tf, pack)), inst
         case tm.Mu(hint, ann, target, body):
             a = tm.fresh(hint or "a")
-            opened = tm.open_name(body, a)
+            opened = tm.SYNTAX.open(tm.NAME, body, a)
             tname = a if target == tm.BName(0) else target.name
             tb, _ = _ref_translate(gamma, ((a, ann),) + delta, opened)
             return _ref_lam(a, cps_type(ann), tg.TgApp(tb, tg.TgVar(tname))), ann
