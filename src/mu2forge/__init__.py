@@ -24,7 +24,6 @@ _EXPORTS = {
         "Lam",
         "Mu",
         "MuTerm",
-        "Rename",
         "TyApp",
         "TyArg",
         "TyLam",

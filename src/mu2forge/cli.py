@@ -292,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ctx_help="gamma bindings, e.g. 'x:s, f:s -> t'"):
-        p.add_argument("--ctx", help=ctx_help)
+    def common(p):
+        p.add_argument("--ctx", help="gamma bindings, e.g. 'x:s, f:s -> t'")
         p.add_argument("--names", help="delta bindings (continuation names)")
 
     p = sub.add_parser("typecheck", help="synthesise the type of a term")

@@ -169,16 +169,12 @@ TABLE = {
 }
 SYNTAX = Syntax(TABLE)
 
-# open_* / close_*(t, atom, depth=0) and inst_*(t, rep, depth=0), rep locally
-# closed, per namespace; the free-atom sets fv (variables), fn (names) and
-# ftv_term (type variables); uses_bound_name(t, depth).
+# close_*(t, atom, depth=0) per namespace; the free-atom sets fv (variables),
+# fn (names) and ftv_term (type variables); uses_bound_name(t, depth).  Open
+# and instantiate are SYNTAX.open / SYNTAX.inst(namespace, t, ...).
 close_var = partial(SYNTAX.close, VAR)
-open_var = partial(SYNTAX.open, VAR)
-inst_var = partial(SYNTAX.inst, VAR)
 close_name = partial(SYNTAX.close, NAME)
 close_tvar_term = partial(SYNTAX.close, TVAR)
-open_tvar_term = partial(SYNTAX.open, TVAR)
-inst_tvar_term = partial(SYNTAX.inst, TVAR)
 fv = partial(SYNTAX.free, VAR)
 fn = partial(SYNTAX.free, NAME)
 ftv_term = partial(SYNTAX.free, TVAR)
@@ -218,50 +214,31 @@ class TyArg:
     ty: MuType
 
 
-@record
-class Rename:
-    name: str
-
-
-MixedMode = AppArg | TyArg | Rename
+MixedMode = AppArg | TyArg
 
 
 def mixed_subst(t: MuTerm, a: str, mode: MixedMode, b: str | None = None) -> MuTerm:
-    """Replace namings [a]L inside t by [b](L' N), [b](L' s) or [b]L'.
-
-    L is rewritten first (innermost namings are transformed before the
-    enclosing one), matching the recursive reading of the structural mu
-    axioms.  For Rename the new target is mode.name; otherwise b (fresh
-    when omitted).
-    """
-    if b is None:
-        b = mode.name if isinstance(mode, Rename) else fresh("b")
-
-    def wrap(body: MuTerm) -> MuTerm:
-        match mode:
-            case AppArg(arg):
-                return App(body, arg)
-            case TyArg(ty):
-                return TyApp(body, ty)
-            case Rename(_):
-                return body
-        raise TypeError(mode)
-
-    match t:
-        case Var(_) | BVar(_):
-            return t
-        case Lam(hint, ann, body):
-            return Lam(hint, ann, mixed_subst(body, a, mode, b))
-        case App(fun, arg):
-            return App(mixed_subst(fun, a, mode, b), mixed_subst(arg, a, mode, b))
-        case TyLam(hint, body):
-            return TyLam(hint, mixed_subst(body, a, mode, b))
-        case TyApp(fun, ty):
-            return TyApp(mixed_subst(fun, a, mode, b), ty)
-        case Mu(hint, ann, target, body):
-            body2 = mixed_subst(body, a, mode, b)
-            if target == FName(a):
-                return Mu(hint, ann, FName(b), wrap(body2))
-            return Mu(hint, ann, target, body2)
-    raise TypeError(t)
-
+    """Replace namings [a]L inside t by [b](L' N) or [b](L' s), b fresh when
+    omitted.  L is rewritten first (innermost namings are transformed before
+    the enclosing one), matching the recursive reading of the structural mu
+    axioms: one post-order rebuild over the table's term children, on an
+    explicit stack, so the depth of t costs no Python frames."""
+    wrap, extra = (App, mode.arg) if isinstance(mode, AppArg) else (TyApp, mode.ty)
+    old, new = FName(a), FName(fresh("b") if b is None else b)
+    out: list[MuTerm] = []
+    todo: list = [t]  # nodes to visit, and (node, its number of children) to rebuild
+    while todo:
+        node = todo.pop()
+        if node.__class__ is tuple:
+            node, n = node
+            kids = tuple(out[-n:])
+            del out[-n:]
+            if node.__class__ is Mu and node.target == old:
+                out.append(Mu(node.hint, node.ann, new, wrap(kids[0], extra)))
+            else:
+                out.append(SYNTAX.rebuild[node.__class__](node, kids))
+        elif kids := SYNTAX.children[node.__class__](node):
+            todo += ((node, len(kids)), *reversed(kids))
+        else:
+            out.append(node)
+    return out[0]

@@ -120,12 +120,6 @@ class RewriteStep:
     def render(self) -> str:
         return f"{self.rule} {'.'.join(map(str, self.path)) or 'root'}"
 
-    @staticmethod
-    def parse(line: str) -> "RewriteStep":
-        rule, _, pos = line.strip().partition(" ")
-        path = () if pos in ("", "root") else tuple(int(p) for p in pos.split("."))
-        return RewriteStep(rule, path)
-
 
 # ---------------------------------------------------------------------------
 # Nameful round trip: target_terms.to_nameful opens, from_nameful closes.

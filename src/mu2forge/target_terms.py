@@ -19,19 +19,10 @@ from __future__ import annotations
 from functools import partial
 
 from . import target_types
-from .mu_terms import fresh  # noqa: F401 - shared fresh-atom supply, re-exported
+from .mu_terms import fresh
 from .record import field, record
 from .syntax import TERM, TVAR, TYPE, VAR, Child, Hint, Leaf, Syntax
 from .target_types import TargetType
-
-__all__ = [
-    "TargetTerm", "TgVar", "TgBVar", "TgLam", "TgApp", "Pair", "LetPair",
-    "Pack", "LetPack", "Star", "STAR", "fresh",
-    "close_binders", "to_nameful", "nameful_equal", "TargetTypeError",
-    "open_var", "close_var", "inst_var", "open_tvar_term", "close_tvar_term",
-    "inst_tvar_term", "subst_var", "subst_tvar_term", "free_vars", "free_tvars",
-    "subterm_at", "replace_at", "equal",
-]
 
 
 class TargetTypeError(Exception):
@@ -152,14 +143,9 @@ def replace_at(t: TargetTerm, path: tuple[int, ...], new: TargetTerm) -> TargetT
     return new
 
 
-# As in mu_terms: open_* / close_*(t, atom, depth=0), inst_*(t, rep, depth=0)
-# and the free-atom sets, per namespace.
-close_var = partial(SYNTAX.close, VAR)
+# open_var(t, atom, depth=0) and the free-atom sets, per namespace; the
+# other binder operations are SYNTAX.<op>(namespace, t, ...).
 open_var = partial(SYNTAX.open, VAR)
-inst_var = partial(SYNTAX.inst, VAR)
-close_tvar_term = partial(SYNTAX.close, TVAR)
-open_tvar_term = partial(SYNTAX.open, TVAR)
-inst_tvar_term = partial(SYNTAX.inst, TVAR)
 free_vars = partial(SYNTAX.free, VAR)
 free_tvars = partial(SYNTAX.free, TVAR)
 

@@ -230,7 +230,7 @@ def inverse_lines():
                 t = tg.open_var(tg.open_var(t.body, k), x, 1)
             else:
                 tctx += ((k, tt.inst_tvar(sty.body, tt.TgVarT(x))),)
-                t = tg.open_var(tg.open_tvar_term(t.body, x), k)
+                t = tg.open_var(tg.SYNTAX.open(tg.TVAR, t.body, x), k)
         if isinstance(t, tg.TgApp):
             sdeg = typecheck_target(tctx, t.fn).body
             lines.append(f"{label}\targument\t{shown(CanonicalForm(CONTINUATION, t.arg, sdeg), tctx)}")

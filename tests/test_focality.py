@@ -130,4 +130,4 @@ def test_certified_equal_across_alpha():
     c1 = check_focal(identity(A), A, A)
     c2 = check_focal(identity(A), A, A)
     assert c1.hole != c2.hole
-    assert tg.close_var(c1.transformer, c1.hole) == tg.close_var(c2.transformer, c2.hole)
+    assert tg.SYNTAX.close(tg.VAR, c1.transformer, c1.hole) == tg.SYNTAX.close(tg.VAR, c2.transformer, c2.hole)

@@ -94,7 +94,7 @@ def test_mixed_subst_examples():
     assert tm.match_named(out) == (tm.FName("b"), tm.App(tm.Var("x"), tm.Var("n")))
     # vacuous when the name does not occur
     assert tm.mixed_subst(tm.Var("x"), "a", tm.AppArg(tm.Var("n"))) == tm.Var("x")
-    assert tm.mixed_subst(naming, "other", tm.Rename("c")) == naming
+    assert tm.mixed_subst(naming, "other", tm.TyArg(A)) == naming
 
 
 def test_mixed_subst_nested_matches_brute_force():
@@ -122,9 +122,43 @@ def test_mixed_subst_nested_matches_brute_force():
     assert tm.App(brute(body), tm.Var("N")) == out
 
 
-def test_mixed_subst_rename_mode():
+# The sha256 of each mixed_subst(t, a, mode, b="b'") as printed and as its
+# repr with the fresh atoms' numeric suffixes cut, over the catalog and the
+# generator's seeds below 400: each free name of t and two absent ones, in
+# both modes.
+MIXED_SUBST_DIGEST = "2fb2ee731cde531307f1f1f1e2c33b19046eca51ec1de8ba2f6fff67e4a91056"
+
+
+def test_mixed_subst_digest():
+    import hashlib
+    import re
+
+    from mu2forge.combinators import catalog
+    from mu2forge.printer import print_mu_term
+    from mu2forge.theory import gen_judgement
+
+    terms = [entry.term for entry in catalog()]
+    for seed in range(400):
+        try:
+            terms.append(gen_judgement(seed)[2])
+        except GaveUp:
+            pass
+    n = tm.lam("z", mt.TVar("p"), tm.App(tm.Var("z"), tm.Var("w")))
+    s = mt.Arrow(mt.TVar("p"), mt.TVar("q"))
+    digest, count = hashlib.sha256(), 0
+    for t in terms:
+        for a in (*sorted(tm.fn(t)), "absent", "k9"):
+            for mode in (tm.AppArg(n), tm.TyArg(s)):
+                out = tm.mixed_subst(t, a, mode, b="b'")
+                digest.update(f"{print_mu_term(out)}\n{re.sub(r'%[0-9]+', '', repr(out))}\n".encode())
+                count += 1
+    assert count == 1582
+    assert digest.hexdigest() == MIXED_SUBST_DIGEST
+
+
+def test_rename_name_retargets_a_naming():
     naming = tm.named("a", tm.Var("x"))
-    out = tm.mixed_subst(naming, "a", tm.Rename("c"))
+    out = tm.rename_name(naming, "a", "c")
     assert tm.match_named(out) == (tm.FName("c"), tm.Var("x"))
 
 
@@ -262,10 +296,10 @@ def _mu_term_lines(t, tag, out):
             _mu_term_lines(fun, tag + "0", out)
         case tm.Lam(hint, ann, body):
             x = f"v{tag}"
-            opened = tm.open_var(body, x)
+            opened = tm.SYNTAX.open(tm.VAR, body, x)
             out += [
                 str(_locally_closed(body)),
-                p(tm.inst_var(body, tm.App(tm.Var("w"), tm.Var("w")))),
+                p(tm.SYNTAX.inst(tm.VAR, body, tm.App(tm.Var("w"), tm.Var("w")))),
                 p(tm.Lam(hint, ann, tm.close_var(opened, x))),
                 p(tm.close_var(opened, x, 3)),
             ]
@@ -273,10 +307,10 @@ def _mu_term_lines(t, tag, out):
             _mu_term_lines(opened, tag + "b", out)
         case tm.TyLam(hint, body):
             x = f"V{tag}"
-            opened = tm.open_tvar_term(body, x)
+            opened = tm.SYNTAX.open(tm.TVAR, body, x)
             out += [
                 str(_locally_closed(body)),
-                p(tm.inst_tvar_term(body, mt.Arrow(mt.TVar("P"), mt.TVar("Q")))),
+                p(tm.SYNTAX.inst(tm.TVAR, body, mt.Arrow(mt.TVar("P"), mt.TVar("Q")))),
                 p(tm.TyLam(hint, tm.close_tvar_term(opened, x))),
             ]
             _mu_term_lines(opened, tag + "b", out)
@@ -308,9 +342,9 @@ def _tg_term_lines(t, tag, out):
             x = f"v{tag}"
             opened = tg.open_var(body, x)
             out += [
-                p(tg.inst_var(body, tg.TgApp(tg.TgVar("w"), tg.TgVar("w")))),
-                p(tg.TgLam(hint, ann, tg.close_var(opened, x))),
-                p(tg.close_var(opened, x, 2)),
+                p(tg.SYNTAX.inst(tg.VAR, body, tg.TgApp(tg.TgVar("w"), tg.TgVar("w")))),
+                p(tg.TgLam(hint, ann, tg.SYNTAX.close(tg.VAR, opened, x))),
+                p(tg.SYNTAX.close(tg.VAR, opened, x, 2)),
             ]
             _tg_type_lines(ann, tag + "t", out)
             _tg_term_lines(opened, tag + "b", out)
@@ -318,20 +352,20 @@ def _tg_term_lines(t, tag, out):
             x, y = f"x{tag}", f"y{tag}"
             opened = tg.open_var(tg.open_var(body, y), x, 1)
             out += [
-                p(tg.inst_var(body, tg.TgVar("w"), 1)),
-                p(tg.LetPair(hx, hy, scrut, tg.close_var(tg.close_var(opened, y), x, 1))),
+                p(tg.SYNTAX.inst(tg.VAR, body, tg.TgVar("w"), 1)),
+                p(tg.LetPair(hx, hy, scrut, tg.SYNTAX.close(tg.VAR, tg.SYNTAX.close(tg.VAR, opened, y), x, 1))),
             ]
             _tg_term_lines(scrut, tag + "0", out)
             _tg_term_lines(opened, tag + "b", out)
         case tg.LetPack(ht, hx, scrut, body):
             v, x = f"V{tag}", f"x{tag}"
-            opened = tg.open_var(tg.open_tvar_term(body, v), x)
+            opened = tg.open_var(tg.SYNTAX.open(tg.TVAR, body, v), x)
             out += [
-                p(tg.inst_tvar_term(body, tt.Conj(tt.TgVarT("P"), tt.R))),
-                p(tg.open_tvar_term(body, "U", 1)),
-                p(tg.inst_tvar_term(body, tt.R, 2)),
-                p(tg.LetPack(ht, hx, scrut, tg.close_tvar_term(tg.close_var(opened, x), v))),
-                p(tg.close_tvar_term(opened, v, 1)),
+                p(tg.SYNTAX.inst(tg.TVAR, body, tt.Conj(tt.TgVarT("P"), tt.R))),
+                p(tg.SYNTAX.open(tg.TVAR, body, "U", 1)),
+                p(tg.SYNTAX.inst(tg.TVAR, body, tt.R, 2)),
+                p(tg.LetPack(ht, hx, scrut, tg.SYNTAX.close(tg.TVAR, tg.SYNTAX.close(tg.VAR, opened, x), v))),
+                p(tg.SYNTAX.close(tg.TVAR, opened, v, 1)),
             ]
             _tg_term_lines(scrut, tag + "0", out)
             _tg_term_lines(opened, tag + "b", out)

@@ -151,14 +151,6 @@ def test_trace_replay_roundtrip():
         assert replayed == normal
 
 
-def test_trace_render_parse_roundtrip():
-    step = RewriteStep("beta-pair", (0, 1, 2))
-    assert RewriteStep.parse(step.render()) == step
-    assert RewriteStep.parse(RewriteStep("eta-fun", ()).render()) == RewriteStep(
-        "eta-fun", ()
-    )
-
-
 def test_replay_rejects_bogus_step():
     term, _ = cps_term_typed((), (), church(1))
     with pytest.raises(ReplayError):

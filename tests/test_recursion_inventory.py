@@ -111,7 +111,6 @@ INVENTORY = {
     "cps.cps_type": TYPE,
     "focality._linear_spine": TERM + " along a certificate's continuation spine",
     "inverse._Inverse.let": TERM + ", once per context nested in a let body as the context is filled",
-    "mu_terms.mixed_subst": TERM + ": exported; the suite calls it on fixed small terms",
     "printer._read.go": TERM + ": the s-expression reader",
     "printer.print_mu_type": TYPE,
     "printer.print_target_type": TYPE,

@@ -58,7 +58,18 @@ def test_map_is_a_loop_and_keeps_unchanged_subtrees():
     out = tg.open_var(t, "w")
     assert tg.subterm_at(out, (0,) * DEEP) == tg.TgVar("w")
     assert out.arg is t.arg
-    assert tg.equal(tg.close_var(out, "w"), t)
+    assert tg.equal(tg.SYNTAX.close(tg.VAR, out, "w"), t)
+
+
+def test_mixed_subst_is_a_loop():
+    t = tm.Var("x")
+    for _ in range(DEEP):
+        t = tm.named("a", tm.App(tm.Var("f"), t))
+    out = tm.mixed_subst(t, "a", tm.AppArg(tm.Var("n")), b="b")
+    for _ in range(DEEP):
+        assert out.target == tm.FName("b") and out.body.arg == tm.Var("n")
+        out = out.body.fn.arg
+    assert out == tm.Var("x")
 
 
 def test_church_builds_and_types_deep():

@@ -181,15 +181,15 @@ def test_structural_equality_matches_eq_without_recursion():
 
 
 def _ref_lam(x, ann, body):
-    return tg.TgLam(x, ann, tg.close_var(body, x))
+    return tg.TgLam(x, ann, tg.SYNTAX.close(tg.VAR, body, x))
 
 
 def _ref_let_pair(x, y, scrut, body):
-    return tg.LetPair(x, y, scrut, tg.close_var(tg.close_var(body, y), x, 1))
+    return tg.LetPair(x, y, scrut, tg.SYNTAX.close(tg.VAR, tg.SYNTAX.close(tg.VAR, body, y), x, 1))
 
 
 def _ref_let_pack(tv, x, scrut, body):
-    return tg.LetPack(tv, x, scrut, tg.close_tvar_term(tg.close_var(body, x), tv))
+    return tg.LetPack(tv, x, scrut, tg.SYNTAX.close(tg.TVAR, tg.SYNTAX.close(tg.VAR, body, x), tv))
 
 
 def _ref_translate(gamma, delta, term):
@@ -203,7 +203,7 @@ def _ref_translate(gamma, delta, term):
             return tg.TgVar(n), lookup(gamma, n)
         case tm.Lam(hint, ann, body):
             x = tm.fresh(hint or "x")
-            tb, body_ty = _ref_translate(gamma + ((x, ann),), delta, tm.open_var(body, x))
+            tb, body_ty = _ref_translate(gamma + ((x, ann),), delta, tm.SYNTAX.open(tm.VAR, body, x))
             fun_ty = mt.Arrow(ann, body_ty)
             z, k = tm.fresh("z"), tm.fresh("k")
             inner = _ref_let_pair(x, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k)))
@@ -216,7 +216,7 @@ def _ref_translate(gamma, delta, term):
             return _ref_lam(k, cps_type(fun_ty.cod), body), fun_ty.cod
         case tm.TyLam(hint, body):
             xv = tm.fresh(hint or "X")
-            tb, body_ty = _ref_translate(gamma, delta, tm.open_tvar_term(body, xv))
+            tb, body_ty = _ref_translate(gamma, delta, tm.SYNTAX.open(tm.TVAR, body, xv))
             all_ty = mt.Forall(hint or "X", mt.close_tvar(body_ty, xv))
             z, k = tm.fresh("z"), tm.fresh("k")
             inner = _ref_let_pack(xv, k, tg.TgVar(z), tg.TgApp(tb, tg.TgVar(k)))
@@ -257,7 +257,7 @@ def _ref_to_nameful(t):
             return tg.Pack(w, _ref_to_nameful(payload), ex)
         case tg.LetPack(ht, hx, scrut, body):
             tv, x = tg.fresh(ht or "X"), tg.fresh(hx or "x")
-            opened = tg.open_var(tg.open_tvar_term(body, tv), x)
+            opened = tg.open_var(tg.SYNTAX.open(tg.TVAR, body, tv), x)
             return tg.LetPack(tv, x, _ref_to_nameful(scrut), _ref_to_nameful(opened))
     raise TypeError(t)
 
@@ -269,18 +269,18 @@ def _ref_from_nameful(t):
         case tg.TgVar(_) | tg.Star():
             return t
         case tg.TgLam(x, ann, body):
-            return tg.TgLam(b(x), ann, tg.close_var(_ref_from_nameful(body), x))
+            return tg.TgLam(b(x), ann, tg.SYNTAX.close(tg.VAR, _ref_from_nameful(body), x))
         case tg.TgApp(fn, arg):
             return tg.TgApp(_ref_from_nameful(fn), _ref_from_nameful(arg))
         case tg.Pair(left, right):
             return tg.Pair(_ref_from_nameful(left), _ref_from_nameful(right))
         case tg.LetPair(x, y, scrut, body):
-            closed = tg.close_var(tg.close_var(_ref_from_nameful(body), y), x, 1)
+            closed = tg.SYNTAX.close(tg.VAR, tg.SYNTAX.close(tg.VAR, _ref_from_nameful(body), y), x, 1)
             return tg.LetPair(b(x), b(y), _ref_from_nameful(scrut), closed)
         case tg.Pack(w, payload, ex):
             return tg.Pack(w, _ref_from_nameful(payload), ex)
         case tg.LetPack(tv, x, scrut, body):
-            closed = tg.close_tvar_term(tg.close_var(_ref_from_nameful(body), x), tv)
+            closed = tg.SYNTAX.close(tg.TVAR, tg.SYNTAX.close(tg.VAR, _ref_from_nameful(body), x), tv)
             return tg.LetPack(b(tv), b(x), _ref_from_nameful(scrut), closed)
     raise TypeError(t)
 
@@ -381,7 +381,7 @@ def _ref_typecheck(context, term, mode=PLAIN, atoms=()):
             if not isinstance(scrut_ty, tt.Exists):
                 raise TargetTypeMismatch(f"let-pack scrutinee has type {show(scrut_ty)}")
             tv, x = tg.fresh(ht or "X"), tg.fresh(hx or "x")
-            opened = tg.open_var(tg.open_tvar_term(body, tv), x)
+            opened = tg.open_var(tg.SYNTAX.open(tg.TVAR, body, tv), x)
             ctx2 = context + ((x, tt.inst_tvar(scrut_ty.body, tt.TgVarT(tv))),)
             atoms += (tv,)  # in scope in the body and in the escape check's message
             result = _ref_typecheck(ctx2, opened, mode, atoms)
